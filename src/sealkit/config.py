@@ -60,19 +60,6 @@ class ServerConfig:
                 raise ConfigError(f"hash root must be absolute: {root!r}")
 
 
-_BOOL_TRUE = {"1", "true", "yes", "on"}
-_BOOL_FALSE = {"0", "false", "no", "off"}
-
-
-def _parse_bool(key: str, value: str) -> bool:
-    low = value.lower()
-    if low in _BOOL_TRUE:
-        return True
-    if low in _BOOL_FALSE:
-        return False
-    raise ConfigError(f"{key}: expected boolean, got {value!r}")
-
-
 def parse_config(text: str) -> ServerConfig:
     """Parse ``key = value`` lines; '#' starts a comment.
 

@@ -21,13 +21,14 @@ from pathlib import Path
 from . import volume as vol
 from .manifest import hash_lines
 from .tree import FileNode, FileTree, SymlinkNode
-from .util import SimClock, make_rng
+from .util import SimClock
 from .volume import (
+    DiskFull,
     EncryptedVolume,
+    GeometryMismatch,
     Keyfile,
     KeyslotsEmpty,
     NoMatchingSlot,
-    SECTOR_BYTES,
     UnlockedVolume,
 )
 
@@ -52,14 +53,6 @@ class MachineNotRunning(MachineError):
 
 class SealedAndCold(MachineError):
     """Boot impossible: keyslots erased and the master key left RAM."""
-
-
-class DiskFull(MachineError):
-    pass
-
-
-class GeometryMismatch(MachineError):
-    pass
 
 
 @dataclass
@@ -258,12 +251,11 @@ class Machine:
         """Format the root volume with a fresh keyfile and install the tree."""
         keyfile = Keyfile.generate(rng)
         boot_tree.write_file("/keyfile", keyfile.data)
-        volume = vol.format_volume(sector_count, keyfile, spec, rng)
-        handle = vol.unlock(volume, keyfile)
-        _install_plaintext(handle, root_tree.encode())
+        handle = vol.format_volume(sector_count, keyfile, spec, rng)
+        vol.write_image(handle, root_tree.encode())
         handle.invalidate()
         return cls(kind=kind, name=name, root_device=root_device,
-                   boot_partition=boot_tree, root_volume=volume,
+                   boot_partition=boot_tree, root_volume=handle.volume,
                    rng=rng, clock=clock)
 
     # -- power --------------------------------------------------------------
@@ -287,9 +279,7 @@ class Machine:
                 f"{self.name}: root volume cannot be unlocked ({exc})"
             ) from exc
 
-        plain = b"".join(
-            vol.read_sector(handle, i) for i in range(self.root_volume.sector_count)
-        )
+        plain = vol.read_image(handle)
         tree = FileTree.decode(plain)
         users = parse_passwd(tree.read_text("/etc/passwd")) if tree.is_file("/etc/passwd") else {}
 
@@ -350,19 +340,7 @@ class Machine:
 
     def _sync_volume(self) -> None:
         ram = self._require_on()
-        image = ram.tree.encode()
-        capacity = self.root_volume.sector_count * SECTOR_BYTES
-        if len(image) > capacity:
-            raise DiskFull(
-                f"{self.name}: tree needs {len(image)} bytes, volume holds {capacity}"
-            )
-        padded = image.ljust(capacity, b"\x00")
-        old = ram.plain_image
-        for i in range(self.root_volume.sector_count):
-            lo, hi = i * SECTOR_BYTES, (i + 1) * SECTOR_BYTES
-            if padded[lo:hi] != old[lo:hi]:
-                vol.write_sector(ram.handle, i, padded[lo:hi])
-        ram.plain_image = padded
+        ram.plain_image = vol.write_image(ram.handle, ram.tree.encode(), ram.plain_image)
 
     def write_file(self, path: str, data: bytes) -> None:
         ram = self._require_on()
@@ -617,25 +595,11 @@ class Machine:
         return "", 0
 
 
-def _install_plaintext(handle: UnlockedVolume, image: bytes) -> None:
-    capacity = handle.volume.sector_count * SECTOR_BYTES
-    if len(image) > capacity:
-        raise DiskFull(f"tree needs {len(image)} bytes, volume holds {capacity}")
-    padded = image.ljust(capacity, b"\x00")
-    for i in range(handle.volume.sector_count):
-        vol.write_sector(handle, i, padded[i * SECTOR_BYTES:(i + 1) * SECTOR_BYTES])
-
-
-def full_tree_from_images(images: DiskImagePair,
-                          rng: random.Random | None = None) -> FileTree:
+def full_tree_from_images(images: DiskImagePair) -> FileTree:
     """Decrypt and decode an image pair using the keyfile on its boot tree."""
     keyfile = Keyfile(images.boot.read_file("/keyfile"))
-    working = images.root.copy()
-    working.rng = rng or make_rng()
-    handle = vol.unlock(working, keyfile)
-    plain = b"".join(vol.read_sector(handle, i) for i in range(working.sector_count))
-    tree = FileTree.decode(plain)
-    return tree.mount("/boot", images.boot)
+    handle = vol.unlock(images.root, keyfile)
+    return FileTree.decode(vol.read_image(handle)).mount("/boot", images.boot)
 
 
 # -- image directory layout -------------------------------------------------------

@@ -187,16 +187,13 @@ def make_data_vault(sector_count: int, data_files: dict[str, bytes],
                     rng: random.Random) -> tuple[EncryptedVolume, Keyfile]:
     """Provider-side: an encrypted disk carrying the data, key kept by provider."""
     key = Keyfile.generate(rng)
-    vault = vol.format_volume(sector_count, key, rng=rng)
+    handle = vol.format_volume(sector_count, key, rng=rng)
     tree = FileTree()
     for path, data in data_files.items():
         tree.write_file(path, data)
-    handle = vol.unlock(vault, key)
-    image = tree.encode().ljust(sector_count * vol.SECTOR_BYTES, b"\x00")
-    for i in range(sector_count):
-        vol.write_sector(handle, i, image[i * vol.SECTOR_BYTES:(i + 1) * vol.SECTOR_BYTES])
+    vol.write_image(handle, tree.encode())
     handle.invalidate()
-    return vault, key
+    return handle.volume, key
 
 
 def attach_data_vault(machine: Machine, sector_count: int,
@@ -225,10 +222,7 @@ def vault_attach(machine: Machine, key: bytes | Keyfile) -> UnlockedVolume:
 
 
 def read_vault_tree(handle: UnlockedVolume) -> FileTree:
-    plain = b"".join(
-        vol.read_sector(handle, i) for i in range(handle.volume.sector_count)
-    )
-    return FileTree.decode(plain)
+    return FileTree.decode(vol.read_image(handle))
 
 
 # -- the sealed server's service frontend ---------------------------------------------

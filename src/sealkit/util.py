@@ -32,9 +32,6 @@ class SimClock:
         self._ticks += 1
         return current
 
-    def peek(self) -> datetime.datetime:
-        return self.EPOCH + datetime.timedelta(seconds=self._ticks * self.step_seconds)
-
     def stamp(self) -> str:
         return self.now().strftime("%a %b %d %H:%M:%S UTC %Y")
 

@@ -260,8 +260,6 @@ def default_policy(plan: SealingPlan) -> AllowlistPolicy:
             may_add.add(step.args["dest_path"])
         elif step.kind == "ldap_dump":
             may_add.add(step.args["dest"])
-        elif step.kind == "copy_log_to_vm_boot":
-            may_add.add("/var/www/log/*")
         elif step.kind == "append_date":
             may_add.add(step.args["path"])
         elif step.kind == "hash_tree":

@@ -10,6 +10,14 @@ Deliberate differences from dm-crypt: sectors use a 256-bit-key AEAD
 as associated data, so stale-key reads fail authentication instead of
 returning garbage. The slot KDF is PBKDF2-HMAC-SHA512.
 
+A volume's plaintext image is ``sector_count * 512`` bytes: the content
+zero-padded to capacity. :func:`read_image` and :func:`write_image` are the
+one path for whole-image I/O; both go sector by sector through
+:func:`read_sector` / :func:`write_sector`, and ``write_image`` rewrites only
+the sectors that differ from the previous image it is given. That previous
+image is trusted to match the disk, which holds because a volume has a
+single writer (below): nothing else changes its sectors between writes.
+
 Volumes are single-writer: dump and header_backup are safe concurrently,
 all mutating operations must be serialized by the caller, and a handle may
 move between threads but not be used from two at once.
@@ -71,6 +79,10 @@ class OutOfRange(VolumeError):
 
 
 class GeometryMismatch(VolumeError):
+    pass
+
+
+class DiskFull(VolumeError):
     pass
 
 
@@ -296,8 +308,12 @@ def _decrypt_sector(master_key: MasterKey, index: int, record: bytes) -> bytes:
 
 def format_volume(sector_count: int, keyfile: Keyfile,
                   spec: CipherSpec | None = None,
-                  rng: random.Random | None = None) -> EncryptedVolume:
-    """Create a fresh volume: random master key wrapped in slot 0, zeroed data."""
+                  rng: random.Random | None = None) -> UnlockedVolume:
+    """Create a fresh volume: random master key wrapped in slot 0, zeroed data.
+
+    Returns a handle on the new volume; callers that only want the volume
+    use ``.volume``.
+    """
     if sector_count < 1:
         raise InvalidSpec("sector_count must be >= 1")
     spec = spec or CipherSpec()
@@ -324,7 +340,7 @@ def format_volume(sector_count: int, keyfile: Keyfile,
     )
     zero = b"\x00" * SECTOR_BYTES
     sectors = [_encrypt_sector(master_key, i, zero, rng) for i in range(sector_count)]
-    return EncryptedVolume(header, sectors, rng)
+    return UnlockedVolume(volume=EncryptedVolume(header, sectors, rng), key=master_key)
 
 
 def unlock(volume: EncryptedVolume, keyfile: Keyfile) -> UnlockedVolume:
@@ -361,6 +377,28 @@ def write_sector(handle: UnlockedVolume, index: int, plaintext: bytes) -> None:
     handle.volume.sectors[index] = _encrypt_sector(
         handle.key, index, plaintext, handle.volume.rng
     )
+
+
+def read_image(handle: UnlockedVolume) -> bytes:
+    """The volume's whole plaintext image, decrypted sector by sector."""
+    return b"".join(read_sector(handle, i) for i in range(handle.volume.sector_count))
+
+
+def write_image(handle: UnlockedVolume, image: bytes, old: bytes = b"") -> bytes:
+    """Store ``image`` zero-padded to capacity and return the padded image.
+
+    Only sectors whose bytes differ from ``old`` (the previous padded image)
+    are rewritten; every sector differs from the default ``b""``.
+    """
+    capacity = handle.volume.sector_count * SECTOR_BYTES
+    if len(image) > capacity:
+        raise DiskFull(f"image needs {len(image)} bytes, volume holds {capacity}")
+    padded = image.ljust(capacity, b"\x00")
+    for i in range(handle.volume.sector_count):
+        lo, hi = i * SECTOR_BYTES, (i + 1) * SECTOR_BYTES
+        if padded[lo:hi] != old[lo:hi]:
+            write_sector(handle, i, padded[lo:hi])
+    return padded
 
 
 def erase_keyslots(volume: EncryptedVolume) -> None:

@@ -197,7 +197,7 @@ def test_criterion_5_volume_round_trip_and_secrecy():
     16-byte window with any written plaintext."""
     rng = make_rng(70_000)
     keyfile = Keyfile.generate(rng)
-    volume = vol.format_volume(64, keyfile, vol.CipherSpec(kdf_iterations=10), rng)
+    volume = vol.format_volume(64, keyfile, vol.CipherSpec(kdf_iterations=10), rng).volume
     handle = vol.unlock(volume, keyfile)
 
     plaintexts = []

@@ -181,8 +181,9 @@ def test_escrowed_record_reopens_sealed_vm_disk():
 
 
 def test_escrow_record_rejects_foreign_volume(rng):
-    a = vol.format_volume(2, Keyfile.generate(rng), vol.CipherSpec(kdf_iterations=10), rng)
-    b = vol.format_volume(2, Keyfile.generate(rng), vol.CipherSpec(kdf_iterations=10), rng)
+    fast = vol.CipherSpec(kdf_iterations=10)
+    a = vol.format_volume(2, Keyfile.generate(rng), fast, rng).volume
+    b = vol.format_volume(2, Keyfile.generate(rng), fast, rng).volume
     record = wrapped_key_record(a)
     with pytest.raises(vol.VolumeError):
         apply_wrapped_key_record(b, record)

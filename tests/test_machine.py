@@ -6,6 +6,7 @@ from conftest import build_server
 
 from sealkit import volume as vol
 from sealkit.machine import (
+    DiskFull,
     GeometryMismatch,
     MachineRunning,
     SealedAndCold,
@@ -152,6 +153,28 @@ def test_no_keyfile_bytes_in_encrypted_tree():
     host.boot()
     keyfile = host.boot_partition.read_file("/keyfile")
     assert keyfile not in host.ram.tree.encode()
+
+
+def test_write_beyond_capacity_raises_disk_full():
+    host = build_server(14)
+    host.boot()
+    capacity = host.root_volume.sector_count * vol.SECTOR_BYTES
+    sectors, image = list(host.root_volume.sectors), host.ram.plain_image
+    with pytest.raises(DiskFull):
+        host.write_file("/root/big.bin", b"x" * capacity)
+    assert host.root_volume.sectors == sectors
+    assert host.ram.plain_image == image
+
+
+def test_overflowing_step_records_no_space_left():
+    host = build_server(15)
+    host.boot()
+    capacity = host.root_volume.sector_count * vol.SECTOR_BYTES
+    host.boot_partition.write_file("/big.bin", b"x" * capacity)
+    record = host.exec_step(step("move_from_boot", name="big.bin", dest_dir="/root"))
+    assert record.exit_status == 1
+    assert record.output.startswith("no space left on device")
+    assert host.boot_partition.is_file("/big.bin")  # the move did not happen
 
 
 # -- snapshot / restore ------------------------------------------------------------

@@ -26,6 +26,7 @@ from sealkit.services import (
     vault_attach,
 )
 from sealkit.util import make_rng
+from sealkit.volume import DiskFull
 
 
 def ranking_oracle(pairs, descending=True):
@@ -256,6 +257,14 @@ def test_vault_attach_round_trip():
     handle = vault_attach(vm, key)
     tree = read_vault_tree(handle)
     assert tree.read_file("/data/genome.txt") == b"ACGT" * 100
+
+
+def test_vault_larger_than_its_disk_raises_disk_full():
+    host = build_server(95)
+    vm = host.nested_vm
+    with pytest.raises(DiskFull):
+        attach_data_vault(vm, 2, {"/data/big.bin": b"x" * 5000}, make_rng(15))
+    assert vm.extra_disks == []
 
 
 def test_vault_requires_sealed_server():

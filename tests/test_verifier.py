@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -159,6 +160,26 @@ def test_policy_admits_passwd_change_but_not_sbin_additions():
     assert not policy.allows("add", "/usr/sbin/backdoor")
     assert policy.allows("remove", "/etc/ssh/sshd_config")
     assert policy.allows("add", "/var/www/log/etc-vm.zip")
+
+
+def test_policy_default_additions_are_the_plan_destinations():
+    policy = default_policy(default_plan(SMALL))
+    assert policy.may_add == (
+        "/home/trust/date.txt",
+        "/var/www/log/*",
+        "/var/www/log/etc-vm.zip",
+        "/var/www/log/ldap.txt",
+        "/var/www/log/trust-vm.zip",
+    )
+
+
+def test_policy_follows_a_non_default_webroot():
+    config = replace(SMALL, webroot="/srv/pub")
+    policy = default_policy(default_plan(config))
+    assert policy.allows("add", f"/srv/pub/{HOST_LOG_NAME}")
+    assert not policy.allows("add", "/var/www/log/x")
+    _, _, host_images, vm_images, bundle = build_sealed(70, config)
+    assert verify_seal(host_images, vm_images, bundle, policy).status == "PASS"
 
 
 def test_policy_for_empty_plan_admits_nothing():

@@ -7,6 +7,7 @@ from sealkit.util import make_rng
 from sealkit.volume import (
     AuthFailure,
     CipherSpec,
+    DiskFull,
     GeometryMismatch,
     InvalidSpec,
     Keyfile,
@@ -25,7 +26,7 @@ FAST = CipherSpec(kdf_iterations=10)
 
 def make_volume(rng, sectors=4, spec=None):
     keyfile = Keyfile.generate(rng)
-    return vol.format_volume(sectors, keyfile, spec or FAST, rng), keyfile
+    return vol.format_volume(sectors, keyfile, spec or FAST, rng).volume, keyfile
 
 
 def window_in(haystack: bytes, needle: bytes, width: int = 16) -> bool:
@@ -48,8 +49,8 @@ def test_format_slot0_active_rest_empty(rng):
 
 def test_format_twice_differs_in_uuid_and_key(rng):
     keyfile = Keyfile.generate(rng)
-    a = vol.format_volume(4, keyfile, FAST, rng)
-    b = vol.format_volume(4, keyfile, FAST, rng)
+    a = vol.format_volume(4, keyfile, FAST, rng).volume
+    b = vol.format_volume(4, keyfile, FAST, rng).volume
     assert a.header.uuid != b.header.uuid
     assert a.header.slots[0].wrapped_key != b.header.slots[0].wrapped_key
     assert a.header.mk_digest != b.header.mk_digest
@@ -60,6 +61,14 @@ def test_format_fresh_volume_reads_zero_sectors(rng):
     volume, keyfile = make_volume(rng, sectors=1)
     handle = vol.unlock(volume, keyfile)
     assert vol.read_sector(handle, 0) == b"\x00" * SECTOR_BYTES
+
+
+def test_format_returns_live_handle_on_new_volume(rng):
+    keyfile = Keyfile.generate(rng)
+    handle = vol.format_volume(2, keyfile, FAST, rng)
+    assert handle.valid
+    assert handle.key.data == vol.unlock(handle.volume, keyfile).key.data
+    assert vol.read_sector(handle, 1) == b"\x00" * SECTOR_BYTES
 
 
 def test_format_rejects_bad_spec():
@@ -161,6 +170,52 @@ def test_same_plaintext_twice_distinct_ciphertexts(rng):
     first = volume.sectors[0]
     vol.write_sector(handle, 0, plaintext)
     assert volume.sectors[0] != first
+
+
+# -- read/write images --------------------------------------------------------
+
+
+def test_image_round_trip_is_zero_padded_to_capacity(rng):
+    volume, keyfile = make_volume(rng, sectors=4)
+    handle = vol.unlock(volume, keyfile)
+    image = rng.randbytes(3 * SECTOR_BYTES + 7)
+    padded = vol.write_image(handle, image)
+    assert padded == image + b"\x00" * (SECTOR_BYTES - 7)
+    assert vol.read_image(handle) == padded
+    assert vol.read_image(vol.unlock(volume, keyfile)) == padded
+
+
+def test_image_write_replaces_only_changed_sectors(rng):
+    volume, keyfile = make_volume(rng, sectors=4)
+    handle = vol.unlock(volume, keyfile)
+    old = vol.write_image(handle, rng.randbytes(4 * SECTOR_BYTES))
+    before = list(volume.sectors)
+    changed = bytearray(old)
+    changed[SECTOR_BYTES + 3] ^= 0xFF  # one byte in sector 1
+    changed[3 * SECTOR_BYTES] ^= 0xFF  # one byte in sector 3
+    assert vol.write_image(handle, bytes(changed), old) == bytes(changed)
+    assert [a != b for a, b in zip(before, volume.sectors)] == [False, True, False, True]
+    assert vol.read_image(handle) == bytes(changed)
+
+
+def test_oversize_image_raises_disk_full_and_writes_nothing(rng):
+    volume, keyfile = make_volume(rng, sectors=2)
+    handle = vol.unlock(volume, keyfile)
+    before = list(volume.sectors)
+    with pytest.raises(DiskFull):
+        vol.write_image(handle, b"x" * (2 * SECTOR_BYTES + 1))
+    assert volume.sectors == before
+    assert vol.write_image(handle, b"x" * (2 * SECTOR_BYTES)) == b"x" * (2 * SECTOR_BYTES)
+
+
+def test_image_io_through_stale_handle_raises(rng):
+    volume, keyfile = make_volume(rng)
+    handle = vol.unlock(volume, keyfile)
+    handle.invalidate()
+    with pytest.raises(StaleHandle):
+        vol.read_image(handle)
+    with pytest.raises(StaleHandle):
+        vol.write_image(handle, b"data")
 
 
 # -- erase_keyslots -------------------------------------------------------------
@@ -299,7 +354,7 @@ def test_dump_never_reveals_key_material():
     rng = make_rng(555)
     for _ in range(100):
         keyfile = Keyfile.generate(rng)
-        volume = vol.format_volume(1, keyfile, FAST, rng)
+        volume = vol.format_volume(1, keyfile, FAST, rng).volume
         handle = vol.unlock(volume, keyfile)
         text = vol.dump(volume).render()
         blob = text.encode()
@@ -345,7 +400,7 @@ def test_sealed_volume_call_sequences_never_yield_plaintext():
     wrong = Keyfile.generate(rng)
 
     def sealed_volume():
-        volume = vol.format_volume(2, keyfile, FAST, rng)
+        volume = vol.format_volume(2, keyfile, FAST, rng).volume
         handle = vol.unlock(volume, keyfile)
         vol.write_sector(handle, 0, secret)
         vol.erase_keyslots(volume)
