@@ -113,6 +113,8 @@ def manifest_from_lines(lines: list[str]) -> Manifest:
         line = line.rstrip("\n")
         if not line:
             continue
-        digest, path = line.split("  ", 1)
+        digest, sep, path = line.partition("  ")
+        if not sep:
+            raise ManifestError(f"manifest line lacks the two-space separator: {line!r}")
         entries[path] = digest
     return Manifest(entries=tuple(sorted(entries.items())))

@@ -24,6 +24,7 @@ from .machine import (
 from .manifest import (
     Manifest,
     ManifestDiff,
+    ManifestError,
     RootSpec,
     compute_manifest,
     diff_manifests,
@@ -412,11 +413,10 @@ def verify_seal(host_images: DiskImagePair, vm_images: DiskImagePair,
     try:
         host_log = parse_sealing_log(bundle.host_log_text, stage="host")
         vm_log = parse_sealing_log(bundle.vm_log_text, stage="vm")
-    except MalformedLog as exc:
+        host_evidence = extract_evidence(host_log)
+        vm_evidence = extract_evidence(vm_log)
+    except (MalformedLog, ManifestError, UnicodeDecodeError) as exc:
         raise MalformedBundle(f"unparseable sealing log: {exc}") from exc
-
-    host_evidence = extract_evidence(host_log)
-    vm_evidence = extract_evidence(vm_log)
 
     # (1) both logs replay the full plan in order
     _check_step_sequence("host", policy.expected_host_commands, host_log, findings)

@@ -14,9 +14,15 @@ A volume's plaintext image is ``sector_count * 512`` bytes: the content
 zero-padded to capacity. :func:`read_image` and :func:`write_image` are the
 one path for whole-image I/O; both go sector by sector through
 :func:`read_sector` / :func:`write_sector`, and ``write_image`` rewrites only
-the sectors that differ from the previous image it is given. That previous
-image is trusted to match the disk, which holds because a volume has a
-single writer (below): nothing else changes its sectors between writes.
+the sectors that differ from the previous image it is given. When the
+previous image's tail past the new content already matches, one comparison
+settles it and only the content's sectors are compared. That previous image
+is trusted to match the disk, which holds because a volume has a single
+writer (below): nothing else changes its sectors between writes.
+
+The sector cipher (data key plus AES-GCM object) is built once per key: an
+:class:`UnlockedVolume` builds it at construction and drops it in
+``invalidate``, and :func:`reencrypt` builds one for each of its two keys.
 
 Volumes are single-writer: dump and header_backup are safe concurrently,
 all mutating operations must be serialized by the caller, and a handle may
@@ -265,9 +271,14 @@ class UnlockedVolume:
     volume: EncryptedVolume
     key: MasterKey = field(repr=False)
     valid: bool = True
+    cipher: AESGCM | None = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.cipher = AESGCM(_data_key(self.key.data))
 
     def invalidate(self) -> None:
         self.valid = False
+        self.cipher = None
 
 
 def _wrap_master_key(master_key: MasterKey, keyfile: Keyfile, slot_salt: bytes,
@@ -288,17 +299,16 @@ def _unwrap_master_key(slot: KeySlot, keyfile: Keyfile) -> MasterKey | None:
     return MasterKey(raw)
 
 
-def _encrypt_sector(master_key: MasterKey, index: int, plaintext: bytes,
+def _encrypt_sector(cipher: AESGCM, index: int, plaintext: bytes,
                     rng: random.Random) -> bytes:
     nonce = rng.randbytes(NONCE_BYTES)
-    ct = AESGCM(_data_key(master_key.data)).encrypt(nonce, plaintext, _sector_aad(index))
-    return nonce + ct
+    return nonce + cipher.encrypt(nonce, plaintext, _sector_aad(index))
 
 
-def _decrypt_sector(master_key: MasterKey, index: int, record: bytes) -> bytes:
+def _decrypt_sector(cipher: AESGCM, index: int, record: bytes) -> bytes:
     nonce, ct = record[:NONCE_BYTES], record[NONCE_BYTES:]
     try:
-        return AESGCM(_data_key(master_key.data)).decrypt(nonce, ct, _sector_aad(index))
+        return cipher.decrypt(nonce, ct, _sector_aad(index))
     except InvalidTag:
         raise AuthFailure(f"sector {index} does not authenticate under this key") from None
 
@@ -338,9 +348,11 @@ def format_volume(sector_count: int, keyfile: Keyfile,
         mk_digest=_master_digest(digest_salt, master_key.data),
         sector_count=sector_count,
     )
+    handle = UnlockedVolume(volume=EncryptedVolume(header, [], rng), key=master_key)
     zero = b"\x00" * SECTOR_BYTES
-    sectors = [_encrypt_sector(master_key, i, zero, rng) for i in range(sector_count)]
-    return UnlockedVolume(volume=EncryptedVolume(header, sectors, rng), key=master_key)
+    handle.volume.sectors = [_encrypt_sector(handle.cipher, i, zero, rng)
+                             for i in range(sector_count)]
+    return handle
 
 
 def unlock(volume: EncryptedVolume, keyfile: Keyfile) -> UnlockedVolume:
@@ -367,7 +379,7 @@ def _check_handle(handle: UnlockedVolume, index: int) -> None:
 
 def read_sector(handle: UnlockedVolume, index: int) -> bytes:
     _check_handle(handle, index)
-    return _decrypt_sector(handle.key, index, handle.volume.sectors[index])
+    return _decrypt_sector(handle.cipher, index, handle.volume.sectors[index])
 
 
 def write_sector(handle: UnlockedVolume, index: int, plaintext: bytes) -> None:
@@ -375,7 +387,7 @@ def write_sector(handle: UnlockedVolume, index: int, plaintext: bytes) -> None:
     if len(plaintext) != SECTOR_BYTES:
         raise VolumeError(f"plaintext must be exactly {SECTOR_BYTES} bytes")
     handle.volume.sectors[index] = _encrypt_sector(
-        handle.key, index, plaintext, handle.volume.rng
+        handle.cipher, index, plaintext, handle.volume.rng
     )
 
 
@@ -388,13 +400,18 @@ def write_image(handle: UnlockedVolume, image: bytes, old: bytes = b"") -> bytes
     """Store ``image`` zero-padded to capacity and return the padded image.
 
     Only sectors whose bytes differ from ``old`` (the previous padded image)
-    are rewritten; every sector differs from the default ``b""``.
+    are rewritten; every sector differs from the default ``b""``. When ``old``
+    already holds the zero tail past the content's last sector, only the
+    content's sectors are compared.
     """
     capacity = handle.volume.sector_count * SECTOR_BYTES
     if len(image) > capacity:
         raise DiskFull(f"image needs {len(image)} bytes, volume holds {capacity}")
     padded = image.ljust(capacity, b"\x00")
-    for i in range(handle.volume.sector_count):
+    end = -(-len(image) // SECTOR_BYTES)  # sectors holding content
+    if not old.startswith(memoryview(padded)[end * SECTOR_BYTES:], end * SECTOR_BYTES):
+        end = handle.volume.sector_count
+    for i in range(end):
         lo, hi = i * SECTOR_BYTES, (i + 1) * SECTOR_BYTES
         if padded[lo:hi] != old[lo:hi]:
             write_sector(handle, i, padded[lo:hi])
@@ -416,10 +433,11 @@ def reencrypt(volume: EncryptedVolume, keyfile: Keyfile) -> None:
     handle = unlock(volume, keyfile)
     rng = volume.rng
     new_key = MasterKey.generate(rng)
+    new_cipher = AESGCM(_data_key(new_key.data))
 
     for i in range(volume.sector_count):
-        plaintext = _decrypt_sector(handle.key, i, volume.sectors[i])
-        volume.sectors[i] = _encrypt_sector(new_key, i, plaintext, rng)
+        plaintext = _decrypt_sector(handle.cipher, i, volume.sectors[i])
+        volume.sectors[i] = _encrypt_sector(new_cipher, i, plaintext, rng)
 
     spec = volume.spec
     slot_salt = rng.randbytes(SALT_BYTES)

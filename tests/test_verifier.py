@@ -235,6 +235,25 @@ def test_bundle_missing_log_is_malformed():
         verify_seal(host_images, vm_images, PublishedBundle(artifacts=artifacts), policy)
 
 
+def test_rhash_line_without_separator_is_malformed():
+    _, _, host_images, vm_images, bundle, policy = clean_run(65)
+    lines = bundle.host_log_text.splitlines()
+    first = lines.index(next(l for l in lines if l.startswith("+ rhash"))) + 1
+    lines[first] = lines[first].replace("  ", " ", 1)
+    artifacts = dict(bundle.artifacts)
+    artifacts[HOST_LOG_NAME] = ("\n".join(lines) + "\n").encode()
+    with pytest.raises(MalformedBundle, match="two-space separator"):
+        verify_seal(host_images, vm_images, PublishedBundle(artifacts=artifacts), policy)
+
+
+def test_non_utf8_host_log_is_malformed():
+    _, _, host_images, vm_images, bundle, policy = clean_run(65)
+    artifacts = dict(bundle.artifacts)
+    artifacts[HOST_LOG_NAME] = bundle.artifacts[HOST_LOG_NAME] + b"\xff\xfe\n"
+    with pytest.raises(MalformedBundle, match="utf-8"):
+        verify_seal(host_images, vm_images, PublishedBundle(artifacts=artifacts), policy)
+
+
 def test_escrow_share_in_bundle_is_flagged():
     from sealkit.escrow import SHARE_MAGIC
 

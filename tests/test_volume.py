@@ -129,7 +129,10 @@ def test_sector_round_trip(rng):
 def test_stale_handle_after_invalidate(rng):
     volume, keyfile = make_volume(rng)
     handle = vol.unlock(volume, keyfile)
+    assert handle.cipher is not None
+    assert "cipher" not in repr(handle) and "AESGCM" not in repr(handle)
     handle.invalidate()  # what power loss does to RAM
+    assert handle.cipher is None  # the data-key object goes with the handle
     with pytest.raises(StaleHandle):
         vol.read_sector(handle, 0)
     with pytest.raises(StaleHandle):
@@ -196,6 +199,49 @@ def test_image_write_replaces_only_changed_sectors(rng):
     assert vol.write_image(handle, bytes(changed), old) == bytes(changed)
     assert [a != b for a, b in zip(before, volume.sectors)] == [False, True, False, True]
     assert vol.read_image(handle) == bytes(changed)
+
+
+@pytest.mark.parametrize("sectors, old_len, new_len", [
+    (4, 3 * SECTOR_BYTES + 7, 600),  # content shrinks: freed sectors go back to zero
+    (4096, 5000, 5001),  # one byte appended
+    (12, 5000, 12 * SECTOR_BYTES),  # the image fills the volume exactly
+    (4, None, 0),  # old=b"": a fresh install rewrites every sector
+    (4, None, 4 * SECTOR_BYTES),
+], ids=["shrink", "append-byte", "fill", "fresh-empty", "fresh-full"])
+def test_image_write_rewrites_exactly_the_differing_sectors(rng, monkeypatch, sectors,
+                                                            old_len, new_len):
+    volume, keyfile = make_volume(rng, sectors=sectors)
+    handle = vol.unlock(volume, keyfile)
+    content = rng.randbytes(max(old_len or 0, new_len))
+    old = b"" if old_len is None else vol.write_image(handle, content[:old_len])
+    written = []
+    real_write_sector = vol.write_sector
+    monkeypatch.setattr(vol, "write_sector",
+                        lambda h, i, data: written.append(i) or real_write_sector(h, i, data))
+    padded = vol.write_image(handle, content[:new_len], old)
+    expected = [i for i in range(sectors)
+                if padded[i * SECTOR_BYTES:(i + 1) * SECTOR_BYTES]
+                != old[i * SECTOR_BYTES:(i + 1) * SECTOR_BYTES]]
+    assert written == expected
+    if old_len is None:
+        assert written == list(range(sectors))
+    assert padded == content[:new_len].ljust(sectors * SECTOR_BYTES, b"\x00")
+    assert vol.read_image(vol.unlock(volume, keyfile)) == padded
+
+
+def test_sector_cipher_built_once_per_key(rng, monkeypatch):
+    derived = []
+    real_data_key = vol._data_key
+    monkeypatch.setattr(vol, "_data_key", lambda key: derived.append(key) or real_data_key(key))
+    keyfile = Keyfile.generate(rng)
+    handle = vol.format_volume(8, keyfile, FAST, rng)
+    image = rng.randbytes(8 * SECTOR_BYTES)
+    vol.write_image(handle, image)
+    assert vol.read_image(handle) == image
+    assert len(derived) == 1
+    derived.clear()
+    vol.reencrypt(handle.volume, keyfile)
+    assert len(derived) == 2  # the old key's cipher and the new key's
 
 
 def test_oversize_image_raises_disk_full_and_writes_nothing(rng):
