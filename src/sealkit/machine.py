@@ -251,8 +251,7 @@ class Machine:
         """Format the root volume with a fresh keyfile and install the tree."""
         keyfile = Keyfile.generate(rng)
         boot_tree.write_file("/keyfile", keyfile.data)
-        handle = vol.format_volume(sector_count, keyfile, spec, rng)
-        vol.write_image(handle, root_tree.encode())
+        handle = vol.format_volume(sector_count, keyfile, spec, rng, image=root_tree.encode())
         handle.invalidate()
         return cls(kind=kind, name=name, root_device=root_device,
                    boot_partition=boot_tree, root_volume=handle.volume,

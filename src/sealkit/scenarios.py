@@ -13,6 +13,7 @@ from . import volume as vol
 from .config import ServerConfig
 from .machine import SealedAndCold
 from .sealing import (
+    PublishedBundle,
     SealingPlan,
     default_plan,
     prepare_trusted_server,
@@ -51,6 +52,8 @@ SCENARIOS: dict[str, Scenario] = {
                  "seal with the host keyslot-erase step removed"),
         Scenario("leftover-user", VERIFIER_FLAGS,
                  "seal with the VM user-removal step removed"),
+        Scenario("tampered-ldap", VERIFIER_FLAGS,
+                 "replace the published directory dump after an honest seal"),
     )
 }
 
@@ -255,6 +258,23 @@ def _run_leftover_user(seed: int, config: ServerConfig | None) -> ScenarioReport
     return ScenarioReport("leftover-user", seed, VERIFIER_FLAGS, observed, details)
 
 
+def _run_tampered_ldap(seed: int, config: ServerConfig | None) -> ScenarioReport:
+    host, vm = _build(seed, config)
+    host_images = host.snapshot_image()
+    vm_images = vm.snapshot_image()
+
+    honest = default_plan(host.config)
+    bundle = seal_all(host, honest)
+    tampered = PublishedBundle({**bundle.artifacts, "ldap.txt": b"tampered\n"})
+    verdict = verify_seal(host_images, vm_images, tampered, default_policy(honest))
+
+    flagged = verdict.status == "FAIL" and any(f.subject == "ldap.txt" for f in verdict.errors)
+    details = [f"verdict: {verdict.status}"]
+    details.extend(f.render() for f in verdict.errors[:5])
+    observed = VERIFIER_FLAGS if flagged else ATTACK_SUCCEEDS
+    return ScenarioReport("tampered-ldap", seed, VERIFIER_FLAGS, observed, details)
+
+
 _RUNNERS = {
     "theft-reboot": _run_theft_reboot,
     "header-restore-single": _run_header_restore_single,
@@ -262,6 +282,7 @@ _RUNNERS = {
     "tamper-binary": _run_tamper_binary,
     "skip-erase": _run_skip_erase,
     "leftover-user": _run_leftover_user,
+    "tampered-ldap": _run_tampered_ldap,
 }
 
 

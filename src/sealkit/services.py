@@ -187,11 +187,10 @@ def make_data_vault(sector_count: int, data_files: dict[str, bytes],
                     rng: random.Random) -> tuple[EncryptedVolume, Keyfile]:
     """Provider-side: an encrypted disk carrying the data, key kept by provider."""
     key = Keyfile.generate(rng)
-    handle = vol.format_volume(sector_count, key, rng=rng)
     tree = FileTree()
     for path, data in data_files.items():
         tree.write_file(path, data)
-    vol.write_image(handle, tree.encode())
+    handle = vol.format_volume(sector_count, key, rng=rng, image=tree.encode())
     handle.invalidate()
     return handle.volume, key
 

@@ -9,6 +9,8 @@ what manifests can see; the verdict preamble says so.
 from __future__ import annotations
 
 import fnmatch
+import hashlib
+import posixpath
 from dataclasses import dataclass, field
 
 from .escrow import SHARE_MAGIC
@@ -211,8 +213,9 @@ def login_users_in_listing(lines: list[str]) -> list[str]:
 
 @dataclass(frozen=True)
 class AllowlistPolicy:
-    """Path globs a clean seal is expected to change/add/remove, plus the
-    step sequences the logs must replay."""
+    """Path globs a clean seal is expected to change/add/remove, the step
+    sequences the logs must replay, and the path of the published directory
+    dump (empty when the plan dumps none)."""
 
     may_change: tuple[str, ...] = ()
     may_add: tuple[str, ...] = ()
@@ -220,6 +223,7 @@ class AllowlistPolicy:
     expected_host_commands: tuple[str, ...] = ()
     expected_vm_commands: tuple[str, ...] = ()
     hash_roots: tuple[RootSpec, ...] = ()
+    ldap_dump: str = ""
 
     def allows(self, kind: str, path: str) -> bool:
         patterns = {
@@ -247,6 +251,7 @@ def default_policy(plan: SealingPlan) -> AllowlistPolicy:
     may_remove: set[str] = set()
     roots: list[RootSpec] = []
     seen_roots: set[str] = set()
+    ldap_dump = ""
 
     for step in (*plan.host_steps, *plan.vm_steps):
         if step.kind == "remove_user":
@@ -260,7 +265,8 @@ def default_policy(plan: SealingPlan) -> AllowlistPolicy:
         elif step.kind == "zip_tree" and step.args.get("dest") == "tree":
             may_add.add(step.args["dest_path"])
         elif step.kind == "ldap_dump":
-            may_add.add(step.args["dest"])
+            ldap_dump = step.args["dest"]
+            may_add.add(ldap_dump)
         elif step.kind == "append_date":
             may_add.add(step.args["path"])
         elif step.kind == "hash_tree":
@@ -276,6 +282,7 @@ def default_policy(plan: SealingPlan) -> AllowlistPolicy:
         expected_host_commands=tuple(s.command for s in plan.host_steps),
         expected_vm_commands=tuple(s.command for s in plan.vm_steps),
         hash_roots=tuple(roots),
+        ldap_dump=ldap_dump,
     )
 
 
@@ -402,6 +409,21 @@ def _check_archive(stage: str, name: str, blob: bytes, src_root: str,
             ))
 
 
+def _check_published_file(path: str, bundle: PublishedBundle, manifest: Manifest,
+                          findings: list[Finding]) -> None:
+    """The bundle's copy of a webroot file must be the one the VM hashed."""
+    name = posixpath.basename(path)
+    recorded = manifest.digest_of(path)
+    if name not in bundle.artifacts:
+        findings.append(Finding("ERROR", name, "missing from the bundle"))
+    elif recorded is None:
+        findings.append(Finding("ERROR", name, f"the vm manifest records no digest for {path}"))
+    elif hashlib.sha3_512(bundle.artifacts[name]).hexdigest() != recorded:
+        findings.append(Finding(
+            "ERROR", name, f"differs from the digest the vm manifest records for {path}"
+        ))
+
+
 def verify_seal(host_images: DiskImagePair, vm_images: DiskImagePair,
                 bundle: PublishedBundle, policy: AllowlistPolicy) -> Verdict:
     """Compare the published sealed state against the pre-seal disk images."""
@@ -467,6 +489,10 @@ def verify_seal(host_images: DiskImagePair, vm_images: DiskImagePair,
             ))
         if host_keyfile in data or vm_keyfile in data:
             findings.append(Finding("ERROR", name, "keyfile bytes leaked into the bundle"))
+
+    # (8) the published directory dump is the file the VM hashed
+    if policy.ldap_dump:
+        _check_published_file(policy.ldap_dump, bundle, vm_evidence.manifest, findings)
 
     status = "FAIL" if any(f.severity == "ERROR" for f in findings) else "PASS"
     return Verdict(status=status, findings=findings)

@@ -13,16 +13,19 @@ returning garbage. The slot KDF is PBKDF2-HMAC-SHA512.
 A volume's plaintext image is ``sector_count * 512`` bytes: the content
 zero-padded to capacity. :func:`read_image` and :func:`write_image` are the
 one path for whole-image I/O; both go sector by sector through
-:func:`read_sector` / :func:`write_sector`, and ``write_image`` rewrites only
-the sectors that differ from the previous image it is given. When the
+:func:`read_sector` / :func:`write_sector`, one AEAD call per sector, and
+``write_image`` rewrites only the sectors that differ from the previous image
+it is given. :func:`format_volume` installs the volume's first image through
+``write_image``, so formatting encrypts each sector once. When the
 previous image's tail past the new content already matches, one comparison
 settles it and only the content's sectors are compared. That previous image
 is trusted to match the disk, which holds because a volume has a single
 writer (below): nothing else changes its sectors between writes.
 
 The sector cipher (data key plus AES-GCM object) is built once per key: an
-:class:`UnlockedVolume` builds it at construction and drops it in
-``invalidate``, and :func:`reencrypt` builds one for each of its two keys.
+:class:`UnlockedVolume` builds it at construction and drops it, with the
+master key, in ``invalidate``; :func:`reencrypt` builds one for each of its
+two keys.
 
 Volumes are single-writer: dump and header_backup are safe concurrently,
 all mutating operations must be serialized by the caller, and a handle may
@@ -34,7 +37,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import struct
 import uuid as uuid_mod
 from dataclasses import dataclass, field
 
@@ -104,8 +106,8 @@ def _master_digest(salt: bytes, master_key: bytes) -> bytes:
     return hashlib.sha3_512(salt + master_key).digest()
 
 
-def _sector_aad(index: int) -> bytes:
-    return b"TSVOL1 sector " + struct.pack(">Q", index)
+# Sector AAD: this prefix plus the 8-byte big-endian sector index.
+_AAD_PREFIX = b"TSVOL1 sector "
 
 
 @dataclass(frozen=True)
@@ -269,7 +271,7 @@ class UnlockedVolume:
     """Volatile handle: the master key lives here and nowhere persistent."""
 
     volume: EncryptedVolume
-    key: MasterKey = field(repr=False)
+    key: MasterKey | None = field(repr=False)
     valid: bool = True
     cipher: AESGCM | None = field(init=False, repr=False)
 
@@ -278,6 +280,7 @@ class UnlockedVolume:
 
     def invalidate(self) -> None:
         self.valid = False
+        self.key = None
         self.cipher = None
 
 
@@ -299,16 +302,10 @@ def _unwrap_master_key(slot: KeySlot, keyfile: Keyfile) -> MasterKey | None:
     return MasterKey(raw)
 
 
-def _encrypt_sector(cipher: AESGCM, index: int, plaintext: bytes,
-                    rng: random.Random) -> bytes:
-    nonce = rng.randbytes(NONCE_BYTES)
-    return nonce + cipher.encrypt(nonce, plaintext, _sector_aad(index))
-
-
 def _decrypt_sector(cipher: AESGCM, index: int, record: bytes) -> bytes:
-    nonce, ct = record[:NONCE_BYTES], record[NONCE_BYTES:]
     try:
-        return cipher.decrypt(nonce, ct, _sector_aad(index))
+        return cipher.decrypt(record[:NONCE_BYTES], record[NONCE_BYTES:],
+                              _AAD_PREFIX + index.to_bytes(8, "big"))
     except InvalidTag:
         raise AuthFailure(f"sector {index} does not authenticate under this key") from None
 
@@ -318,11 +315,13 @@ def _decrypt_sector(cipher: AESGCM, index: int, record: bytes) -> bytes:
 
 def format_volume(sector_count: int, keyfile: Keyfile,
                   spec: CipherSpec | None = None,
-                  rng: random.Random | None = None) -> UnlockedVolume:
-    """Create a fresh volume: random master key wrapped in slot 0, zeroed data.
+                  rng: random.Random | None = None,
+                  image: bytes = b"") -> UnlockedVolume:
+    """Create a fresh volume: random master key wrapped in slot 0, ``image``
+    zero-padded to capacity as its data, each sector encrypted once.
 
     Returns a handle on the new volume; callers that only want the volume
-    use ``.volume``.
+    use ``.volume``. Raises :class:`DiskFull` if ``image`` does not fit.
     """
     if sector_count < 1:
         raise InvalidSpec("sector_count must be >= 1")
@@ -348,10 +347,11 @@ def format_volume(sector_count: int, keyfile: Keyfile,
         mk_digest=_master_digest(digest_salt, master_key.data),
         sector_count=sector_count,
     )
-    handle = UnlockedVolume(volume=EncryptedVolume(header, [], rng), key=master_key)
-    zero = b"\x00" * SECTOR_BYTES
-    handle.volume.sectors = [_encrypt_sector(handle.cipher, i, zero, rng)
-                             for i in range(sector_count)]
+    handle = UnlockedVolume(volume=EncryptedVolume(header, [b""] * sector_count, rng),
+                            key=master_key)
+    # One dropped nonce per sector: the pinned seeded outputs depend on these draws.
+    rng.randbytes(NONCE_BYTES * sector_count)
+    write_image(handle, image)
     return handle
 
 
@@ -378,22 +378,26 @@ def _check_handle(handle: UnlockedVolume, index: int) -> None:
 
 
 def read_sector(handle: UnlockedVolume, index: int) -> bytes:
-    _check_handle(handle, index)
-    return _decrypt_sector(handle.cipher, index, handle.volume.sectors[index])
+    volume = handle.volume
+    if not (handle.valid and 0 <= index < volume.header.sector_count):
+        _check_handle(handle, index)
+    return _decrypt_sector(handle.cipher, index, volume.sectors[index])
 
 
 def write_sector(handle: UnlockedVolume, index: int, plaintext: bytes) -> None:
-    _check_handle(handle, index)
+    volume = handle.volume
+    if not (handle.valid and 0 <= index < volume.header.sector_count):
+        _check_handle(handle, index)
     if len(plaintext) != SECTOR_BYTES:
         raise VolumeError(f"plaintext must be exactly {SECTOR_BYTES} bytes")
-    handle.volume.sectors[index] = _encrypt_sector(
-        handle.cipher, index, plaintext, handle.volume.rng
-    )
+    nonce = volume.rng.getrandbits(NONCE_BYTES * 8).to_bytes(NONCE_BYTES, "little")
+    volume.sectors[index] = nonce + handle.cipher.encrypt(
+        nonce, plaintext, _AAD_PREFIX + index.to_bytes(8, "big"))
 
 
 def read_image(handle: UnlockedVolume) -> bytes:
     """The volume's whole plaintext image, decrypted sector by sector."""
-    return b"".join(read_sector(handle, i) for i in range(handle.volume.sector_count))
+    return b"".join([read_sector(handle, i) for i in range(handle.volume.sector_count)])
 
 
 def write_image(handle: UnlockedVolume, image: bytes, old: bytes = b"") -> bytes:
@@ -412,9 +416,10 @@ def write_image(handle: UnlockedVolume, image: bytes, old: bytes = b"") -> bytes
     if not old.startswith(memoryview(padded)[end * SECTOR_BYTES:], end * SECTOR_BYTES):
         end = handle.volume.sector_count
     for i in range(end):
-        lo, hi = i * SECTOR_BYTES, (i + 1) * SECTOR_BYTES
-        if padded[lo:hi] != old[lo:hi]:
-            write_sector(handle, i, padded[lo:hi])
+        lo = i * SECTOR_BYTES
+        sector = padded[lo:lo + SECTOR_BYTES]
+        if not old.startswith(sector, lo):
+            write_sector(handle, i, sector)
     return padded
 
 
@@ -435,9 +440,13 @@ def reencrypt(volume: EncryptedVolume, keyfile: Keyfile) -> None:
     new_key = MasterKey.generate(rng)
     new_cipher = AESGCM(_data_key(new_key.data))
 
-    for i in range(volume.sector_count):
-        plaintext = _decrypt_sector(handle.cipher, i, volume.sectors[i])
-        volume.sectors[i] = _encrypt_sector(new_cipher, i, plaintext, rng)
+    sectors = volume.sectors
+    nonces = rng.randbytes(NONCE_BYTES * len(sectors))
+    for i, record in enumerate(sectors):
+        nonce = nonces[i * NONCE_BYTES:(i + 1) * NONCE_BYTES]
+        sectors[i] = nonce + new_cipher.encrypt(
+            nonce, _decrypt_sector(handle.cipher, i, record),
+            _AAD_PREFIX + i.to_bytes(8, "big"))
 
     spec = volume.spec
     slot_salt = rng.randbytes(SALT_BYTES)
@@ -547,12 +556,9 @@ def deserialize_volume(blob: bytes, rng: random.Random | None = None) -> Encrypt
         raise VolumeError("bad volume magic")
     record, offset = unpack_bytes(blob, len(VOLUME_MAGIC))
     header = _header_from_record(record)
-    sectors = []
-    for _ in range(header.sector_count):
-        if offset + SECTOR_RECORD_BYTES > len(blob):
-            raise VolumeError("truncated sector data")
-        sectors.append(blob[offset : offset + SECTOR_RECORD_BYTES])
-        offset += SECTOR_RECORD_BYTES
-    if offset != len(blob):
-        raise VolumeError("trailing bytes after last sector")
+    end = offset + header.sector_count * SECTOR_RECORD_BYTES
+    if len(blob) != end:
+        raise VolumeError(f"sector data is {len(blob) - offset} bytes, header says "
+                          f"{header.sector_count} records of {SECTOR_RECORD_BYTES}")
+    sectors = [blob[i:i + SECTOR_RECORD_BYTES] for i in range(offset, end, SECTOR_RECORD_BYTES)]
     return EncryptedVolume(header, sectors, rng or make_rng())

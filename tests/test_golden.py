@@ -12,6 +12,7 @@ import json
 from conftest import SMALL, build_server
 
 from sealkit.cli import run_command
+from sealkit.config import ServerConfig
 from sealkit.sealing import prepare_trusted_server, seal_all, seal_all_with_escrow
 from sealkit.services import attach_data_vault
 from sealkit.util import SimClock, make_rng
@@ -32,6 +33,10 @@ VAULT_90002 = (
 VM_ROOT_90002 = (
     "c8b631a308c63c0a84eb64c1c215a1c5c664c46c13287687f4435a7464a7deb2"
     "42806f44d05ae7b1a51c703597f07e181a1703b96df3aea0f77aa965cfb8f497"
+)
+VM_ROOT_4096_90003 = (
+    "25f95073570f95fe3d5dc1b858d8f51e3f0f1f077c9ea6038ab719845ee5c9f2"
+    "533631aaa6f9171aba8b37256e7a70edb285b26fd7fdd8d0ca32886ad3dd6530"
 )
 ESCROW_90002_INDEX = (
     "89a067c57df9401c660ff6d9cf9c3485ebefeee116d256bb03576446579a09e7"
@@ -65,3 +70,12 @@ def test_data_vault_and_escrow_seed_90002():
     assert hashlib.sha3_512(serialize_volume(vm.root_volume)).hexdigest() == VM_ROOT_90002
     bundle, _ = seal_all_with_escrow(host, 2)
     assert bundle.index_digest() == ESCROW_90002_INDEX
+
+
+def test_serve_geometry_vm_root_seed_90003():
+    # 4096 VM sectors, as the serve benchmark runs: the installed tree fills 7
+    # of them, so this pins the nonce stream across a long zero tail.
+    host = prepare_trusted_server(ServerConfig(vm_sectors=4096), rng=make_rng(90003),
+                                  clock=SimClock())
+    root = host.nested_vm.root_volume
+    assert hashlib.sha3_512(serialize_volume(root)).hexdigest() == VM_ROOT_4096_90003

@@ -66,7 +66,7 @@ def test_power_off_invalidates_handles():
     handle = host.ram.handle
     host.power_off()
     assert not handle.valid
-    assert handle.cipher is None
+    assert handle.cipher is None and handle.key is None
     assert host.ram is None
     with pytest.raises(vol.StaleHandle):
         vol.read_sector(handle, 0)

@@ -15,6 +15,7 @@ def test_scenario_registry_is_complete():
         "tamper-binary",
         "skip-erase",
         "leftover-user",
+        "tampered-ldap",
     }
 
 

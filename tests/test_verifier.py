@@ -14,7 +14,14 @@ from sealkit.manifest import (
     diff_manifests,
     parse_manifest,
 )
-from sealkit.sealing import HOST_LOG_NAME, PublishedBundle, default_plan, render_log, seal_all
+from sealkit.sealing import (
+    HOST_LOG_NAME,
+    VM_LOG_NAME,
+    PublishedBundle,
+    default_plan,
+    render_log,
+    seal_all,
+)
 from sealkit.tree import FileTree
 from sealkit.verifier import (
     MalformedBundle,
@@ -252,6 +259,29 @@ def test_non_utf8_host_log_is_malformed():
     artifacts[HOST_LOG_NAME] = bundle.artifacts[HOST_LOG_NAME] + b"\xff\xfe\n"
     with pytest.raises(MalformedBundle, match="utf-8"):
         verify_seal(host_images, vm_images, PublishedBundle(artifacts=artifacts), policy)
+
+
+def test_published_ldap_dump_is_bound_to_the_vm_manifest():
+    _, _, host_images, vm_images, bundle, policy = clean_run(65)
+    assert policy.ldap_dump == "/var/www/log/ldap.txt"
+    honest = bundle.artifacts["ldap.txt"]
+    vm_log = bundle.vm_log_text
+    unhashed = "".join(l for l in vm_log.splitlines(keepends=True)
+                       if not l.endswith(f"  {policy.ldap_dump}\n"))
+    assert unhashed != vm_log
+    cases = {
+        "replaced": {"ldap.txt": b"tampered\n"},
+        "truncated": {"ldap.txt": honest[:-1]},
+        "first byte flipped": {"ldap.txt": bytes([honest[0] ^ 1]) + honest[1:]},
+        "missing": {"ldap.txt": None},
+        "not in the manifest": {VM_LOG_NAME: unhashed.encode()},
+    }
+    for case, changes in cases.items():
+        artifacts = {**bundle.artifacts, **changes}
+        artifacts = {name: data for name, data in artifacts.items() if data is not None}
+        verdict = verify_seal(host_images, vm_images, PublishedBundle(artifacts), policy)
+        assert verdict.status == "FAIL", case
+        assert [f.subject for f in verdict.errors] == ["ldap.txt"], case
 
 
 def test_escrow_share_in_bundle_is_flagged():

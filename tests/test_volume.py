@@ -12,6 +12,7 @@ from sealkit.volume import (
     InvalidSpec,
     Keyfile,
     KeyslotsEmpty,
+    NONCE_BYTES,
     NoMatchingSlot,
     OutOfRange,
     SECTOR_BYTES,
@@ -69,6 +70,33 @@ def test_format_returns_live_handle_on_new_volume(rng):
     assert handle.valid
     assert handle.key.data == vol.unlock(handle.volume, keyfile).key.data
     assert vol.read_sector(handle, 1) == b"\x00" * SECTOR_BYTES
+
+
+def test_format_installs_image_with_one_write_per_sector(rng, monkeypatch):
+    written = []
+    real_write_sector = vol.write_sector
+    monkeypatch.setattr(vol, "write_sector",
+                        lambda h, i, data: written.append(i) or real_write_sector(h, i, data))
+    keyfile = Keyfile.generate(rng)
+    image = rng.randbytes(2 * SECTOR_BYTES + 100)
+    handle = vol.format_volume(6, keyfile, FAST, rng, image=image)
+    assert written == list(range(6))
+    padded = image.ljust(6 * SECTOR_BYTES, b"\x00")
+    assert vol.read_image(handle) == padded
+    assert vol.read_image(vol.unlock(handle.volume, keyfile)) == padded
+
+
+def test_one_nonce_draw_equals_per_sector_draws():
+    # format_volume and reencrypt draw n sector nonces in one call, and
+    # write_sector draws through getrandbits: the same bytes, and the same
+    # generator state after, as n separate randbytes(12) calls.
+    n = 1000
+    a, b = make_rng(5), make_rng(5)
+    assert a.randbytes(NONCE_BYTES * n) == b"".join(b.randbytes(NONCE_BYTES) for _ in range(n))
+    assert a.getstate() == b.getstate()
+    nonce = a.getrandbits(NONCE_BYTES * 8).to_bytes(NONCE_BYTES, "little")
+    assert nonce == b.randbytes(NONCE_BYTES)
+    assert a.random() == b.random()
 
 
 def test_format_rejects_bad_spec():
@@ -133,6 +161,7 @@ def test_stale_handle_after_invalidate(rng):
     assert "cipher" not in repr(handle) and "AESGCM" not in repr(handle)
     handle.invalidate()  # what power loss does to RAM
     assert handle.cipher is None  # the data-key object goes with the handle
+    assert handle.key is None  # and so does the master key
     with pytest.raises(StaleHandle):
         vol.read_sector(handle, 0)
     with pytest.raises(StaleHandle):
@@ -429,6 +458,19 @@ def test_volume_container_round_trip(rng):
 def test_deserialize_rejects_garbage(rng):
     with pytest.raises(VolumeError):
         vol.deserialize_volume(b"not a volume", rng)
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda blob: blob[:-7],
+    lambda blob: blob + b"\x00",
+    lambda blob: blob[:-vol.SECTOR_RECORD_BYTES],  # the header counts one more record
+], ids=["truncated-mid-sector", "trailing-byte", "missing-record"])
+def test_deserialize_rejects_sector_data_of_the_wrong_length(rng, mangle):
+    volume, _ = make_volume(rng, sectors=3)
+    blob = vol.serialize_volume(volume)
+    assert vol.deserialize_volume(blob, rng).sectors == volume.sectors
+    with pytest.raises(VolumeError):
+        vol.deserialize_volume(mangle(blob), rng)
 
 
 # -- sealed-volume inaccessibility fuzz -------------------------------------------------
