@@ -14,7 +14,12 @@ from conftest import SMALL, build_server
 from sealkit.cli import run_command
 from sealkit.config import ServerConfig
 from sealkit.sealing import prepare_trusted_server, seal_all, seal_all_with_escrow
-from sealkit.services import attach_data_vault
+from sealkit.services import (
+    CredentialDirectory,
+    ServiceFrontend,
+    UpstreamResolver,
+    attach_data_vault,
+)
 from sealkit.util import SimClock, make_rng
 from sealkit.volume import serialize_volume
 
@@ -37,6 +42,14 @@ VM_ROOT_90002 = (
 VM_ROOT_4096_90003 = (
     "25f95073570f95fe3d5dc1b858d8f51e3f0f1f077c9ea6038ab719845ee5c9f2"
     "533631aaa6f9171aba8b37256e7a70edb285b26fd7fdd8d0ca32886ad3dd6530"
+)
+SERVE_TRANSCRIPT_90004 = (
+    "abf591108ee4ce53696863fa4ad38150473c6eff0e611bcf0d3284ddb5e96031"
+    "10b99c933988b47e96c032fd18aa2ae366e98d77cdc398dfb2634ce3b808bf50"
+)
+VM_ROOT_SERVE_90004 = (
+    "965ac44ce0da9957911dd82036c3b6f8a6a615c747b3a16a8a28060970b8180f"
+    "f78ce85c00bc0ddb029ab492a1d88b8fab596e2281805da5a4b7db81af81f00f"
 )
 ESCROW_90002_INDEX = (
     "89a067c57df9401c660ff6d9cf9c3485ebefeee116d256bb03576446579a09e7"
@@ -79,3 +92,54 @@ def test_serve_geometry_vm_root_seed_90003():
                                   clock=SimClock())
     root = host.nested_vm.root_volume
     assert hashlib.sha3_512(serialize_volume(root)).hexdigest() == VM_ROOT_4096_90003
+
+
+def serve_script(rng, users: dict[str, str]) -> list[str]:
+    """Seeded request lines over every verb, with bad passwords and bad usage."""
+    lines = []
+    for i in range(300):
+        roll = rng.random()
+        user = rng.choice(sorted(users))
+        password = users[user] if rng.random() < 0.8 else "wrong"
+        if i in (0, 120, 220) or roll < 0.03:
+            lines.append("SYNC")
+        elif roll < 0.45:
+            tail = f" {user} {password}" if rng.random() < 0.9 else ""
+            lines.append(f"SUBMIT m{rng.randrange(60):02d} {rng.randrange(10**6)}{tail}")
+        elif roll < 0.55:
+            lines.append("PUBLISH")
+        elif roll < 0.8:
+            lines.append(f"AUTH {user} {password}")
+        elif roll < 0.88:
+            lines.append(f"RESOLVE {rng.choice(['a.example', 'b.example', 'nope.test'])}")
+        elif roll < 0.96:
+            lines.append(f"MAIL nick{i}|comment {rng.randrange(1000)}|")
+        else:
+            lines.append(rng.choice(["SUBMIT x y", "AUTH alice", "VAULTKEY zz", "NOPE", ""]))
+    return lines
+
+
+def test_serve_transcript_seed_90004():
+    # Every response of a fixed request script, and the VM root it leaves: pins
+    # the service surface and the write-through's nonce stream together.
+    rng = make_rng(90004)
+    host = build_server(90004)
+    vm = host.nested_vm
+    seal_all(host)
+    users = {"alice": "wonder", "bob": "builder", "carol": "singer"}
+    primary = CredentialDirectory()
+    for user, password in users.items():
+        primary.add_user(user, password, rng)
+    frontend = ServiceFrontend(vm, primary_directory=primary, upstream=UpstreamResolver(
+        table={"a.example": "192.0.2.1", "b.example": "192.0.2.2"}))
+    responses = []
+    for i, line in enumerate(serve_script(rng, users)):
+        if i == 100:
+            primary.add_user("dave", "diver", rng)
+            users["dave"] = "diver"
+        if i == 200:
+            primary.remove_user("bob")
+        responses.append(frontend.handle_line(line))
+    transcript = "\n".join(responses).encode()
+    assert hashlib.sha3_512(transcript).hexdigest() == SERVE_TRANSCRIPT_90004
+    assert hashlib.sha3_512(serialize_volume(vm.root_volume)).hexdigest() == VM_ROOT_SERVE_90004
