@@ -12,6 +12,7 @@ explicit operation calls, and a machine must never be shared mutably.
 
 from __future__ import annotations
 
+import posixpath
 import random
 import zipfile
 from dataclasses import dataclass, field
@@ -20,7 +21,7 @@ from pathlib import Path
 
 from . import volume as vol
 from .manifest import hash_lines
-from .tree import FileNode, FileTree, SymlinkNode
+from .tree import DirNode, FileNode, FileTree, SymlinkNode
 from .util import SimClock
 from .volume import (
     DiskFull,
@@ -120,7 +121,7 @@ class RamState:
     users: dict[str, UserAccount]
     services: ServiceState
     firewall: FirewallPolicy
-    plain_image: bytes
+    content: bytes  # the root volume's plaintext is this, then zeros to capacity
     vault_handles: list[UnlockedVolume] = field(default_factory=list)
     vm_start_requested: bool = False
     publish_log_requested: bool = False
@@ -183,21 +184,24 @@ def parse_iptables_save(text: str) -> tuple[list[str], str]:
 
 
 def render_listing(tree: FileTree) -> str:
-    """ls -RlA style recursive listing of a tree view."""
-    out = []
+    """ls -RlA style recursive listing of a tree view, in one pass: a directory
+    sorts before its children, and ``/`` is its own parent, so it lists itself."""
+    entries: dict[str, list[str]] = {}
     for path in tree.paths():
-        if tree.is_dir(path):
-            out.append(f"{path}:")
-            for child in tree.children(path):
-                child_node = tree.node(child)
-                name = child.rsplit("/", 1)[-1]
-                if isinstance(child_node, FileNode):
-                    out.append(f"  -rw-r--r-- {len(child_node.data):>8} {name}")
-                elif isinstance(child_node, SymlinkNode):
-                    out.append(f"  lrwxrwxrwx        0 {name} -> {child_node.target}")
-                else:
-                    out.append(f"  drwxr-xr-x        - {name}/")
-    return "\n".join(out) + "\n"
+        node = tree.node(path)
+        if isinstance(node, DirNode):
+            entries[path] = [f"{path}:"]
+        name = path.rsplit("/", 1)[-1]
+        if isinstance(node, FileNode):
+            line = f"  -rw-r--r-- {len(node.data):>8} {name}"
+        elif isinstance(node, SymlinkNode):
+            line = f"  lrwxrwxrwx        0 {name} -> {node.target}"
+        else:
+            line = f"  drwxr-xr-x        - {name}/"
+        siblings = entries.get(posixpath.dirname(path))
+        if siblings is not None:  # a decoded tree may hold a path whose parent it lacks
+            siblings.append(line)
+    return "\n".join(line for lines in entries.values() for line in lines) + "\n"
 
 
 def zip_tree_bytes(tree: FileTree, root: str,
@@ -278,8 +282,9 @@ class Machine:
                 f"{self.name}: root volume cannot be unlocked ({exc})"
             ) from exc
 
-        plain = vol.read_image(handle)
-        tree = FileTree.decode(plain)
+        image = vol.read_image(handle)
+        tree = FileTree.decode(image)
+        content = image[:vol.content_end(image)]
         users = parse_passwd(tree.read_text("/etc/passwd")) if tree.is_file("/etc/passwd") else {}
 
         services = ServiceState()
@@ -305,7 +310,7 @@ class Machine:
 
         self.ram = RamState(
             handle=handle, tree=tree, users=users, services=services,
-            firewall=firewall, plain_image=plain,
+            firewall=firewall, content=content,
         )
         self.power = "on"
         return BootReport(
@@ -339,7 +344,9 @@ class Machine:
 
     def _sync_volume(self) -> None:
         ram = self._require_on()
-        ram.plain_image = vol.write_image(ram.handle, ram.tree.encode(), ram.plain_image)
+        content = ram.tree.encode()
+        vol.write_image(ram.handle, content, ram.content)
+        ram.content = content
 
     def write_file(self, path: str, data: bytes) -> None:
         ram = self._require_on()

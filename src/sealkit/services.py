@@ -61,6 +61,17 @@ class Submission:
 class MillionairesState:
     submissions: tuple[Submission, ...] = ()
 
+    @classmethod
+    def parse(cls, text: str) -> "MillionairesState":
+        """The stored table: one ``name\tassets\tsequence`` line per submission."""
+        subs = []
+        for line in text.splitlines():
+            if not line.strip():
+                continue
+            name, assets, seq = line.split("\t")
+            subs.append(Submission(name=name, assets=int(assets), sequence=int(seq)))
+        return cls(submissions=tuple(subs))
+
 
 def millionaires_submit(state: MillionairesState, name: str, assets: int) -> MillionairesState:
     if assets < 0:
@@ -230,8 +241,9 @@ def read_vault_tree(handle: UnlockedVolume) -> FileTree:
 class ServiceFrontend:
     """Typed request surface of a sealed VM, with an audit hook.
 
-    Mutations run in arrival order (the caller is the single queue); reads
-    work on immutable snapshots of the stored table.
+    Mutations run in arrival order (the caller is the single queue). The
+    ranking table and the replica are parsed once per stored version: the
+    file's ``bytes`` object in the RAM tree, which every write replaces.
     """
 
     TABLE_PATH = "/srv/millionaires/table.tsv"
@@ -255,6 +267,7 @@ class ServiceFrontend:
             descending = config.millionaires_descending if config else True
         self.descending = descending
         self.audit_hook = audit_hook
+        self._parsed: dict[str, tuple[bytes, object]] = {}  # path -> (stored bytes, parse)
 
     # -- helpers -------------------------------------------------------------
 
@@ -270,28 +283,19 @@ class ServiceFrontend:
     def _auth_configured(self) -> bool:
         return self.primary_directory is not None
 
-    def _replica(self) -> CredentialDirectory:
+    def _parse_once(self, path: str, parse):
         tree = self.machine.ram.tree
-        text = tree.read_text(self.REPLICA_PATH) if tree.is_file(self.REPLICA_PATH) else ""
-        return CredentialDirectory.parse(text, read_only=True)
+        raw = tree.read_file(path) if tree.is_file(path) else b""
+        if self._parsed.get(path, (None,))[0] is not raw:
+            self._parsed[path] = (raw, parse(raw.decode()))
+        return self._parsed[path][1]
+
+    def _replica(self) -> CredentialDirectory:
+        return self._parse_once(
+            self.REPLICA_PATH, lambda text: CredentialDirectory.parse(text, read_only=True))
 
     def _load_state(self) -> MillionairesState:
-        tree = self.machine.ram.tree
-        if not tree.is_file(self.TABLE_PATH):
-            return MillionairesState()
-        subs = []
-        for line in tree.read_text(self.TABLE_PATH).splitlines():
-            if not line.strip():
-                continue
-            name, assets, seq = line.split("\t")
-            subs.append(Submission(name=name, assets=int(assets), sequence=int(seq)))
-        return MillionairesState(submissions=tuple(subs))
-
-    def _store_state(self, state: MillionairesState) -> None:
-        text = "".join(
-            f"{s.name}\t{s.assets}\t{s.sequence}\n" for s in state.submissions
-        )
-        self.machine.write_file(self.TABLE_PATH, text.encode())
+        return self._parse_once(self.TABLE_PATH, MillionairesState.parse)
 
     # -- operations ------------------------------------------------------------
 
@@ -302,8 +306,14 @@ class ServiceFrontend:
             if credentials is None or not self._replica().check(*credentials):
                 raise AuthRequired("submission requires valid directory credentials")
         state = millionaires_submit(self._load_state(), name, assets)
-        self._store_state(state)
-        return state.submissions[-1].sequence
+        entry = state.submissions[-1]
+        line = f"{entry.name}\t{entry.assets}\t{entry.sequence}\n"
+        stored = self._parsed[self.TABLE_PATH][0]  # the version just parsed
+        if stored and not stored.endswith(b"\n"):  # left unterminated by another writer
+            line = "\n" + line
+        self.machine.append_text(self.TABLE_PATH, line)
+        self._parsed[self.TABLE_PATH] = (self.machine.ram.tree.read_file(self.TABLE_PATH), state)
+        return entry.sequence
 
     def publish_ranking(self) -> list[str]:
         names = millionaires_publish(self._load_state(), self.descending)

@@ -10,17 +10,15 @@ Deliberate differences from dm-crypt: sectors use a 256-bit-key AEAD
 as associated data, so stale-key reads fail authentication instead of
 returning garbage. The slot KDF is PBKDF2-HMAC-SHA512.
 
-A volume's plaintext image is ``sector_count * 512`` bytes: the content
-zero-padded to capacity. :func:`read_image` and :func:`write_image` are the
-one path for whole-image I/O; both go sector by sector through
-:func:`read_sector` / :func:`write_sector`, one AEAD call per sector, and
-``write_image`` rewrites only the sectors that differ from the previous image
-it is given. :func:`format_volume` installs the volume's first image through
-``write_image``, so formatting encrypts each sector once. When the
-previous image's tail past the new content already matches, one comparison
-settles it and only the content's sectors are compared. That previous image
-is trusted to match the disk, which holds because a volume has a single
-writer (below): nothing else changes its sectors between writes.
+A volume's plaintext image is ``sector_count * 512`` bytes: its content, then
+zeros up to capacity. :func:`read_image` and :func:`write_image` are the one
+path for whole-image I/O; both go sector by sector through :func:`read_sector`
+/ :func:`write_sector`, one AEAD call per sector. ``write_image`` takes the new
+and the previous content, zero tails implied, and rewrites only the sectors
+whose zero-padded bytes differ. :func:`format_volume` installs the first image
+through it with no previous content, so formatting encrypts each sector once.
+The previous content is trusted to match the disk, which holds because a
+volume has a single writer (below): nothing else changes its sectors.
 
 The sector cipher (data key plus AES-GCM object) is built once per key: an
 :class:`UnlockedVolume` builds it at construction and drops it, with the
@@ -397,30 +395,39 @@ def write_sector(handle: UnlockedVolume, index: int, plaintext: bytes) -> None:
 
 def read_image(handle: UnlockedVolume) -> bytes:
     """The volume's whole plaintext image, decrypted sector by sector."""
-    return b"".join([read_sector(handle, i) for i in range(handle.volume.sector_count)])
+    image = bytearray()
+    for i in range(handle.volume.sector_count):
+        image += read_sector(handle, i)
+    return bytes(image)
 
 
-def write_image(handle: UnlockedVolume, image: bytes, old: bytes = b"") -> bytes:
-    """Store ``image`` zero-padded to capacity and return the padded image.
+def content_end(image: bytes) -> int:
+    """Length of ``image`` without its zero tail, found by stepping back over
+    zero blocks, then zero sectors: no byte-by-byte scan of a 16 MiB image."""
+    end = len(image)
+    for zeros in (bytes(64 * SECTOR_BYTES), bytes(SECTOR_BYTES)):
+        while end >= len(zeros) and image.startswith(zeros, end - len(zeros)):
+            end -= len(zeros)
+    lo = max(0, end - SECTOR_BYTES)
+    return lo + len(image[lo:end].rstrip(b"\x00"))
 
-    Only sectors whose bytes differ from ``old`` (the previous padded image)
-    are rewritten; every sector differs from the default ``b""``. When ``old``
-    already holds the zero tail past the content's last sector, only the
-    content's sectors are compared.
+
+def write_image(handle: UnlockedVolume, image: bytes, old: bytes | None = None) -> None:
+    """Store ``image`` followed by zeros up to capacity.
+
+    ``old`` is the previous content, its zero tail implied: only the sectors
+    below the longer of the two whose zero-padded bytes differ are rewritten.
+    ``None`` means the disk is unknown, and every sector is rewritten.
     """
     capacity = handle.volume.sector_count * SECTOR_BYTES
     if len(image) > capacity:
         raise DiskFull(f"image needs {len(image)} bytes, volume holds {capacity}")
-    padded = image.ljust(capacity, b"\x00")
-    end = -(-len(image) // SECTOR_BYTES)  # sectors holding content
-    if not old.startswith(memoryview(padded)[end * SECTOR_BYTES:], end * SECTOR_BYTES):
-        end = handle.volume.sector_count
-    for i in range(end):
+    last = capacity if old is None else max(len(image), len(old))
+    for i in range(-(-last // SECTOR_BYTES)):
         lo = i * SECTOR_BYTES
-        sector = padded[lo:lo + SECTOR_BYTES]
-        if not old.startswith(sector, lo):
+        sector = image[lo:lo + SECTOR_BYTES].ljust(SECTOR_BYTES, b"\x00")
+        if old is None or old[lo:lo + SECTOR_BYTES].ljust(SECTOR_BYTES, b"\x00") != sector:
             write_sector(handle, i, sector)
-    return padded
 
 
 def erase_keyslots(volume: EncryptedVolume) -> None:
@@ -434,6 +441,8 @@ def reencrypt(volume: EncryptedVolume, keyfile: Keyfile) -> None:
 
     The keyfile stays the same but the newly generated master key is known to
     nobody, so headers captured before this call can no longer decrypt data.
+    If a sector fails to authenticate, the sectors already rewritten go back
+    under the old key, with fresh nonces, and the :class:`AuthFailure` is raised.
     """
     handle = unlock(volume, keyfile)
     rng = volume.rng
@@ -442,11 +451,17 @@ def reencrypt(volume: EncryptedVolume, keyfile: Keyfile) -> None:
 
     sectors = volume.sectors
     nonces = rng.randbytes(NONCE_BYTES * len(sectors))
-    for i, record in enumerate(sectors):
-        nonce = nonces[i * NONCE_BYTES:(i + 1) * NONCE_BYTES]
-        sectors[i] = nonce + new_cipher.encrypt(
-            nonce, _decrypt_sector(handle.cipher, i, record),
-            _AAD_PREFIX + i.to_bytes(8, "big"))
+    try:
+        for i, record in enumerate(sectors):
+            nonce = nonces[i * NONCE_BYTES:(i + 1) * NONCE_BYTES]
+            sectors[i] = nonce + new_cipher.encrypt(
+                nonce, _decrypt_sector(handle.cipher, i, record),
+                _AAD_PREFIX + i.to_bytes(8, "big"))
+    except AuthFailure:
+        # Slot 0 still wraps the old key: put sectors 0..i-1 back under it.
+        for k in range(i):
+            write_sector(handle, k, _decrypt_sector(new_cipher, k, sectors[k]))
+        raise
 
     spec = volume.spec
     slot_salt = rng.randbytes(SALT_BYTES)

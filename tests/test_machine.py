@@ -5,6 +5,7 @@ import pytest
 from conftest import build_server
 
 from sealkit import volume as vol
+from sealkit.config import ServerConfig
 from sealkit.machine import (
     DiskFull,
     GeometryMismatch,
@@ -13,9 +14,11 @@ from sealkit.machine import (
     SealingStep,
     full_tree_from_images,
     load_images,
+    render_listing,
     save_images,
 )
 from sealkit.sealing import seal_all
+from sealkit.tree import FileNode, SymlinkNode
 
 
 def step(kind, command="", **args):
@@ -149,6 +152,50 @@ def test_write_through_after_every_step():
         assert plain[: len(expected)] == expected, f"divergence after {s.command}"
 
 
+def test_unchanged_write_through_after_boot_rewrites_no_sector(monkeypatch):
+    host = build_server(16, ServerConfig(vm_sectors=4096))
+    vm = host.nested_vm
+    vm.boot()
+    encoded = vm.ram.tree.encode()
+    assert encoded.endswith(b"\x00")  # the content read at boot ends inside a zero run
+    assert vm.ram.content == encoded.rstrip(b"\x00")
+    written = []
+    monkeypatch.setattr(vol, "write_sector", lambda h, i, data: written.append(i))
+    vm.write_file("/etc/hostname", vm.ram.tree.read_file("/etc/hostname"))
+    assert written == []
+    assert vm.ram.content == encoded
+
+
+def listing_by_children(tree):
+    """The per-directory ``children`` scan that render_listing must agree with."""
+    out = []
+    for path in tree.paths():
+        if tree.is_dir(path):
+            out.append(f"{path}:")
+            for child in tree.children(path):
+                node = tree.node(child)
+                name = child.rsplit("/", 1)[-1]
+                if isinstance(node, FileNode):
+                    out.append(f"  -rw-r--r-- {len(node.data):>8} {name}")
+                elif isinstance(node, SymlinkNode):
+                    out.append(f"  lrwxrwxrwx        0 {name} -> {node.target}")
+                else:
+                    out.append(f"  drwxr-xr-x        - {name}/")
+    return "\n".join(out) + "\n"
+
+
+def test_render_listing_matches_per_directory_scan():
+    host = build_server(17)
+    host.boot()
+    host.write_file("/etc/a-b/c", b"sorts between /etc/a and /etc/a/")
+    host.write_file("/etc/a/deep/er/file", b"x" * 1234)
+    host.ram.tree.symlink("/etc/a/link", "../a-b/c")
+    host.ram.tree.mkdir("/empty")
+    view = host.full_view()
+    assert render_listing(view) == listing_by_children(view)
+    assert render_listing(view).startswith("/:\n  drwxr-xr-x        - /\n")
+
+
 def test_no_keyfile_bytes_in_encrypted_tree():
     host = build_server(13)
     host.boot()
@@ -160,11 +207,11 @@ def test_write_beyond_capacity_raises_disk_full():
     host = build_server(14)
     host.boot()
     capacity = host.root_volume.sector_count * vol.SECTOR_BYTES
-    sectors, image = list(host.root_volume.sectors), host.ram.plain_image
+    sectors, content = list(host.root_volume.sectors), host.ram.content
     with pytest.raises(DiskFull):
         host.write_file("/root/big.bin", b"x" * capacity)
     assert host.root_volume.sectors == sectors
-    assert host.ram.plain_image == image
+    assert host.ram.content == content
 
 
 def test_overflowing_step_records_no_space_left():

@@ -368,3 +368,58 @@ def test_line_protocol_auth_and_audit():
         "SYNC", "AUTH alice pw", "AUTH alice bad", "SUBMIT Eve 5",
         "SUBMIT Alice 5 alice pw",
     ]
+
+
+# -- parsed state follows the stored files --------------------------------------------
+
+
+def test_publish_follows_a_table_written_by_another_path():
+    vm, frontend = sealed_frontend(97)
+    assert frontend.handle_line("SUBMIT Alice 5") == "OK 0"
+    assert frontend.handle_line("PUBLISH") == "OK Alice"
+    vm.write_file(ServiceFrontend.TABLE_PATH, b"Zed\t9\t0\nAlice\t5\t1\n")
+    assert frontend.handle_line("PUBLISH") == "OK Zed Alice"
+    assert frontend.handle_line("SUBMIT Bob 7") == "OK 2"
+    assert frontend.handle_line("PUBLISH") == "OK Zed Bob Alice"
+
+
+def test_unterminated_table_still_parses_after_submit():
+    vm, frontend = sealed_frontend(98)
+    vm.write_file(ServiceFrontend.TABLE_PATH, b"Alice\t5\t0")
+    assert frontend.handle_line("SUBMIT Bob 9") == "OK 1"
+    assert vm.ram.tree.read_file(ServiceFrontend.TABLE_PATH) == b"Alice\t5\t0\nBob\t9\t1\n"
+    assert frontend.handle_line("PUBLISH") == "OK Bob Alice"
+    assert ServiceFrontend(vm).handle_line("PUBLISH") == "OK Bob Alice"
+
+
+def test_ranking_survives_power_cycle_with_a_fresh_frontend():
+    from sealkit.escrow import apply_wrapped_key_record, reconstruct
+    from sealkit.sealing import seal_all_with_escrow
+
+    host = build_server(99)
+    vm = host.nested_vm
+    _, shares = seal_all_with_escrow(host, 2)
+    frontend = ServiceFrontend(vm)
+    for line in ("SUBMIT Alice 5", "SUBMIT Bob 9", "SUBMIT Carol 7"):
+        frontend.handle_line(line)
+    before = frontend.handle_line("PUBLISH")
+    host.power_off()
+    apply_wrapped_key_record(vm.root_volume, reconstruct(shares))
+    vm.boot()
+    assert before == "OK Bob Carol Alice"
+    assert ServiceFrontend(vm).handle_line("PUBLISH") == before
+    assert frontend.handle_line("PUBLISH") == before  # the old frontend re-parses too
+
+
+def test_sync_after_adding_a_user_makes_auth_accept():
+    rng = make_rng(17)
+    primary = CredentialDirectory()
+    primary.add_user("alice", "pw", rng)
+    vm, frontend = sealed_frontend(100, primary_directory=primary)
+    assert frontend.handle_line("SYNC") == "OK 1"
+    assert frontend.handle_line("AUTH alice pw") == "OK accept"
+    primary.add_user("dave", "diver", rng)
+    assert frontend.handle_line("AUTH dave diver") == "OK reject"
+    assert frontend.handle_line("SYNC") == "OK 2"
+    assert frontend.handle_line("AUTH dave diver") == "OK accept"
+    assert frontend.handle_line("SUBMIT Dave 4 dave diver") == "OK 0"

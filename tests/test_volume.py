@@ -211,8 +211,8 @@ def test_image_round_trip_is_zero_padded_to_capacity(rng):
     volume, keyfile = make_volume(rng, sectors=4)
     handle = vol.unlock(volume, keyfile)
     image = rng.randbytes(3 * SECTOR_BYTES + 7)
-    padded = vol.write_image(handle, image)
-    assert padded == image + b"\x00" * (SECTOR_BYTES - 7)
+    assert vol.write_image(handle, image) is None
+    padded = image + b"\x00" * (SECTOR_BYTES - 7)
     assert vol.read_image(handle) == padded
     assert vol.read_image(vol.unlock(volume, keyfile)) == padded
 
@@ -220,42 +220,68 @@ def test_image_round_trip_is_zero_padded_to_capacity(rng):
 def test_image_write_replaces_only_changed_sectors(rng):
     volume, keyfile = make_volume(rng, sectors=4)
     handle = vol.unlock(volume, keyfile)
-    old = vol.write_image(handle, rng.randbytes(4 * SECTOR_BYTES))
+    old = rng.randbytes(4 * SECTOR_BYTES)
+    vol.write_image(handle, old)
     before = list(volume.sectors)
     changed = bytearray(old)
     changed[SECTOR_BYTES + 3] ^= 0xFF  # one byte in sector 1
     changed[3 * SECTOR_BYTES] ^= 0xFF  # one byte in sector 3
-    assert vol.write_image(handle, bytes(changed), old) == bytes(changed)
+    vol.write_image(handle, bytes(changed), old)
     assert [a != b for a, b in zip(before, volume.sectors)] == [False, True, False, True]
     assert vol.read_image(handle) == bytes(changed)
 
 
-@pytest.mark.parametrize("sectors, old_len, new_len", [
-    (4, 3 * SECTOR_BYTES + 7, 600),  # content shrinks: freed sectors go back to zero
-    (4096, 5000, 5001),  # one byte appended
-    (12, 5000, 12 * SECTOR_BYTES),  # the image fills the volume exactly
-    (4, None, 0),  # old=b"": a fresh install rewrites every sector
-    (4, None, 4 * SECTOR_BYTES),
-], ids=["shrink", "append-byte", "fill", "fresh-empty", "fresh-full"])
+@pytest.mark.parametrize("sectors, old_len, new_len, zeros", [
+    (4, 3 * SECTOR_BYTES + 7, 600, None),  # content shrinks: freed sectors go back to zero
+    (4, 2 * SECTOR_BYTES + 1, 2 * SECTOR_BYTES, None),  # shrink across a sector boundary
+    (4096, 5000, 5001, None),  # one byte appended
+    (4, 2 * SECTOR_BYTES, 1000, (1000, 2 * SECTOR_BYTES)),  # old content ends in zeros
+    (4, 1000, 2 * SECTOR_BYTES + 5, (1000, 2 * SECTOR_BYTES + 5)),  # new content does
+    (4, SECTOR_BYTES + 1, SECTOR_BYTES, None),  # content exactly one sector long
+    (4, 0, SECTOR_BYTES, None),
+    (12, 5000, 12 * SECTOR_BYTES, None),  # the image fills the volume exactly
+    (4, None, 0, None),  # old=None: the disk is unknown, every sector is rewritten
+    (4, None, 4 * SECTOR_BYTES, None),
+], ids=["shrink", "shrink-boundary", "append-byte", "zero-end-old", "zero-end-new",
+        "one-sector", "one-sector-grow", "fill", "fresh-empty", "fresh-full"])
 def test_image_write_rewrites_exactly_the_differing_sectors(rng, monkeypatch, sectors,
-                                                            old_len, new_len):
+                                                            old_len, new_len, zeros):
     volume, keyfile = make_volume(rng, sectors=sectors)
     handle = vol.unlock(volume, keyfile)
-    content = rng.randbytes(max(old_len or 0, new_len))
-    old = b"" if old_len is None else vol.write_image(handle, content[:old_len])
+    content = bytearray(rng.randbytes(max(old_len or 0, new_len)))
+    if zeros:
+        content[zeros[0]:zeros[1]] = bytes(zeros[1] - zeros[0])
+    content = bytes(content)
+    old = None if old_len is None else content[:old_len]
+    if old is not None:
+        vol.write_image(handle, old)
     written = []
     real_write_sector = vol.write_sector
     monkeypatch.setattr(vol, "write_sector",
                         lambda h, i, data: written.append(i) or real_write_sector(h, i, data))
-    padded = vol.write_image(handle, content[:new_len], old)
+    vol.write_image(handle, content[:new_len], old)
+    # Oracle: both disks in full, zero-padded to capacity, compared sector by sector.
+    capacity = sectors * SECTOR_BYTES
+    padded_new = content[:new_len].ljust(capacity, b"\x00")
+    padded_old = None if old is None else old.ljust(capacity, b"\x00")
     expected = [i for i in range(sectors)
-                if padded[i * SECTOR_BYTES:(i + 1) * SECTOR_BYTES]
-                != old[i * SECTOR_BYTES:(i + 1) * SECTOR_BYTES]]
+                if padded_old is None or padded_new[i * SECTOR_BYTES:(i + 1) * SECTOR_BYTES]
+                != padded_old[i * SECTOR_BYTES:(i + 1) * SECTOR_BYTES]]
     assert written == expected
-    if old_len is None:
-        assert written == list(range(sectors))
-    assert padded == content[:new_len].ljust(sectors * SECTOR_BYTES, b"\x00")
-    assert vol.read_image(vol.unlock(volume, keyfile)) == padded
+    if zeros:
+        assert written == []  # only zero bytes moved between content and tail
+    assert vol.read_image(vol.unlock(volume, keyfile)) == padded_new
+
+
+@pytest.mark.parametrize("end", [0, 1, 511, 512, 513, 1000, 64 * 512 - 1, 64 * 512,
+                                 64 * 512 + 1, 65 * 512, 80 * 512 - 1, 80 * 512])
+def test_content_end_finds_the_zero_tail(rng, end):
+    image = bytearray(80 * SECTOR_BYTES)
+    image[:end] = rng.randbytes(end)
+    image[end // 3:end // 2] = bytes(end // 2 - end // 3)  # a zero run inside the content
+    if end:
+        image[end - 1] = 0x5A
+    assert vol.content_end(bytes(image)) == len(bytes(image).rstrip(b"\x00")) == end
 
 
 def test_sector_cipher_built_once_per_key(rng, monkeypatch):
@@ -280,7 +306,8 @@ def test_oversize_image_raises_disk_full_and_writes_nothing(rng):
     with pytest.raises(DiskFull):
         vol.write_image(handle, b"x" * (2 * SECTOR_BYTES + 1))
     assert volume.sectors == before
-    assert vol.write_image(handle, b"x" * (2 * SECTOR_BYTES)) == b"x" * (2 * SECTOR_BYTES)
+    vol.write_image(handle, b"x" * (2 * SECTOR_BYTES))
+    assert vol.read_image(handle) == b"x" * (2 * SECTOR_BYTES)
 
 
 def test_image_io_through_stale_handle_raises(rng):
@@ -341,6 +368,27 @@ def test_reencrypt_preserves_content(rng):
     fresh = vol.unlock(volume, keyfile)
     for i, data in enumerate(written):
         assert vol.read_sector(fresh, i) == data
+
+
+def test_failed_reencrypt_leaves_the_data_readable(rng):
+    volume, keyfile = make_volume(rng, sectors=4)
+    handle = vol.unlock(volume, keyfile)
+    written = [rng.randbytes(SECTOR_BYTES) for _ in range(4)]
+    for i, data in enumerate(written):
+        vol.write_sector(handle, i, data)
+    corrupt = bytearray(volume.sectors[2])
+    corrupt[NONCE_BYTES + 7] ^= 0x01
+    volume.sectors[2] = bytes(corrupt)
+    before = list(volume.sectors)
+    with pytest.raises(AuthFailure):
+        vol.reencrypt(volume, keyfile)
+    assert volume.sectors[2:] == before[2:]
+    assert all(volume.sectors[i] != before[i] for i in (0, 1))  # fresh nonces
+    fresh = vol.unlock(volume, keyfile)
+    for i in (0, 1, 3):
+        assert vol.read_sector(fresh, i) == written[i]
+    with pytest.raises(AuthFailure):
+        vol.read_sector(fresh, 2)
 
 
 def test_reencrypt_changes_wrapped_key(rng):
