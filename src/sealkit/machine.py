@@ -284,7 +284,7 @@ class Machine:
 
         image = vol.read_image(handle)
         tree = FileTree.decode(image)
-        content = image[:vol.content_end(image)]
+        content = bytes(image[:vol.content_end(image)])
         users = parse_passwd(tree.read_text("/etc/passwd")) if tree.is_file("/etc/passwd") else {}
 
         services = ServiceState()

@@ -196,7 +196,7 @@ class FileTree:
         return b"".join(records)
 
     @classmethod
-    def decode(cls, blob: bytes) -> "FileTree":
+    def decode(cls, blob: bytes | bytearray) -> "FileTree":
         if not blob.startswith(TREE_MAGIC):
             raise TreeError("bad tree magic")
         (count,) = struct.unpack_from(">I", blob, len(TREE_MAGIC))
@@ -211,7 +211,7 @@ class FileTree:
             if kind == _KIND_DIR:
                 tree._nodes[path] = DirNode()
             elif kind == _KIND_FILE:
-                tree._nodes[path] = FileNode(data)
+                tree._nodes[path] = FileNode(bytes(data))  # a bytearray blob slices to bytearrays
             elif kind == _KIND_SYMLINK:
                 tree._nodes[path] = SymlinkNode(data.decode())
             else:

@@ -393,15 +393,16 @@ def write_sector(handle: UnlockedVolume, index: int, plaintext: bytes) -> None:
         nonce, plaintext, _AAD_PREFIX + index.to_bytes(8, "big"))
 
 
-def read_image(handle: UnlockedVolume) -> bytes:
-    """The volume's whole plaintext image, decrypted sector by sector."""
-    image = bytearray()
-    for i in range(handle.volume.sector_count):
-        image += read_sector(handle, i)
-    return bytes(image)
+def read_image(handle: UnlockedVolume) -> bytearray:
+    """The whole plaintext image, decrypted sector by sector into one buffer of its size."""
+    image = bytearray(handle.volume.sector_count * SECTOR_BYTES)
+    with memoryview(image) as view:
+        for i in range(handle.volume.sector_count):
+            view[i * SECTOR_BYTES:(i + 1) * SECTOR_BYTES] = read_sector(handle, i)
+    return image
 
 
-def content_end(image: bytes) -> int:
+def content_end(image: bytes | bytearray) -> int:
     """Length of ``image`` without its zero tail, found by stepping back over
     zero blocks, then zero sectors: no byte-by-byte scan of a 16 MiB image."""
     end = len(image)

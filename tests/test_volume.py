@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from sealkit import volume as vol
@@ -215,6 +217,20 @@ def test_image_round_trip_is_zero_padded_to_capacity(rng):
     padded = image + b"\x00" * (SECTOR_BYTES - 7)
     assert vol.read_image(handle) == padded
     assert vol.read_image(vol.unlock(volume, keyfile)) == padded
+
+
+def test_read_image_allocates_the_image_once(rng):
+    """One buffer of the image's size: no growing copies, no second full copy."""
+    volume, keyfile = make_volume(rng, sectors=2048)
+    handle = vol.unlock(volume, keyfile)
+    tracemalloc.start()
+    try:
+        image = vol.read_image(handle)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert image == bytes(2048 * SECTOR_BYTES)
+    assert peak < 1.1 * len(image)
 
 
 def test_image_write_replaces_only_changed_sectors(rng):
