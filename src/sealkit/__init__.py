@@ -22,6 +22,7 @@ from .sealing import (
     seal_all_with_escrow,
     seal_host,
     seal_vm,
+    server_from_images,
 )
 from .verifier import AllowlistPolicy, Verdict, default_policy, verify_seal
 
@@ -44,5 +45,6 @@ __all__ = [
     "seal_all_with_escrow",
     "seal_host",
     "seal_vm",
+    "server_from_images",
     "verify_seal",
 ]

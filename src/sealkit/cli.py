@@ -10,10 +10,7 @@ from pathlib import Path
 from . import escrow as escrow_mod
 from .config import ConfigError, load_config
 from .machine import (
-    HOST_ROOT_DEVICE,
-    Machine,
     MachineError,
-    VM_ROOT_DEVICE,
     full_tree_from_images,
     load_images,
     save_images,
@@ -27,6 +24,7 @@ from .sealing import (
     default_plan,
     prepare_trusted_server,
     seal_all_with_escrow,
+    server_from_images,
 )
 from .services import CredentialDirectory, ServiceFrontend, UpstreamResolver, attach_data_vault
 from .util import SimClock, make_rng
@@ -59,34 +57,19 @@ def _image_dirs(workdir: Path) -> tuple[Path, Path]:
     return workdir / "images" / "host", workdir / "images" / "vm"
 
 
-def _server_from_images(host_dir: Path, vm_dir: Path, config, rng, clock) -> Machine:
-    host_images = load_images(host_dir, rng)
-    vm_images = load_images(vm_dir, rng)
-    host = Machine(kind="host", name="ts-host", root_device=HOST_ROOT_DEVICE,
-                   boot_partition=host_images.boot, root_volume=host_images.root,
-                   extra_disks=host_images.extras, rng=rng, clock=clock)
-    vm = Machine(kind="vm", name=config.vm_name, root_device=VM_ROOT_DEVICE,
-                 boot_partition=vm_images.boot, root_volume=vm_images.root,
-                 extra_disks=vm_images.extras, rng=rng, clock=clock)
-    host.nested_vm = vm
-    host.config = config
-    vm.config = config
-    return host
-
-
-def _build_server(args, config):
+def _build_server(args, config) -> tuple[Path, Path]:
     rng = make_rng(args.seed)
     clock = SimClock()
     host = prepare_trusted_server(config, rng=rng, clock=clock)
     host_dir, vm_dir = _image_dirs(args.workdir)
     save_images(host.snapshot_image(), host_dir)
     save_images(host.nested_vm.snapshot_image(), vm_dir)
-    return host, host_dir, vm_dir
+    return host_dir, vm_dir
 
 
 def cmd_build(args) -> int:
     config = load_config(args.config)
-    _, host_dir, vm_dir = _build_server(args, config)
+    host_dir, vm_dir = _build_server(args, config)
     _emit(
         {"host_images": str(host_dir), "vm_images": str(vm_dir)},
         args.json,
@@ -100,11 +83,10 @@ def cmd_seal(args) -> int:
     rng = make_rng(args.seed)
     clock = SimClock()
     host_dir, vm_dir = _image_dirs(args.workdir)
-    if host_dir.exists() and vm_dir.exists():
-        host = _server_from_images(host_dir, vm_dir, config, rng, clock)
-    else:
-        host, host_dir, vm_dir = _build_server(args, config)
-        host = _server_from_images(host_dir, vm_dir, config, rng, clock)
+    if not (host_dir.exists() and vm_dir.exists()):
+        _build_server(args, config)
+    host = server_from_images(load_images(host_dir), load_images(vm_dir), config,
+                              rng=rng, clock=clock)
 
     bundle, shares = seal_all_with_escrow(host, args.escrow or 0)
     bundle_dir = args.workdir / "bundle"
@@ -169,7 +151,8 @@ def cmd_restore(args) -> int:
     if not (host_dir.exists() and vm_dir.exists()):
         print("restore: no pre-seal images in the workdir", file=sys.stderr)
         return EXIT_FAIL
-    host = _server_from_images(host_dir, vm_dir, config, rng, clock)
+    host = server_from_images(load_images(host_dir), load_images(vm_dir), config,
+                              rng=rng, clock=clock)
 
     if args.reseal:
         bundle, _ = seal_all_with_escrow(host, 0)

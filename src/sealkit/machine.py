@@ -20,6 +20,7 @@ from io import BytesIO
 from pathlib import Path
 
 from . import volume as vol
+from .config import ServerConfig
 from .manifest import hash_lines
 from .tree import DirNode, FileNode, FileTree, SymlinkNode
 from .util import SimClock
@@ -129,7 +130,7 @@ class RamState:
 
 @dataclass
 class DiskImagePair:
-    """Quiescent deep copy of one machine's disks (boot + root [+ extras])."""
+    """One machine's disks (boot + root [+ extras]); a snapshot is a deep copy."""
 
     boot: FileTree
     root: EncryptedVolume
@@ -141,6 +142,17 @@ class DiskImagePair:
             root=self.root.copy(),
             extras=[v.copy() for v in self.extras],
         )
+
+
+def provision(*, root_tree: FileTree, boot_tree: FileTree, sector_count: int,
+              rng: random.Random) -> DiskImagePair:
+    """Format a root volume under a fresh keyfile, installing the tree; the
+    keyfile goes on the boot tree."""
+    keyfile = Keyfile.generate(rng)
+    boot_tree.write_file("/keyfile", keyfile.data)
+    handle = vol.format_volume(sector_count, keyfile, rng=rng, image=root_tree.encode())
+    handle.invalidate()
+    return DiskImagePair(boot=boot_tree, root=handle.volume)
 
 
 # -- passwd / iptables file helpers ---------------------------------------------
@@ -227,39 +239,27 @@ def unzip_to_map(blob: bytes) -> dict[str, bytes]:
 
 
 class Machine:
-    def __init__(self, *, kind: str, name: str, root_device: str,
-                 boot_partition: FileTree, root_volume: EncryptedVolume,
-                 rng: random.Random, clock: SimClock,
-                 extra_disks: list[EncryptedVolume] | None = None):
+    def __init__(self, *, kind: str, name: str, images: DiskImagePair,
+                 rng: random.Random, clock: SimClock, config: ServerConfig):
         if kind not in ("host", "vm"):
             raise MachineError(f"unknown machine kind {kind!r}")
         self.kind = kind
         self.name = name
-        self.root_device = root_device
-        self.boot_partition = boot_partition
-        self.root_volume = root_volume
-        self.extra_disks = extra_disks or []
         self.rng = rng
         self.clock = clock
+        self.config = config
         self.power = "off"
         self.ram: RamState | None = None
         self.nested_vm: Machine | None = None
+        self._install(images)
 
-    # -- construction -------------------------------------------------------
-
-    @classmethod
-    def provision(cls, *, kind: str, name: str, root_device: str,
-                  root_tree: FileTree, boot_tree: FileTree, sector_count: int,
-                  rng: random.Random, clock: SimClock,
-                  spec: vol.CipherSpec | None = None) -> "Machine":
-        """Format the root volume with a fresh keyfile and install the tree."""
-        keyfile = Keyfile.generate(rng)
-        boot_tree.write_file("/keyfile", keyfile.data)
-        handle = vol.format_volume(sector_count, keyfile, spec, rng, image=root_tree.encode())
-        handle.invalidate()
-        return cls(kind=kind, name=name, root_device=root_device,
-                   boot_partition=boot_tree, root_volume=handle.volume,
-                   rng=rng, clock=clock)
+    def _install(self, images: DiskImagePair) -> None:
+        """Take the disks as they are; their nonces come from this machine's RNG."""
+        self.boot_partition = images.boot
+        self.root_volume = images.root
+        self.extra_disks = images.extras
+        for disk in (self.root_volume, *self.extra_disks):
+            disk.rng = self.rng
 
     # -- power --------------------------------------------------------------
 
@@ -373,11 +373,8 @@ class Machine:
     def snapshot_image(self) -> DiskImagePair:
         if self.is_on:
             raise MachineRunning(f"{self.name} must be powered off for imaging")
-        return DiskImagePair(
-            boot=self.boot_partition.copy(),
-            root=self.root_volume.copy(),
-            extras=[v.copy() for v in self.extra_disks],
-        )
+        return DiskImagePair(boot=self.boot_partition, root=self.root_volume,
+                             extras=self.extra_disks).copy()
 
     def restore_image(self, images: DiskImagePair) -> None:
         if self.is_on:
@@ -387,13 +384,7 @@ class Machine:
                 f"image has {images.root.sector_count} sectors, "
                 f"machine disk has {self.root_volume.sector_count}"
             )
-        restored = images.copy()
-        self.boot_partition = restored.boot
-        self.root_volume = restored.root
-        self.root_volume.rng = self.rng
-        self.extra_disks = restored.extras
-        for disk in self.extra_disks:
-            disk.rng = self.rng
+        self._install(images.copy())
 
     # -- sealing step execution --------------------------------------------------
 
@@ -620,12 +611,11 @@ def save_images(images: DiskImagePair, directory: str | Path) -> None:
         (directory / f"extra{i}.tsvol").write_bytes(vol.serialize_volume(disk))
 
 
-def load_images(directory: str | Path,
-                rng: random.Random | None = None) -> DiskImagePair:
+def load_images(directory: str | Path) -> DiskImagePair:
     directory = Path(directory)
     boot = FileTree.decode((directory / "boot.tree").read_bytes())
-    root = vol.deserialize_volume((directory / "root.tsvol").read_bytes(), rng)
+    root = vol.deserialize_volume((directory / "root.tsvol").read_bytes())
     extras = []
     for path in sorted(directory.glob("extra*.tsvol")):
-        extras.append(vol.deserialize_volume(path.read_bytes(), rng))
+        extras.append(vol.deserialize_volume(path.read_bytes()))
     return DiskImagePair(boot=boot, root=root, extras=extras)

@@ -106,7 +106,7 @@ def _probe_volume(volume, keyfile: Keyfile) -> tuple[str, FileTree | None]:
 def _build(seed: int, config: ServerConfig | None):
     rng = make_rng(seed)
     clock = SimClock()
-    host = prepare_trusted_server(config or ServerConfig(), rng=rng, clock=clock)
+    host = prepare_trusted_server(config, rng=rng, clock=clock)
     return host, host.nested_vm
 
 

@@ -28,6 +28,7 @@ from .machine import (
     VM_ROOT_DEVICE,
     VM_ROOT_DEVICE_FROM_HOST,
     passwd_line,
+    provision,
     render_iptables_save,
     FirewallPolicy,
 )
@@ -114,8 +115,7 @@ def _hash_steps(config: ServerConfig) -> list[SealingStep]:
     return steps
 
 
-def default_plan(config: ServerConfig | None = None) -> SealingPlan:
-    config = config or ServerConfig()
+def default_plan(config: ServerConfig) -> SealingPlan:
     w = config.webroot
 
     host: list[SealingStep] = [
@@ -196,9 +196,8 @@ def default_plan(config: ServerConfig | None = None) -> SealingPlan:
     return SealingPlan(host_steps=tuple(host), vm_steps=tuple(vm))
 
 
-def single_stage_host_plan(config: ServerConfig | None = None) -> SealingPlan:
+def single_stage_host_plan(config: ServerConfig) -> SealingPlan:
     """Host-only seal: keyslot erase without the VM reencryption stage."""
-    config = config or ServerConfig()
     full = default_plan(config)
     kept = tuple(
         step for step in full.host_steps
@@ -372,19 +371,24 @@ def prepare_trusted_server(config: ServerConfig | None = None, *,
         f"vm secret payload {rng.randbytes(16).hex()}\n".encode(),
     )
 
-    host = Machine.provision(
-        kind="host", name="ts-host", root_device=HOST_ROOT_DEVICE,
-        root_tree=host_tree, boot_tree=_boot_tree("host"),
-        sector_count=config.host_sectors, rng=rng, clock=clock,
-    )
-    vm = Machine.provision(
-        kind="vm", name=config.vm_name, root_device=VM_ROOT_DEVICE,
-        root_tree=vm_tree, boot_tree=_boot_tree("vm"),
-        sector_count=config.vm_sectors, rng=rng, clock=clock,
-    )
-    host.nested_vm = vm
-    host.config = config
-    vm.config = config
+    host_images = provision(root_tree=host_tree, boot_tree=_boot_tree("host"),
+                            sector_count=config.host_sectors, rng=rng)
+    vm_images = provision(root_tree=vm_tree, boot_tree=_boot_tree("vm"),
+                          sector_count=config.vm_sectors, rng=rng)
+    return server_from_images(host_images, vm_images, config, rng=rng, clock=clock)
+
+
+def server_from_images(host_images: DiskImagePair, vm_images: DiskImagePair,
+                       config: ServerConfig, *, rng: random.Random,
+                       clock: SimClock) -> Machine:
+    """The host machine with the VM attached as ``nested_vm``, both on config.
+
+    The machines take the disks without copying them.
+    """
+    host = Machine(kind="host", name="ts-host", images=host_images,
+                   rng=rng, clock=clock, config=config)
+    host.nested_vm = Machine(kind="vm", name=config.vm_name, images=vm_images,
+                             rng=rng, clock=clock, config=config)
     return host
 
 
@@ -407,7 +411,7 @@ def seal_host(host: Machine, plan: SealingPlan | None = None) -> SealingLog:
         raise ProtocolError("host must be booted before sealing")
     if host.nested_vm is not None and host.nested_vm.is_on:
         raise ProtocolError("nested VM must be powered off during the host stage")
-    plan = plan or default_plan(getattr(host, "config", None))
+    plan = plan or default_plan(host.config)
 
     log = _run_stage(host, "host", plan.host_steps)
 
@@ -421,11 +425,10 @@ def seal_host(host: Machine, plan: SealingPlan | None = None) -> SealingLog:
 def seal_vm(vm: Machine, plan: SealingPlan | None = None) -> SealingLog:
     if not vm.is_on:
         raise ProtocolError("vm must be booted before sealing")
-    plan = plan or default_plan(getattr(vm, "config", None))
-    config = getattr(vm, "config", None) or ServerConfig()
+    plan = plan or default_plan(vm.config)
 
     log = _run_stage(vm, "vm", plan.vm_steps)
-    vm.write_file(f"{config.webroot}/{VM_LOG_NAME}", render_log(log).encode())
+    vm.write_file(f"{vm.config.webroot}/{VM_LOG_NAME}", render_log(log).encode())
     return log
 
 
@@ -433,10 +436,7 @@ def seal_single_stage(host: Machine, plan: SealingPlan | None = None) -> Sealing
     """Host-only seal (no VM reencryption); the header-restore attack target."""
     if not host.is_on:
         host.boot()
-    plan = plan or single_stage_host_plan(getattr(host, "config", None))
-    log = _run_stage(host, "host", plan.host_steps)
-    host.write_file(f"/root/{HOST_LOG_NAME}", render_log(log).encode())
-    return log
+    return seal_host(host, plan or single_stage_host_plan(host.config))
 
 
 def seal_all_with_escrow(host: Machine, escrow_parties: int = 0,
@@ -447,8 +447,7 @@ def seal_all_with_escrow(host: Machine, escrow_parties: int = 0,
     The escrow capture must happen between the two stages: after the host
     reencrypted the VM disk, before the VM erases its own keyslots.
     """
-    config = getattr(host, "config", None) or ServerConfig()
-    plan = plan or default_plan(config)
+    plan = plan or default_plan(host.config)
     vm = host.nested_vm
     if vm is None:
         raise ProtocolError("host has no nested VM; run prepare first")
@@ -543,14 +542,13 @@ class PublishedBundle:
         return cls(artifacts=artifacts)
 
 
-def publish_bundle(vm: Machine, config: ServerConfig | None = None) -> PublishedBundle:
-    config = config or getattr(vm, "config", None) or ServerConfig()
+def publish_bundle(vm: Machine) -> PublishedBundle:
     if not vm.is_on or not vm.is_sealed:
         raise ProtocolError("bundle can only be published from a sealed, running VM")
     if vm.ram.services.web != "running":
         raise ProtocolError("web service is not running")
 
-    webroot = config.webroot
+    webroot = vm.config.webroot
     tree = vm.ram.tree
     artifacts: dict[str, bytes] = {}
     if tree.is_dir(webroot):

@@ -252,20 +252,10 @@ class ServiceFrontend:
     def __init__(self, machine: Machine, *,
                  primary_directory: CredentialDirectory | None = None,
                  upstream: UpstreamResolver | None = None,
-                 mail_destination: str | None = None,
-                 proxy_address: str | None = None,
-                 descending: bool | None = None,
                  audit_hook=None):
         self.machine = machine
         self.primary_directory = primary_directory
         self.upstream = upstream
-        config = getattr(machine, "config", None)
-        self.mail_destination = mail_destination or (config.mail_to if config else None)
-        self.proxy_address = proxy_address or (config.server_address if config else "0.0.0.0")
-        self.webroot = config.webroot if config else "/var/www/log"
-        if descending is None:
-            descending = config.millionaires_descending if config else True
-        self.descending = descending
         self.audit_hook = audit_hook
         self._parsed: dict[str, tuple[bytes, object]] = {}  # path -> (stored bytes, parse)
 
@@ -316,10 +306,11 @@ class ServiceFrontend:
         return entry.sequence
 
     def publish_ranking(self) -> list[str]:
-        names = millionaires_publish(self._load_state(), self.descending)
+        config = self.machine.config
+        names = millionaires_publish(self._load_state(), config.millionaires_descending)
         if self.machine.is_on:
             self.machine.write_file(
-                f"{self.webroot}/ranking.txt",
+                f"{config.webroot}/ranking.txt",
                 ("".join(f"{n}\n" for n in names)).encode(),
             )
         return names
@@ -327,13 +318,11 @@ class ServiceFrontend:
     def submit_mail(self, nickname: str, comment: str,
                     return_address: str | None = None) -> MailMessage:
         self._require_sealed_web()
-        if not self.mail_destination:
-            raise ServiceError("no destination address configured")
         body = f"nickname: {nickname}\ncomment: {comment}\n"
         if return_address:
             body += f"return address: {return_address}\n"
         message = MailMessage(
-            to=self.mail_destination,
+            to=self.machine.config.mail_to,
             subject=f"maildrop message from {nickname}",
             body=body,
             return_address=return_address,
@@ -349,7 +338,7 @@ class ServiceFrontend:
             self._replica(), self.primary_directory, self.machine.clock
         )
         self.machine.write_file(self.REPLICA_PATH, synced.render().encode())
-        self.machine.append_text(f"{self.webroot}/ldap.txt", dump)
+        self.machine.append_text(f"{self.machine.config.webroot}/ldap.txt", dump)
         return dump
 
     def authenticate(self, user: str, password: str) -> bool:
@@ -361,7 +350,8 @@ class ServiceFrontend:
     def resolve(self, domain: str, client: str) -> str:
         if self.upstream is None:
             raise Unresolvable("no upstream resolver configured")
-        return dns_proxy_resolve(domain, client, self.upstream, self.proxy_address)
+        return dns_proxy_resolve(domain, client, self.upstream,
+                                 self.machine.config.server_address)
 
     # -- line protocol -----------------------------------------------------------
 

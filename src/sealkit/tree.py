@@ -29,17 +29,20 @@ class MissingPath(TreeError):
     pass
 
 
-@dataclass
+# Nodes are immutable, so tree copies and mounted views share them.
+
+
+@dataclass(frozen=True)
 class DirNode:
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class FileNode:
     data: bytes
 
 
-@dataclass
+@dataclass(frozen=True)
 class SymlinkNode:
     target: str
 
@@ -156,13 +159,7 @@ class FileTree:
 
     def copy(self) -> "FileTree":
         clone = FileTree()
-        for path, node in self._nodes.items():
-            if isinstance(node, FileNode):
-                clone._nodes[path] = FileNode(node.data)
-            elif isinstance(node, SymlinkNode):
-                clone._nodes[path] = SymlinkNode(node.target)
-            else:
-                clone._nodes[path] = DirNode()
+        clone._nodes = dict(self._nodes)
         return clone
 
     def mount(self, mount_point: str, other: "FileTree") -> "FileTree":
@@ -172,12 +169,7 @@ class FileTree:
         view.mkdir(mount_point)
         for path, node in other._nodes.items():
             grafted = mount_point if path == "/" else mount_point + path
-            if isinstance(node, FileNode):
-                view._nodes[grafted] = FileNode(node.data)
-            elif isinstance(node, SymlinkNode):
-                view._nodes[grafted] = SymlinkNode(node.target)
-            else:
-                view._nodes[grafted] = DirNode()
+            view._nodes[grafted] = node
         return view
 
     # -- canonical encoding ---------------------------------------------------

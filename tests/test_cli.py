@@ -54,6 +54,30 @@ def test_default_config_is_valid():
     ServerConfig().validate()
 
 
+ALT_CONFIG = """
+webroot = /srv/pub
+vm_name = tsvm2
+mail_to = ops@example.net
+millionaires_order = ascending
+"""
+
+
+def test_non_default_config_holds_through_the_image_path(tmp_path, capsys):
+    conf = tmp_path / "alt.conf"
+    conf.write_text(ALT_CONFIG)
+    args = ws(tmp_path, "--config", str(conf), "--json")
+    assert run_command(["build", *args]) == 0
+    capsys.readouterr()
+    assert run_command(["seal", *args]) == 0
+    sealed = json.loads(capsys.readouterr().out)
+    assert "virsh start tsvm2" in (tmp_path / "bundle" / HOST_LOG_NAME).read_text()
+    assert run_command(["verify", *args]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "PASS"
+    assert run_command(["restore", *args, "--reseal"]) == 0
+    resealed = json.loads(capsys.readouterr().out)
+    assert resealed["bundle_index_digest"] == sealed["bundle_index_digest"]
+
+
 # -- exit codes ----------------------------------------------------------------------
 
 

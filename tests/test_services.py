@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from conftest import build_sealed, build_server
+from conftest import SMALL, build_sealed, build_server
 
 from sealkit.manifest import compute_manifest
 from sealkit.services import (
@@ -368,6 +370,21 @@ def test_line_protocol_auth_and_audit():
         "SYNC", "AUTH alice pw", "AUTH alice bad", "SUBMIT Eve 5",
         "SUBMIT Alice 5 alice pw",
     ]
+
+
+def test_frontend_reads_its_settings_from_the_machine_config():
+    config = replace(SMALL, mail_to="desk@example.net", server_address="198.51.100.7",
+                     millionaires_descending=False)
+    _, vm, *_ = build_sealed(101, config)
+    upstream = UpstreamResolver(table={"example.org": "93.184.216.34"})
+    frontend = ServiceFrontend(vm, upstream=upstream)
+    assert frontend.handle_line("MAIL nick|hello") == "OK sent"
+    assert vm.ram.services.mailer[-1].to == "desk@example.net"
+    assert frontend.handle_line("RESOLVE example.org") == "OK 93.184.216.34"
+    assert upstream.query_log == [("198.51.100.7", "example.org")]
+    for line in ("SUBMIT Alice 500", "SUBMIT Bob 900", "SUBMIT Carol 100"):
+        frontend.handle_line(line)
+    assert frontend.handle_line("PUBLISH") == "OK Carol Alice Bob"
 
 
 # -- parsed state follows the stored files --------------------------------------------

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from sealkit.tree import FileTree, MissingPath, TreeError
@@ -78,7 +80,17 @@ def test_copy_is_independent():
     tree = sample_tree()
     clone = tree.copy()
     clone.write_file("/etc/passwd", b"changed")
+    clone.remove("/etc/ssh")
     assert tree.read_file("/etc/passwd") != b"changed"
+    assert tree.is_file("/etc/ssh/sshd_config")
+
+
+def test_nodes_are_immutable():
+    tree = sample_tree()
+    with pytest.raises(FrozenInstanceError):
+        tree.node("/etc/passwd").data = b"changed"
+    with pytest.raises(FrozenInstanceError):
+        tree.node("/usr/bin/X11").target = "/"
 
 
 def test_mount_grafts_other_tree():
@@ -88,3 +100,7 @@ def test_mount_grafts_other_tree():
     view = root.mount("/boot", boot)
     assert view.read_file("/boot/keyfile") == b"k" * 8
     assert not root.exists("/boot/keyfile")  # view is a copy
+    view.write_file("/boot/keyfile", b"changed")
+    view.append_text("/etc/passwd", "extra:x:1:1::/:/bin/sh\n")
+    assert boot.read_file("/keyfile") == b"k" * 8
+    assert root.read_text("/etc/passwd") == "root:x:0:0::/root:/bin/bash\n"
