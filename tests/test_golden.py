@@ -13,6 +13,7 @@ from conftest import SMALL, build_server
 
 from sealkit.cli import run_command
 from sealkit.config import ServerConfig
+from sealkit.scenarios import SCENARIOS, run_scenario
 from sealkit.sealing import prepare_trusted_server, seal_all, seal_all_with_escrow
 from sealkit.services import (
     CredentialDirectory,
@@ -50,6 +51,10 @@ SERVE_TRANSCRIPT_90004 = (
 VM_ROOT_SERVE_90004 = (
     "965ac44ce0da9957911dd82036c3b6f8a6a615c747b3a16a8a28060970b8180f"
     "f78ce85c00bc0ddb029ab492a1d88b8fab596e2281805da5a4b7db81af81f00f"
+)
+ATTACK_REPORTS_SMALL_SEEDS_0_1 = (
+    "c8b4a7d04d4f02991ef1bfb6f1c0aa85af8c867f35a3e43669514ea98caf7d1b"
+    "996e66211a6db2952707fd5b135c50df6e523bfa4b9a447eb905f3ef829e7aa2"
 )
 ESCROW_90002_INDEX = (
     "89a067c57df9401c660ff6d9cf9c3485ebefeee116d256bb03576446579a09e7"
@@ -92,6 +97,15 @@ def test_serve_geometry_vm_root_seed_90003():
                                   clock=SimClock())
     root = host.nested_vm.root_volume
     assert hashlib.sha3_512(serialize_volume(root)).hexdigest() == VM_ROOT_4096_90003
+
+
+def test_attack_reports_seeds_0_1():
+    # Every scenario's full report, details text included: pins what each
+    # attack observed and which verifier findings it printed.
+    reports = [run_scenario(name, seed, SMALL).to_dict()
+               for name in sorted(SCENARIOS) for seed in (0, 1)]
+    digest = hashlib.sha3_512(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert digest == ATTACK_REPORTS_SMALL_SEEDS_0_1
 
 
 def serve_script(rng, users: dict[str, str]) -> list[str]:
