@@ -16,6 +16,11 @@ DEFAULT_HASH_ROOTS = (
 # there is non-recursive, mirroring the provisioning scripts.
 NON_RECURSIVE_ROOTS = ("/usr/bin",)
 
+# Config-file keys that set the ServerConfig field of the same name.
+_INT_KEYS = ("host_ssh_rule_index", "vm_ssh_rule_index", "host_sectors", "vm_sectors",
+            "vault_sectors")
+_STR_KEYS = ("mail_to", "server_address", "webroot", "vm_name")
+
 
 class ConfigError(Exception):
     pass
@@ -79,16 +84,10 @@ def parse_config(text: str) -> ServerConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         try:
-            if key == "host_ssh_rule_index":
-                cfg = replace(cfg, host_ssh_rule_index=int(value))
-            elif key == "vm_ssh_rule_index":
-                cfg = replace(cfg, vm_ssh_rule_index=int(value))
-            elif key == "mail_to":
-                cfg = replace(cfg, mail_to=value)
-            elif key == "server_address":
-                cfg = replace(cfg, server_address=value)
-            elif key == "webroot":
-                cfg = replace(cfg, webroot=value)
+            if key in _INT_KEYS:
+                cfg = replace(cfg, **{key: int(value)})
+            elif key in _STR_KEYS:
+                cfg = replace(cfg, **{key: value})
             elif key == "hash_roots":
                 roots = tuple(r.strip() for r in value.split(",") if r.strip())
                 cfg = replace(cfg, hash_roots=roots)
@@ -98,14 +97,6 @@ def parse_config(text: str) -> ServerConfig:
                         f"line {lineno}: millionaires_order must be descending|ascending"
                     )
                 cfg = replace(cfg, millionaires_descending=value == "descending")
-            elif key == "host_sectors":
-                cfg = replace(cfg, host_sectors=int(value))
-            elif key == "vm_sectors":
-                cfg = replace(cfg, vm_sectors=int(value))
-            elif key == "vault_sectors":
-                cfg = replace(cfg, vault_sectors=int(value))
-            elif key == "vm_name":
-                cfg = replace(cfg, vm_name=value)
             elif key.startswith("ldap_user."):
                 ldap_users.append((key.split(".", 1)[1], value))
             elif key.startswith("dns."):

@@ -74,19 +74,15 @@ class MailMessage:
 @dataclass
 class ServiceState:
     ssh: str = "installed"  # "installed" | "purged"
-    ssh_running: bool = True
     web: str = "stopped"  # "stopped" | "running"
     cron_reboot: list[str] = field(default_factory=list)
     mailer: list[MailMessage] = field(default_factory=list)
-    webroot_owner: str = "root"
 
 
 @dataclass
 class FirewallPolicy:
     input_rules: list[str] = field(default_factory=list)
     output_policy: str = "ACCEPT"
-    hosts_allow_present: bool = True
-    hosts_deny: str = ""
 
 
 @dataclass(frozen=True)
@@ -289,7 +285,6 @@ class Machine:
 
         services = ServiceState()
         services.ssh = "installed" if tree.is_file("/usr/sbin/sshd") else "purged"
-        services.ssh_running = services.ssh == "installed"
         cron_path = self._cron_script_path()
         if tree.is_file(cron_path):
             services.cron_reboot = [
@@ -303,10 +298,6 @@ class Machine:
             firewall.input_rules, firewall.output_policy = parse_iptables_save(
                 tree.read_text(rules_path)
             )
-        firewall.hosts_allow_present = tree.is_file("/etc/hosts.allow")
-        firewall.hosts_deny = (
-            tree.read_text("/etc/hosts.deny") if tree.is_file("/etc/hosts.deny") else ""
-        )
 
         self.ram = RamState(
             handle=handle, tree=tree, users=users, services=services,
@@ -444,7 +435,6 @@ class Machine:
         if not ram.tree.is_file("/etc/hosts.allow"):
             return "rm: cannot remove '/etc/hosts.allow': No such file or directory", 1
         self.remove_path("/etc/hosts.allow")
-        ram.firewall.hosts_allow_present = False
         return "", 0
 
     def _step_purge_ssh(self, ram, args):
@@ -455,7 +445,6 @@ class Machine:
         if ram.tree.exists("/etc/ssh"):
             self.remove_path("/etc/ssh")
         ram.services.ssh = "purged"
-        ram.services.ssh_running = False
         return (
             "Reading package lists...\n"
             "Removing openssh-server ...\n"
@@ -467,11 +456,10 @@ class Machine:
         if unit == "sshd":
             if ram.services.ssh == "purged":
                 return f"Unit {unit}.service could not be found.", 4
-            state = "active (running)" if ram.services.ssh_running else "inactive (dead)"
             return (
                 f"* {unit}.service - OpenBSD Secure Shell server\n"
-                f"   Active: {state}"
-            ), 0 if ram.services.ssh_running else 3
+                "   Active: active (running)"
+            ), 0
         return f"Unit {unit}.service could not be found.", 4
 
     def _step_remove_user(self, ram, args):
@@ -557,7 +545,6 @@ class Machine:
         return "", 0
 
     def _step_chown_webroot(self, ram, args):
-        ram.services.webroot_owner = args.get("owner", "www-data")
         return "", 0
 
     def _step_ldap_dump(self, ram, args):

@@ -7,11 +7,13 @@ verifier flagged the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
+from typing import Callable, NamedTuple
 
 from . import volume as vol
 from .config import ServerConfig
-from .machine import SealedAndCold
+from .machine import Machine, SealedAndCold, full_tree_from_images
 from .sealing import (
     PublishedBundle,
     SealingPlan,
@@ -22,7 +24,7 @@ from .sealing import (
 )
 from .tree import FileTree
 from .util import SimClock, make_rng
-from .verifier import default_policy, verify_seal
+from .verifier import Finding, default_policy, verify_seal
 from .volume import AuthFailure, Keyfile, KeyslotsEmpty, NoMatchingSlot
 
 ATTACK_SUCCEEDS = "attack-succeeds"
@@ -71,14 +73,7 @@ class ScenarioReport:
         return self.observed == self.expected
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "expected": self.expected,
-            "observed": self.observed,
-            "ok": self.ok,
-            "details": self.details,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def _probe_volume(volume, keyfile: Keyfile) -> tuple[str, FileTree | None]:
@@ -104,28 +99,23 @@ def _probe_volume(volume, keyfile: Keyfile) -> tuple[str, FileTree | None]:
 
 
 def _build(seed: int, config: ServerConfig | None):
-    rng = make_rng(seed)
-    clock = SimClock()
-    host = prepare_trusted_server(config, rng=rng, clock=clock)
+    host = prepare_trusted_server(config, rng=make_rng(seed), clock=SimClock())
     return host, host.nested_vm
 
 
 def drop_step(plan: SealingPlan, stage: str, kind: str) -> SealingPlan:
-    """Plan with the first step of the given kind removed from one stage."""
+    """Plan with the first ``kind`` step removed from the ``host`` or ``vm`` stage.
 
-    def trim(steps):
-        dropped = False
-        kept = []
-        for step in steps:
-            if not dropped and step.kind == kind:
-                dropped = True
-                continue
-            kept.append(step)
-        return tuple(kept)
-
-    if stage == "host":
-        return SealingPlan(host_steps=trim(plan.host_steps), vm_steps=plan.vm_steps)
-    return SealingPlan(host_steps=plan.host_steps, vm_steps=trim(plan.vm_steps))
+    A stage or kind not in the plan raises ValueError: a typo must not seal honestly.
+    """
+    if stage not in ("host", "vm"):
+        raise ValueError(f"unknown stage {stage!r}; expected 'host' or 'vm'")
+    steps = getattr(plan, f"{stage}_steps")
+    kinds = [step.kind for step in steps]
+    if kind not in kinds:
+        raise ValueError(f"the {stage} stage has no {kind!r} step")
+    i = kinds.index(kind)
+    return replace(plan, **{f"{stage}_steps": steps[:i] + steps[i + 1:]})
 
 
 def _run_theft_reboot(seed: int, config: ServerConfig | None) -> ScenarioReport:
@@ -146,19 +136,13 @@ def _run_theft_reboot(seed: int, config: ServerConfig | None) -> ScenarioReport:
         state, _ = _probe_volume(machine.root_volume, keyfile)
         outcomes.append(state)
         details.append(f"{machine.name}: boot+unlock -> {outcomes[-2]}, {outcomes[-1]}")
-    observed = (
-        ATTACK_FAILS
-        if all(o in ("sealed-and-cold", "keyslots-empty") for o in outcomes)
-        else ATTACK_SUCCEEDS
-    )
+    cold = all(o in ("sealed-and-cold", "keyslots-empty") for o in outcomes)
+    observed = ATTACK_FAILS if cold else ATTACK_SUCCEEDS
     return ScenarioReport("theft-reboot", seed, ATTACK_FAILS, observed, details)
 
 
 def _image_secret(machine, path: str) -> str:
-    images = machine.snapshot_image()
-    from .machine import full_tree_from_images
-
-    return full_tree_from_images(images).read_text(path)
+    return full_tree_from_images(machine.snapshot_image()).read_text(path)
 
 
 def _run_header_restore_single(seed: int, config: ServerConfig | None) -> ScenarioReport:
@@ -198,91 +182,62 @@ def _run_header_restore_dual(seed: int, config: ServerConfig | None) -> Scenario
     return ScenarioReport("header-restore-dual", seed, ATTACK_FAILS, observed, details)
 
 
-def _seal_and_verify(host, host_images, vm_images, run_plan, honest_plan):
-    """Seal with run_plan (possibly sabotaged), verify against the honest one."""
-    bundle = seal_all(host, run_plan)
-    return verify_seal(host_images, vm_images, bundle, default_policy(honest_plan))
+class FlagsRow(NamedTuple):
+    """A verifier-flags scenario: its sabotage, the finding that catches it,
+    and any detail lines of its own."""
+
+    sabotage: Callable[[Machine, SealingPlan], PublishedBundle]
+    flags: Callable[[Finding], bool]
+    notes: Callable[[Machine], list[str]] = lambda host: []
 
 
-def _run_tamper_binary(seed: int, config: ServerConfig | None) -> ScenarioReport:
+def _run_verifier_flags(name: str, seed: int, config: ServerConfig | None) -> ScenarioReport:
+    """Seal through the row's sabotage, then verify against the honest plan."""
+    row = _FLAGS_ROWS[name]
     host, vm = _build(seed, config)
     host_images = host.snapshot_image()
     vm_images = vm.snapshot_image()
+    honest = default_plan(host.config)
+    bundle = row.sabotage(host, honest)
+    verdict = verify_seal(host_images, vm_images, bundle, default_policy(honest))
 
+    flagged = verdict.status == "FAIL" and any(row.flags(f) for f in verdict.errors)
+    details = [f"verdict: {verdict.status}", *row.notes(host)]
+    details.extend(f.render() for f in verdict.errors[:5])
+    observed = VERIFIER_FLAGS if flagged else ATTACK_SUCCEEDS
+    return ScenarioReport(name, seed, VERIFIER_FLAGS, observed, details)
+
+
+def _trojan_cron(host: Machine, plan: SealingPlan) -> PublishedBundle:
     host.boot()
     host.write_file("/usr/sbin/cron", b"#!ELF trojaned cron binary\n")
-
-    honest = default_plan(host.config)
-    verdict = _seal_and_verify(host, host_images, vm_images, honest, honest)
-    flagged = any(f.subject == "/usr/sbin/cron" for f in verdict.errors)
-    details = [f"verdict: {verdict.status}"]
-    details.extend(f.render() for f in verdict.errors[:5])
-    observed = VERIFIER_FLAGS if verdict.status == "FAIL" and flagged else ATTACK_SUCCEEDS
-    return ScenarioReport("tamper-binary", seed, VERIFIER_FLAGS, observed, details)
+    return seal_all(host, plan)
 
 
-def _run_skip_erase(seed: int, config: ServerConfig | None) -> ScenarioReport:
-    host, vm = _build(seed, config)
-    host_images = host.snapshot_image()
-    vm_images = vm.snapshot_image()
-
-    honest = default_plan(host.config)
-    sabotaged = drop_step(honest, "host", "luks_erase")
-    verdict = _seal_and_verify(host, host_images, vm_images, sabotaged, honest)
-
-    flagged = verdict.status == "FAIL" and any(
-        "luksErase" in f.subject or "still active" in f.explanation
-        for f in verdict.errors
-    )
-    details = [f"verdict: {verdict.status}", f"host still unlockable: {not host.is_sealed}"]
-    details.extend(f.render() for f in verdict.errors[:5])
-    observed = VERIFIER_FLAGS if flagged else ATTACK_SUCCEEDS
-    return ScenarioReport("skip-erase", seed, VERIFIER_FLAGS, observed, details)
+def _without(stage: str, kind: str):
+    """Sabotage that seals with the first ``kind`` step of ``stage`` removed."""
+    return lambda host, plan: seal_all(host, drop_step(plan, stage, kind))
 
 
-def _run_leftover_user(seed: int, config: ServerConfig | None) -> ScenarioReport:
-    host, vm = _build(seed, config)
-    host_images = host.snapshot_image()
-    vm_images = vm.snapshot_image()
-
-    honest = default_plan(host.config)
-    sabotaged = drop_step(honest, "vm", "remove_user")
-    verdict = _seal_and_verify(host, host_images, vm_images, sabotaged, honest)
-
-    flagged = verdict.status == "FAIL" and any(
-        f.subject == "trust" or "userdel" in f.subject for f in verdict.errors
-    )
-    details = [f"verdict: {verdict.status}"]
-    details.extend(f.render() for f in verdict.errors[:5])
-    observed = VERIFIER_FLAGS if flagged else ATTACK_SUCCEEDS
-    return ScenarioReport("leftover-user", seed, VERIFIER_FLAGS, observed, details)
-
-
-def _run_tampered_ldap(seed: int, config: ServerConfig | None) -> ScenarioReport:
-    host, vm = _build(seed, config)
-    host_images = host.snapshot_image()
-    vm_images = vm.snapshot_image()
-
-    honest = default_plan(host.config)
-    bundle = seal_all(host, honest)
-    tampered = PublishedBundle({**bundle.artifacts, "ldap.txt": b"tampered\n"})
-    verdict = verify_seal(host_images, vm_images, tampered, default_policy(honest))
-
-    flagged = verdict.status == "FAIL" and any(f.subject == "ldap.txt" for f in verdict.errors)
-    details = [f"verdict: {verdict.status}"]
-    details.extend(f.render() for f in verdict.errors[:5])
-    observed = VERIFIER_FLAGS if flagged else ATTACK_SUCCEEDS
-    return ScenarioReport("tampered-ldap", seed, VERIFIER_FLAGS, observed, details)
-
+_FLAGS_ROWS = {
+    "tamper-binary": FlagsRow(_trojan_cron, lambda f: f.subject == "/usr/sbin/cron"),
+    "skip-erase": FlagsRow(_without("host", "luks_erase"),
+                           lambda f: "luksErase" in f.subject or "still active" in f.explanation,
+                           lambda host: [f"host still unlockable: {not host.is_sealed}"]),
+    "leftover-user": FlagsRow(_without("vm", "remove_user"),
+                              lambda f: f.subject == "trust" or "userdel" in f.subject),
+    "tampered-ldap": FlagsRow(
+        lambda host, plan: PublishedBundle(
+            {**seal_all(host, plan).artifacts, "ldap.txt": b"tampered\n"}),
+        lambda f: f.subject == "ldap.txt",
+    ),
+}
 
 _RUNNERS = {
     "theft-reboot": _run_theft_reboot,
     "header-restore-single": _run_header_restore_single,
     "header-restore-dual": _run_header_restore_dual,
-    "tamper-binary": _run_tamper_binary,
-    "skip-erase": _run_skip_erase,
-    "leftover-user": _run_leftover_user,
-    "tampered-ldap": _run_tampered_ldap,
+    **{name: partial(_run_verifier_flags, name) for name in _FLAGS_ROWS},
 }
 
 

@@ -173,14 +173,14 @@ def default_plan(config: ServerConfig) -> SealingPlan:
               name="etc-host.zip", dest_dir=w),
         _step("move_from_boot", f"mv /boot/root-host.zip {w}",
               name="root-host.zip", dest_dir=w),
-        _step("chown_webroot", "chown www-data:www-data /var/www", owner="www-data"),
+        _step("chown_webroot", "chown www-data:www-data /var/www"),
         _step("zip_tree", f"zip -r {w}/etc-vm.zip /etc",
               src="/etc", dest="tree", dest_path=f"{w}/etc-vm.zip"),
         _step("zip_tree", f"zip -r {w}/trust-vm.zip /home/trust",
               src="/home/trust", dest="tree", dest_path=f"{w}/trust-vm.zip"),
         _step("ldap_dump", f"date >> {w}/ldap.txt && slapcat >> {w}/ldap.txt",
               dest=f"{w}/ldap.txt"),
-        _step("chown_webroot", "chown -R www-data:www-data /var/www", owner="www-data"),
+        _step("chown_webroot", "chown -R www-data:www-data /var/www"),
         _step("list_files", "ls -RlA /"),
         *_hash_steps(config),
         _step("append_date", "echo $(date) >> /home/trust/date.txt",

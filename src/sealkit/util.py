@@ -17,18 +17,17 @@ def make_rng(seed: int | None = None) -> random.Random:
 class SimClock:
     """Monotonic simulated clock.
 
-    Every observation advances time by a fixed step, so repeated runs with
+    Every observation advances time by one second, so repeated runs with
     the same seed produce byte-identical timestamps in logs and dumps.
     """
 
     EPOCH = datetime.datetime(2021, 3, 1, 0, 0, 0, tzinfo=datetime.timezone.utc)
 
-    def __init__(self, step_seconds: int = 1):
-        self.step_seconds = step_seconds
+    def __init__(self):
         self._ticks = 0
 
     def now(self) -> datetime.datetime:
-        current = self.EPOCH + datetime.timedelta(seconds=self._ticks * self.step_seconds)
+        current = self.EPOCH + datetime.timedelta(seconds=self._ticks)
         self._ticks += 1
         return current
 
