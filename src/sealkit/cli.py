@@ -27,6 +27,7 @@ from .sealing import (
     server_from_images,
 )
 from .services import CredentialDirectory, ServiceFrontend, UpstreamResolver, attach_data_vault
+from .tree import TreeError
 from .util import SimClock, make_rng
 from .verifier import MalformedBundle, default_policy, verify_seal
 
@@ -346,7 +347,7 @@ def run_command(argv: list[str]) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ConfigError, ProtocolError, MachineError, VolumeError,
+    except (ConfigError, ProtocolError, MachineError, VolumeError, TreeError,
             escrow_mod.EscrowError, FileNotFoundError) as exc:
         print(f"sealkit: {exc}", file=sys.stderr)
         return EXIT_FAIL

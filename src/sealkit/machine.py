@@ -278,9 +278,8 @@ class Machine:
                 f"{self.name}: root volume cannot be unlocked ({exc})"
             ) from exc
 
-        image = vol.read_image(handle)
-        tree = FileTree.decode(image)
-        content = bytes(image[:vol.content_end(image)])
+        tree, image = read_volume_tree(handle)
+        content = bytes(image.rstrip(b"\x00"))
         users = parse_passwd(tree.read_text("/etc/passwd")) if tree.is_file("/etc/passwd") else {}
 
         services = ServiceState()
@@ -579,11 +578,22 @@ class Machine:
         return "", 0
 
 
+def read_volume_tree(handle: UnlockedVolume) -> tuple[FileTree, bytearray]:
+    """Decrypt every sector of a volume and decode the tree it holds.
+
+    Also returns the image through its last non-zero sector
+    (:func:`volume.read_image`); the decoder reads the zeros after it up to
+    the volume's capacity.
+    """
+    image = vol.read_image(handle)
+    return FileTree.decode(image, handle.volume.sector_count * vol.SECTOR_BYTES), image
+
+
 def full_tree_from_images(images: DiskImagePair) -> FileTree:
     """Decrypt and decode an image pair using the keyfile on its boot tree."""
     keyfile = Keyfile(images.boot.read_file("/keyfile"))
     handle = vol.unlock(images.root, keyfile)
-    return FileTree.decode(vol.read_image(handle)).mount("/boot", images.boot)
+    return read_volume_tree(handle)[0].mount("/boot", images.boot)
 
 
 # -- image directory layout -------------------------------------------------------
@@ -593,16 +603,20 @@ def save_images(images: DiskImagePair, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "boot.tree").write_bytes(images.boot.encode())
-    (directory / "root.tsvol").write_bytes(vol.serialize_volume(images.root))
-    for i, disk in enumerate(images.extras):
-        (directory / f"extra{i}.tsvol").write_bytes(vol.serialize_volume(disk))
+    disks = {"root": images.root, **{f"extra{i}": d for i, d in enumerate(images.extras)}}
+    for name, disk in disks.items():
+        with open(directory / f"{name}.tsvol", "wb") as f:
+            f.writelines(vol.serialize_volume(disk))
+
+
+def _load_volume(path: Path) -> EncryptedVolume:
+    with open(path, "rb") as f:
+        return vol.deserialize_volume(f)
 
 
 def load_images(directory: str | Path) -> DiskImagePair:
     directory = Path(directory)
     boot = FileTree.decode((directory / "boot.tree").read_bytes())
-    root = vol.deserialize_volume((directory / "root.tsvol").read_bytes())
-    extras = []
-    for path in sorted(directory.glob("extra*.tsvol")):
-        extras.append(vol.deserialize_volume(path.read_bytes()))
+    root = _load_volume(directory / "root.tsvol")
+    extras = [_load_volume(path) for path in sorted(directory.glob("extra*.tsvol"))]
     return DiskImagePair(boot=boot, root=root, extras=extras)

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import volume as vol
-from .machine import Machine, MailMessage
+from .machine import Machine, MailMessage, read_volume_tree
 from .tree import FileTree
 from .util import SimClock, make_rng
 from .volume import EncryptedVolume, Keyfile, NoMatchingSlot, UnlockedVolume
@@ -232,7 +232,7 @@ def vault_attach(machine: Machine, key: bytes | Keyfile) -> UnlockedVolume:
 
 
 def read_vault_tree(handle: UnlockedVolume) -> FileTree:
-    return FileTree.decode(vol.read_image(handle))
+    return read_volume_tree(handle)[0]
 
 
 # -- the sealed server's service frontend ---------------------------------------------

@@ -3,7 +3,8 @@
 A tree maps normalized absolute paths to directory, file, or symlink nodes.
 The canonical encoding (magic ``TSTREE1\\n``, sorted length-prefixed records)
 is both the plaintext layout of encrypted root volumes and the on-disk
-``boot.tree`` image format.
+``boot.tree`` image format. Decoding accepts only that encoding, so a decoded
+tree encodes back to the same bytes; anything else raises :class:`TreeError`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import posixpath
 import struct
 from dataclasses import dataclass
 
-from .util import pack_bytes, unpack_bytes
+from .util import pack_bytes
 
 TREE_MAGIC = b"TSTREE1\n"
 
@@ -48,6 +49,13 @@ class SymlinkNode:
 
 
 Node = DirNode | FileNode | SymlinkNode
+
+
+def _text(raw: bytes) -> str:
+    try:
+        return raw.decode()
+    except UnicodeDecodeError:
+        raise TreeError("path or link target is not UTF-8") from None
 
 
 def normalize(path: str) -> str:
@@ -188,26 +196,52 @@ class FileTree:
         return b"".join(records)
 
     @classmethod
-    def decode(cls, blob: bytes | bytearray) -> "FileTree":
-        if not blob.startswith(TREE_MAGIC):
+    def decode(cls, blob: bytes | bytearray, size: int | None = None) -> "FileTree":
+        """Inverse of :meth:`encode`; bytes after the encoding are ignored.
+
+        ``size`` is the length of the image ``blob`` begins, such as a volume
+        read without its zero tail: bytes from ``len(blob)`` up to ``size``
+        read as zeros, since an encoding may end in a zero run that spills into
+        that tail. Anything but a canonical encoding raises :class:`TreeError`.
+        """
+        end = max(len(blob), size or 0)
+        offset = 0
+
+        def take(n: int) -> bytes | bytearray:
+            nonlocal offset
+            start, offset = offset, offset + n
+            if offset > end:
+                raise TreeError(f"tree encoding truncated at byte {start}")
+            return blob[start:offset].ljust(n, b"\x00")
+
+        if take(len(TREE_MAGIC)) != TREE_MAGIC:
             raise TreeError("bad tree magic")
-        (count,) = struct.unpack_from(">I", blob, len(TREE_MAGIC))
-        offset = len(TREE_MAGIC) + 4
-        tree = cls()
+        count = int.from_bytes(take(4), "big")
+        nodes: dict[str, Node] = {}
+        previous = ""
         for _ in range(count):
-            raw_path, offset = unpack_bytes(blob, offset)
-            kind = blob[offset]
-            offset += 1
-            data, offset = unpack_bytes(blob, offset)
-            path = raw_path.decode()
-            if kind == _KIND_DIR:
-                tree._nodes[path] = DirNode()
+            path = _text(take(int.from_bytes(take(4), "big")))
+            kind = take(1)[0]
+            data = take(int.from_bytes(take(4), "big"))
+            if not nodes:
+                if path != "/" or kind != _KIND_DIR:
+                    raise TreeError("tree encoding does not start with the root directory")
+            elif (path <= previous or normalize(path) != path
+                  or not isinstance(nodes.get(posixpath.dirname(path)), DirNode)):
+                raise TreeError(f"path out of canonical order or without a parent: {path!r}")
+            if kind == _KIND_DIR and not data:
+                nodes[path] = DirNode()
             elif kind == _KIND_FILE:
-                tree._nodes[path] = FileNode(bytes(data))  # a bytearray blob slices to bytearrays
+                nodes[path] = FileNode(bytes(data))  # a bytearray blob slices to bytearrays
             elif kind == _KIND_SYMLINK:
-                tree._nodes[path] = SymlinkNode(data.decode())
+                nodes[path] = SymlinkNode(_text(data))
             else:
-                raise TreeError(f"unknown node kind {kind}")
+                raise TreeError(f"bad node record (kind {kind}) at {path!r}")
+            previous = path
+        if not nodes:
+            raise TreeError("tree encoding has no root directory")
+        tree = cls()
+        tree._nodes = nodes
         return tree
 
     def __eq__(self, other: object) -> bool:

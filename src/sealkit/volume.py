@@ -13,7 +13,10 @@ returning garbage. The slot KDF is PBKDF2-HMAC-SHA512.
 A volume's plaintext image is ``sector_count * 512`` bytes: its content, then
 zeros up to capacity. :func:`read_image` and :func:`write_image` are the one
 path for whole-image I/O; both go sector by sector through :func:`read_sector`
-/ :func:`write_sector`, one AEAD call per sector. ``write_image`` takes the new
+/ :func:`write_sector`, one AEAD call per sector. ``read_image`` decrypts and
+authenticates every sector but returns the image only through its last
+non-zero sector, so memory follows the content, not the capacity; readers
+treat the bytes after it as zeros. ``write_image`` takes the new
 and the previous content, zero tails implied, and rewrites only the sectors
 whose zero-padded bytes differ. :func:`format_volume` installs the first image
 through it with no previous content, so formatting encrypts each sector once.
@@ -24,6 +27,12 @@ The sector cipher (data key plus AES-GCM object) is built once per key: an
 :class:`UnlockedVolume` builds it at construction and drops it, with the
 master key, in ``invalidate``; :func:`reencrypt` builds one for each of its
 two keys.
+
+The ``TSVOL1`` container is the magic, a length-prefixed canonical JSON
+header, then the sector records. It is streamed both ways, 256 sector
+records at a time: :func:`serialize_volume` yields the container in parts and
+:func:`deserialize_volume` reads it from a file in chunks, so no copy of the
+whole container is built. A malformed container raises :class:`VolumeError`.
 
 Volumes are single-writer: dump and header_backup are safe concurrently,
 all mutating operations must be serialized by the caller, and a handle may
@@ -37,11 +46,12 @@ import json
 import random
 import uuid as uuid_mod
 from dataclasses import dataclass, field
+from typing import BinaryIO, Iterator
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .util import make_rng, pack_bytes, unpack_bytes
+from .util import make_rng, pack_bytes
 
 VOLUME_MAGIC = b"TSVOL1\n"
 
@@ -53,6 +63,11 @@ TAG_BYTES = 16
 SLOT_COUNT = 8
 SECTOR_BYTES = 512
 SECTOR_RECORD_BYTES = NONCE_BYTES + SECTOR_BYTES + TAG_BYTES
+WRAPPED_KEY_BYTES = NONCE_BYTES + MASTER_KEY_BYTES + TAG_BYTES
+MK_DIGEST_BYTES = 64
+_MAX_HEADER_RECORD_BYTES = 1 << 16
+_CHUNK_RECORDS = 256  # sector records per part written or read of a container
+_ZERO_SECTOR = bytes(SECTOR_BYTES)
 DEFAULT_KDF_ITERATIONS = 10_000
 
 
@@ -394,23 +409,19 @@ def write_sector(handle: UnlockedVolume, index: int, plaintext: bytes) -> None:
 
 
 def read_image(handle: UnlockedVolume) -> bytearray:
-    """The whole plaintext image, decrypted sector by sector into one buffer of its size."""
-    image = bytearray(handle.volume.sector_count * SECTOR_BYTES)
-    with memoryview(image) as view:
-        for i in range(handle.volume.sector_count):
-            view[i * SECTOR_BYTES:(i + 1) * SECTOR_BYTES] = read_sector(handle, i)
+    """The plaintext image through its last non-zero sector; zeros follow to capacity.
+
+    Every sector is decrypted and authenticated. The buffer grows only when a
+    non-zero sector arrives, so a volume's zero tail is never stored.
+    """
+    image = bytearray()
+    for i in range(handle.volume.sector_count):
+        sector = read_sector(handle, i)
+        if sector != _ZERO_SECTOR:
+            while len(image) < i * SECTOR_BYTES:  # zero sectors inside the content
+                image += _ZERO_SECTOR
+            image += sector
     return image
-
-
-def content_end(image: bytes | bytearray) -> int:
-    """Length of ``image`` without its zero tail, found by stepping back over
-    zero blocks, then zero sectors: no byte-by-byte scan of a 16 MiB image."""
-    end = len(image)
-    for zeros in (bytes(64 * SECTOR_BYTES), bytes(SECTOR_BYTES)):
-        while end >= len(zeros) and image.startswith(zeros, end - len(zeros)):
-            end -= len(zeros)
-    lo = max(0, end - SECTOR_BYTES)
-    return lo + len(image[lo:end].rstrip(b"\x00"))
 
 
 def write_image(handle: UnlockedVolume, image: bytes, old: bytes | None = None) -> None:
@@ -538,43 +549,81 @@ def _header_record(header: VolumeHeader) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 
 
+def _header_bytes(value: str, size: int) -> bytes:
+    raw = bytes.fromhex(value)
+    if len(raw) != size:
+        raise VolumeError(f"header field holds {len(raw)} bytes, expected {size}")
+    return raw
+
+
+def _header_count(value: int) -> int:
+    if type(value) is not int or value < 1:
+        raise VolumeError(f"header count {value!r} is not a positive integer")
+    return value
+
+
 def _header_from_record(raw: bytes) -> VolumeHeader:
-    doc = json.loads(raw)
-    slots = []
-    for entry in doc["slots"]:
-        if entry["state"] == "active":
-            slots.append(KeySlot(
+    """The header whose canonical record is ``raw``; anything else raises VolumeError."""
+    try:
+        doc = json.loads(raw)
+        slots = [
+            KeySlot(
                 state="active",
-                salt=bytes.fromhex(entry["salt"]),
-                kdf_iterations=entry["kdf_iterations"],
-                wrapped_key=bytes.fromhex(entry["wrapped_key"]),
-            ))
-        else:
-            slots.append(KeySlot())
-    return VolumeHeader(
-        uuid=bytes.fromhex(doc["uuid"]),
-        spec=CipherSpec(**doc["spec"]),
-        slots=slots,
-        mk_digest_salt=bytes.fromhex(doc["mk_digest_salt"]),
-        mk_digest=bytes.fromhex(doc["mk_digest"]),
-        sector_count=doc["sector_count"],
-    )
+                salt=_header_bytes(entry["salt"], SALT_BYTES),
+                kdf_iterations=_header_count(entry["kdf_iterations"]),
+                wrapped_key=_header_bytes(entry["wrapped_key"], WRAPPED_KEY_BYTES),
+            ) if entry["state"] == "active" else KeySlot()
+            for entry in doc["slots"]
+        ]
+        header = VolumeHeader(
+            uuid=_header_bytes(doc["uuid"], 16),
+            spec=CipherSpec(**{k: _header_count(v) for k, v in doc["spec"].items()}),
+            slots=slots,
+            mk_digest_salt=_header_bytes(doc["mk_digest_salt"], SALT_BYTES),
+            mk_digest=_header_bytes(doc["mk_digest"], MK_DIGEST_BYTES),
+            sector_count=_header_count(doc["sector_count"]),
+        )
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
+        raise VolumeError(f"malformed volume header ({type(exc).__name__}: {exc})") from None
+    if _header_record(header) != raw:
+        raise VolumeError("volume header record is not in canonical form")
+    return header
 
 
-def serialize_volume(volume: EncryptedVolume) -> bytes:
-    parts = [VOLUME_MAGIC, pack_bytes(_header_record(volume.header))]
-    parts.extend(volume.sectors)
-    return b"".join(parts)
+def serialize_volume(volume: EncryptedVolume) -> Iterator[bytes]:
+    """The TSVOL1 container in parts: magic, header record, then the sector
+    records, ``_CHUNK_RECORDS`` to a part."""
+    yield VOLUME_MAGIC
+    yield pack_bytes(_header_record(volume.header))
+    sectors = volume.sectors
+    for first in range(0, len(sectors), _CHUNK_RECORDS):
+        yield b"".join(sectors[first:first + _CHUNK_RECORDS])
 
 
-def deserialize_volume(blob: bytes, rng: random.Random | None = None) -> EncryptedVolume:
-    if not blob.startswith(VOLUME_MAGIC):
+def deserialize_volume(file: BinaryIO, rng: random.Random | None = None) -> EncryptedVolume:
+    """Read a TSVOL1 container from a binary file, ``_CHUNK_RECORDS`` sector records
+    at a time. A malformed header or sector run raises :class:`VolumeError`."""
+    if file.read(len(VOLUME_MAGIC)) != VOLUME_MAGIC:
         raise VolumeError("bad volume magic")
-    record, offset = unpack_bytes(blob, len(VOLUME_MAGIC))
+    prefix = file.read(4)
+    size = int.from_bytes(prefix, "big")
+    if len(prefix) != 4 or size > _MAX_HEADER_RECORD_BYTES:
+        raise VolumeError("bad volume header length")
+    record = file.read(size)
+    if len(record) != size:
+        raise VolumeError("truncated volume header")
     header = _header_from_record(record)
-    end = offset + header.sector_count * SECTOR_RECORD_BYTES
-    if len(blob) != end:
-        raise VolumeError(f"sector data is {len(blob) - offset} bytes, header says "
-                          f"{header.sector_count} records of {SECTOR_RECORD_BYTES}")
-    sectors = [blob[i:i + SECTOR_RECORD_BYTES] for i in range(offset, end, SECTOR_RECORD_BYTES)]
+    sectors: list[bytes] = []
+    for first in range(0, header.sector_count, _CHUNK_RECORDS):
+        want = min(_CHUNK_RECORDS, header.sector_count - first) * SECTOR_RECORD_BYTES
+        chunk = file.read(want)
+        if len(chunk) != want:
+            raise VolumeError(f"sector data ends inside record "
+                              f"{first + len(chunk) // SECTOR_RECORD_BYTES}; the header "
+                              f"says {header.sector_count} records of {SECTOR_RECORD_BYTES}")
+        sectors += [chunk[i:i + SECTOR_RECORD_BYTES]
+                    for i in range(0, want, SECTOR_RECORD_BYTES)]
+    if file.read(1):
+        raise VolumeError(f"bytes follow the {header.sector_count} sector records "
+                          f"the header declares")
     return EncryptedVolume(header, sectors, rng or make_rng())

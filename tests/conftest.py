@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from sealkit.config import ServerConfig
 from sealkit.sealing import prepare_trusted_server, seal_all
 from sealkit.util import SimClock, make_rng
+
+# Property tests draw the same examples on every run and keep no example database.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 # Small disks keep the randomized suites fast; geometry is irrelevant to the
 # protocol properties under test.

@@ -208,7 +208,7 @@ def test_criterion_5_volume_round_trip_and_secrecy():
         assert vol.read_sector(handle, index) == data
         plaintexts.append(data)
 
-    image = vol.serialize_volume(volume)
+    image = b"".join(vol.serialize_volume(volume))
     image_windows = {image[i : i + 16] for i in range(len(image) - 15)}
     for data in plaintexts:
         for i in range(SECTOR_BYTES - 15):

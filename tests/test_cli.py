@@ -101,6 +101,23 @@ def test_verify_tampered_bundle_exits_one(tmp_path, capsys):
     assert "missing critical step" in out
 
 
+@pytest.mark.parametrize("image, offset", [("vm/root.tsvol", 20), ("host/boot.tree", 13)],
+                         ids=["volume-header", "boot-tree"])
+def test_verify_corrupt_image_exits_one_without_traceback(tmp_path, capsys, image, offset):
+    argv = ["--workdir", str(tmp_path), "--seed", "3"]
+    assert run_command(["build", *argv]) == 0
+    assert run_command(["seal", *argv]) == 0
+    capsys.readouterr()
+    path = tmp_path / "images" / image
+    data = bytearray(path.read_bytes())
+    data[offset] ^= 0xFF
+    path.write_bytes(bytes(data))
+    assert run_command(["verify", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sealkit: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_unknown_subcommand_exits_two(capsys):
     assert run_command(["frobnicate"]) == 2
 

@@ -13,6 +13,7 @@ from conftest import SMALL, build_server
 
 from sealkit.cli import run_command
 from sealkit.config import ServerConfig
+from sealkit.machine import save_images
 from sealkit.scenarios import SCENARIOS, run_scenario
 from sealkit.sealing import prepare_trusted_server, seal_all, seal_all_with_escrow
 from sealkit.services import (
@@ -84,8 +85,8 @@ def test_data_vault_and_escrow_seed_90002():
     vm = host.nested_vm
     attach_data_vault(vm, 16, {"/data/records.csv": b"id,value\n1,confidential\n"}, rng)
     vault = vm.extra_disks[-1]
-    assert hashlib.sha3_512(serialize_volume(vault)).hexdigest() == VAULT_90002
-    assert hashlib.sha3_512(serialize_volume(vm.root_volume)).hexdigest() == VM_ROOT_90002
+    assert hashlib.sha3_512(b"".join(serialize_volume(vault))).hexdigest() == VAULT_90002
+    assert hashlib.sha3_512(b"".join(serialize_volume(vm.root_volume))).hexdigest() == VM_ROOT_90002
     bundle, _ = seal_all_with_escrow(host, 2)
     assert bundle.index_digest() == ESCROW_90002_INDEX
 
@@ -96,7 +97,16 @@ def test_serve_geometry_vm_root_seed_90003():
     host = prepare_trusted_server(ServerConfig(vm_sectors=4096), rng=make_rng(90003),
                                   clock=SimClock())
     root = host.nested_vm.root_volume
-    assert hashlib.sha3_512(serialize_volume(root)).hexdigest() == VM_ROOT_4096_90003
+    assert hashlib.sha3_512(b"".join(serialize_volume(root))).hexdigest() == VM_ROOT_4096_90003
+
+
+def test_saved_vm_root_file_seed_90003(tmp_path):
+    # The file save_images writes holds the same bytes as the pinned container.
+    host = prepare_trusted_server(ServerConfig(vm_sectors=4096), rng=make_rng(90003),
+                                  clock=SimClock())
+    save_images(host.nested_vm.snapshot_image(), tmp_path)
+    digest = hashlib.sha3_512((tmp_path / "root.tsvol").read_bytes()).hexdigest()
+    assert digest == VM_ROOT_4096_90003
 
 
 def test_attack_reports_seeds_0_1():
@@ -156,4 +166,4 @@ def test_serve_transcript_seed_90004():
         responses.append(frontend.handle_line(line))
     transcript = "\n".join(responses).encode()
     assert hashlib.sha3_512(transcript).hexdigest() == SERVE_TRANSCRIPT_90004
-    assert hashlib.sha3_512(serialize_volume(vm.root_volume)).hexdigest() == VM_ROOT_SERVE_90004
+    assert hashlib.sha3_512(b"".join(serialize_volume(vm.root_volume))).hexdigest() == VM_ROOT_SERVE_90004

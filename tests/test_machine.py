@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from conftest import build_server
@@ -8,6 +10,7 @@ from sealkit import volume as vol
 from sealkit.config import ServerConfig
 from sealkit.machine import (
     DiskFull,
+    DiskImagePair,
     GeometryMismatch,
     MachineRunning,
     SealedAndCold,
@@ -18,7 +21,12 @@ from sealkit.machine import (
     save_images,
 )
 from sealkit.sealing import seal_all
-from sealkit.tree import FileNode, SymlinkNode
+from sealkit.tree import FileNode, FileTree, SymlinkNode
+from sealkit.util import make_rng
+
+
+def serialized(volume) -> bytes:
+    return b"".join(vol.serialize_volume(volume))
 
 
 def step(kind, command="", **args):
@@ -235,7 +243,7 @@ def test_snapshot_restore_round_trip():
     host.power_off()
     host.restore_image(images)
     again = host.snapshot_image()
-    assert vol.serialize_volume(again.root) == vol.serialize_volume(images.root)
+    assert serialized(again.root) == serialized(images.root)
     assert again.boot.encode() == images.boot.encode()
 
 
@@ -307,8 +315,48 @@ def test_image_save_load_round_trip(tmp_path):
     assert (tmp_path / "host" / "boot.tree").exists()
     assert (tmp_path / "host" / "root.tsvol").exists()
     loaded = load_images(tmp_path / "host")
-    assert vol.serialize_volume(loaded.root) == vol.serialize_volume(images.root)
+    assert serialized(loaded.root) == serialized(images.root)
     assert loaded.boot.encode() == images.boot.encode()
+
+
+def test_saved_volume_files_are_the_serialized_containers(tmp_path):
+    host = build_server(21)
+    vault = vol.format_volume(3, vol.Keyfile.generate(host.rng),
+                              vol.CipherSpec(kdf_iterations=10), host.rng).volume
+    images = DiskImagePair(boot=host.boot_partition, root=host.root_volume, extras=[vault])
+    save_images(images, tmp_path)
+    assert (tmp_path / "root.tsvol").read_bytes() == serialized(host.root_volume)
+    assert (tmp_path / "extra0.tsvol").read_bytes() == serialized(vault)
+    assert serialized(load_images(tmp_path).extras[0]) == serialized(vault)
+
+
+def test_load_images_holds_no_second_copy_of_the_sectors(tmp_path):
+    keyfile = vol.Keyfile.generate(make_rng(5))
+    root = vol.format_volume(32768, keyfile, vol.CipherSpec(kdf_iterations=10),
+                             make_rng(5)).volume
+    save_images(DiskImagePair(boot=FileTree(), root=root), tmp_path)
+    del root
+    tracemalloc.start()
+    try:
+        loaded = load_images(tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(loaded.root.sectors) == 32768
+    assert peak < 1.15 * 32768 * vol.SECTOR_RECORD_BYTES
+
+
+def test_tree_ending_in_a_zero_run_survives_boot_and_image_reads():
+    host = build_server(23)
+    host.boot()
+    # The last record in path order ends in zero sectors, which read_image leaves out.
+    host.write_file("/zzz", bytes(3 * vol.SECTOR_BYTES))
+    tree = host.ram.tree.copy()
+    host.power_off()
+    assert full_tree_from_images(host.snapshot_image()).read_file("/zzz") == bytes(
+        3 * vol.SECTOR_BYTES)
+    host.boot()
+    assert host.ram.tree == tree
 
 
 def test_full_tree_from_images_mounts_boot():

@@ -3,8 +3,11 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sealkit.tree import FileTree, MissingPath, TreeError
+from sealkit.util import pack_bytes
 
 
 def sample_tree():
@@ -74,6 +77,82 @@ def test_decode_tolerates_zero_padding():
     tree = sample_tree()
     padded = tree.encode() + b"\x00" * 512
     assert FileTree.decode(padded) == tree
+
+
+def test_decode_reads_zeros_past_the_buffer_up_to_size():
+    tree = sample_tree()
+    tree.write_file("/var/zeros", bytes(600))  # the last record ends in a zero run
+    blob = tree.encode()
+    head = blob.rstrip(b"\x00")
+    assert FileTree.decode(head, len(blob) + 512) == tree
+    with pytest.raises(TreeError):
+        FileTree.decode(head)
+    with pytest.raises(TreeError):
+        FileTree.decode(head, len(blob) - 1)
+
+
+def encoding(*records: tuple[str | bytes, int, bytes]) -> bytes:
+    """A TSTREE1 encoding of (path, kind, data) records, as given."""
+    out = [b"TSTREE1\n", len(records).to_bytes(4, "big")]
+    for path, kind, data in records:
+        raw_path = path.encode() if isinstance(path, str) else path
+        out += [pack_bytes(raw_path), bytes([kind]), pack_bytes(data)]
+    return b"".join(out)
+
+
+ROOT = ("/", 0, b"")
+
+
+def test_encoding_helper_matches_encode():
+    tree = FileTree()
+    tree.write_file("/a", b"1")
+    assert encoding(ROOT, ("/a", 1, b"1")) == tree.encode()
+
+
+@pytest.mark.parametrize("blob", [
+    b"",
+    b"TSTREE1\n",
+    encoding(),
+    encoding(("/", 1, b"")),
+    encoding(ROOT, ROOT),
+    encoding(ROOT, ("/d", 0, b"data")),
+    encoding(ROOT, ("/a", 3, b"")),
+    encoding(ROOT, ("/a", 1, b"1"))[:-1],
+    encoding(ROOT, (b"/\xff", 1, b"")),
+    encoding(ROOT, ("/a", 2, b"\xff")),
+], ids=["empty", "magic-only", "no-records", "root-file", "root-twice", "dir-with-data",
+        "unknown-kind", "truncated", "path-not-utf8", "target-not-utf8"])
+def test_decode_rejects_malformed_encodings(blob):
+    with pytest.raises(TreeError):
+        FileTree.decode(blob)
+
+
+@pytest.mark.parametrize("first, second", [
+    ("/b", "/a"),  # out of order
+    ("/a", "/a"),  # duplicate
+    ("/a", "/a/../b"),  # not normalized
+    ("/a", "/c/d"),  # no parent
+    ("/a", "/a/x"),  # parent is a file
+    ("/a", "b"),  # relative
+])
+def test_decode_rejects_non_canonical_paths(first, second):
+    with pytest.raises(TreeError):
+        FileTree.decode(encoding(ROOT, (first, 1, b"1"), (second, 1, b"2")))
+
+
+SAMPLE_ENCODING = sample_tree().encode()
+
+
+@settings(max_examples=1000)
+@given(st.integers(0, len(SAMPLE_ENCODING) - 1), st.integers(1, 255))
+def test_one_byte_mutation_decodes_canonically_or_raises_tree_error(index, flip):
+    blob = bytearray(SAMPLE_ENCODING)
+    blob[index] ^= flip
+    try:
+        tree = FileTree.decode(bytes(blob))
+    except TreeError:
+        return
+    assert bytes(blob).startswith(tree.encode())
 
 
 def test_copy_is_independent():

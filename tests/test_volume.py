@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import io
+import json
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sealkit import volume as vol
-from sealkit.util import make_rng
+from sealkit.util import make_rng, pack_bytes
 from sealkit.volume import (
     AuthFailure,
     CipherSpec,
@@ -17,6 +21,7 @@ from sealkit.volume import (
     NONCE_BYTES,
     NoMatchingSlot,
     OutOfRange,
+    SALT_BYTES,
     SECTOR_BYTES,
     StaleHandle,
     VolumeError,
@@ -30,6 +35,19 @@ FAST = CipherSpec(kdf_iterations=10)
 def make_volume(rng, sectors=4, spec=None):
     keyfile = Keyfile.generate(rng)
     return vol.format_volume(sectors, keyfile, spec or FAST, rng).volume, keyfile
+
+
+def read_padded(handle) -> bytes:
+    """``read_image`` zero-padded to capacity, once it is checked to end at its
+    last non-zero sector."""
+    image = vol.read_image(handle)
+    assert len(image) % SECTOR_BYTES == 0
+    assert not image or image[-SECTOR_BYTES:] != bytes(SECTOR_BYTES)
+    return bytes(image).ljust(handle.volume.sector_count * SECTOR_BYTES, b"\x00")
+
+
+def serialized(volume) -> bytes:
+    return b"".join(vol.serialize_volume(volume))
 
 
 def window_in(haystack: bytes, needle: bytes, width: int = 16) -> bool:
@@ -84,8 +102,8 @@ def test_format_installs_image_with_one_write_per_sector(rng, monkeypatch):
     handle = vol.format_volume(6, keyfile, FAST, rng, image=image)
     assert written == list(range(6))
     padded = image.ljust(6 * SECTOR_BYTES, b"\x00")
-    assert vol.read_image(handle) == padded
-    assert vol.read_image(vol.unlock(handle.volume, keyfile)) == padded
+    assert read_padded(handle) == padded
+    assert read_padded(vol.unlock(handle.volume, keyfile)) == padded
 
 
 def test_one_nonce_draw_equals_per_sector_draws():
@@ -215,22 +233,40 @@ def test_image_round_trip_is_zero_padded_to_capacity(rng):
     image = rng.randbytes(3 * SECTOR_BYTES + 7)
     assert vol.write_image(handle, image) is None
     padded = image + b"\x00" * (SECTOR_BYTES - 7)
-    assert vol.read_image(handle) == padded
-    assert vol.read_image(vol.unlock(volume, keyfile)) == padded
+    assert read_padded(handle) == padded
+    assert read_padded(vol.unlock(volume, keyfile)) == padded
 
 
-def test_read_image_allocates_the_image_once(rng):
-    """One buffer of the image's size: no growing copies, no second full copy."""
-    volume, keyfile = make_volume(rng, sectors=2048)
-    handle = vol.unlock(volume, keyfile)
+def traced_read_image(handle) -> tuple[bytearray, int]:
+    """``read_image``'s result and the peak of the memory it allocated."""
     tracemalloc.start()
     try:
         image = vol.read_image(handle)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert image == bytes(2048 * SECTOR_BYTES)
+    return image, peak
+
+
+def test_read_image_allocates_the_image_once(rng):
+    """A full volume: one buffer grown in place, no second full copy."""
+    volume, keyfile = make_volume(rng, sectors=2048)
+    handle = vol.unlock(volume, keyfile)
+    full = rng.randbytes(2048 * SECTOR_BYTES)
+    vol.write_image(handle, full)
+    image, peak = traced_read_image(handle)
+    assert image == full
     assert peak < 1.1 * len(image)
+
+
+@pytest.mark.parametrize("content", [b"", b"\x01" * 100], ids=["all-zero", "one-sector"])
+def test_read_image_stores_no_zero_tail(rng, content):
+    volume, keyfile = make_volume(rng, sectors=2048)
+    handle = vol.unlock(volume, keyfile)
+    vol.write_image(handle, content)
+    image, peak = traced_read_image(handle)
+    assert image == content.ljust(len(content) and SECTOR_BYTES, b"\x00")
+    assert peak < 8 * 1024
 
 
 def test_image_write_replaces_only_changed_sectors(rng):
@@ -286,18 +322,22 @@ def test_image_write_rewrites_exactly_the_differing_sectors(rng, monkeypatch, se
     assert written == expected
     if zeros:
         assert written == []  # only zero bytes moved between content and tail
-    assert vol.read_image(vol.unlock(volume, keyfile)) == padded_new
+    assert read_padded(vol.unlock(volume, keyfile)) == padded_new
 
 
 @pytest.mark.parametrize("end", [0, 1, 511, 512, 513, 1000, 64 * 512 - 1, 64 * 512,
                                  64 * 512 + 1, 65 * 512, 80 * 512 - 1, 80 * 512])
 def test_content_end_finds_the_zero_tail(rng, end):
+    """``read_image`` stops at the sector holding the content's last byte."""
     image = bytearray(80 * SECTOR_BYTES)
     image[:end] = rng.randbytes(end)
     image[end // 3:end // 2] = bytes(end // 2 - end // 3)  # a zero run inside the content
     if end:
         image[end - 1] = 0x5A
-    assert vol.content_end(bytes(image)) == len(bytes(image).rstrip(b"\x00")) == end
+    volume, keyfile = make_volume(rng, sectors=80)
+    handle = vol.unlock(volume, keyfile)
+    vol.write_image(handle, bytes(image))
+    assert vol.read_image(handle) == image[:-(-end // SECTOR_BYTES) * SECTOR_BYTES]
 
 
 def test_sector_cipher_built_once_per_key(rng, monkeypatch):
@@ -511,17 +551,17 @@ def test_volume_container_round_trip(rng):
     handle = vol.unlock(volume, keyfile)
     payload = rng.randbytes(SECTOR_BYTES)
     vol.write_sector(handle, 3, payload)
-    blob = vol.serialize_volume(volume)
+    blob = serialized(volume)
     assert blob.startswith(b"TSVOL1\n")
-    restored = vol.deserialize_volume(blob, rng)
+    restored = vol.deserialize_volume(io.BytesIO(blob), rng)
     again = vol.unlock(restored, keyfile)
     assert vol.read_sector(again, 3) == payload
-    assert vol.serialize_volume(restored) == blob
+    assert serialized(restored) == blob
 
 
 def test_deserialize_rejects_garbage(rng):
     with pytest.raises(VolumeError):
-        vol.deserialize_volume(b"not a volume", rng)
+        vol.deserialize_volume(io.BytesIO(b"not a volume"), rng)
 
 
 @pytest.mark.parametrize("mangle", [
@@ -531,10 +571,63 @@ def test_deserialize_rejects_garbage(rng):
 ], ids=["truncated-mid-sector", "trailing-byte", "missing-record"])
 def test_deserialize_rejects_sector_data_of_the_wrong_length(rng, mangle):
     volume, _ = make_volume(rng, sectors=3)
-    blob = vol.serialize_volume(volume)
-    assert vol.deserialize_volume(blob, rng).sectors == volume.sectors
+    blob = serialized(volume)
+    assert vol.deserialize_volume(io.BytesIO(blob), rng).sectors == volume.sectors
     with pytest.raises(VolumeError):
-        vol.deserialize_volume(mangle(blob), rng)
+        vol.deserialize_volume(io.BytesIO(mangle(blob)), rng)
+
+
+CONTAINER = serialized(make_volume(make_rng(7), sectors=2)[0])
+HEADER_END = len(vol.VOLUME_MAGIC) + 4 + int.from_bytes(
+    CONTAINER[len(vol.VOLUME_MAGIC):len(vol.VOLUME_MAGIC) + 4], "big")
+
+
+@settings(max_examples=1000)
+@given(st.integers(0, HEADER_END - 1), st.integers(1, 255))
+def test_one_byte_header_mutation_loads_canonically_or_raises_volume_error(index, flip):
+    blob = bytearray(CONTAINER)
+    blob[index] ^= flip
+    try:
+        volume = vol.deserialize_volume(io.BytesIO(blob))
+    except VolumeError:
+        return
+    assert serialized(volume) == bytes(blob)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, len(CONTAINER) - 1) | st.integers(len(CONTAINER) + 1, 2 * len(CONTAINER)))
+def test_container_of_the_wrong_length_raises_volume_error(length):
+    blob = CONTAINER[:length].ljust(length, b"\x00")
+    with pytest.raises(VolumeError):
+        vol.deserialize_volume(io.BytesIO(blob))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.update(uuid="ab" * 15),
+    lambda doc: doc.update(sector_count=True),
+    lambda doc: doc.update(sector_count=0),
+    lambda doc: doc["spec"].update(kdf_iterations=10.0),
+    lambda doc: doc["spec"].update(extra=1),
+    lambda doc: doc["slots"][0].update(salt="AB" * SALT_BYTES),
+    lambda doc: doc["slots"][0].update(state="on"),
+    lambda doc: doc["slots"].pop(),
+    lambda doc: doc.update(slots={}),
+], ids=["short-uuid", "bool-count", "zero-sectors", "float-iterations", "unknown-spec-key",
+        "uppercase-hex", "unknown-slot-state", "seven-slots", "slots-not-a-list"])
+def test_well_formed_json_that_is_not_a_header_raises_volume_error(edit):
+    start = len(vol.VOLUME_MAGIC) + 4
+    doc = json.loads(CONTAINER[start:HEADER_END])
+    edit(doc)
+    record = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    blob = vol.VOLUME_MAGIC + pack_bytes(record) + CONTAINER[HEADER_END:]
+    with pytest.raises(VolumeError):
+        vol.deserialize_volume(io.BytesIO(blob))
+
+
+def test_header_length_beyond_the_limit_raises_before_reading():
+    blob = vol.VOLUME_MAGIC + (1 << 31).to_bytes(4, "big")
+    with pytest.raises(VolumeError, match="header length"):
+        vol.deserialize_volume(io.BytesIO(blob))
 
 
 # -- sealed-volume inaccessibility fuzz -------------------------------------------------
@@ -584,4 +677,4 @@ def test_sealed_volume_call_sequences_never_yield_plaintext():
                     if isinstance(result, str):
                         assert not window_in(result.encode(), secret)
                     assert not isinstance(result, vol.UnlockedVolume)
-                assert not window_in(vol.serialize_volume(volume), secret)
+                assert not window_in(serialized(volume), secret)
