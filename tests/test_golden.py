@@ -15,7 +15,13 @@ from sealkit.cli import run_command
 from sealkit.config import ServerConfig
 from sealkit.machine import save_images
 from sealkit.scenarios import SCENARIOS, run_scenario
-from sealkit.sealing import prepare_trusted_server, seal_all, seal_all_with_escrow
+from sealkit.sealing import (
+    default_plan,
+    prepare_trusted_server,
+    seal_all,
+    seal_all_with_escrow,
+    single_stage_host_plan,
+)
 from sealkit.services import (
     CredentialDirectory,
     ServiceFrontend,
@@ -57,6 +63,10 @@ ATTACK_REPORTS_SMALL_SEEDS_0_1 = (
     "c8b4a7d04d4f02991ef1bfb6f1c0aa85af8c867f35a3e43669514ea98caf7d1b"
     "996e66211a6db2952707fd5b135c50df6e523bfa4b9a447eb905f3ef829e7aa2"
 )
+PLANS_SMALL_AND_ALT = (
+    "7990a373f197d6d9430433a4b3a8048409cb56e57cbe619d4947d59b7c91b168"
+    "613f6f1480f5cb68feda50f0693819246b45605ebaab20e7bfdc3ad53c63f6b4"
+)
 ESCROW_90002_INDEX = (
     "89a067c57df9401c660ff6d9cf9c3485ebefeee116d256bb03576446579a09e7"
     "25b3ee8771cbcaa27d78767b1c9673f52754184abb79262a24cb02d24396d314"
@@ -66,6 +76,22 @@ ESCROW_90002_INDEX = (
 def test_small_seed_90001_bundle_digest():
     host = build_server(90001, SMALL)
     assert seal_all(host).index_digest() == SMALL_90001_INDEX
+
+
+def test_plan_steps_small_and_alt_config():
+    # Every step of both plans, stage by stage, for the default layout and one
+    # with its own webroot, VM name, mail address and hash roots.
+    alt = ServerConfig(webroot="/srv/pub", vm_name="tsvm2", mail_to="ops@example.net",
+                       hash_roots=("/etc", "/usr/bin", "/srv"))
+    rows = [
+        [stage, step.kind, step.command, step.args, step.critical]
+        for config in (SMALL, alt)
+        for plan in (default_plan(config), single_stage_host_plan(config))
+        for stage, steps in (("host", plan.host_steps), ("vm", plan.vm_steps))
+        for step in steps
+    ]
+    digest = hashlib.sha3_512(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == PLANS_SMALL_AND_ALT
 
 
 def test_cli_build_seal_seed_1_bundle_digest(tmp_path, capsys):
