@@ -17,8 +17,7 @@ DEFAULT_HASH_ROOTS = (
 NON_RECURSIVE_ROOTS = ("/usr/bin",)
 
 # Config-file keys that set the ServerConfig field of the same name.
-_INT_KEYS = ("host_ssh_rule_index", "vm_ssh_rule_index", "host_sectors", "vm_sectors",
-            "vault_sectors")
+_INT_KEYS = ("host_sectors", "vm_sectors", "vault_sectors")
 _STR_KEYS = ("mail_to", "server_address", "webroot", "vm_name")
 
 
@@ -28,8 +27,6 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class ServerConfig:
-    host_ssh_rule_index: int = 4
-    vm_ssh_rule_index: int = 5
     mail_to: str = "auditor@example.org"
     server_address: str = "203.0.113.80"
     webroot: str = "/var/www/log"
@@ -52,8 +49,6 @@ class ServerConfig:
         ]
 
     def validate(self) -> None:
-        if self.host_ssh_rule_index < 1 or self.vm_ssh_rule_index < 1:
-            raise ConfigError("firewall rule indices are 1-based")
         if "@" not in self.mail_to:
             raise ConfigError(f"mail_to does not look like an address: {self.mail_to!r}")
         if not self.webroot.startswith("/"):
@@ -68,10 +63,11 @@ class ServerConfig:
 def parse_config(text: str) -> ServerConfig:
     """Parse ``key = value`` lines; '#' starts a comment.
 
-    Recognized keys: host_ssh_rule_index, vm_ssh_rule_index, mail_to,
-    server_address, webroot, hash_roots (comma separated), millionaires_order
-    (descending|ascending), host_sectors, vm_sectors, vault_sectors, vm_name,
-    ldap_user.<name> = <password>, dns.<domain> = <address>.
+    Recognized keys: mail_to, server_address, webroot, hash_roots (comma
+    separated), millionaires_order (descending|ascending), host_sectors,
+    vm_sectors, vault_sectors, vm_name, ldap_user.<name> = <password>,
+    dns.<domain> = <address>. Each stage deletes the ssh accept rule at its
+    position in the stage's built-in rule table, so no key sets it.
     """
     cfg = ServerConfig()
     ldap_users = list(cfg.ldap_users)

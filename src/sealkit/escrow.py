@@ -174,10 +174,15 @@ def deserialize_share(blob: bytes) -> KeyShare:
     if not blob.startswith(SHARE_MAGIC):
         raise EscrowError("bad share magic")
     offset = len(SHARE_MAGIC)
-    index, offset = unpack_bytes(blob, offset)
-    total, offset = unpack_bytes(blob, offset)
-    commitment, offset = unpack_bytes(blob, offset)
-    payload, offset = unpack_bytes(blob, offset)
+    try:
+        index, offset = unpack_bytes(blob, offset)
+        total, offset = unpack_bytes(blob, offset)
+        commitment, offset = unpack_bytes(blob, offset)
+        payload, offset = unpack_bytes(blob, offset)
+    except ValueError as exc:
+        raise EscrowError(f"corrupt share file: {exc}") from None
+    if len(index) != 4 or len(total) != 4:
+        raise EscrowError("share index and total must be 4 bytes each")
     if offset != len(blob):
         raise EscrowError("trailing bytes in share file")
     return KeyShare(

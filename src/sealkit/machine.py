@@ -38,8 +38,6 @@ HOST_ROOT_DEVICE = "/dev/sda2"
 VM_ROOT_DEVICE_FROM_HOST = "/dev/sdb2"
 VM_ROOT_DEVICE = "/dev/vda2"
 
-LOGIN_SHELLS = ("/bin/bash", "/bin/sh")
-
 
 class MachineError(Exception):
     pass
@@ -55,12 +53,6 @@ class MachineNotRunning(MachineError):
 
 class SealedAndCold(MachineError):
     """Boot impossible: keyslots erased and the master key left RAM."""
-
-
-@dataclass
-class UserAccount:
-    name: str
-    login_enabled: bool
 
 
 @dataclass
@@ -115,7 +107,6 @@ class SealingStep:
 class RamState:
     handle: UnlockedVolume
     tree: FileTree
-    users: dict[str, UserAccount]
     services: ServiceState
     firewall: FirewallPolicy
     content: bytes  # the root volume's plaintext is this, then zeros to capacity
@@ -156,17 +147,6 @@ def provision(*, root_tree: FileTree, boot_tree: FileTree, sector_count: int,
 
 def passwd_line(name: str, uid: int, gid: int, gecos: str, home: str, shell: str) -> str:
     return f"{name}:x:{uid}:{gid}:{gecos}:{home}:{shell}\n"
-
-
-def parse_passwd(text: str) -> dict[str, UserAccount]:
-    users: dict[str, UserAccount] = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        fields = line.split(":")
-        name, shell = fields[0], fields[-1]
-        users[name] = UserAccount(name=name, login_enabled=shell in LOGIN_SHELLS)
-    return users
 
 
 def render_iptables_save(fw: FirewallPolicy) -> str:
@@ -280,7 +260,6 @@ class Machine:
 
         tree, image = read_volume_tree(handle)
         content = bytes(image.rstrip(b"\x00"))
-        users = parse_passwd(tree.read_text("/etc/passwd")) if tree.is_file("/etc/passwd") else {}
 
         services = ServiceState()
         services.ssh = "installed" if tree.is_file("/usr/sbin/sshd") else "purged"
@@ -299,7 +278,7 @@ class Machine:
             )
 
         self.ram = RamState(
-            handle=handle, tree=tree, users=users, services=services,
+            handle=handle, tree=tree, services=services,
             firewall=firewall, content=content,
         )
         self.power = "on"
@@ -463,7 +442,8 @@ class Machine:
 
     def _step_remove_user(self, ram, args):
         name = args["name"]
-        if name not in ram.users:
+        passwd = ram.tree.read_text("/etc/passwd") if ram.tree.is_file("/etc/passwd") else ""
+        if not any(line.startswith(f"{name}:") for line in passwd.splitlines()):
             return f"userdel: user '{name}' does not exist", 1
         for path in ("/etc/passwd", "/etc/shadow", "/etc/group"):
             if ram.tree.is_file(path):
@@ -473,7 +453,6 @@ class Machine:
                 ]
                 ram.tree.write_file(path, ("\n".join(kept) + "\n").encode())
         self._sync_volume()
-        del ram.users[name]
         return "", 0
 
     def _step_luks_erase(self, ram, args):

@@ -103,114 +103,6 @@ def _step(kind: str, command: str, critical: bool = False, **args) -> SealingSte
     return SealingStep(kind=kind, command=command, args=args, critical=critical)
 
 
-def _hash_steps(config: ServerConfig) -> list[SealingStep]:
-    steps = []
-    for spec in config.root_specs():
-        if spec.recursive:
-            steps.append(_step("hash_tree", f"rhash -r --sha3-512 {spec.path}",
-                               root=spec.path, recursive=True))
-        else:
-            steps.append(_step("hash_tree", f"rhash --sha3-512 {spec.path}/*",
-                               root=spec.path, recursive=False))
-    return steps
-
-
-def default_plan(config: ServerConfig) -> SealingPlan:
-    w = config.webroot
-
-    host: list[SealingStep] = [
-        _step("set_output_drop", "iptables -P OUTPUT DROP"),
-        _step("delete_input_rule", f"iptables -D INPUT {config.host_ssh_rule_index}",
-              index=config.host_ssh_rule_index),
-        _step("list_rules_save", "iptables-save"),
-        _step("list_rules_table", "iptables -L -n"),
-        _step("show_file", "cat /etc/hosts.allow", path="/etc/hosts.allow"),
-        _step("show_file", "cat /etc/hosts.deny", path="/etc/hosts.deny"),
-        _step("purge_ssh", "apt-get -y purge openssh-server"),
-        _step("service_status", "systemctl status sshd", unit="sshd"),
-        _step("remove_user", "userdel -f trust", name="trust"),
-        _step("show_file", "cat /etc/passwd", path="/etc/passwd"),
-        _step("show_file", "cat /etc/shadow", path="/etc/shadow"),
-        _step("luks_erase", f"cryptsetup luksErase {HOST_ROOT_DEVICE}",
-              critical=True, target="self"),
-        _step("luks_dump", f"cryptsetup luksDump {HOST_ROOT_DEVICE}", target="self"),
-        _step("luks_dump", f"cryptsetup luksDump {VM_ROOT_DEVICE_FROM_HOST}", target="vm"),
-        _step("reencrypt_vm",
-              f"cryptsetup-reencrypt -v -d /mnt/keyfile -l 512 {VM_ROOT_DEVICE_FROM_HOST}",
-              critical=True),
-        _step("luks_dump", f"cryptsetup luksDump {VM_ROOT_DEVICE_FROM_HOST}", target="vm"),
-        _step("zip_tree", "zip -r /mnt/etc-host.zip /etc",
-              src="/etc", dest="vm_boot", name="etc-host.zip"),
-        _step("zip_tree", "zip -r /mnt/root-host.zip /root",
-              src="/root", dest="vm_boot", name="root-host.zip"),
-        _step("list_files", "ls -RlA /"),
-        *_hash_steps(config),
-        _step("copy_log_to_vm_boot", f"cp /root/{HOST_LOG_NAME} /mnt"),
-        _step("start_vm", f"virsh start {config.vm_name}", name=config.vm_name),
-    ]
-
-    vm: list[SealingStep] = [
-        _step("remove_hosts_allow", "rm /etc/hosts.allow"),
-        _step("set_output_drop", "iptables -P OUTPUT DROP"),
-        _step("delete_input_rule", f"iptables -D INPUT {config.vm_ssh_rule_index}",
-              index=config.vm_ssh_rule_index),
-        _step("list_rules_save", "iptables-save"),
-        _step("list_rules_table", "iptables -L -n"),
-        _step("show_file", "cat /etc/hosts.allow", path="/etc/hosts.allow"),
-        _step("show_file", "cat /etc/hosts.deny", path="/etc/hosts.deny"),
-        _step("purge_ssh", "apt-get -y purge openssh-server"),
-        _step("service_status", "systemctl status sshd", unit="sshd"),
-        _step("remove_user", "userdel -f trust", name="trust"),
-        _step("show_file", "cat /etc/passwd", path="/etc/passwd"),
-        _step("show_file", "cat /etc/group", path="/etc/group"),
-        _step("show_file", "cat /etc/shadow", path="/etc/shadow"),
-        _step("luks_erase", f"cryptsetup luksErase {VM_ROOT_DEVICE}",
-              critical=True, target="self"),
-        _step("luks_dump", f"cryptsetup luksDump {VM_ROOT_DEVICE}", target="self"),
-        _step("move_from_boot", f"mv /boot/{HOST_LOG_NAME} {w}",
-              name=HOST_LOG_NAME, dest_dir=w),
-        _step("move_from_boot", f"mv /boot/etc-host.zip {w}",
-              name="etc-host.zip", dest_dir=w),
-        _step("move_from_boot", f"mv /boot/root-host.zip {w}",
-              name="root-host.zip", dest_dir=w),
-        _step("chown_webroot", "chown www-data:www-data /var/www"),
-        _step("zip_tree", f"zip -r {w}/etc-vm.zip /etc",
-              src="/etc", dest="tree", dest_path=f"{w}/etc-vm.zip"),
-        _step("zip_tree", f"zip -r {w}/trust-vm.zip /home/trust",
-              src="/home/trust", dest="tree", dest_path=f"{w}/trust-vm.zip"),
-        _step("ldap_dump", f"date >> {w}/ldap.txt && slapcat >> {w}/ldap.txt",
-              dest=f"{w}/ldap.txt"),
-        _step("chown_webroot", "chown -R www-data:www-data /var/www"),
-        _step("list_files", "ls -RlA /"),
-        *_hash_steps(config),
-        _step("append_date", "echo $(date) >> /home/trust/date.txt",
-              path="/home/trust/date.txt"),
-        _step("start_web", "systemctl start apache2"),
-        _step("send_mail",
-              f'mail -s "trusted server running@{config.server_address}" '
-              f"{config.mail_to} < /home/trust/date.txt",
-              to=config.mail_to,
-              subject=f"trusted server running@{config.server_address}",
-              body_path="/home/trust/date.txt"),
-    ]
-    return SealingPlan(host_steps=tuple(host), vm_steps=tuple(vm))
-
-
-def single_stage_host_plan(config: ServerConfig) -> SealingPlan:
-    """Host-only seal: keyslot erase without the VM reencryption stage."""
-    full = default_plan(config)
-    kept = tuple(
-        step for step in full.host_steps
-        if step.kind not in ("reencrypt_vm", "zip_tree", "copy_log_to_vm_boot",
-                             "start_vm")
-        and step.args.get("target") != "vm"
-    )
-    return SealingPlan(host_steps=kept, vm_steps=())
-
-
-# -- server construction --------------------------------------------------------------
-
-
 _HOST_RULES = [
     "-A INPUT -m state --state RELATED,ESTABLISHED -j ACCEPT",
     "-A INPUT -i lo -j ACCEPT",
@@ -229,6 +121,105 @@ _VM_RULES = [
     "-A INPUT -j DROP",
 ]
 
+_HOST_ACCOUNT_FILES = ("/etc/passwd", "/etc/shadow")
+_VM_ACCOUNT_FILES = ("/etc/passwd", "/etc/group", "/etc/shadow")
+
+
+def _lockdown(rules: list[str], account_files: tuple[str, ...],
+              device: str) -> list[SealingStep]:
+    """The steps both stages run before publishing anything: firewall, ssh
+    purge, admin login removal and keyslot erase, each with its listing."""
+    # iptables -D counts from 1; the rule table is the one the stage boots with
+    index = next(i for i, rule in enumerate(rules, start=1) if "--dport 22" in rule)
+    return [
+        _step("set_output_drop", "iptables -P OUTPUT DROP"),
+        _step("delete_input_rule", f"iptables -D INPUT {index}", index=index),
+        _step("list_rules_save", "iptables-save"),
+        _step("list_rules_table", "iptables -L -n"),
+        _step("show_file", "cat /etc/hosts.allow", path="/etc/hosts.allow"),
+        _step("show_file", "cat /etc/hosts.deny", path="/etc/hosts.deny"),
+        _step("purge_ssh", "apt-get -y purge openssh-server"),
+        _step("service_status", "systemctl status sshd", unit="sshd"),
+        _step("remove_user", "userdel -f trust", name="trust"),
+        *(_step("show_file", f"cat {path}", path=path) for path in account_files),
+        _step("luks_erase", f"cryptsetup luksErase {device}", critical=True, target="self"),
+        _step("luks_dump", f"cryptsetup luksDump {device}", target="self"),
+    ]
+
+
+def _tree_evidence(config: ServerConfig) -> list[SealingStep]:
+    """The full listing, then one rhash manifest per configured hash root."""
+    steps = [_step("list_files", "ls -RlA /")]
+    for spec in config.root_specs():
+        if spec.recursive:
+            steps.append(_step("hash_tree", f"rhash -r --sha3-512 {spec.path}",
+                               root=spec.path, recursive=True))
+        else:
+            steps.append(_step("hash_tree", f"rhash --sha3-512 {spec.path}/*",
+                               root=spec.path, recursive=False))
+    return steps
+
+
+def default_plan(config: ServerConfig) -> SealingPlan:
+    w = config.webroot
+
+    host: list[SealingStep] = [
+        *_lockdown(_HOST_RULES, _HOST_ACCOUNT_FILES, HOST_ROOT_DEVICE),
+        _step("luks_dump", f"cryptsetup luksDump {VM_ROOT_DEVICE_FROM_HOST}", target="vm"),
+        _step("reencrypt_vm",
+              f"cryptsetup-reencrypt -v -d /mnt/keyfile -l 512 {VM_ROOT_DEVICE_FROM_HOST}",
+              critical=True),
+        _step("luks_dump", f"cryptsetup luksDump {VM_ROOT_DEVICE_FROM_HOST}", target="vm"),
+        _step("zip_tree", "zip -r /mnt/etc-host.zip /etc",
+              src="/etc", dest="vm_boot", name="etc-host.zip"),
+        _step("zip_tree", "zip -r /mnt/root-host.zip /root",
+              src="/root", dest="vm_boot", name="root-host.zip"),
+        *_tree_evidence(config),
+        _step("copy_log_to_vm_boot", f"cp /root/{HOST_LOG_NAME} /mnt"),
+        _step("start_vm", f"virsh start {config.vm_name}", name=config.vm_name),
+    ]
+
+    vm: list[SealingStep] = [
+        _step("remove_hosts_allow", "rm /etc/hosts.allow"),
+        *_lockdown(_VM_RULES, _VM_ACCOUNT_FILES, VM_ROOT_DEVICE),
+        _step("move_from_boot", f"mv /boot/{HOST_LOG_NAME} {w}",
+              name=HOST_LOG_NAME, dest_dir=w),
+        _step("move_from_boot", f"mv /boot/etc-host.zip {w}",
+              name="etc-host.zip", dest_dir=w),
+        _step("move_from_boot", f"mv /boot/root-host.zip {w}",
+              name="root-host.zip", dest_dir=w),
+        _step("chown_webroot", "chown www-data:www-data /var/www"),
+        _step("zip_tree", f"zip -r {w}/etc-vm.zip /etc",
+              src="/etc", dest="tree", dest_path=f"{w}/etc-vm.zip"),
+        _step("zip_tree", f"zip -r {w}/trust-vm.zip /home/trust",
+              src="/home/trust", dest="tree", dest_path=f"{w}/trust-vm.zip"),
+        _step("ldap_dump", f"date >> {w}/ldap.txt && slapcat >> {w}/ldap.txt",
+              dest=f"{w}/ldap.txt"),
+        _step("chown_webroot", "chown -R www-data:www-data /var/www"),
+        *_tree_evidence(config),
+        _step("append_date", "echo $(date) >> /home/trust/date.txt",
+              path="/home/trust/date.txt"),
+        _step("start_web", "systemctl start apache2"),
+        _step("send_mail",
+              f'mail -s "trusted server running@{config.server_address}" '
+              f"{config.mail_to} < /home/trust/date.txt",
+              to=config.mail_to,
+              subject=f"trusted server running@{config.server_address}",
+              body_path="/home/trust/date.txt"),
+    ]
+    return SealingPlan(host_steps=tuple(host), vm_steps=tuple(vm))
+
+
+def single_stage_host_plan(config: ServerConfig) -> SealingPlan:
+    """Host-only seal: keyslot erase without the VM reencryption stage."""
+    host = [*_lockdown(_HOST_RULES, _HOST_ACCOUNT_FILES, HOST_ROOT_DEVICE),
+            *_tree_evidence(config)]
+    return SealingPlan(host_steps=tuple(host), vm_steps=())
+
+
+# -- server construction --------------------------------------------------------------
+
+
 _COMMON_BINARIES = {
     "/bin/bash": b"#!ELF simulated bash binary\n",
     "/bin/ls": b"#!ELF simulated ls binary\n",
@@ -244,17 +235,6 @@ _COMMON_BINARIES = {
     "/usr/share/doc/README": b"simulated documentation\n",
     "/var/log/syslog": b"",
 }
-
-
-def _validate_rule_indices(config: ServerConfig) -> None:
-    for label, rules, index in (
-        ("host", _HOST_RULES, config.host_ssh_rule_index),
-        ("vm", _VM_RULES, config.vm_ssh_rule_index),
-    ):
-        if index > len(rules) or "--dport 22" not in rules[index - 1]:
-            raise ProtocolError(
-                f"{label}_ssh_rule_index {index} does not address the ssh rule"
-            )
 
 
 def _base_tree(*, users: list[tuple[str, int, str]], rng: random.Random) -> FileTree:
@@ -307,7 +287,6 @@ def prepare_trusted_server(config: ServerConfig | None = None, *,
     """Build the unsealed host+VM pair in its pre-seal production state."""
     config = config or ServerConfig()
     config.validate()
-    _validate_rule_indices(config)
     rng = rng or make_rng()
     clock = clock or SimClock()
     plan = default_plan(config)

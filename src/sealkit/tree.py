@@ -61,7 +61,8 @@ def _text(raw: bytes) -> str:
 def normalize(path: str) -> str:
     if not path or not path.startswith("/"):
         raise TreeError(f"path must be absolute: {path!r}")
-    return posixpath.normpath(path)
+    # normpath keeps a leading "//" (POSIX leaves its meaning open); here it is "/"
+    return posixpath.normpath("/" + path.lstrip("/"))
 
 
 class FileTree:

@@ -17,7 +17,6 @@ from .escrow import SHARE_MAGIC
 from .machine import (
     DiskImagePair,
     HOST_ROOT_DEVICE,
-    LOGIN_SHELLS,
     StepRecord,
     VM_ROOT_DEVICE,
     full_tree_from_images,
@@ -45,6 +44,8 @@ UNDETECTABLE_NOTE = (
     "detected; manipulations confined to unhashed volatile state are "
     "undetectable by manifest comparison."
 )
+
+LOGIN_SHELLS = ("/bin/bash", "/bin/sh")
 
 _ARCHIVE_SOURCES = (
     ("etc-host.zip", "host", "/etc"),

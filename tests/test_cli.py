@@ -24,8 +24,6 @@ def test_parse_config_round_trip():
     cfg = parse_config(
         """
         # comment
-        host_ssh_rule_index = 4
-        vm_ssh_rule_index = 5
         mail_to = ops@example.org
         millionaires_order = ascending
         host_sectors = 192
@@ -42,6 +40,8 @@ def test_parse_config_round_trip():
 def test_parse_config_rejects_unknown_key_and_bad_values():
     with pytest.raises(ConfigError):
         parse_config("no_such_key = 1")
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config("host_ssh_rule_index = 4")  # derived from the rule table
     with pytest.raises(ConfigError):
         parse_config("host_sectors = many")
     with pytest.raises(ConfigError):
@@ -99,6 +99,16 @@ def test_verify_tampered_bundle_exits_one(tmp_path, capsys):
     assert run_command(["verify", *ws(tmp_path)]) == 1
     out = capsys.readouterr().out
     assert "missing critical step" in out
+
+
+def test_verify_non_utf8_log_exits_one_as_malformed_bundle(tmp_path, capsys):
+    seal_workdir(tmp_path)
+    (tmp_path / "bundle" / HOST_LOG_NAME).write_bytes(b"+ iptables -P OUTPUT DROP\n\xff\xfe\n")
+    capsys.readouterr()
+    assert run_command(["verify", *ws(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verify: malformed bundle: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("image, offset", [("vm/root.tsvol", 20), ("host/boot.tree", 13)],
@@ -166,6 +176,21 @@ def test_escrow_split_recover_cycle(tmp_path, capsys):
     assert run_command(["escrow", "recover", *shares]) == 0
     assert capsys.readouterr().out.strip() == secret
     assert run_command(["escrow", "recover", *shares[:-1]]) == 1
+
+
+def test_escrow_recover_corrupt_share_exits_one_without_traceback(tmp_path, capsys):
+    out_dir = tmp_path / "parts"
+    assert run_command(["escrow", "split", "--secret-hex", "deadbeef" * 8,
+                        "-n", "2", "--out", str(out_dir), "--seed", "1"]) == 0
+    shares = sorted(out_dir.glob("*.tsshare"))
+    data = bytearray(shares[0].read_bytes())
+    data[12] = 0xFF  # the index field's length prefix now overruns the file
+    shares[0].write_bytes(bytes(data))
+    capsys.readouterr()
+    assert run_command(["escrow", "recover", *map(str, shares)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sealkit: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_restore_after_seal(tmp_path, capsys):

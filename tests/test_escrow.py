@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_server
 
@@ -159,6 +161,21 @@ def test_share_file_round_trip(rng, tmp_path):
 def test_share_deserialize_rejects_garbage():
     with pytest.raises(EscrowError):
         deserialize_share(b"nope")
+
+
+SAMPLE_SHARE = serialize_share(split_key(bytes(range(40)), 3, make_rng(5))[0])
+
+
+@settings(max_examples=1000)
+@given(st.integers(0, len(SAMPLE_SHARE) - 1), st.integers(1, 255))
+def test_one_byte_mutation_decodes_canonically_or_raises_escrow_error(index, flip):
+    blob = bytearray(SAMPLE_SHARE)
+    blob[index] ^= flip
+    try:
+        share = deserialize_share(bytes(blob))
+    except EscrowError:
+        return
+    assert serialize_share(share) == blob
 
 
 # -- the emergency backdoor end to end ---------------------------------------------------

@@ -109,7 +109,20 @@ def test_remove_user_rewrites_passwd():
     record = host.exec_step(step("remove_user", "userdel -f trust", name="trust"))
     assert record.ok
     assert "trust" not in host.ram.tree.read_text("/etc/passwd")
-    assert "trust" not in host.ram.users
+    host.power_off()
+    host.boot()
+    assert "trust" not in host.ram.tree.read_text("/etc/passwd")
+
+
+def test_remove_user_finds_a_user_added_after_boot():
+    host = build_server(8)
+    host.boot()
+    passwd = host.ram.tree.read_text("/etc/passwd")
+    mallory = "mallory:x:1001:1001::/home/mallory:/bin/bash\n"
+    host.write_file("/etc/passwd", (passwd + mallory).encode())
+    record = host.exec_step(step("remove_user", "userdel -f mallory", name="mallory"))
+    assert (record.exit_status, record.output) == (0, "")
+    assert host.ram.tree.read_text("/etc/passwd") == passwd
 
 
 def test_remove_user_twice_fails_but_continues():

@@ -15,7 +15,6 @@ from sealkit.sealing import (
     VM_LOG_NAME,
     WebrootIncomplete,
     default_plan,
-    prepare_trusted_server,
     publish_bundle,
     render_log,
     restore_pre_seal,
@@ -23,7 +22,6 @@ from sealkit.sealing import (
     seal_host,
     seal_vm,
 )
-from sealkit.util import SimClock, make_rng
 
 
 # -- prepare_trusted_server ------------------------------------------------------
@@ -50,14 +48,6 @@ def test_prepared_webroot_is_empty_of_logs():
     assert vm.ram.tree.is_dir(webroot)
     assert [p for p in vm.ram.tree.under(webroot) if vm.ram.tree.is_file(p)] == []
     vm.power_off()
-
-
-def test_prepare_rejects_bad_rule_index():
-    from sealkit.config import ServerConfig
-
-    bad = ServerConfig(host_ssh_rule_index=2)  # rule 2 is not the ssh rule
-    with pytest.raises(ProtocolError):
-        prepare_trusted_server(bad, rng=make_rng(0), clock=SimClock())
 
 
 # -- seal_host ---------------------------------------------------------------------
@@ -209,8 +199,9 @@ def test_post_seal_invariants():
         with pytest.raises(vol.KeyslotsEmpty):
             vol.unlock(machine.root_volume, keyfile)
         assert machine.ram.services.ssh == "purged"
-        assert "trust" not in machine.ram.users
+        assert "trust" not in machine.ram.tree.read_text("/etc/passwd")
         assert machine.ram.firewall.output_policy == "DROP"
+        assert not [r for r in machine.ram.firewall.input_rules if "--dport 22" in r]
 
 
 # -- publish_bundle -----------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sealkit.tree import FileTree, MissingPath, TreeError
+from sealkit.tree import FileTree, MissingPath, TreeError, normalize
 from sealkit.util import pack_bytes
 
 
@@ -25,6 +25,16 @@ def test_paths_are_normalized():
     assert tree.is_file("/a/c")
     with pytest.raises(TreeError):
         tree.write_file("relative/path", b"x")
+
+
+def test_leading_slashes_collapse_to_root():
+    assert normalize("//etc/x") == "/etc/x"
+    tree = FileTree()
+    tree.write_file("//etc/x", b"1")
+    tree.mkdir("///srv/d")
+    tree.symlink("//usr/bin/X11", ".")
+    assert tree.paths() == ["/", "/etc", "/etc/x", "/srv", "/srv/d", "/usr", "/usr/bin",
+                            "/usr/bin/X11"]
 
 
 def test_parents_created_automatically():
@@ -131,6 +141,7 @@ def test_decode_rejects_malformed_encodings(blob):
     ("/b", "/a"),  # out of order
     ("/a", "/a"),  # duplicate
     ("/a", "/a/../b"),  # not normalized
+    ("/a", "//b"),  # doubled leading slash
     ("/a", "/c/d"),  # no parent
     ("/a", "/a/x"),  # parent is a file
     ("/a", "b"),  # relative

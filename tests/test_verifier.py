@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import hashlib
+import io
+import zipfile
 from dataclasses import replace
 
 import pytest
 
 from conftest import SMALL, build_sealed, build_server
 
-from sealkit.machine import full_tree_from_images
+from sealkit.machine import HOST_ROOT_DEVICE, full_tree_from_images, unzip_to_map
 from sealkit.manifest import (
     MissingRoot,
     compute_manifest,
@@ -24,6 +26,7 @@ from sealkit.sealing import (
 )
 from sealkit.tree import FileTree
 from sealkit.verifier import (
+    Finding,
     MalformedBundle,
     MalformedLog,
     default_policy,
@@ -303,3 +306,88 @@ def test_verdict_renders_text_and_dict():
     assert "undetectable" in text  # the scope preamble
     doc = verdict.to_dict()
     assert doc["status"] == "PASS" and doc["findings"] == []
+
+
+# -- one finding per tampering of an honest bundle ----------------------------------
+
+
+def _log(name, edit):
+    """The sealing log ``name`` with each record replaced by the records edit(record) lists."""
+    def change(artifacts, keyfile):
+        log = parse_sealing_log(artifacts[name].decode())
+        log.records = [new for record in log.records for new in edit(record)]
+        return {name: render_log(log).encode()}
+    return change
+
+
+def _drop(command):
+    return lambda record: [] if record.command == command else [record]
+
+
+def _with_output(prefix, rewrite):
+    return lambda r: [replace(r, output=rewrite(r.output)) if r.command.startswith(prefix) else r]
+
+
+def _zip(name, edit):
+    """The archive ``name`` rebuilt after edit(members) changed its path -> bytes map."""
+    def change(artifacts, keyfile):
+        members = unzip_to_map(artifacts[name])
+        edit(members)
+        buf = io.BytesIO()
+        with zipfile.ZipFile(buf, "w") as zf:
+            for path, data in members.items():
+                zf.writestr(path.lstrip("/"), data)
+        return {name: buf.getvalue()}
+    return change
+
+
+def _unlisted(path):
+    return lambda output: "\n".join(l for l in output.splitlines() if not l.endswith(f"  {path}"))
+
+
+@pytest.fixture(scope="module")
+def honest_seal():
+    _, _, host_images, vm_images, bundle = build_sealed(69)
+    return host_images, vm_images, bundle
+
+
+@pytest.mark.parametrize("change, severity, subject, explanation", [
+    (_log(HOST_LOG_NAME, lambda r: [r, r] if r.command == "iptables-save" else [r]),
+     "WARNING", "iptables-save", "appears more often in the host log than the plan requires"),
+    (_log(HOST_LOG_NAME, _drop(f"cryptsetup luksDump {HOST_ROOT_DEVICE}")),
+     "ERROR", f"cryptsetup luksDump {HOST_ROOT_DEVICE}",
+     f"host log carries no keyslot dump for {HOST_ROOT_DEVICE}"),
+    (_log(VM_LOG_NAME, _drop("cat /etc/passwd")),
+     "ERROR", "cat /etc/passwd", "vm log carries no passwd listing"),
+    (_log(HOST_LOG_NAME, _drop("systemctl status sshd")),
+     "ERROR", "systemctl status sshd", "host log carries no ssh status probe"),
+    (_log(VM_LOG_NAME, _with_output("systemctl status sshd", lambda _: (
+        "* sshd.service - OpenBSD Secure Shell server\n   Active: active (running)"))),
+     "ERROR", "sshd", "ssh server still present after the vm seal"),
+    (_log(HOST_LOG_NAME, _with_output("rhash", _unlisted("/usr/sbin/cron"))),
+     "ERROR", "/usr/sbin/cron", "disappeared during the host seal"),
+    (lambda artifacts, keyfile: {"etc-host.zip": b"not a zip archive\n"},
+     "ERROR", "etc-host.zip", "archive cannot be read"),
+    (_zip("etc-vm.zip", lambda members: members.update({"/etc/backdoor": b"x\n"})),
+     "ERROR", "/etc/backdoor", "etc-vm.zip contains a file absent from the pre-seal image"),
+    (_zip("etc-host.zip", lambda members: members.update({"/etc/hostname": b"evil\n"})),
+     "ERROR", "/etc/hostname", "etc-host.zip content differs from the pre-seal image"),
+    (_zip("trust-vm.zip", lambda members: members.pop("/home/trust/cron-reboot.sh")),
+     "ERROR", "/home/trust/cron-reboot.sh",
+     "missing from trust-vm.zip but present in the pre-seal image"),
+    (lambda artifacts, keyfile: {"root-host.zip": None},
+     "ERROR", "root-host.zip", "archive missing from bundle"),
+    (lambda artifacts, keyfile: {"notes.txt": b"key: " + keyfile},
+     "ERROR", "notes.txt", "keyfile bytes leaked into the bundle"),
+], ids=["duplicate-command", "no-keyslot-dump", "no-passwd-listing", "no-ssh-probe",
+        "ssh-still-present", "file-disappeared", "archive-unreadable", "archive-added-file",
+        "archive-changed-file", "archive-dropped-file", "archive-missing", "keyfile-leaked"])
+def test_tampered_bundle_gives_its_finding(honest_seal, change, severity, subject, explanation):
+    host_images, vm_images, bundle = honest_seal
+    changes = change(bundle.artifacts, host_images.boot.read_file("/keyfile"))
+    artifacts = {name: data for name, data in {**bundle.artifacts, **changes}.items()
+                 if data is not None}
+    policy = default_policy(default_plan(SMALL))
+    verdict = verify_seal(host_images, vm_images, PublishedBundle(artifacts), policy)
+    assert Finding(severity, subject, explanation) in verdict.findings
+    assert verdict.status == ("FAIL" if severity == "ERROR" else "PASS")
