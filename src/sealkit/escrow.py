@@ -10,11 +10,21 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .util import make_rng, pack_bytes, unpack_bytes
-from .volume import EncryptedVolume, KeySlot, VolumeError
+from .util import pack_bytes, unpack_bytes
+from .volume import (
+    MK_DIGEST_BYTES,
+    SALT_BYTES,
+    WRAPPED_KEY_BYTES,
+    EncryptedVolume,
+    KeySlot,
+    VolumeError,
+    VolumeHeader,
+    header_bytes,
+    header_count,
+)
 
 SHARE_MAGIC = b"TSSHARE1\n"
 
@@ -47,12 +57,11 @@ def _xor(a: bytes, b: bytes) -> bytes:
     return bytes(x ^ y for x, y in zip(a, b))
 
 
-def split_key(secret: bytes, n: int, rng: random.Random | None = None) -> list[KeyShare]:
+def split_key(secret: bytes, n: int, rng: random.Random) -> list[KeyShare]:
     if n < 2:
         raise EscrowError("need at least 2 parties")
     if not secret:
         raise EscrowError("secret must be nonempty")
-    rng = rng or make_rng()
     commitment = _commitment(secret)
 
     payloads = [rng.randbytes(len(secret)) for _ in range(n - 1)]
@@ -127,34 +136,48 @@ def wrapped_key_record(volume: EncryptedVolume) -> bytes:
     This is an encrypted copy of the master key: useless without the keyfile,
     but enough to re-enable unlock on a volume whose slots were erased.
     """
-    active = volume.header.active_slots()
+    return _key_record(volume.header)
+
+
+def _key_record(header: VolumeHeader) -> bytes:
+    active = header.active_slots()
     if not active:
         raise VolumeError("volume has no active keyslot to escrow")
-    slot = volume.header.slots[active[0]]
+    slot = header.slots[active[0]]
     doc = {
-        "uuid": volume.header.uuid.hex(),
+        "uuid": header.uuid.hex(),
         "slot_salt": slot.salt.hex(),
         "kdf_iterations": slot.kdf_iterations,
         "wrapped_key": slot.wrapped_key.hex(),
-        "mk_digest_salt": volume.header.mk_digest_salt.hex(),
-        "mk_digest": volume.header.mk_digest.hex(),
+        "mk_digest_salt": header.mk_digest_salt.hex(),
+        "mk_digest": header.mk_digest.hex(),
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 
 
 def apply_wrapped_key_record(volume: EncryptedVolume, record: bytes) -> None:
-    """Reinstate an escrowed keyslot so the original keyfile unlocks again."""
-    doc = json.loads(record)
-    if bytes.fromhex(doc["uuid"]) != volume.header.uuid:
+    """Reinstate an escrowed keyslot so the original keyfile unlocks again.
+
+    Only the canonical record :func:`wrapped_key_record` writes is accepted;
+    anything else raises :class:`EscrowError`, and a record of another volume
+    raises :class:`VolumeError`. Either way the header is left as it was.
+    """
+    try:
+        doc = json.loads(record)
+        slot = KeySlot(state="active", salt=header_bytes(doc["slot_salt"], SALT_BYTES),
+                       kdf_iterations=header_count(doc["kdf_iterations"]),
+                       wrapped_key=header_bytes(doc["wrapped_key"], WRAPPED_KEY_BYTES))
+        header = replace(volume.header, slots=(slot,) + volume.header.slots[1:],
+                         mk_digest_salt=header_bytes(doc["mk_digest_salt"], SALT_BYTES),
+                         mk_digest=header_bytes(doc["mk_digest"], MK_DIGEST_BYTES))
+        uuid = header_bytes(doc["uuid"], 16)
+    except (ValueError, KeyError, TypeError, RecursionError, VolumeError) as exc:
+        raise EscrowError(f"malformed key record ({type(exc).__name__}: {exc})") from None
+    if uuid != volume.header.uuid:
         raise VolumeError("escrow record belongs to a different volume")
-    volume.header.slots[0] = KeySlot(
-        state="active",
-        salt=bytes.fromhex(doc["slot_salt"]),
-        kdf_iterations=doc["kdf_iterations"],
-        wrapped_key=bytes.fromhex(doc["wrapped_key"]),
-    )
-    volume.header.mk_digest_salt = bytes.fromhex(doc["mk_digest_salt"])
-    volume.header.mk_digest = bytes.fromhex(doc["mk_digest"])
+    if _key_record(header) != record:
+        raise EscrowError("key record is not in canonical form")
+    volume.header = header
 
 
 # -- share files -----------------------------------------------------------------
@@ -198,4 +221,7 @@ def save_share(share: KeyShare, path: str | Path) -> None:
 
 
 def load_share(path: str | Path) -> KeyShare:
-    return deserialize_share(Path(path).read_bytes())
+    try:
+        return deserialize_share(Path(path).read_bytes())
+    except EscrowError as exc:
+        raise EscrowError(f"{path}: {exc}") from None

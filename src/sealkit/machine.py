@@ -462,7 +462,7 @@ class Machine:
 
     def _step_luks_dump(self, ram, args):
         disk = self._resolve_disk(args["target"])
-        return vol.dump(disk).render(), 0
+        return vol.dump(disk), 0
 
     def _step_reencrypt_vm(self, ram, args):
         if self.nested_vm is None:

@@ -33,7 +33,7 @@ from .machine import (
     FirewallPolicy,
 )
 from .tree import FileTree
-from .util import SimClock, make_rng
+from .util import SimClock
 
 HOST_LOG_NAME = "0_init_trusted_mode_host.log"
 VM_LOG_NAME = "1_init_trusted_mode.log"
@@ -282,13 +282,10 @@ def _boot_tree(kind: str) -> FileTree:
 
 
 def prepare_trusted_server(config: ServerConfig | None = None, *,
-                           rng: random.Random | None = None,
-                           clock: SimClock | None = None) -> Machine:
+                           rng: random.Random, clock: SimClock) -> Machine:
     """Build the unsealed host+VM pair in its pre-seal production state."""
     config = config or ServerConfig()
     config.validate()
-    rng = rng or make_rng()
-    clock = clock or SimClock()
     plan = default_plan(config)
 
     host_tree = _base_tree(users=[("root", 0, "/usr/sbin/nologin"),

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from . import volume as vol
 from .machine import Machine, MailMessage, read_volume_tree
 from .tree import FileTree
-from .util import SimClock, make_rng
+from .util import SimClock
 from .volume import EncryptedVolume, Keyfile, NoMatchingSlot, UnlockedVolume
 
 
@@ -105,12 +105,11 @@ class CredentialDirectory:
     entries: dict[str, DirectoryEntry] = field(default_factory=dict)
     read_only: bool = False
 
-    def add_user(self, user: str, password: str, rng: random.Random | None = None) -> None:
+    def add_user(self, user: str, password: str, rng: random.Random) -> None:
         if self.read_only:
             raise ReadOnlyDirectory(
                 "sealed-side directory is a replica; update the primary and sync"
             )
-        rng = rng or make_rng()
         salt = rng.randbytes(16)
         self.entries[user] = DirectoryEntry(user, salt.hex(), _verifier(password, salt))
 
@@ -207,10 +206,9 @@ def make_data_vault(sector_count: int, data_files: dict[str, bytes],
 
 
 def attach_data_vault(machine: Machine, sector_count: int,
-                      data_files: dict[str, bytes],
-                      rng: random.Random | None = None) -> Keyfile:
+                      data_files: dict[str, bytes], rng: random.Random) -> Keyfile:
     """Attach a pre-seal vault disk; returns the provider-held key."""
-    vault, key = make_data_vault(sector_count, data_files, rng or machine.rng)
+    vault, key = make_data_vault(sector_count, data_files, rng)
     machine.extra_disks.append(vault)
     return key
 

@@ -1,9 +1,15 @@
 """LUKS-style encrypted block device model.
 
-A volume is a header (8 keyslots, cipher parameters, a salted master-key
-digest) plus per-sector authenticated ciphertext. The master key is held
-only in RAM via :class:`UnlockedVolume` handles, or wrapped inside an
-active keyslot; it is never serialized in the clear.
+A volume is a header (8 keyslots, the KDF iteration count, a salted
+master-key digest) plus per-sector authenticated ciphertext. The master key
+is held only in RAM via :class:`UnlockedVolume` handles, or wrapped inside an
+active keyslot; it is never serialized in the clear. The cipher geometry is
+fixed: 512-bit master keys and 512-byte sectors.
+
+Headers and keyslots are immutable values. Every header operation
+(:func:`erase_keyslots`, :func:`reencrypt`, :func:`restore_header`) installs a
+new header on the volume, so a header backup is the header object itself, and
+volume copies share their header until one of them installs another.
 
 Deliberate differences from dm-crypt: sectors use a 256-bit-key AEAD
 (AES-GCM) derived from the 512-bit master key with the sector index bound
@@ -45,7 +51,7 @@ import hashlib
 import json
 import random
 import uuid as uuid_mod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import BinaryIO, Iterator
 
 from cryptography.exceptions import InvalidTag
@@ -123,21 +129,6 @@ def _master_digest(salt: bytes, master_key: bytes) -> bytes:
 _AAD_PREFIX = b"TSVOL1 sector "
 
 
-@dataclass(frozen=True)
-class CipherSpec:
-    master_key_bits: int = MASTER_KEY_BYTES * 8
-    sector_bytes: int = SECTOR_BYTES
-    kdf_iterations: int = DEFAULT_KDF_ITERATIONS
-
-    def __post_init__(self):
-        if self.master_key_bits != MASTER_KEY_BYTES * 8:
-            raise InvalidSpec(f"master key must be {MASTER_KEY_BYTES * 8} bits")
-        if self.sector_bytes != SECTOR_BYTES:
-            raise InvalidSpec(f"sector size must be {SECTOR_BYTES} bytes")
-        if self.kdf_iterations < 1:
-            raise InvalidSpec("kdf_iterations must be >= 1")
-
-
 @dataclass
 class Keyfile:
     """512-byte passphrase material, stored only on unencrypted boot media."""
@@ -149,8 +140,7 @@ class Keyfile:
             raise VolumeError(f"keyfile must be {KEYFILE_BYTES} bytes")
 
     @classmethod
-    def generate(cls, rng: random.Random | None = None) -> "Keyfile":
-        rng = rng or make_rng()
+    def generate(cls, rng: random.Random) -> "Keyfile":
         return cls(rng.randbytes(KEYFILE_BYTES))
 
     def __repr__(self):  # never leak key material through repr
@@ -178,7 +168,7 @@ class MasterKey:
 _EMPTY_SALT = b"\x00" * SALT_BYTES
 
 
-@dataclass
+@dataclass(frozen=True)
 class KeySlot:
     state: str = "empty"  # "empty" | "active"
     salt: bytes = _EMPTY_SALT
@@ -189,21 +179,15 @@ class KeySlot:
     def active(self) -> bool:
         return self.state == "active"
 
-    def erase(self) -> None:
-        self.state = "empty"
-        self.salt = _EMPTY_SALT
-        self.kdf_iterations = 0
-        self.wrapped_key = b""
 
-    def copy(self) -> "KeySlot":
-        return KeySlot(self.state, self.salt, self.kdf_iterations, self.wrapped_key)
+_EMPTY_SLOTS = (KeySlot(),) * SLOT_COUNT
 
 
-@dataclass
+@dataclass(frozen=True)
 class VolumeHeader:
     uuid: bytes
-    spec: CipherSpec
-    slots: list[KeySlot]
+    kdf_iterations: int
+    slots: tuple[KeySlot, ...]
     mk_digest_salt: bytes
     mk_digest: bytes
     sector_count: int
@@ -212,51 +196,8 @@ class VolumeHeader:
         if len(self.slots) != SLOT_COUNT:
             raise VolumeError(f"header must hold exactly {SLOT_COUNT} slots")
 
-    @property
-    def uuid_str(self) -> str:
-        return str(uuid_mod.UUID(bytes=self.uuid))
-
-    def copy(self) -> "VolumeHeader":
-        return VolumeHeader(
-            uuid=self.uuid,
-            spec=self.spec,
-            slots=[s.copy() for s in self.slots],
-            mk_digest_salt=self.mk_digest_salt,
-            mk_digest=self.mk_digest,
-            sector_count=self.sector_count,
-        )
-
     def active_slots(self) -> list[int]:
         return [i for i, s in enumerate(self.slots) if s.active]
-
-
-@dataclass(frozen=True)
-class HeaderDump:
-    uuid: str
-    master_key_bits: int
-    sector_bytes: int
-    kdf_iterations: int
-    mk_digest_salt: str
-    mk_digest: str
-    slot_states: tuple[str, ...]
-
-    def render(self) -> str:
-        lines = [
-            "Volume header dump",
-            f"UUID:            {self.uuid}",
-            f"Master key bits: {self.master_key_bits}",
-            f"Sector bytes:    {self.sector_bytes}",
-            f"KDF iterations:  {self.kdf_iterations}",
-            f"MK digest salt:  {self.mk_digest_salt}",
-            f"MK digest:       {self.mk_digest}",
-        ]
-        lines.extend(
-            f"Key Slot {i}: {state}" for i, state in enumerate(self.slot_states)
-        )
-        return "\n".join(lines) + "\n"
-
-    def __str__(self):
-        return self.render()
 
 
 class EncryptedVolume:
@@ -271,12 +212,8 @@ class EncryptedVolume:
     def sector_count(self) -> int:
         return self.header.sector_count
 
-    @property
-    def spec(self) -> CipherSpec:
-        return self.header.spec
-
     def copy(self) -> "EncryptedVolume":
-        return EncryptedVolume(self.header.copy(), list(self.sectors), self.rng)
+        return EncryptedVolume(self.header, list(self.sectors), self.rng)
 
 
 @dataclass
@@ -326,10 +263,23 @@ def _decrypt_sector(cipher: AESGCM, index: int, record: bytes) -> bytes:
 # -- operations ---------------------------------------------------------------
 
 
-def format_volume(sector_count: int, keyfile: Keyfile,
-                  spec: CipherSpec | None = None,
-                  rng: random.Random | None = None,
-                  image: bytes = b"") -> UnlockedVolume:
+def _key_fields(master_key: MasterKey, keyfile: Keyfile, iterations: int,
+                rng: random.Random) -> dict:
+    """The header fields for a new master key: slot 0 wrapping it under
+    ``keyfile``, the other slots empty, and a freshly salted digest. Draws the
+    slot salt, the wrap nonce, then the digest salt."""
+    slot_salt = rng.randbytes(SALT_BYTES)
+    slot = KeySlot(state="active", salt=slot_salt, kdf_iterations=iterations,
+                   wrapped_key=_wrap_master_key(master_key, keyfile, slot_salt,
+                                                iterations, rng))
+    digest_salt = rng.randbytes(SALT_BYTES)
+    return {"slots": (slot,) + _EMPTY_SLOTS[1:], "mk_digest_salt": digest_salt,
+            "mk_digest": _master_digest(digest_salt, master_key.data)}
+
+
+def format_volume(sector_count: int, keyfile: Keyfile, rng: random.Random,
+                  image: bytes = b"", *,
+                  kdf_iterations: int = DEFAULT_KDF_ITERATIONS) -> UnlockedVolume:
     """Create a fresh volume: random master key wrapped in slot 0, ``image``
     zero-padded to capacity as its data, each sector encrypted once.
 
@@ -338,28 +288,13 @@ def format_volume(sector_count: int, keyfile: Keyfile,
     """
     if sector_count < 1:
         raise InvalidSpec("sector_count must be >= 1")
-    spec = spec or CipherSpec()
-    rng = rng or make_rng()
+    if kdf_iterations < 1:
+        raise InvalidSpec("kdf_iterations must be >= 1")
 
     master_key = MasterKey.generate(rng)
-    slot_salt = rng.randbytes(SALT_BYTES)
-    slots = [KeySlot() for _ in range(SLOT_COUNT)]
-    slots[0] = KeySlot(
-        state="active",
-        salt=slot_salt,
-        kdf_iterations=spec.kdf_iterations,
-        wrapped_key=_wrap_master_key(MasterKey(master_key.data), keyfile, slot_salt,
-                                     spec.kdf_iterations, rng),
-    )
-    digest_salt = rng.randbytes(SALT_BYTES)
-    header = VolumeHeader(
-        uuid=rng.randbytes(16),
-        spec=spec,
-        slots=slots,
-        mk_digest_salt=digest_salt,
-        mk_digest=_master_digest(digest_salt, master_key.data),
-        sector_count=sector_count,
-    )
+    key_fields = _key_fields(master_key, keyfile, kdf_iterations, rng)
+    header = VolumeHeader(uuid=rng.randbytes(16), kdf_iterations=kdf_iterations,
+                          sector_count=sector_count, **key_fields)
     handle = UnlockedVolume(volume=EncryptedVolume(header, [b""] * sector_count, rng),
                             key=master_key)
     # One dropped nonce per sector: the pinned seeded outputs depend on these draws.
@@ -444,8 +379,7 @@ def write_image(handle: UnlockedVolume, image: bytes, old: bytes | None = None) 
 
 def erase_keyslots(volume: EncryptedVolume) -> None:
     """Wipe all 8 slots. The digest stays; live handles keep working."""
-    for slot in volume.header.slots:
-        slot.erase()
+    volume.header = replace(volume.header, slots=_EMPTY_SLOTS)
 
 
 def reencrypt(volume: EncryptedVolume, keyfile: Keyfile) -> None:
@@ -475,24 +409,13 @@ def reencrypt(volume: EncryptedVolume, keyfile: Keyfile) -> None:
             write_sector(handle, k, _decrypt_sector(new_cipher, k, sectors[k]))
         raise
 
-    spec = volume.spec
-    slot_salt = rng.randbytes(SALT_BYTES)
-    for slot in volume.header.slots:
-        slot.erase()
-    volume.header.slots[0] = KeySlot(
-        state="active",
-        salt=slot_salt,
-        kdf_iterations=spec.kdf_iterations,
-        wrapped_key=_wrap_master_key(new_key, keyfile, slot_salt,
-                                     spec.kdf_iterations, rng),
-    )
-    volume.header.mk_digest_salt = rng.randbytes(SALT_BYTES)
-    volume.header.mk_digest = _master_digest(volume.header.mk_digest_salt, new_key.data)
+    volume.header = replace(volume.header, **_key_fields(
+        new_key, keyfile, volume.header.kdf_iterations, rng))
     handle.invalidate()
 
 
 def header_backup(volume: EncryptedVolume) -> VolumeHeader:
-    return volume.header.copy()
+    return volume.header
 
 
 def restore_header(volume: EncryptedVolume, header: VolumeHeader) -> None:
@@ -500,23 +423,24 @@ def restore_header(volume: EncryptedVolume, header: VolumeHeader) -> None:
         raise GeometryMismatch(
             f"header geometry {header.sector_count} != volume {volume.header.sector_count}"
         )
-    if header.spec.sector_bytes != volume.header.spec.sector_bytes:
-        raise GeometryMismatch("sector size mismatch")
-    volume.header = header.copy()
+    volume.header = header
 
 
-def dump(volume: EncryptedVolume) -> HeaderDump:
-    """Report slot states and cipher parameters; never key material."""
+def dump(volume: EncryptedVolume) -> str:
+    """The luksDump-style text: slot states and cipher parameters, never key material."""
     h = volume.header
-    return HeaderDump(
-        uuid=h.uuid_str,
-        master_key_bits=h.spec.master_key_bits,
-        sector_bytes=h.spec.sector_bytes,
-        kdf_iterations=h.spec.kdf_iterations,
-        mk_digest_salt=h.mk_digest_salt.hex(),
-        mk_digest=h.mk_digest.hex(),
-        slot_states=tuple("ACTIVE" if s.active else "EMPTY" for s in h.slots),
-    )
+    lines = [
+        "Volume header dump",
+        f"UUID:            {uuid_mod.UUID(bytes=h.uuid)}",
+        f"Master key bits: {MASTER_KEY_BYTES * 8}",
+        f"Sector bytes:    {SECTOR_BYTES}",
+        f"KDF iterations:  {h.kdf_iterations}",
+        f"MK digest salt:  {h.mk_digest_salt.hex()}",
+        f"MK digest:       {h.mk_digest.hex()}",
+    ]
+    lines.extend(f"Key Slot {i}: {'ACTIVE' if s.active else 'EMPTY'}"
+                 for i, s in enumerate(h.slots))
+    return "\n".join(lines) + "\n"
 
 
 # -- container serialization ----------------------------------------------------
@@ -537,9 +461,9 @@ def _header_record(header: VolumeHeader) -> bytes:
     doc = {
         "uuid": header.uuid.hex(),
         "spec": {
-            "master_key_bits": header.spec.master_key_bits,
-            "sector_bytes": header.spec.sector_bytes,
-            "kdf_iterations": header.spec.kdf_iterations,
+            "master_key_bits": MASTER_KEY_BYTES * 8,
+            "sector_bytes": SECTOR_BYTES,
+            "kdf_iterations": header.kdf_iterations,
         },
         "slots": slots,
         "mk_digest_salt": header.mk_digest_salt.hex(),
@@ -549,14 +473,16 @@ def _header_record(header: VolumeHeader) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 
 
-def _header_bytes(value: str, size: int) -> bytes:
+def header_bytes(value: str, size: int) -> bytes:
+    """``value``'s hex as bytes, which must be ``size`` long; for every decoder of
+    header material (this container's header record, the escrowed key record)."""
     raw = bytes.fromhex(value)
     if len(raw) != size:
         raise VolumeError(f"header field holds {len(raw)} bytes, expected {size}")
     return raw
 
 
-def _header_count(value: int) -> int:
+def header_count(value: int) -> int:
     if type(value) is not int or value < 1:
         raise VolumeError(f"header count {value!r} is not a positive integer")
     return value
@@ -566,22 +492,22 @@ def _header_from_record(raw: bytes) -> VolumeHeader:
     """The header whose canonical record is ``raw``; anything else raises VolumeError."""
     try:
         doc = json.loads(raw)
-        slots = [
+        slots = tuple(
             KeySlot(
                 state="active",
-                salt=_header_bytes(entry["salt"], SALT_BYTES),
-                kdf_iterations=_header_count(entry["kdf_iterations"]),
-                wrapped_key=_header_bytes(entry["wrapped_key"], WRAPPED_KEY_BYTES),
+                salt=header_bytes(entry["salt"], SALT_BYTES),
+                kdf_iterations=header_count(entry["kdf_iterations"]),
+                wrapped_key=header_bytes(entry["wrapped_key"], WRAPPED_KEY_BYTES),
             ) if entry["state"] == "active" else KeySlot()
             for entry in doc["slots"]
-        ]
+        )
         header = VolumeHeader(
-            uuid=_header_bytes(doc["uuid"], 16),
-            spec=CipherSpec(**{k: _header_count(v) for k, v in doc["spec"].items()}),
+            uuid=header_bytes(doc["uuid"], 16),
+            kdf_iterations=header_count(doc["spec"]["kdf_iterations"]),
             slots=slots,
-            mk_digest_salt=_header_bytes(doc["mk_digest_salt"], SALT_BYTES),
-            mk_digest=_header_bytes(doc["mk_digest"], MK_DIGEST_BYTES),
-            sector_count=_header_count(doc["sector_count"]),
+            mk_digest_salt=header_bytes(doc["mk_digest_salt"], SALT_BYTES),
+            mk_digest=header_bytes(doc["mk_digest"], MK_DIGEST_BYTES),
+            sector_count=header_count(doc["sector_count"]),
         )
     except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise VolumeError(f"malformed volume header ({type(exc).__name__}: {exc})") from None

@@ -191,6 +191,7 @@ def test_escrow_recover_corrupt_share_exits_one_without_traceback(tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("sealkit: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert str(shares[0]) in err and str(shares[1]) not in err
 
 
 def test_restore_after_seal(tmp_path, capsys):

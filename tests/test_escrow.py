@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -198,12 +200,62 @@ def test_escrowed_record_reopens_sealed_vm_disk():
 
 
 def test_escrow_record_rejects_foreign_volume(rng):
-    fast = vol.CipherSpec(kdf_iterations=10)
-    a = vol.format_volume(2, Keyfile.generate(rng), fast, rng).volume
-    b = vol.format_volume(2, Keyfile.generate(rng), fast, rng).volume
+    a = vol.format_volume(2, Keyfile.generate(rng), rng, kdf_iterations=10).volume
+    b = vol.format_volume(2, Keyfile.generate(rng), rng, kdf_iterations=10).volume
     record = wrapped_key_record(a)
     with pytest.raises(vol.VolumeError):
         apply_wrapped_key_record(b, record)
+
+
+KEY_RECORD_KEYFILE = Keyfile(bytes(range(256)) * 2)
+KEY_RECORD_VOLUME = vol.format_volume(1, KEY_RECORD_KEYFILE, make_rng(6),
+                                      kdf_iterations=10).volume
+KEY_RECORD = wrapped_key_record(KEY_RECORD_VOLUME)
+
+
+def edited_key_record(edit) -> bytes:
+    doc = json.loads(KEY_RECORD)
+    edit(doc)
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+
+
+@pytest.mark.parametrize("record", [
+    b"\xff" + KEY_RECORD,
+    edited_key_record(lambda doc: doc.pop("mk_digest")),
+    edited_key_record(lambda doc: doc.update(slot_salt="zz")),
+    b"[]",
+    edited_key_record(lambda doc: doc.update(wrapped_key="00")),
+    edited_key_record(lambda doc: doc.update(kdf_iterations="10")),
+], ids=["not-utf8", "missing-mk-digest", "bad-hex-salt", "json-list", "short-wrapped-key",
+        "string-iterations"])
+def test_malformed_key_record_raises_escrow_error_and_keeps_the_header(record):
+    volume = KEY_RECORD_VOLUME.copy()
+    before = volume.header
+    with pytest.raises(EscrowError):
+        apply_wrapped_key_record(volume, record)
+    assert volume.header is before
+
+
+@settings(max_examples=1000)
+@given(st.integers(0, len(KEY_RECORD) - 1), st.integers(1, 255))
+def test_one_byte_key_record_mutation_applies_cleanly_or_raises_escrow_error(index, flip):
+    record = bytearray(KEY_RECORD)
+    record[index] ^= flip
+    volume = KEY_RECORD_VOLUME.copy()
+    before = volume.header
+    try:
+        apply_wrapped_key_record(volume, bytes(record))
+    except EscrowError:
+        assert volume.header is before
+        return
+    except vol.VolumeError:  # a well-formed record of another volume
+        assert json.loads(record)["uuid"] != before.uuid.hex()
+        assert volume.header is before
+        return
+    try:
+        vol.unlock(volume, KEY_RECORD_KEYFILE)
+    except vol.VolumeError:
+        pass
 
 
 def test_bundle_excludes_escrow_material():

@@ -283,7 +283,7 @@ def test_sealed_snapshot_retains_empty_keyslots():
     seal_all(host)
     host.power_off()
     images = host.snapshot_image()
-    assert vol.dump(images.root).slot_states == ("EMPTY",) * 8
+    assert images.root.header.active_slots() == []
 
 
 def test_restore_after_sealing_makes_machine_bootable():
@@ -334,8 +334,8 @@ def test_image_save_load_round_trip(tmp_path):
 
 def test_saved_volume_files_are_the_serialized_containers(tmp_path):
     host = build_server(21)
-    vault = vol.format_volume(3, vol.Keyfile.generate(host.rng),
-                              vol.CipherSpec(kdf_iterations=10), host.rng).volume
+    vault = vol.format_volume(3, vol.Keyfile.generate(host.rng), host.rng,
+                              kdf_iterations=10).volume
     images = DiskImagePair(boot=host.boot_partition, root=host.root_volume, extras=[vault])
     save_images(images, tmp_path)
     assert (tmp_path / "root.tsvol").read_bytes() == serialized(host.root_volume)
@@ -345,8 +345,7 @@ def test_saved_volume_files_are_the_serialized_containers(tmp_path):
 
 def test_load_images_holds_no_second_copy_of_the_sectors(tmp_path):
     keyfile = vol.Keyfile.generate(make_rng(5))
-    root = vol.format_volume(32768, keyfile, vol.CipherSpec(kdf_iterations=10),
-                             make_rng(5)).volume
+    root = vol.format_volume(32768, keyfile, make_rng(5), kdf_iterations=10).volume
     save_images(DiskImagePair(boot=FileTree(), root=root), tmp_path)
     del root
     tracemalloc.start()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import tracemalloc
@@ -12,7 +13,6 @@ from sealkit import volume as vol
 from sealkit.util import make_rng, pack_bytes
 from sealkit.volume import (
     AuthFailure,
-    CipherSpec,
     DiskFull,
     GeometryMismatch,
     InvalidSpec,
@@ -27,14 +27,15 @@ from sealkit.volume import (
     VolumeError,
 )
 
-# Low-iteration spec for loops that hammer the KDF; contractually valid
+# Low iteration count for loops that hammer the KDF; contractually valid
 # (kdf_iterations >= 1) and cryptographically irrelevant to what is tested.
-FAST = CipherSpec(kdf_iterations=10)
+FAST = 10
 
 
-def make_volume(rng, sectors=4, spec=None):
+def make_volume(rng, sectors=4, kdf_iterations=FAST):
     keyfile = Keyfile.generate(rng)
-    return vol.format_volume(sectors, keyfile, spec or FAST, rng).volume, keyfile
+    return vol.format_volume(sectors, keyfile, rng,
+                             kdf_iterations=kdf_iterations).volume, keyfile
 
 
 def read_padded(handle) -> bytes:
@@ -62,16 +63,14 @@ def window_in(haystack: bytes, needle: bytes, width: int = 16) -> bool:
 
 def test_format_slot0_active_rest_empty(rng):
     volume, _ = make_volume(rng)
-    states = vol.dump(volume).slot_states
-    assert states[0] == "ACTIVE"
-    assert states[1:] == ("EMPTY",) * 7
-    assert len(states) == 8
+    assert volume.header.active_slots() == [0]
+    assert len(volume.header.slots) == 8
 
 
 def test_format_twice_differs_in_uuid_and_key(rng):
     keyfile = Keyfile.generate(rng)
-    a = vol.format_volume(4, keyfile, FAST, rng).volume
-    b = vol.format_volume(4, keyfile, FAST, rng).volume
+    a = vol.format_volume(4, keyfile, rng, kdf_iterations=FAST).volume
+    b = vol.format_volume(4, keyfile, rng, kdf_iterations=FAST).volume
     assert a.header.uuid != b.header.uuid
     assert a.header.slots[0].wrapped_key != b.header.slots[0].wrapped_key
     assert a.header.mk_digest != b.header.mk_digest
@@ -86,7 +85,7 @@ def test_format_fresh_volume_reads_zero_sectors(rng):
 
 def test_format_returns_live_handle_on_new_volume(rng):
     keyfile = Keyfile.generate(rng)
-    handle = vol.format_volume(2, keyfile, FAST, rng)
+    handle = vol.format_volume(2, keyfile, rng, kdf_iterations=FAST)
     assert handle.valid
     assert handle.key.data == vol.unlock(handle.volume, keyfile).key.data
     assert vol.read_sector(handle, 1) == b"\x00" * SECTOR_BYTES
@@ -99,7 +98,7 @@ def test_format_installs_image_with_one_write_per_sector(rng, monkeypatch):
                         lambda h, i, data: written.append(i) or real_write_sector(h, i, data))
     keyfile = Keyfile.generate(rng)
     image = rng.randbytes(2 * SECTOR_BYTES + 100)
-    handle = vol.format_volume(6, keyfile, FAST, rng, image=image)
+    handle = vol.format_volume(6, keyfile, rng, image=image, kdf_iterations=FAST)
     assert written == list(range(6))
     padded = image.ljust(6 * SECTOR_BYTES, b"\x00")
     assert read_padded(handle) == padded
@@ -119,18 +118,14 @@ def test_one_nonce_draw_equals_per_sector_draws():
     assert a.random() == b.random()
 
 
-def test_format_rejects_bad_spec():
+def test_format_rejects_bad_spec(rng):
     with pytest.raises(InvalidSpec):
-        CipherSpec(master_key_bits=256)
-    with pytest.raises(InvalidSpec):
-        CipherSpec(sector_bytes=4096)
-    with pytest.raises(InvalidSpec):
-        CipherSpec(kdf_iterations=0)
+        vol.format_volume(1, Keyfile.generate(rng), rng, kdf_iterations=0)
 
 
 def test_format_rejects_zero_sectors(rng):
     with pytest.raises(InvalidSpec):
-        vol.format_volume(0, Keyfile.generate(rng), FAST, rng)
+        vol.format_volume(0, Keyfile.generate(rng), rng, kdf_iterations=FAST)
 
 
 # -- unlock ------------------------------------------------------------------
@@ -156,7 +151,7 @@ def test_unlock_after_erase_reports_empty_slots(rng):
 
 
 def test_unlock_rejects_1000_random_wrong_keyfiles(rng):
-    volume, keyfile = make_volume(rng, spec=CipherSpec(kdf_iterations=1))
+    volume, keyfile = make_volume(rng, kdf_iterations=1)
     for _ in range(1000):
         with pytest.raises(NoMatchingSlot):
             vol.unlock(volume, Keyfile.generate(rng))
@@ -348,7 +343,7 @@ def test_sector_cipher_built_once_per_key(rng, monkeypatch):
     real_data_key = vol._data_key
     monkeypatch.setattr(vol, "_data_key", lambda key: derived.append(key) or real_data_key(key))
     keyfile = Keyfile.generate(rng)
-    handle = vol.format_volume(8, keyfile, FAST, rng)
+    handle = vol.format_volume(8, keyfile, rng, kdf_iterations=FAST)
     image = rng.randbytes(8 * SECTOR_BYTES)
     vol.write_image(handle, image)
     assert vol.read_image(handle) == image
@@ -385,7 +380,7 @@ def test_image_io_through_stale_handle_raises(rng):
 def test_erase_empties_all_slots(rng):
     volume, _ = make_volume(rng)
     vol.erase_keyslots(volume)
-    assert vol.dump(volume).slot_states == ("EMPTY",) * 8
+    assert volume.header.active_slots() == []
     for slot in volume.header.slots:
         assert slot.wrapped_key == b"" and slot.salt == b"\x00" * 32
 
@@ -402,9 +397,9 @@ def test_erase_keeps_live_handle_usable(rng):
 def test_erase_is_idempotent(rng):
     volume, _ = make_volume(rng)
     vol.erase_keyslots(volume)
-    before = vol.dump(volume).slot_states
+    before = volume.header.active_slots()
     vol.erase_keyslots(volume)
-    assert vol.dump(volume).slot_states == before
+    assert volume.header.active_slots() == before
 
 
 def test_erase_retains_mk_digest(rng):
@@ -513,6 +508,14 @@ def test_backup_is_deep_copy_and_byte_identical(rng):
     assert backup.slots[0].state == "active"  # isolated from later mutation
 
 
+def test_volume_headers_are_immutable(rng):
+    volume, _ = make_volume(rng)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        volume.header.mk_digest = bytes(64)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        volume.header.slots[0].state = "empty"
+
+
 def test_restore_rejects_geometry_mismatch(rng):
     small, _ = make_volume(rng, sectors=2)
     large, _ = make_volume(rng, sectors=8)
@@ -525,7 +528,7 @@ def test_restore_rejects_geometry_mismatch(rng):
 
 def test_dump_renders_slot_lines(rng):
     volume, _ = make_volume(rng)
-    text = vol.dump(volume).render()
+    text = vol.dump(volume)
     assert "Key Slot 0: ACTIVE" in text
     for i in range(1, 8):
         assert f"Key Slot {i}: EMPTY" in text
@@ -536,9 +539,9 @@ def test_dump_never_reveals_key_material():
     rng = make_rng(555)
     for _ in range(100):
         keyfile = Keyfile.generate(rng)
-        volume = vol.format_volume(1, keyfile, FAST, rng).volume
+        volume = vol.format_volume(1, keyfile, rng, kdf_iterations=FAST).volume
         handle = vol.unlock(volume, keyfile)
-        text = vol.dump(volume).render()
+        text = vol.dump(volume)
         blob = text.encode()
         for secret in (handle.key.data, keyfile.data,
                        volume.header.slots[0].wrapped_key):
@@ -606,11 +609,14 @@ def test_one_byte_header_mutation_loads_canonically_or_raises_volume_error(index
     lambda doc: doc.update(sector_count=0),
     lambda doc: doc["spec"].update(kdf_iterations=10.0),
     lambda doc: doc["spec"].update(extra=1),
+    lambda doc: doc["spec"].update(master_key_bits=256),
+    lambda doc: doc["spec"].update(sector_bytes=4096),
     lambda doc: doc["slots"][0].update(salt="AB" * SALT_BYTES),
     lambda doc: doc["slots"][0].update(state="on"),
     lambda doc: doc["slots"].pop(),
     lambda doc: doc.update(slots={}),
 ], ids=["short-uuid", "bool-count", "zero-sectors", "float-iterations", "unknown-spec-key",
+        "wrong-key-bits", "wrong-sector-size",
         "uppercase-hex", "unknown-slot-state", "seven-slots", "slots-not-a-list"])
 def test_well_formed_json_that_is_not_a_header_raises_volume_error(edit):
     start = len(vol.VOLUME_MAGIC) + 4
@@ -643,7 +649,7 @@ def test_sealed_volume_call_sequences_never_yield_plaintext():
     wrong = Keyfile.generate(rng)
 
     def sealed_volume():
-        volume = vol.format_volume(2, keyfile, FAST, rng).volume
+        volume = vol.format_volume(2, keyfile, rng, kdf_iterations=FAST).volume
         handle = vol.unlock(volume, keyfile)
         vol.write_sector(handle, 0, secret)
         vol.erase_keyslots(volume)
@@ -655,7 +661,7 @@ def test_sealed_volume_call_sequences_never_yield_plaintext():
     ops = {
         "unlock_right": lambda v: vol.unlock(v, keyfile),
         "unlock_wrong": lambda v: vol.unlock(v, wrong),
-        "dump": lambda v: vol.dump(v).render(),
+        "dump": vol.dump,
         "backup": lambda v: vol.header_backup(v),
         "restore_sealed": lambda v: vol.restore_header(v, sealed_backup),
         "erase": lambda v: vol.erase_keyslots(v),
