@@ -98,35 +98,6 @@ def reconstruct(shares: list[KeyShare]) -> bytes:
     return secret
 
 
-@dataclass(frozen=True)
-class ShareReport:
-    consistent: bool
-    problems: tuple[str, ...]
-
-
-def verify_shares(shares: list[KeyShare]) -> ShareReport:
-    """Consistency check without reconstructing an incomplete set."""
-    problems: list[str] = []
-    if not shares:
-        return ShareReport(consistent=False, problems=("no shares",))
-    totals = {s.total for s in shares}
-    if len(totals) != 1:
-        problems.append(f"conflicting totals: {sorted(totals)}")
-    if len({s.commitment for s in shares}) != 1:
-        problems.append("mixed commitments")
-    indices = [s.index for s in shares]
-    if len(set(indices)) != len(indices):
-        problems.append("duplicate share indices")
-    total = shares[0].total
-    missing = set(range(1, total + 1)) - set(indices)
-    if missing:
-        problems.append(f"missing indices: {sorted(missing)}")
-    lengths = {len(s.payload) for s in shares}
-    if len(lengths) != 1:
-        problems.append("payload lengths differ")
-    return ShareReport(consistent=not problems, problems=tuple(problems))
-
-
 # -- escrowed payload: the VM's rewrapped key record -----------------------------
 
 

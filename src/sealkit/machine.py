@@ -245,7 +245,7 @@ class Machine:
 
     @property
     def is_sealed(self) -> bool:
-        return not self.root_volume.header.active_slots()
+        return all(slot.state != "active" for slot in self.root_volume.header.slots)
 
     def boot(self) -> BootReport:
         if self.is_on:
@@ -263,19 +263,16 @@ class Machine:
 
         services = ServiceState()
         services.ssh = "installed" if tree.is_file("/usr/sbin/sshd") else "purged"
-        cron_path = self._cron_script_path()
-        if tree.is_file(cron_path):
-            services.cron_reboot = [
-                line for line in tree.read_text(cron_path).splitlines()
-                if line.strip() and not line.startswith("#")
-            ]
+        cron = tree.file_bytes(self._cron_script_path()) or b""
+        services.cron_reboot = [
+            line for line in cron.decode().splitlines()
+            if line.strip() and not line.startswith("#")
+        ]
 
         firewall = FirewallPolicy()
-        rules_path = self._iptables_path()
-        if tree.is_file(rules_path):
-            firewall.input_rules, firewall.output_policy = parse_iptables_save(
-                tree.read_text(rules_path)
-            )
+        rules = tree.file_bytes(self._iptables_path())
+        if rules is not None:
+            firewall.input_rules, firewall.output_policy = parse_iptables_save(rules.decode())
 
         self.ram = RamState(
             handle=handle, tree=tree, services=services,
@@ -404,10 +401,10 @@ class Machine:
 
     def _step_show_file(self, ram, args):
         path = args["path"]
-        view = self.full_view()
-        if not view.is_file(path):
+        data = self.full_view().file_bytes(path)
+        if data is None:
             return f"cat: {path}: No such file or directory", 1
-        return view.read_file(path).decode(errors="replace"), 0
+        return data.decode(errors="replace"), 0
 
     def _step_remove_hosts_allow(self, ram, args):
         if not ram.tree.is_file("/etc/hosts.allow"):
@@ -430,25 +427,23 @@ class Machine:
         ), 0
 
     def _step_service_status(self, ram, args):
-        unit = args.get("unit", "sshd")
-        if unit == "sshd":
-            if ram.services.ssh == "purged":
-                return f"Unit {unit}.service could not be found.", 4
-            return (
-                f"* {unit}.service - OpenBSD Secure Shell server\n"
-                "   Active: active (running)"
-            ), 0
-        return f"Unit {unit}.service could not be found.", 4
+        if ram.services.ssh == "purged":
+            return "Unit sshd.service could not be found.", 4
+        return (
+            "* sshd.service - OpenBSD Secure Shell server\n"
+            "   Active: active (running)"
+        ), 0
 
     def _step_remove_user(self, ram, args):
         name = args["name"]
-        passwd = ram.tree.read_text("/etc/passwd") if ram.tree.is_file("/etc/passwd") else ""
-        if not any(line.startswith(f"{name}:") for line in passwd.splitlines()):
+        passwd = ram.tree.file_bytes("/etc/passwd") or b""
+        if not any(line.startswith(f"{name}:") for line in passwd.decode().splitlines()):
             return f"userdel: user '{name}' does not exist", 1
         for path in ("/etc/passwd", "/etc/shadow", "/etc/group"):
-            if ram.tree.is_file(path):
+            data = ram.tree.file_bytes(path)
+            if data is not None:
                 kept = [
-                    line for line in ram.tree.read_text(path).splitlines()
+                    line for line in data.decode().splitlines()
                     if not line.startswith(f"{name}:")
                 ]
                 ram.tree.write_file(path, ("\n".join(kept) + "\n").encode())
@@ -515,9 +510,9 @@ class Machine:
     def _step_move_from_boot(self, ram, args):
         name = args["name"]
         src = "/" + name
-        if not self.boot_partition.is_file(src):
+        data = self.boot_partition.file_bytes(src)
+        if data is None:
             return f"mv: cannot stat '/boot/{name}': No such file or directory", 1
-        data = self.boot_partition.read_file(src)
         self.write_file(args["dest_dir"] + "/" + name, data)
         self.boot_partition.remove(src)
         return "", 0
@@ -526,8 +521,7 @@ class Machine:
         return "", 0
 
     def _step_ldap_dump(self, ram, args):
-        replica_path = "/etc/ldap/directory.tsv"
-        listing = ram.tree.read_text(replica_path) if ram.tree.is_file(replica_path) else ""
+        listing = (ram.tree.file_bytes("/etc/ldap/directory.tsv") or b"").decode()
         text = f"{self.clock.stamp()}\n{listing}"
         self.append_text(args["dest"], text)
         return "", 0
@@ -538,11 +532,9 @@ class Machine:
 
     def _step_send_mail(self, ram, args):
         body_path = args.get("body_path")
-        body = ""
-        if body_path and ram.tree.is_file(body_path):
-            body = ram.tree.read_text(body_path)
+        body = (ram.tree.file_bytes(body_path) or b"") if body_path else b""
         ram.services.mailer.append(
-            MailMessage(to=args["to"], subject=args["subject"], body=body)
+            MailMessage(to=args["to"], subject=args["subject"], body=body.decode())
         )
         return "", 0
 

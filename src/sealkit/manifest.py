@@ -91,10 +91,6 @@ def compute_manifest(tree: FileTree, roots: list[RootSpec | str]) -> Manifest:
     return Manifest(entries=ordered, roots=tuple(s.path for s in specs))
 
 
-def parse_manifest(text: str) -> Manifest:
-    return manifest_from_lines(text.splitlines())
-
-
 def diff_manifests(pre: Manifest, post: Manifest) -> ManifestDiff:
     pre_map = pre.as_dict()
     post_map = post.as_dict()

@@ -98,7 +98,7 @@ def _probe_volume(volume, keyfile: Keyfile) -> tuple[str, FileTree | None]:
     return "partially-readable", None
 
 
-def _build(seed: int, config: ServerConfig | None):
+def _build(seed: int, config: ServerConfig):
     host = prepare_trusted_server(config, rng=make_rng(seed), clock=SimClock())
     return host, host.nested_vm
 
@@ -118,7 +118,7 @@ def drop_step(plan: SealingPlan, stage: str, kind: str) -> SealingPlan:
     return replace(plan, **{f"{stage}_steps": steps[:i] + steps[i + 1:]})
 
 
-def _run_theft_reboot(seed: int, config: ServerConfig | None) -> ScenarioReport:
+def _run_theft_reboot(seed: int, config: ServerConfig) -> ScenarioReport:
     host, vm = _build(seed, config)
     host_secret = _image_secret(host, "/root/host-secret.txt")
     seal_all(host)
@@ -145,7 +145,7 @@ def _image_secret(machine, path: str) -> str:
     return full_tree_from_images(machine.snapshot_image()).read_text(path)
 
 
-def _run_header_restore_single(seed: int, config: ServerConfig | None) -> ScenarioReport:
+def _run_header_restore_single(seed: int, config: ServerConfig) -> ScenarioReport:
     host, _ = _build(seed, config)
     secret = _image_secret(host, "/root/host-secret.txt")
     backup = vol.header_backup(host.root_volume)
@@ -158,17 +158,13 @@ def _run_header_restore_single(seed: int, config: ServerConfig | None) -> Scenar
     keyfile = Keyfile(host.boot_partition.read_file("/keyfile"))
     state, tree = _probe_volume(host.root_volume, keyfile)
     details = [f"unlock after header restore: {state}"]
-    recovered = (
-        tree is not None
-        and tree.is_file("/root/host-secret.txt")
-        and tree.read_text("/root/host-secret.txt") == secret
-    )
+    recovered = tree is not None and tree.file_bytes("/root/host-secret.txt") == secret.encode()
     details.append(f"secret recovered: {recovered}")
     observed = ATTACK_SUCCEEDS if recovered else ATTACK_FAILS
     return ScenarioReport("header-restore-single", seed, ATTACK_SUCCEEDS, observed, details)
 
 
-def _run_header_restore_dual(seed: int, config: ServerConfig | None) -> ScenarioReport:
+def _run_header_restore_dual(seed: int, config: ServerConfig) -> ScenarioReport:
     host, vm = _build(seed, config)
     backup = vol.header_backup(vm.root_volume)
     seal_all(host)
@@ -191,7 +187,7 @@ class FlagsRow(NamedTuple):
     notes: Callable[[Machine], list[str]] = lambda host: []
 
 
-def _run_verifier_flags(name: str, seed: int, config: ServerConfig | None) -> ScenarioReport:
+def _run_verifier_flags(name: str, seed: int, config: ServerConfig) -> ScenarioReport:
     """Seal through the row's sabotage, then verify against the honest plan."""
     row = _FLAGS_ROWS[name]
     host, vm = _build(seed, config)
@@ -241,8 +237,7 @@ _RUNNERS = {
 }
 
 
-def run_scenario(scenario: str | Scenario, seed: int = 0,
-                 config: ServerConfig | None = None) -> ScenarioReport:
+def run_scenario(scenario: str | Scenario, seed: int, config: ServerConfig) -> ScenarioReport:
     name = scenario.name if isinstance(scenario, Scenario) else scenario
     if name not in SCENARIOS:
         raise KeyError(f"unknown scenario {name!r}; known: {', '.join(sorted(SCENARIOS))}")

@@ -281,10 +281,9 @@ def _boot_tree(kind: str) -> FileTree:
     return tree
 
 
-def prepare_trusted_server(config: ServerConfig | None = None, *,
+def prepare_trusted_server(config: ServerConfig, *,
                            rng: random.Random, clock: SimClock) -> Machine:
     """Build the unsealed host+VM pair in its pre-seal production state."""
-    config = config or ServerConfig()
     config.validate()
     plan = default_plan(config)
 
@@ -482,10 +481,6 @@ class PublishedBundle:
     def vm_log_text(self) -> str:
         return self.artifacts[VM_LOG_NAME].decode()
 
-    @property
-    def ldap_text(self) -> str:
-        return self.artifacts["ldap.txt"].decode()
-
     def index_text(self) -> str:
         lines = [
             f"{hashlib.sha3_512(data).hexdigest()}  {name}\n"
@@ -529,8 +524,9 @@ def publish_bundle(vm: Machine) -> PublishedBundle:
     artifacts: dict[str, bytes] = {}
     if tree.is_dir(webroot):
         for path in tree.under(webroot):
-            if tree.is_file(path):
-                artifacts[path[len(webroot) + 1:]] = tree.read_file(path)
+            data = tree.file_bytes(path)
+            if data is not None:
+                artifacts[path[len(webroot) + 1:]] = data
     missing = [name for name in REQUIRED_BUNDLE_ARTIFACTS if name not in artifacts]
     if missing:
         raise WebrootIncomplete(f"webroot is missing: {', '.join(missing)}")

@@ -236,12 +236,17 @@ def read_vault_tree(handle: UnlockedVolume) -> FileTree:
 # -- the sealed server's service frontend ---------------------------------------------
 
 
+def _parse_replica(text: str) -> CredentialDirectory:
+    return CredentialDirectory.parse(text, read_only=True)
+
+
 class ServiceFrontend:
     """Typed request surface of a sealed VM, with an audit hook.
 
     Mutations run in arrival order (the caller is the single queue). The
     ranking table and the replica are parsed once per stored version: the
-    file's ``bytes`` object in the RAM tree, which every write replaces.
+    file's ``bytes`` object in the RAM tree, which every write replaces. A
+    request that only reads resolves each path it reads once.
     """
 
     TABLE_PATH = "/srv/millionaires/table.tsv"
@@ -272,15 +277,14 @@ class ServiceFrontend:
         return self.primary_directory is not None
 
     def _parse_once(self, path: str, parse):
-        tree = self.machine.ram.tree
-        raw = tree.read_file(path) if tree.is_file(path) else b""
-        if self._parsed.get(path, (None,))[0] is not raw:
-            self._parsed[path] = (raw, parse(raw.decode()))
-        return self._parsed[path][1]
+        raw = self.machine.ram.tree.file_bytes(path) or b""
+        cached = self._parsed.get(path)
+        if cached is None or cached[0] is not raw:
+            cached = self._parsed[path] = (raw, parse(raw.decode()))
+        return cached[1]
 
     def _replica(self) -> CredentialDirectory:
-        return self._parse_once(
-            self.REPLICA_PATH, lambda text: CredentialDirectory.parse(text, read_only=True))
+        return self._parse_once(self.REPLICA_PATH, _parse_replica)
 
     def _load_state(self) -> MillionairesState:
         return self._parse_once(self.TABLE_PATH, MillionairesState.parse)

@@ -61,6 +61,10 @@ def _text(raw: bytes) -> str:
 def normalize(path: str) -> str:
     if not path or not path.startswith("/"):
         raise TreeError(f"path must be absolute: {path!r}")
+    # With no "//", no "." or ".." component and no trailing "/", normpath
+    # would return the path unchanged.
+    if "//" not in path and "/." not in path and (path == "/" or path[-1] != "/"):
+        return path
     # normpath keeps a leading "//" (POSIX leaves its meaning open); here it is "/"
     return posixpath.normpath("/" + path.lstrip("/"))
 
@@ -133,6 +137,11 @@ class FileTree:
     def is_file(self, path: str) -> bool:
         return isinstance(self._nodes.get(normalize(path)), FileNode)
 
+    def file_bytes(self, path: str) -> bytes | None:
+        """A regular file's bytes, or None when ``path`` is not a regular file."""
+        node = self._nodes.get(normalize(path))
+        return node.data if isinstance(node, FileNode) else None
+
     def read_file(self, path: str) -> bytes:
         node = self.node(path)
         if not isinstance(node, FileNode):
@@ -143,8 +152,7 @@ class FileTree:
         return self.read_file(path).decode()
 
     def append_text(self, path: str, text: str) -> None:
-        existing = self.read_file(path) if self.is_file(path) else b""
-        self.write_file(path, existing + text.encode())
+        self.write_file(path, (self.file_bytes(path) or b"") + text.encode())
 
     def paths(self) -> list[str]:
         return sorted(self._nodes)

@@ -387,11 +387,8 @@ def _check_archive(stage: str, name: str, blob: bytes, src_root: str,
     except Exception:
         findings.append(Finding("ERROR", name, "archive cannot be read"))
         return
-    pre_files = {
-        p: pre_tree.read_file(p)
-        for p in pre_tree.under(src_root)
-        if pre_tree.is_file(p)
-    }
+    files = ((p, pre_tree.file_bytes(p)) for p in pre_tree.under(src_root))
+    pre_files = {p: data for p, data in files if data is not None}
     for path, data in members.items():
         if path not in pre_files:
             if not policy.allows("add", path):

@@ -21,7 +21,6 @@ from sealkit.escrow import (
     save_share,
     serialize_share,
     split_key,
-    verify_shares,
     wrapped_key_record,
 )
 from sealkit.sealing import seal_all_with_escrow
@@ -102,27 +101,17 @@ def test_roundtrip_for_all_party_counts():
         assert reconstruct(split_key(secret, n, rng)) == secret
 
 
-# -- verify_shares ----------------------------------------------------------------
-
-
-def test_complete_set_is_consistent(rng):
-    report = verify_shares(split_key(rng.randbytes(16), 3, rng))
-    assert report.consistent and report.problems == ()
-
-
 def test_duplicate_index_is_inconsistent(rng):
     shares = split_key(rng.randbytes(16), 3, rng)
-    report = verify_shares([shares[0], shares[0], shares[2]])
-    assert not report.consistent
-    assert any("duplicate" in p for p in report.problems)
+    with pytest.raises(MissingShares):
+        reconstruct([shares[0], shares[0], shares[2]])
 
 
 def test_mixed_commitments_are_inconsistent(rng):
     a = split_key(rng.randbytes(16), 2, rng)
     b = split_key(rng.randbytes(16), 2, rng)
-    report = verify_shares([a[0], b[1]])
-    assert not report.consistent
-    assert any("commitment" in p for p in report.problems)
+    with pytest.raises(CommitmentMismatch):
+        reconstruct([a[0], b[1]])
 
 
 # -- statistical hiding --------------------------------------------------------------

@@ -1,0 +1,134 @@
+"""Power cuts during a sealed VM's write-through, recovered through escrow.
+
+The state: a server with 192 host and 512 VM sectors at seed 4, sealed with
+two escrow shares, after 30 ``SUBMIT`` requests. ``SUBMIT next 999`` then rewrites 50 root-volume
+sectors. A cut at k means ``volume.write_sector`` fails after k of them; the
+VM is then powered off, its key record reinstated from the shares, and booted.
+The boot must give the tree before the write, the tree after it, or a
+``TreeError``: never another exception, a hang, or a third tree.
+"""
+
+from __future__ import annotations
+
+import signal
+from contextlib import contextmanager
+from typing import NamedTuple
+
+import pytest
+
+from sealkit import volume as vol
+from sealkit.config import ServerConfig
+from sealkit.escrow import apply_wrapped_key_record, reconstruct
+from sealkit.machine import Machine
+from sealkit.sealing import prepare_trusted_server, seal_all_with_escrow
+from sealkit.services import ServiceFrontend
+from sealkit.tree import TreeError
+from sealkit.util import SimClock, make_rng
+from sealkit.volume import VolumeHeader
+
+TABLE = ServiceFrontend.TABLE_PATH
+NEXT_LINE = "next\t999\t30\n"  # what SUBMIT next 999 appends to the table
+SECTORS_WRITTEN = 50
+THIRD_TREE = range(46, 50)
+THIRD_TREE_REASON = (
+    "the write-through rewrites the TSTREE1 image in place with no commit step: after "
+    "46-49 of its 50 sectors the image decodes, and its last record, "
+    "/var/www/log/trust-vm.zip, holds a mix of old and new bytes"
+)
+
+
+class PowerCut(Exception):
+    """The power failed before the next sector reached the disk."""
+
+
+class Served(NamedTuple):
+    host: Machine
+    vm: Machine
+    record: bytes  # the VM's key record, rebuilt from the escrow shares
+    sectors: list[bytes]  # the sealed VM disk after the 30th SUBMIT
+    header: VolumeHeader
+    old: bytes  # the tree encodings before and after SUBMIT next 999
+    new: bytes
+
+
+@pytest.fixture(scope="module")
+def served() -> Served:
+    host = prepare_trusted_server(ServerConfig(host_sectors=192, vm_sectors=512),
+                                  rng=make_rng(4), clock=SimClock())
+    _, shares = seal_all_with_escrow(host, 2)
+    vm = host.nested_vm
+    frontend = ServiceFrontend(vm)
+    for i in range(30):
+        assert frontend.handle_line(f"SUBMIT m{i} {7 * i}") == f"OK {i}"
+    after = vm.ram.tree.copy()
+    after.append_text(TABLE, NEXT_LINE)
+    old = vm.ram.tree.encode()
+    host.power_off()
+    return Served(host, vm, reconstruct(shares), list(vm.root_volume.sectors),
+                  vm.root_volume.header, old, after.encode())
+
+
+def _boot_tree(host: Machine, vm: Machine, record: bytes) -> bytes:
+    """Recover the way an operator would: power off, reinstate the key record, boot."""
+    host.power_off()
+    apply_wrapped_key_record(vm.root_volume, record)
+    vm.boot()
+    return vm.ram.tree.encode()
+
+
+@contextmanager
+def deadline(seconds: float):
+    def expire(signum, frame):
+        raise TimeoutError(f"no outcome within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+CUTS = [
+    pytest.param(k, marks=pytest.mark.xfail(strict=True, raises=AssertionError,
+                                            reason=THIRD_TREE_REASON))
+    if k in THIRD_TREE else k
+    for k in range(SECTORS_WRITTEN + 1)
+]
+
+
+@pytest.mark.parametrize("k", CUTS)
+def test_power_cut_during_write_through_boots_old_tree_new_tree_or_tree_error(
+        served, k, monkeypatch):
+    host, vm = served.host, served.vm
+    # The disk as the 30th SUBMIT left it, running with its sealed header.
+    vm.root_volume.sectors = list(served.sectors)
+    vm.root_volume.header = served.header
+    assert _boot_tree(host, vm, served.record) == served.old
+    vm.root_volume.header = served.header
+
+    written = 0
+    real_write_sector = vol.write_sector
+
+    def write_sector(handle, index, data):
+        nonlocal written
+        if written == k:
+            raise PowerCut(f"after {k} sectors")
+        written += 1
+        real_write_sector(handle, index, data)
+
+    with deadline(10):
+        with monkeypatch.context() as patch:
+            patch.setattr(vol, "write_sector", write_sector)
+            try:
+                vm.append_text(TABLE, NEXT_LINE)  # SUBMIT next 999's write-through
+                cut = False
+            except PowerCut:
+                cut = True
+        assert (cut, written) == (k < SECTORS_WRITTEN, min(k, SECTORS_WRITTEN))
+        try:
+            booted = _boot_tree(host, vm, served.record)
+        except TreeError:
+            return
+    assert booted in (served.old, served.new), "the recovered VM booted a third tree"

@@ -22,7 +22,7 @@ def test_scenario_registry_is_complete():
 
 def test_unknown_scenario_rejected():
     with pytest.raises(KeyError):
-        run_scenario("no-such-attack", 0)
+        run_scenario("no-such-attack", 0, SMALL)
 
 
 def test_drop_step_removes_the_first_step_of_its_kind_from_one_stage():

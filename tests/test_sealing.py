@@ -215,7 +215,7 @@ def test_bundle_index_digest_stable_across_assemblies():
 def test_bundle_contains_ldap_dump():
     _, _, _, _, bundle = build_sealed(47)
     assert "ldap.txt" in bundle.artifacts
-    assert bundle.ldap_text.strip()
+    assert bundle.artifacts["ldap.txt"].strip()
 
 
 def test_bundle_contains_no_keyfile_bytes():

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from conftest import SMALL, build_sealed, build_server
 
+from sealkit import volume as vol
 from sealkit.manifest import compute_manifest
 from sealkit.services import (
     AuthRequired,
@@ -148,13 +150,37 @@ def manifest_of(vm):
     return compute_manifest(view, vm.config.root_specs()).render()
 
 
-def test_maildrop_leaves_persistent_state_unchanged():
-    vm, frontend = sealed_frontend(83)
+@pytest.mark.parametrize("line, response", [
+    ("MAIL nick|something to report", "OK sent"),
+    ("AUTH alice wonder", "OK accept"),
+    ("AUTH alice wrong", "OK reject"),
+    ("RESOLVE example.org", "OK 93.184.216.34"),
+], ids=["mail", "auth-good", "auth-bad", "resolve"])
+def test_read_requests_leave_persistent_state_unchanged(line, response, monkeypatch):
+    primary = CredentialDirectory()
+    primary.add_user("alice", "wonder", make_rng(83))
+    upstream = UpstreamResolver(table={"example.org": "93.184.216.34"})
+    vm, frontend = sealed_frontend(83, primary_directory=primary, upstream=upstream)
+    calls = Counter()
+    for name in ("read_sector", "write_sector"):
+        def spy(*args, name=name, real=getattr(vol, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(vol, name, spy)
+    assert frontend.handle_line("SYNC") == "OK 1"
+    assert calls["write_sector"] > 0  # the spies see the write-through
+    calls.clear()
     before = manifest_of(vm)
-    outbox_before = len(vm.ram.services.mailer)
-    frontend.submit_mail("nick", "something to report")
-    assert len(vm.ram.services.mailer) == outbox_before + 1
+    content, sectors = vm.ram.content, list(vm.root_volume.sectors)
+    outbox = len(vm.ram.services.mailer)
+
+    assert frontend.handle_line(line) == response
     assert manifest_of(vm) == before  # manifest-equality oracle
+    assert vm.ram.content == content
+    assert len(vm.root_volume.sectors) == len(sectors)
+    assert all(a is b for a, b in zip(vm.root_volume.sectors, sectors))
+    assert calls == Counter()  # no read_sector, no write_sector
+    assert len(vm.ram.services.mailer) == outbox + line.startswith("MAIL")
 
 
 def test_maildrop_includes_return_address_when_given():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import posixpath
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -35,6 +36,25 @@ def test_leading_slashes_collapse_to_root():
     tree.symlink("//usr/bin/X11", ".")
     assert tree.paths() == ["/", "/etc", "/etc/x", "/srv", "/srv/d", "/usr", "/usr/bin",
                             "/usr/bin/X11"]
+
+
+@settings(max_examples=2000)
+@given(st.text(alphabet="/.ab", max_size=12))
+def test_normalize_equals_the_normpath_reference(path):
+    if path.startswith("/"):
+        assert normalize(path) == posixpath.normpath("/" + path.lstrip("/"))
+    else:
+        with pytest.raises(TreeError):
+            normalize(path)
+
+
+def test_file_bytes_is_none_unless_a_regular_file():
+    tree = sample_tree()
+    assert tree.file_bytes("//etc/ssh/../passwd") == tree.read_file("/etc/passwd")
+    for path in ("/etc", "/usr/bin/X11", "/missing"):
+        assert tree.file_bytes(path) is None
+    with pytest.raises(TreeError):
+        tree.file_bytes("etc/passwd")
 
 
 def test_parents_created_automatically():

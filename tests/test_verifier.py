@@ -14,7 +14,7 @@ from sealkit.manifest import (
     MissingRoot,
     compute_manifest,
     diff_manifests,
-    parse_manifest,
+    manifest_from_lines,
 )
 from sealkit.sealing import (
     HOST_LOG_NAME,
@@ -83,7 +83,7 @@ def test_manifest_render_format_and_parse():
     text = manifest.render()
     digest = hashlib.sha3_512(b"data").hexdigest()
     assert text == f"{digest}  /f\n"
-    assert parse_manifest(text).entries == manifest.entries
+    assert manifest_from_lines(text.splitlines()).entries == manifest.entries
 
 
 def test_manifest_determinism_across_serialization(tmp_path):
