@@ -139,7 +139,7 @@ def _lockdown(rules: list[str], account_files: tuple[str, ...],
         _step("show_file", "cat /etc/hosts.allow", path="/etc/hosts.allow"),
         _step("show_file", "cat /etc/hosts.deny", path="/etc/hosts.deny"),
         _step("purge_ssh", "apt-get -y purge openssh-server"),
-        _step("service_status", "systemctl status sshd", unit="sshd"),
+        _step("service_status", "systemctl status sshd"),
         _step("remove_user", "userdel -f trust", name="trust"),
         *(_step("show_file", f"cat {path}", path=path) for path in account_files),
         _step("luks_erase", f"cryptsetup luksErase {device}", critical=True, target="self"),

@@ -64,8 +64,8 @@ ATTACK_REPORTS_SMALL_SEEDS_0_1 = (
     "996e66211a6db2952707fd5b135c50df6e523bfa4b9a447eb905f3ef829e7aa2"
 )
 PLANS_SMALL_AND_ALT = (
-    "7990a373f197d6d9430433a4b3a8048409cb56e57cbe619d4947d59b7c91b168"
-    "613f6f1480f5cb68feda50f0693819246b45605ebaab20e7bfdc3ad53c63f6b4"
+    "47fbe962b63d623c196570eb0a24341871aece94bd7f392b1ebfe1b9224a2155"
+    "dd444936f1178423591bd8ef399274570e9e001549c4c96bb4bc5d6482f11fd2"
 )
 ESCROW_90002_INDEX = (
     "89a067c57df9401c660ff6d9cf9c3485ebefeee116d256bb03576446579a09e7"

@@ -142,7 +142,7 @@ def test_purge_ssh_removes_service_and_files():
     assert host.exec_step(step("purge_ssh")).ok
     assert host.ram.services.ssh == "purged"
     assert not host.ram.tree.exists("/usr/sbin/sshd")
-    probe = host.exec_step(step("service_status", unit="sshd"))
+    probe = host.exec_step(step("service_status"))
     assert "could not be found" in probe.output
 
 
