@@ -131,15 +131,21 @@ class DiskImagePair:
         )
 
 
+def format_tree_volume(tree: FileTree, sector_count: int,
+                       rng: random.Random) -> tuple[EncryptedVolume, Keyfile]:
+    """A fresh volume holding the tree, under a fresh keyfile; no handle stays open."""
+    keyfile = Keyfile.generate(rng)
+    handle = vol.format_volume(sector_count, keyfile, rng=rng, image=tree.encode())
+    handle.invalidate()
+    return handle.volume, keyfile
+
+
 def provision(*, root_tree: FileTree, boot_tree: FileTree, sector_count: int,
               rng: random.Random) -> DiskImagePair:
-    """Format a root volume under a fresh keyfile, installing the tree; the
-    keyfile goes on the boot tree."""
-    keyfile = Keyfile.generate(rng)
+    """Format a root volume holding the tree; the keyfile goes on the boot tree."""
+    root, keyfile = format_tree_volume(root_tree, sector_count, rng)
     boot_tree.write_file("/keyfile", keyfile.data)
-    handle = vol.format_volume(sector_count, keyfile, rng=rng, image=root_tree.encode())
-    handle.invalidate()
-    return DiskImagePair(boot=boot_tree, root=handle.volume)
+    return DiskImagePair(boot=boot_tree, root=root)
 
 
 # -- passwd / iptables file helpers ---------------------------------------------

@@ -8,6 +8,7 @@ followed, so link cycles cannot recurse.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .tree import FileNode, FileTree, MissingPath, SymlinkNode
@@ -34,16 +35,12 @@ def _digest(data: bytes) -> str:
 @dataclass(frozen=True)
 class Manifest:
     entries: tuple[tuple[str, str], ...]  # (path, hex digest), sorted by path
-    roots: tuple[str, ...] = ()
 
     def digest_of(self, path: str) -> str | None:
         for p, d in self.entries:
             if p == path:
                 return d
         return None
-
-    def paths(self) -> set[str]:
-        return {p for p, _ in self.entries}
 
     def as_dict(self) -> dict[str, str]:
         return dict(self.entries)
@@ -78,29 +75,22 @@ def hash_lines(tree: FileTree, root: str, recursive: bool = True) -> list[str]:
 
 def compute_manifest(tree: FileTree, roots: list[RootSpec | str]) -> Manifest:
     """One entry per regular file and symlink under the given roots."""
-    specs = [RootSpec(r) if isinstance(r, str) else r for r in roots]
-    entries: dict[str, str] = {}
-    for spec in specs:
+    lines: list[str] = []
+    for spec in (RootSpec(r) if isinstance(r, str) else r for r in roots):
         try:
-            for line in hash_lines(tree, spec.path, spec.recursive):
-                digest, path = line.rstrip("\n").split("  ", 1)
-                entries[path] = digest
+            lines += hash_lines(tree, spec.path, spec.recursive)
         except MissingPath:
             raise MissingRoot(spec.path) from None
-    ordered = tuple(sorted(entries.items()))
-    return Manifest(entries=ordered, roots=tuple(s.path for s in specs))
+    return manifest_from_lines(lines)
 
 
-def diff_manifests(pre: Manifest, post: Manifest) -> ManifestDiff:
-    pre_map = pre.as_dict()
-    post_map = post.as_dict()
-    added = frozenset(post_map) - frozenset(pre_map)
-    removed = frozenset(pre_map) - frozenset(post_map)
-    changed = frozenset(
-        p for p in frozenset(pre_map) & frozenset(post_map)
-        if pre_map[p] != post_map[p]
+def diff_manifests(pre: Mapping[str, object], post: Mapping[str, object]) -> ManifestDiff:
+    """Paths added, removed and changed between two ``path -> value`` mappings."""
+    return ManifestDiff(
+        added=frozenset(post.keys() - pre.keys()),
+        removed=frozenset(pre.keys() - post.keys()),
+        changed=frozenset(p for p in pre.keys() & post.keys() if pre[p] != post[p]),
     )
-    return ManifestDiff(added=frozenset(added), removed=frozenset(removed), changed=changed)
 
 
 def manifest_from_lines(lines: list[str]) -> Manifest:

@@ -13,14 +13,15 @@ from typing import Callable, NamedTuple
 
 from . import volume as vol
 from .config import ServerConfig
-from .machine import Machine, SealedAndCold, full_tree_from_images
+from .machine import Machine, SealedAndCold, full_tree_from_images, read_volume_tree
 from .sealing import (
     PublishedBundle,
     SealingPlan,
     default_plan,
     prepare_trusted_server,
     seal_all,
-    seal_single_stage,
+    seal_host,
+    single_stage_host_plan,
 )
 from .tree import FileTree
 from .util import SimClock, make_rng
@@ -84,15 +85,16 @@ def _probe_volume(volume, keyfile: Keyfile) -> tuple[str, FileTree | None]:
         return "keyslots-empty", None
     except NoMatchingSlot:
         return "no-matching-slot", None
-    chunks: list[bytes] = []
+    try:
+        return "readable", read_volume_tree(handle)[0]
+    except AuthFailure:
+        pass
     failures = 0
     for i in range(volume.sector_count):
         try:
-            chunks.append(vol.read_sector(handle, i))
+            vol.read_sector(handle, i)
         except AuthFailure:
             failures += 1
-    if failures == 0:
-        return "readable", FileTree.decode(b"".join(chunks))
     if failures == volume.sector_count:
         return "all-auth-failures", None
     return "partially-readable", None
@@ -151,7 +153,7 @@ def _run_header_restore_single(seed: int, config: ServerConfig) -> ScenarioRepor
     backup = vol.header_backup(host.root_volume)
 
     host.boot()
-    seal_single_stage(host)
+    seal_host(host, single_stage_host_plan(host.config))
     host.power_off()
 
     vol.restore_header(host.root_volume, backup)

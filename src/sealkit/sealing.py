@@ -407,13 +407,6 @@ def seal_vm(vm: Machine, plan: SealingPlan | None = None) -> SealingLog:
     return log
 
 
-def seal_single_stage(host: Machine, plan: SealingPlan | None = None) -> SealingLog:
-    """Host-only seal (no VM reencryption); the header-restore attack target."""
-    if not host.is_on:
-        host.boot()
-    return seal_host(host, plan or single_stage_host_plan(host.config))
-
-
 def seal_all_with_escrow(host: Machine, escrow_parties: int = 0,
                          plan: SealingPlan | None = None
                          ) -> tuple["PublishedBundle", list[escrow_mod.KeyShare]]:
@@ -451,7 +444,7 @@ def seal_all(host: Machine, plan: SealingPlan | None = None) -> "PublishedBundle
 
 
 def restore_pre_seal(host: Machine, host_images: DiskImagePair,
-                     vm_images: DiskImagePair, *, reseal: bool = False):
+                     vm_images: DiskImagePair) -> None:
     """Put both machines back into their imaged pre-seal state."""
     vm = host.nested_vm
     if host.is_on or (vm is not None and vm.is_on):
@@ -459,9 +452,6 @@ def restore_pre_seal(host: Machine, host_images: DiskImagePair,
     host.restore_image(host_images)
     if vm is not None:
         vm.restore_image(vm_images)
-    if reseal:
-        return seal_all(host)
-    return None
 
 
 # -- the published bundle -------------------------------------------------------------

@@ -13,10 +13,9 @@ import random
 from dataclasses import dataclass, field
 
 from . import volume as vol
-from .machine import Machine, MailMessage, read_volume_tree
+from .machine import Machine, MailMessage, format_tree_volume
 from .tree import FileTree
-from .util import SimClock
-from .volume import EncryptedVolume, Keyfile, NoMatchingSlot, UnlockedVolume
+from .volume import Keyfile, NoMatchingSlot, UnlockedVolume
 
 
 class ServiceError(Exception):
@@ -126,9 +125,6 @@ class CredentialDirectory:
             return False
         return _verifier(password, bytes.fromhex(entry.salt)) == entry.verifier
 
-    def snapshot(self) -> dict[str, DirectoryEntry]:
-        return dict(self.entries)
-
     def render(self) -> str:
         return "".join(
             f"{e.user}:{e.salt}:{e.verifier}\n"
@@ -154,20 +150,6 @@ def render_directory_file(users: tuple[tuple[str, str], ...],
     return directory.render()
 
 
-def authenticate(directory: CredentialDirectory, user: str, password: str) -> bool:
-    """Verifier comparison only; no record of who asked is kept."""
-    return directory.check(user, password)
-
-
-def credential_sync(replica: CredentialDirectory, primary: CredentialDirectory,
-                    clock: SimClock | None = None) -> tuple[CredentialDirectory, str]:
-    """One-way: the sealed replica becomes a copy of the primary snapshot."""
-    synced = CredentialDirectory(entries=primary.snapshot(), read_only=True)
-    stamp = clock.stamp() if clock else ""
-    dump = f"{stamp}\n{synced.render()}" if stamp else synced.render()
-    return synced, dump
-
-
 # -- DNS privacy proxy ------------------------------------------------------------
 
 
@@ -184,31 +166,16 @@ class UpstreamResolver:
             raise Unresolvable(domain) from None
 
 
-def dns_proxy_resolve(domain: str, client: str, upstream: UpstreamResolver,
-                      proxy_address: str) -> str:
-    """The upstream only ever sees the proxy's address, never the client's."""
-    return upstream.query(proxy_address, domain)
-
-
 # -- data vault --------------------------------------------------------------------
-
-
-def make_data_vault(sector_count: int, data_files: dict[str, bytes],
-                    rng: random.Random) -> tuple[EncryptedVolume, Keyfile]:
-    """Provider-side: an encrypted disk carrying the data, key kept by provider."""
-    key = Keyfile.generate(rng)
-    tree = FileTree()
-    for path, data in data_files.items():
-        tree.write_file(path, data)
-    handle = vol.format_volume(sector_count, key, rng=rng, image=tree.encode())
-    handle.invalidate()
-    return handle.volume, key
 
 
 def attach_data_vault(machine: Machine, sector_count: int,
                       data_files: dict[str, bytes], rng: random.Random) -> Keyfile:
-    """Attach a pre-seal vault disk; returns the provider-held key."""
-    vault, key = make_data_vault(sector_count, data_files, rng)
+    """Attach a pre-seal vault disk carrying the data; returns the provider-held key."""
+    tree = FileTree()
+    for path, data in data_files.items():
+        tree.write_file(path, data)
+    vault, key = format_tree_volume(tree, sector_count, rng)
     machine.extra_disks.append(vault)
     return key
 
@@ -227,10 +194,6 @@ def vault_attach(machine: Machine, key: bytes | Keyfile) -> UnlockedVolume:
         raise WrongKey(str(exc)) from exc
     machine.ram.vault_handles.append(handle)
     return handle
-
-
-def read_vault_tree(handle: UnlockedVolume) -> FileTree:
-    return read_volume_tree(handle)[0]
 
 
 # -- the sealed server's service frontend ---------------------------------------------
@@ -336,24 +299,22 @@ class ServiceFrontend:
         self._require_sealed_web()
         if self.primary_directory is None:
             raise ReplicationUnconfigured("no primary directory was configured at prepare time")
-        synced, dump = credential_sync(
-            self._replica(), self.primary_directory, self.machine.clock
-        )
-        self.machine.write_file(self.REPLICA_PATH, synced.render().encode())
+        # one-way: the replica becomes a copy of the primary, and the dump is published
+        listing = self.primary_directory.render()
+        self.machine.write_file(self.REPLICA_PATH, listing.encode())
+        dump = f"{self.machine.clock.stamp()}\n{listing}"
         self.machine.append_text(f"{self.machine.config.webroot}/ldap.txt", dump)
         return dump
 
     def authenticate(self, user: str, password: str) -> bool:
-        return authenticate(self._replica(), user, password)
-
-    def upload_vault_key(self, key: bytes) -> UnlockedVolume:
-        return vault_attach(self.machine, key)
+        """Verifier comparison only; no record of who asked is kept."""
+        return self._replica().check(user, password)
 
     def resolve(self, domain: str, client: str) -> str:
+        """The upstream only ever sees the server's address, never the client's."""
         if self.upstream is None:
             raise Unresolvable("no upstream resolver configured")
-        return dns_proxy_resolve(domain, client, self.upstream,
-                                 self.machine.config.server_address)
+        return self.upstream.query(self.machine.config.server_address, domain)
 
     # -- line protocol -----------------------------------------------------------
 
@@ -407,7 +368,7 @@ class ServiceFrontend:
                 key = bytes.fromhex(parts[1])
             except ValueError:
                 return "ERR usage: key must be hex"
-            self.upload_vault_key(key)
+            vault_attach(self.machine, key)
             return "OK vault unlocked"
         if verb == "RESOLVE":
             if len(parts) != 2:

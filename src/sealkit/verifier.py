@@ -1,7 +1,10 @@
 """Third-party verification of a published sealed state.
 
 Everything here is a pure function over the pre-seal disk images, the
-published bundle, and an explicit allowlist policy. Manipulations confined
+published bundle, and an explicit allowlist policy. ``default_policy``
+derives the policy from the sealing plan: which paths may change, which
+steps each log must replay and which of them are critical, and which
+published archive zips which root of which stage. Manipulations confined
 to volatile state that no hash root or logged listing covers are outside
 what manifests can see; the verdict preamble says so.
 """
@@ -46,13 +49,6 @@ UNDETECTABLE_NOTE = (
 )
 
 LOGIN_SHELLS = ("/bin/bash", "/bin/sh")
-
-_ARCHIVE_SOURCES = (
-    ("etc-host.zip", "host", "/etc"),
-    ("root-host.zip", "host", "/root"),
-    ("etc-vm.zip", "vm", "/etc"),
-    ("trust-vm.zip", "vm", "/home/trust"),
-)
 
 
 class VerifierError(Exception):
@@ -152,7 +148,6 @@ class DumpEvidence:
 @dataclass
 class LogEvidence:
     dumps: list[DumpEvidence] = field(default_factory=list)
-    erased_devices: list[str] = field(default_factory=list)
     passwd_listings: list[list[str]] = field(default_factory=list)
     purge_seen: bool = False
     ssh_status_outputs: list[str] = field(default_factory=list)
@@ -184,8 +179,6 @@ def extract_evidence(log: SealingLog) -> LogEvidence:
         cmd = record.command
         if cmd.startswith("cryptsetup luksDump"):
             evidence.dumps.append(_parse_dump_output(cmd, record.output))
-        elif cmd.startswith("cryptsetup luksErase"):
-            evidence.erased_devices.append(cmd.rsplit(" ", 1)[-1])
         elif cmd == "cat /etc/passwd":
             evidence.passwd_listings.append(
                 [l for l in record.output.splitlines() if l.strip()]
@@ -215,8 +208,9 @@ def login_users_in_listing(lines: list[str]) -> list[str]:
 @dataclass(frozen=True)
 class AllowlistPolicy:
     """Path globs a clean seal is expected to change/add/remove, the step
-    sequences the logs must replay, and the path of the published directory
-    dump (empty when the plan dumps none)."""
+    sequences the logs must replay, the path of the published directory dump
+    (empty when the plan dumps none), which commands are critical, and the
+    published archives as (bundle name, stage, zipped root)."""
 
     may_change: tuple[str, ...] = ()
     may_add: tuple[str, ...] = ()
@@ -225,6 +219,8 @@ class AllowlistPolicy:
     expected_vm_commands: tuple[str, ...] = ()
     hash_roots: tuple[RootSpec, ...] = ()
     ldap_dump: str = ""
+    critical_commands: tuple[str, ...] = ()
+    archives: tuple[tuple[str, str, str], ...] = ()
 
     def allows(self, kind: str, path: str) -> bool:
         patterns = {
@@ -246,7 +242,8 @@ class AllowlistPolicy:
 
 
 def default_policy(plan: SealingPlan) -> AllowlistPolicy:
-    """Derive the allowlist mechanically from the plan's mutating steps."""
+    """Derive the allowlist, archive sources and critical steps mechanically
+    from the plan's steps."""
     may_change: set[str] = set()
     may_add: set[str] = set()
     may_remove: set[str] = set()
@@ -276,6 +273,12 @@ def default_policy(plan: SealingPlan) -> AllowlistPolicy:
                 seen_roots.add(root)
                 roots.append(RootSpec(root, step.args.get("recursive", True)))
 
+    archives = tuple(
+        (step.args.get("name") or posixpath.basename(step.args["dest_path"]),
+         stage, step.args["src"])
+        for stage, steps in (("host", plan.host_steps), ("vm", plan.vm_steps))
+        for step in steps if step.kind == "zip_tree"
+    )
     return AllowlistPolicy(
         may_change=tuple(sorted(may_change)),
         may_add=tuple(sorted(may_add)),
@@ -284,13 +287,16 @@ def default_policy(plan: SealingPlan) -> AllowlistPolicy:
         expected_vm_commands=tuple(s.command for s in plan.vm_steps),
         hash_roots=tuple(roots),
         ldap_dump=ldap_dump,
+        critical_commands=tuple(
+            s.command for s in (*plan.host_steps, *plan.vm_steps) if s.critical),
+        archives=archives,
     )
 
 
 # -- the verification procedure ------------------------------------------------------
 
 
-def _check_step_sequence(stage: str, expected: tuple[str, ...],
+def _check_step_sequence(stage: str, expected: tuple[str, ...], critical: tuple[str, ...],
                          log: SealingLog, findings: list[Finding]) -> None:
     log_commands = log.commands()
     cursor = 0
@@ -298,8 +304,8 @@ def _check_step_sequence(stage: str, expected: tuple[str, ...],
         try:
             cursor = log_commands.index(command, cursor) + 1
         except ValueError:
-            critical = command.startswith(("cryptsetup luksErase", "cryptsetup-reencrypt"))
-            label = "missing critical step" if critical else "missing or out-of-order step"
+            label = ("missing critical step" if command in critical
+                     else "missing or out-of-order step")
             findings.append(Finding("ERROR", command, f"{label} in {stage} log"))
     for command in set(expected):
         if log_commands.count(command) > expected.count(command):
@@ -360,28 +366,20 @@ def _check_ssh_evidence(stage: str, evidence: LogEvidence,
         ))
 
 
-def _check_manifest_diff(stage: str, diff: ManifestDiff, policy: AllowlistPolicy,
-                         findings: list[Finding]) -> None:
-    for path in sorted(diff.changed):
-        if not policy.allows("change", path):
-            findings.append(Finding(
-                "ERROR", path, f"content changed across the {stage} seal"
-            ))
-    for path in sorted(diff.added):
-        if not policy.allows("add", path):
-            findings.append(Finding(
-                "ERROR", path, f"appeared during the {stage} seal"
-            ))
-    for path in sorted(diff.removed):
-        if not policy.allows("remove", path):
-            findings.append(Finding(
-                "ERROR", path, f"disappeared during the {stage} seal"
-            ))
+def _check_diff(diff: ManifestDiff, policy: AllowlistPolicy, findings: list[Finding], *,
+                changed: str, added: str, removed: str) -> None:
+    """One ERROR per path the policy does not allow to differ that way, with
+    that kind's explanation: changed paths first, then added, then removed."""
+    for kind, paths, explanation in (("change", diff.changed, changed),
+                                     ("add", diff.added, added),
+                                     ("remove", diff.removed, removed)):
+        for path in sorted(paths):
+            if not policy.allows(kind, path):
+                findings.append(Finding("ERROR", path, explanation))
 
 
-def _check_archive(stage: str, name: str, blob: bytes, src_root: str,
-                   pre_tree, policy: AllowlistPolicy,
-                   findings: list[Finding]) -> None:
+def _check_archive(name: str, blob: bytes, src_root: str, pre_tree,
+                   policy: AllowlistPolicy, findings: list[Finding]) -> None:
     try:
         members = unzip_to_map(blob)
     except Exception:
@@ -389,22 +387,10 @@ def _check_archive(stage: str, name: str, blob: bytes, src_root: str,
         return
     files = ((p, pre_tree.file_bytes(p)) for p in pre_tree.under(src_root))
     pre_files = {p: data for p, data in files if data is not None}
-    for path, data in members.items():
-        if path not in pre_files:
-            if not policy.allows("add", path):
-                findings.append(Finding(
-                    "ERROR", path, f"{name} contains a file absent from the pre-seal image"
-                ))
-        elif pre_files[path] != data:
-            if not policy.allows("change", path):
-                findings.append(Finding(
-                    "ERROR", path, f"{name} content differs from the pre-seal image"
-                ))
-    for path in pre_files:
-        if path not in members and not policy.allows("remove", path):
-            findings.append(Finding(
-                "ERROR", path, f"missing from {name} but present in the pre-seal image"
-            ))
+    _check_diff(diff_manifests(pre_files, members), policy, findings,
+                changed=f"{name} content differs from the pre-seal image",
+                added=f"{name} contains a file absent from the pre-seal image",
+                removed=f"missing from {name} but present in the pre-seal image")
 
 
 def _check_published_file(path: str, bundle: PublishedBundle, manifest: Manifest,
@@ -439,8 +425,10 @@ def verify_seal(host_images: DiskImagePair, vm_images: DiskImagePair,
         raise MalformedBundle(f"unparseable sealing log: {exc}") from exc
 
     # (1) both logs replay the full plan in order
-    _check_step_sequence("host", policy.expected_host_commands, host_log, findings)
-    _check_step_sequence("vm", policy.expected_vm_commands, vm_log, findings)
+    _check_step_sequence("host", policy.expected_host_commands, policy.critical_commands,
+                         host_log, findings)
+    _check_step_sequence("vm", policy.expected_vm_commands, policy.critical_commands,
+                         vm_log, findings)
 
     # (2) keyslot dumps show both disks sealed
     _check_dump_evidence("host", HOST_ROOT_DEVICE, host_evidence, findings)
@@ -457,25 +445,24 @@ def verify_seal(host_images: DiskImagePair, vm_images: DiskImagePair,
     # (5) manifests rebuilt from the pre-seal images match the published ones
     roots = list(policy.hash_roots)
     try:
-        host_pre_tree = full_tree_from_images(host_images)
-        vm_pre_tree = full_tree_from_images(vm_images)
+        pre_trees = {"host": full_tree_from_images(host_images),
+                     "vm": full_tree_from_images(vm_images)}
     except Exception as exc:
         raise MalformedBundle(f"pre-seal images cannot be opened: {exc}") from exc
-    host_pre = compute_manifest(host_pre_tree, roots)
-    vm_pre = compute_manifest(vm_pre_tree, roots)
-    _check_manifest_diff("host", diff_manifests(host_pre, host_evidence.manifest),
-                         policy, findings)
-    _check_manifest_diff("vm", diff_manifests(vm_pre, vm_evidence.manifest),
-                         policy, findings)
+    for stage, evidence in (("host", host_evidence), ("vm", vm_evidence)):
+        pre = compute_manifest(pre_trees[stage], roots)
+        _check_diff(diff_manifests(pre.as_dict(), evidence.manifest.as_dict()), policy, findings,
+                    changed=f"content changed across the {stage} seal",
+                    added=f"appeared during the {stage} seal",
+                    removed=f"disappeared during the {stage} seal")
 
     # (6) published archives match the pre-seal trees modulo the allowlist
-    for name, which, src_root in _ARCHIVE_SOURCES:
+    for name, stage, src_root in policy.archives:
         if name not in bundle.artifacts:
             findings.append(Finding("ERROR", name, "archive missing from bundle"))
             continue
-        pre_tree = host_pre_tree if which == "host" else vm_pre_tree
-        _check_archive(which, name, bundle.artifacts[name], src_root,
-                       pre_tree, policy, findings)
+        _check_archive(name, bundle.artifacts[name], src_root, pre_trees[stage],
+                       policy, findings)
 
     # (7) nothing secret leaks into the bundle
     host_keyfile = host_images.boot.read_file("/keyfile")

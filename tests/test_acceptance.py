@@ -20,7 +20,8 @@ from sealkit.sealing import (
     default_plan,
     prepare_trusted_server,
     seal_all,
-    seal_single_stage,
+    seal_host,
+    single_stage_host_plan,
 )
 from sealkit.scenarios import _without
 from sealkit.services import MillionairesState, millionaires_publish, millionaires_submit
@@ -76,7 +77,8 @@ def test_criterion_2_dual_stage_theorem():
             "/root/host-secret.txt"
         )
         stale_header = vol.header_backup(host.root_volume)
-        seal_single_stage(host)
+        host.boot()
+        seal_host(host, single_stage_host_plan(host.config))
         host.power_off()
         vol.restore_header(host.root_volume, stale_header)
         handle = vol.unlock(host.root_volume,

@@ -8,6 +8,7 @@ import pytest
 from conftest import SMALL, build_sealed, build_server
 
 from sealkit import volume as vol
+from sealkit.machine import read_volume_tree
 from sealkit.manifest import compute_manifest
 from sealkit.services import (
     AuthRequired,
@@ -21,12 +22,8 @@ from sealkit.services import (
     UpstreamResolver,
     WrongKey,
     attach_data_vault,
-    authenticate,
-    credential_sync,
-    dns_proxy_resolve,
     millionaires_publish,
     millionaires_submit,
-    read_vault_tree,
     vault_attach,
 )
 from sealkit.util import make_rng
@@ -231,7 +228,7 @@ def test_sealed_side_writes_are_rejected():
     rng = make_rng(7)
     primary = CredentialDirectory()
     primary.add_user("carol", "pw", rng)
-    replica, _ = credential_sync(CredentialDirectory(), primary)
+    replica = CredentialDirectory.parse(primary.render(), read_only=True)
     with pytest.raises(ReadOnlyDirectory):
         replica.add_user("mallory", "evil", rng)
     with pytest.raises(ReadOnlyDirectory):
@@ -266,9 +263,9 @@ def test_authenticate_pure():
     rng = make_rng(10)
     directory = CredentialDirectory()
     directory.add_user("u", "right", rng)
-    assert authenticate(directory, "u", "right")
-    assert not authenticate(directory, "u", "wrong")
-    assert not authenticate(directory, "ghost", "right")
+    assert directory.check("u", "right")
+    assert not directory.check("u", "wrong")
+    assert not directory.check("ghost", "right")
 
 
 # -- data vault ---------------------------------------------------------------------
@@ -283,7 +280,7 @@ def test_vault_attach_round_trip():
 
     seal_all(host)
     handle = vault_attach(vm, key)
-    tree = read_vault_tree(handle)
+    tree, _ = read_volume_tree(handle)
     assert tree.read_file("/data/genome.txt") == b"ACGT" * 100
 
 
@@ -338,23 +335,26 @@ def test_vault_key_must_be_reuploaded_after_power_loss():
 
 def test_proxy_hides_client_address():
     upstream = UpstreamResolver(table={"example.org": "93.184.216.34"})
-    answer = dns_proxy_resolve("example.org", "10.0.0.77", upstream, "203.0.113.80")
+    vm, frontend = sealed_frontend(102, upstream=upstream)
+    answer = frontend.resolve("example.org", "10.0.0.77")
     assert answer == "93.184.216.34"
-    assert upstream.query_log == [("203.0.113.80", "example.org")]
+    assert upstream.query_log == [(vm.config.server_address, "example.org")]
     assert all(source != "10.0.0.77" for source, _ in upstream.query_log)
 
 
 def test_proxy_unknown_domain():
     upstream = UpstreamResolver(table={})
+    _, frontend = sealed_frontend(103, upstream=upstream)
     with pytest.raises(Unresolvable):
-        dns_proxy_resolve("nonexistent.test", "10.0.0.1", upstream, "203.0.113.80")
+        frontend.resolve("nonexistent.test", "10.0.0.1")
 
 
 def test_proxy_answers_are_client_independent():
     upstream = UpstreamResolver(table={"example.org": "93.184.216.34"})
-    a = dns_proxy_resolve("example.org", "10.0.0.1", upstream, "203.0.113.80")
-    b = dns_proxy_resolve("example.org", "10.0.0.2", upstream, "203.0.113.80")
-    assert a == b
+    _, frontend = sealed_frontend(104, upstream=upstream)
+    a = frontend.handle_line("RESOLVE example.org", client="10.0.0.1")
+    b = frontend.handle_line("RESOLVE example.org", client="10.0.0.2")
+    assert a == b == "OK 93.184.216.34"
 
 
 # -- line protocol ---------------------------------------------------------------------

@@ -9,7 +9,13 @@ import pytest
 
 from conftest import SMALL, build_sealed, build_server
 
-from sealkit.machine import HOST_ROOT_DEVICE, full_tree_from_images, unzip_to_map
+from sealkit.machine import (
+    HOST_ROOT_DEVICE,
+    VM_ROOT_DEVICE,
+    VM_ROOT_DEVICE_FROM_HOST,
+    full_tree_from_images,
+    unzip_to_map,
+)
 from sealkit.manifest import (
     MissingRoot,
     compute_manifest,
@@ -108,7 +114,7 @@ def test_diff_identity_is_empty():
     tree = FileTree()
     tree.write_file("/f", b"x")
     m = compute_manifest(tree, ["/f"])
-    assert diff_manifests(m, m).empty
+    assert diff_manifests(m.as_dict(), m.as_dict()).empty
 
 
 def test_diff_detects_added_file():
@@ -117,7 +123,7 @@ def test_diff_detects_added_file():
     before = compute_manifest(tree, ["/a"])
     tree.write_file("/a/new", b"2")
     after = compute_manifest(tree, ["/a"])
-    diff = diff_manifests(before, after)
+    diff = diff_manifests(before.as_dict(), after.as_dict())
     assert diff.added == {"/a/new"} and not diff.removed and not diff.changed
 
 
@@ -129,7 +135,7 @@ def test_diff_detects_single_byte_change():
     after = compute_manifest(tree, ["/a"])
     # oracle: recompute the digest directly
     assert after.digest_of("/a/x") == hashlib.sha3_512(b"payload-1").hexdigest()
-    assert diff_manifests(before, after).changed == {"/a/x"}
+    assert diff_manifests(before.as_dict(), after.as_dict()).changed == {"/a/x"}
 
 
 # -- parse_sealing_log ------------------------------------------------------------
@@ -149,8 +155,9 @@ def test_log_missing_erase_line_parses_without_evidence():
         if not l.startswith("+ cryptsetup luksErase")
     ]
     parsed = parse_sealing_log("\n".join(lines))
-    evidence = extract_evidence(parsed)
-    assert evidence.erased_devices == []
+    assert not any(c.startswith("cryptsetup luksErase") for c in parsed.commands())
+    assert f"cryptsetup luksDump {HOST_ROOT_DEVICE}" in parsed.commands()
+    assert extract_evidence(parsed).last_dump_for(HOST_ROOT_DEVICE) is not None
 
 
 def test_garbage_log_is_malformed():
@@ -198,6 +205,40 @@ def test_policy_for_empty_plan_admits_nothing():
     policy = default_policy(SealingPlan(host_steps=(), vm_steps=()))
     assert policy.may_change == () and policy.may_add == () and policy.may_remove == ()
     assert not policy.allows("change", "/etc/passwd")
+
+
+def test_policy_takes_archives_and_critical_steps_from_the_plan():
+    policy = default_policy(default_plan(SMALL))
+    assert policy.archives == (
+        ("etc-host.zip", "host", "/etc"),
+        ("root-host.zip", "host", "/root"),
+        ("etc-vm.zip", "vm", "/etc"),
+        ("trust-vm.zip", "vm", "/home/trust"),
+    )
+    assert policy.critical_commands == (
+        f"cryptsetup luksErase {HOST_ROOT_DEVICE}",
+        f"cryptsetup-reencrypt -v -d /mnt/keyfile -l 512 {VM_ROOT_DEVICE_FROM_HOST}",
+        f"cryptsetup luksErase {VM_ROOT_DEVICE}",
+    )
+
+
+def test_archive_of_another_root_verifies_under_its_own_plan():
+    host = build_server(71)
+    host_images = host.snapshot_image()
+    vm_images = host.nested_vm.snapshot_image()
+    plan = default_plan(host.config)
+    w = host.config.webroot
+    vm_steps = tuple(
+        replace(step, command=f"zip -r {w}/trust-vm.zip /srv/data",
+                args={**step.args, "src": "/srv/data"})
+        if step.args.get("dest_path") == f"{w}/trust-vm.zip" else step
+        for step in plan.vm_steps
+    )
+    plan = replace(plan, vm_steps=vm_steps)
+    bundle = seal_all(host, plan)
+    assert "/srv/data/vm-secret.txt" in unzip_to_map(bundle.artifacts["trust-vm.zip"])
+    verdict = verify_seal(host_images, vm_images, bundle, default_policy(plan))
+    assert verdict.status == "PASS", verdict.render_text()
 
 
 # -- verify_seal ---------------------------------------------------------------------
@@ -391,3 +432,19 @@ def test_tampered_bundle_gives_its_finding(honest_seal, change, severity, subjec
     verdict = verify_seal(host_images, vm_images, PublishedBundle(artifacts), policy)
     assert Finding(severity, subject, explanation) in verdict.findings
     assert verdict.status == ("FAIL" if severity == "ERROR" else "PASS")
+
+
+def test_archive_findings_list_changed_then_added_then_removed(honest_seal):
+    host_images, vm_images, bundle = honest_seal
+
+    def edit(members):  # the changed member is stored after the added one
+        members["/etc/aaa-backdoor"] = b"x\n"
+        del members["/etc/hostname"]
+        members["/etc/hostname"] = b"evil\n"
+        del members["/etc/hosts.deny"]
+
+    artifacts = {**bundle.artifacts, **_zip("etc-host.zip", edit)(bundle.artifacts, b"")}
+    verdict = verify_seal(host_images, vm_images, PublishedBundle(artifacts),
+                          default_policy(default_plan(SMALL)))
+    assert [f.subject for f in verdict.findings if "etc-host.zip" in f.explanation] == [
+        "/etc/hostname", "/etc/aaa-backdoor", "/etc/hosts.deny"]
