@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from . import escrow as escrow_mod
 from . import services as services_mod
-from .config import ServerConfig
+from .config import ConfigError, ServerConfig
 from .machine import (
     DiskImagePair,
     HOST_ROOT_DEVICE,
@@ -350,7 +350,16 @@ def prepare_trusted_server(config: ServerConfig, *,
                             sector_count=config.host_sectors, rng=rng)
     vm_images = provision(root_tree=vm_tree, boot_tree=_boot_tree("vm"),
                           sector_count=config.vm_sectors, rng=rng)
-    return server_from_images(host_images, vm_images, config, rng=rng, clock=clock)
+    host = server_from_images(host_images, vm_images, config, rng=rng, clock=clock)
+    # Both stages hash every root over their full view; a missing root would
+    # only surface as an unparseable rhash record when the bundle is verified.
+    for machine, tree in ((host, host_tree), (host.nested_vm, vm_tree)):
+        view = tree.mount("/boot", machine.boot_partition)
+        for root in config.hash_roots:
+            if not view.exists(root):
+                raise ConfigError(f"hash root {root} does not exist on {machine.name} "
+                                  f"(its root tree plus /boot)")
+    return host
 
 
 def server_from_images(host_images: DiskImagePair, vm_images: DiskImagePair,

@@ -310,7 +310,7 @@ class ServiceFrontend:
         """Verifier comparison only; no record of who asked is kept."""
         return self._replica().check(user, password)
 
-    def resolve(self, domain: str, client: str) -> str:
+    def resolve(self, domain: str) -> str:
         """The upstream only ever sees the server's address, never the client's."""
         if self.upstream is None:
             raise Unresolvable("no upstream resolver configured")
@@ -318,17 +318,17 @@ class ServiceFrontend:
 
     # -- line protocol -----------------------------------------------------------
 
-    def handle_line(self, line: str, client: str = "client") -> str:
+    def handle_line(self, line: str) -> str:
         """One request, one response. See the CLI ``serve`` loop."""
         request = line.strip()
         try:
-            response = self._dispatch(request, client)
+            response = self._dispatch(request)
         except ServiceError as exc:
             response = f"ERR {type(exc).__name__}: {exc}"
         self._audit(request, response)
         return response
 
-    def _dispatch(self, request: str, client: str) -> str:
+    def _dispatch(self, request: str) -> str:
         if not request:
             return "ERR usage: empty request"
         parts = request.split()
@@ -373,5 +373,5 @@ class ServiceFrontend:
         if verb == "RESOLVE":
             if len(parts) != 2:
                 return "ERR usage: RESOLVE <domain>"
-            return f"OK {self.resolve(parts[1], client)}"
+            return f"OK {self.resolve(parts[1])}"
         return f"ERR usage: unknown command {verb}"

@@ -5,6 +5,11 @@ The canonical encoding (magic ``TSTREE1\\n``, sorted length-prefixed records)
 is both the plaintext layout of encrypted root volumes and the on-disk
 ``boot.tree`` image format. Decoding accepts only that encoding, so a decoded
 tree encodes back to the same bytes; anything else raises :class:`TreeError`.
+
+A tree keeps each path's encoded record beside the node it encodes, and
+:meth:`FileTree.encode` reuses a record while its path still holds that very
+node. Nodes are frozen, so the identity test is the whole validation: a
+write-through after a one-file change encodes one record and joins the rest.
 """
 
 from __future__ import annotations
@@ -69,9 +74,22 @@ def normalize(path: str) -> str:
     return posixpath.normpath("/" + path.lstrip("/"))
 
 
+def _record(path: str, node: Node) -> bytes:
+    """The TSTREE1 record of one node: length-prefixed path, kind, length-prefixed data."""
+    if isinstance(node, DirNode):
+        kind, data = _KIND_DIR, b""
+    elif isinstance(node, FileNode):
+        kind, data = _KIND_FILE, node.data
+    else:
+        kind, data = _KIND_SYMLINK, node.target.encode()
+    return b"".join((pack_bytes(path.encode()), bytes([kind]), pack_bytes(data)))
+
+
 class FileTree:
     def __init__(self):
         self._nodes: dict[str, Node] = {"/": DirNode()}
+        # path -> (node, its record); an entry is valid while _nodes[path] is node
+        self._records: dict[str, tuple[Node, bytes]] = {}
 
     # -- structure ----------------------------------------------------------
 
@@ -118,6 +136,7 @@ class FileTree:
         for p in list(self._nodes):
             if p == path or p.startswith(prefix):
                 del self._nodes[p]
+                self._records.pop(p, None)
 
     # -- queries ------------------------------------------------------------
 
@@ -177,6 +196,7 @@ class FileTree:
     def copy(self) -> "FileTree":
         clone = FileTree()
         clone._nodes = dict(self._nodes)
+        clone._records = dict(self._records)
         return clone
 
     def mount(self, mount_point: str, other: "FileTree") -> "FileTree":
@@ -192,16 +212,14 @@ class FileTree:
     # -- canonical encoding ---------------------------------------------------
 
     def encode(self) -> bytes:
-        records = [TREE_MAGIC, struct.pack(">I", len(self._nodes))]
-        for path in sorted(self._nodes):
-            node = self._nodes[path]
-            records.append(pack_bytes(path.encode()))
-            if isinstance(node, DirNode):
-                records.append(bytes([_KIND_DIR]) + pack_bytes(b""))
-            elif isinstance(node, FileNode):
-                records.append(bytes([_KIND_FILE]) + pack_bytes(node.data))
-            else:
-                records.append(bytes([_KIND_SYMLINK]) + pack_bytes(node.target.encode()))
+        nodes, cache = self._nodes, self._records
+        records = [TREE_MAGIC, struct.pack(">I", len(nodes))]
+        for path in sorted(nodes):
+            node = nodes[path]
+            entry = cache.get(path)
+            if entry is None or entry[0] is not node:
+                entry = cache[path] = (node, _record(path, node))
+            records.append(entry[1])
         return b"".join(records)
 
     @classmethod

@@ -24,10 +24,13 @@ authenticates every sector but returns the image only through its last
 non-zero sector, so memory follows the content, not the capacity; readers
 treat the bytes after it as zeros. ``write_image`` takes the new
 and the previous content, zero tails implied, and rewrites only the sectors
-whose zero-padded bytes differ. :func:`format_volume` installs the first image
-through it with no previous content, so formatting encrypts each sector once.
-The previous content is trusted to match the disk, which holds because a
-volume has a single writer (below): nothing else changes its sectors.
+whose zero-padded bytes differ, in ascending order. It skips their common
+prefix a block of sectors at a time with one comparison per block, and
+compares the sectors that both sides hold in full without copying the old
+one. :func:`format_volume` installs the first image through it with no
+previous content, so formatting encrypts each sector once. The previous
+content is trusted to match the disk, which holds because a volume has a
+single writer (below): nothing else changes its sectors.
 
 The sector cipher (data key plus AES-GCM object) is built once per key: an
 :class:`UnlockedVolume` builds it at construction and drops it, with the
@@ -74,6 +77,7 @@ MK_DIGEST_BYTES = 64
 _MAX_HEADER_RECORD_BYTES = 1 << 16
 _CHUNK_RECORDS = 256  # sector records per part written or read of a container
 _ZERO_SECTOR = bytes(SECTOR_BYTES)
+_PREFIX_BLOCK = 8 * SECTOR_BYTES  # bytes compared at once while skipping an unchanged prefix
 DEFAULT_KDF_ITERATIONS = 10_000
 
 
@@ -359,22 +363,43 @@ def read_image(handle: UnlockedVolume) -> bytearray:
     return image
 
 
+def _padded_sector(buf: bytes | bytearray, lo: int) -> bytes | bytearray:
+    """The sector at byte ``lo`` of ``buf`` followed by its implied zero tail."""
+    if lo + SECTOR_BYTES <= len(buf):
+        return buf[lo:lo + SECTOR_BYTES]
+    return buf[lo:].ljust(SECTOR_BYTES, b"\x00") if lo < len(buf) else _ZERO_SECTOR
+
+
 def write_image(handle: UnlockedVolume, image: bytes, old: bytes | None = None) -> None:
     """Store ``image`` followed by zeros up to capacity.
 
     ``old`` is the previous content, its zero tail implied: only the sectors
-    below the longer of the two whose zero-padded bytes differ are rewritten.
-    ``None`` means the disk is unknown, and every sector is rewritten.
+    below the longer of the two whose zero-padded bytes differ are rewritten,
+    in ascending order. ``None`` means the disk is unknown, and every sector
+    is rewritten.
     """
     capacity = handle.volume.sector_count * SECTOR_BYTES
     if len(image) > capacity:
         raise DiskFull(f"image needs {len(image)} bytes, volume holds {capacity}")
-    last = capacity if old is None else max(len(image), len(old))
-    for i in range(-(-last // SECTOR_BYTES)):
-        lo = i * SECTOR_BYTES
-        sector = image[lo:lo + SECTOR_BYTES].ljust(SECTOR_BYTES, b"\x00")
-        if old is None or old[lo:lo + SECTOR_BYTES].ljust(SECTOR_BYTES, b"\x00") != sector:
-            write_sector(handle, i, sector)
+    if old is None:
+        for i in range(handle.volume.sector_count):
+            write_sector(handle, i, _padded_sector(image, i * SECTOR_BYTES))
+        return
+    # The common prefix is skipped a block at a time without copying either side.
+    start, common = 0, min(len(image), len(old))
+    with memoryview(old) as view:
+        while (start + _PREFIX_BLOCK <= common
+               and image.startswith(view[start:start + _PREFIX_BLOCK], start)):
+            start += _PREFIX_BLOCK
+    full = common - common % SECTOR_BYTES  # sectors that both sides hold in full
+    for lo in range(start, full, SECTOR_BYTES):
+        sector = image[lo:lo + SECTOR_BYTES]
+        if not old.startswith(sector, lo):
+            write_sector(handle, lo // SECTOR_BYTES, sector)
+    for lo in range(full, max(len(image), len(old)), SECTOR_BYTES):
+        sector = _padded_sector(image, lo)
+        if sector != _padded_sector(old, lo):
+            write_sector(handle, lo // SECTOR_BYTES, sector)
 
 
 def erase_keyslots(volume: EncryptedVolume) -> None:

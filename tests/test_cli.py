@@ -145,6 +145,14 @@ def test_build_writes_images(tmp_path):
     assert (tmp_path / "images" / "vm" / "boot.tree").exists()
 
 
+def test_build_with_a_missing_hash_root_exits_one(tmp_path, capsys):
+    conf = tmp_path / "roots.conf"
+    conf.write_text("hash_roots = /etc, /nonexistent\n")
+    assert run_command(["build", *ws(tmp_path, "--config", str(conf))]) == 1
+    assert "hash root /nonexistent does not exist on ts-host" in capsys.readouterr().err
+    assert not (tmp_path / "images").exists()
+
+
 def test_seal_reuses_existing_images(tmp_path):
     assert run_command(["build", *ws(tmp_path)]) == 0
     before = (tmp_path / "images" / "host" / "root.tsvol").read_bytes()

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import SMALL, build_sealed, build_server
 
 from sealkit import volume as vol
+from sealkit.config import ConfigError
 from sealkit.machine import MachineRunning
 from sealkit.sealing import (
     AlreadySealed,
@@ -47,6 +50,16 @@ def test_prepared_webroot_is_empty_of_logs():
     assert vm.ram.tree.is_dir(webroot)
     assert [p for p in vm.ram.tree.under(webroot) if vm.ram.tree.is_file(p)] == []
     vm.power_off()
+
+
+@pytest.mark.parametrize("root, machine", [
+    ("/nonexistent", "ts-host"),
+    ("/srv/data", "ts-host"),  # only the VM has it
+    ("/root/host-secret.txt", "tsvm"),  # only the host has it
+])
+def test_missing_hash_root_fails_at_build_naming_the_machine(root, machine):
+    with pytest.raises(ConfigError, match=f"hash root {root} does not exist on {machine} "):
+        build_server(34, replace(SMALL, hash_roots=("/etc", root)))
 
 
 # -- seal_host ---------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sealkit.tree import FileTree, MissingPath, TreeError, normalize
+from sealkit.tree import DirNode, FileNode, FileTree, MissingPath, TreeError, normalize
 from sealkit.util import pack_bytes
 
 
@@ -214,3 +214,77 @@ def test_mount_grafts_other_tree():
     view.append_text("/etc/passwd", "extra:x:1:1::/:/bin/sh\n")
     assert boot.read_file("/keyfile") == b"k" * 8
     assert root.read_text("/etc/passwd") == "root:x:0:0::/root:/bin/bash\n"
+
+
+# -- the record cache ------------------------------------------------------------
+
+
+def reference_encode(tree: FileTree) -> bytes:
+    """TSTREE1 built from the tree's nodes alone, with no cached record."""
+    records = []
+    for path in tree.paths():
+        node = tree.node(path)
+        if isinstance(node, DirNode):
+            records.append((path, 0, b""))
+        elif isinstance(node, FileNode):
+            records.append((path, 1, node.data))
+        else:
+            records.append((path, 2, node.target.encode()))
+    return encoding(*records)
+
+
+# Paths at most two deep: a failing write then leaves the tree as it was.
+# Trees are mounted at /m, and only files at /x and /y, so a graft never
+# puts a file above an existing directory.
+_PATHS = st.sampled_from(["/m"] + [f"/{a}" for a in "abc"]
+                         + [f"/{a}/{b}" for a in "abc" for b in "abc"])
+_OPS = st.one_of(
+    st.tuples(st.just("write_file"), _PATHS, st.binary(max_size=6)),
+    st.tuples(st.just("append_text"), _PATHS, st.text(alphabet="xy\n", max_size=4)),
+    st.tuples(st.just("mkdir"), _PATHS),
+    st.tuples(st.just("symlink"), _PATHS, st.sampled_from(["", ".", "/a/b"])),
+    st.tuples(st.just("remove"), _PATHS),
+    st.tuples(st.just("copy")),
+    st.tuples(st.just("mount"), st.dictionaries(st.sampled_from(["/x", "/y"]),
+                                                st.binary(max_size=6), max_size=2)),
+    st.tuples(st.just("decode")),
+    st.tuples(st.just("encode")),
+)
+
+
+@settings(max_examples=500)
+@given(st.lists(_OPS, max_size=30))
+def test_encode_with_reused_records_equals_the_reference_encoding(ops):
+    tree = FileTree()
+    frozen: list[tuple[FileTree, bytes]] = []  # trees no later op may change
+    for name, *args in ops:
+        if name == "copy":
+            frozen.append((tree, tree.encode()))
+            tree = tree.copy()
+        elif name == "mount":
+            other = FileTree()
+            for path, data in args[0].items():
+                other.write_file(path, data)
+            before = [(tree, tree.encode()), (other, other.encode())]
+            try:
+                view = tree.mount("/m", other)
+            except TreeError:
+                continue
+            frozen += before
+            tree = view
+        elif name == "decode":
+            tree = FileTree.decode(tree.encode())
+        elif name == "encode":
+            assert tree.encode() == reference_encode(tree)
+        else:
+            try:
+                getattr(tree, name)(*args)
+            except TreeError:
+                continue
+            if name == "remove":
+                assert not [p for p in tree._records if p == args[0] or p.startswith(args[0] + "/")]
+        assert set(tree._records) <= set(tree.paths())
+    assert tree.encode() == reference_encode(tree)
+    for original, encoded in frozen:
+        assert original.encode() == encoded == reference_encode(original)
+        assert set(original._records) <= set(original.paths())

@@ -310,17 +310,88 @@ def test_image_write_rewrites_exactly_the_differing_sectors(rng, monkeypatch, se
     monkeypatch.setattr(vol, "write_sector",
                         lambda h, i, data: written.append(i) or real_write_sector(h, i, data))
     vol.write_image(handle, content[:new_len], old)
-    # Oracle: both disks in full, zero-padded to capacity, compared sector by sector.
-    capacity = sectors * SECTOR_BYTES
-    padded_new = content[:new_len].ljust(capacity, b"\x00")
-    padded_old = None if old is None else old.ljust(capacity, b"\x00")
-    expected = [i for i in range(sectors)
-                if padded_old is None or padded_new[i * SECTOR_BYTES:(i + 1) * SECTOR_BYTES]
-                != padded_old[i * SECTOR_BYTES:(i + 1) * SECTOR_BYTES]]
-    assert written == expected
+    assert written == differing_sectors(content[:new_len], old, sectors)
     if zeros:
         assert written == []  # only zero bytes moved between content and tail
-    assert read_padded(vol.unlock(volume, keyfile)) == padded_new
+    assert read_padded(vol.unlock(volume, keyfile)) == content[:new_len].ljust(
+        sectors * SECTOR_BYTES, b"\x00")
+
+
+def differing_sectors(image, old, sectors) -> list[int]:
+    """Oracle: both disks in full, zero-padded to capacity, compared sector by sector."""
+    capacity = sectors * SECTOR_BYTES
+    padded_new = bytes(image).ljust(capacity, b"\x00")
+    padded_old = None if old is None else bytes(old).ljust(capacity, b"\x00")
+    return [i for i in range(sectors)
+            if padded_old is None or padded_new[i * SECTOR_BYTES:(i + 1) * SECTOR_BYTES]
+            != padded_old[i * SECTOR_BYTES:(i + 1) * SECTOR_BYTES]]
+
+
+def reference_write_image(handle, image, old) -> None:
+    """``write_image`` as one loop over zero-padded sector copies."""
+    capacity = handle.volume.sector_count * SECTOR_BYTES
+    last = capacity if old is None else max(len(image), len(old))
+    for i in range(-(-last // SECTOR_BYTES)):
+        lo = i * SECTOR_BYTES
+        sector = image[lo:lo + SECTOR_BYTES].ljust(SECTOR_BYTES, b"\x00")
+        if old is None or old[lo:lo + SECTOR_BYTES].ljust(SECTOR_BYTES, b"\x00") != sector:
+            vol.write_sector(handle, i, sector)
+
+
+PROPERTY_SECTORS = 40  # five prefix-skip blocks
+
+
+def edge_offsets(limit: int):
+    """Byte offsets on, just below and just above sector and skip-block edges, or anywhere."""
+    def near(step):
+        return st.builds(lambda k, d: min(max(k * step + d, 0), limit),
+                         st.integers(0, limit // step), st.sampled_from([-1, 0, 1]))
+    return st.one_of(near(SECTOR_BYTES), near(vol._PREFIX_BLOCK), st.integers(0, limit))
+
+
+@st.composite
+def image_pairs(draw):
+    """(old, new): a shared prefix, then differing bytes, zero runs at either end."""
+    capacity = PROPERTY_SECTORS * SECTOR_BYTES
+    offsets = edge_offsets(capacity)
+    old_len, new_len = draw(offsets), draw(offsets)
+    prefix = min(draw(offsets), old_len)
+    rng = make_rng(draw(st.integers(0, 2**32)))
+    old = bytearray(rng.randbytes(old_len))
+    new = old[:min(prefix, new_len)] + rng.randbytes(max(new_len - prefix, 0))
+    if prefix < min(old_len, new_len):
+        new[prefix] = old[prefix] ^ 0xFF  # the first difference is at the prefix's end
+    runs = edge_offsets(2 * vol._PREFIX_BLOCK)
+    head = draw(runs)  # zero run at the start of both
+    old[:head] = bytes(len(old[:head]))
+    new[:head] = bytes(len(new[:head]))
+    for image in (old, new):  # zero run at the end of each
+        tail = min(draw(runs), len(image))
+        image[len(image) - tail:] = bytes(tail)
+    return (old if draw(st.booleans()) else bytes(old)), bytes(new)
+
+
+@settings(max_examples=300)
+@given(image_pairs())
+def test_image_write_equals_the_padded_copy_loop(pair):
+    old, new = pair
+    keyfile = Keyfile(bytes(vol.KEYFILE_BYTES))
+    volumes = []
+    for write in (vol.write_image, reference_write_image):
+        handle = vol.format_volume(PROPERTY_SECTORS, keyfile, make_rng(9), image=old,
+                                   kdf_iterations=FAST)
+        written = []
+        real_write_sector = vol.write_sector
+        vol.write_sector = lambda h, i, data: written.append(i) or real_write_sector(h, i, data)
+        try:
+            write(handle, new, old)
+        finally:
+            vol.write_sector = real_write_sector
+        assert written == differing_sectors(new, old, PROPERTY_SECTORS)
+        volumes.append(handle.volume)
+    ours, reference = volumes
+    assert ours.sectors == reference.sectors
+    assert ours.rng.getstate() == reference.rng.getstate()
 
 
 @pytest.mark.parametrize("end", [0, 1, 511, 512, 513, 1000, 64 * 512 - 1, 64 * 512,
