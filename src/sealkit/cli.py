@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -92,6 +93,7 @@ def cmd_seal(args) -> int:
     bundle, shares = seal_all_with_escrow(host, args.escrow or 0)
     bundle_dir = args.workdir / "bundle"
     bundle.save(bundle_dir)
+    digest = bundle.index_digest()
 
     share_paths = []
     if shares:
@@ -105,13 +107,13 @@ def cmd_seal(args) -> int:
     _emit(
         {
             "bundle": str(bundle_dir),
-            "bundle_index_digest": bundle.index_digest(),
+            "bundle_index_digest": digest,
             "escrow_shares": share_paths,
         },
         args.json,
         [
             f"sealed; bundle written: {bundle_dir}",
-            f"bundle index digest: {bundle.index_digest()}",
+            f"bundle index digest: {digest}",
         ]
         + [f"escrow share: {p}" for p in share_paths],
     )
@@ -159,10 +161,11 @@ def cmd_restore(args) -> int:
         bundle, _ = seal_all_with_escrow(host, 0)
         bundle_dir = args.workdir / "bundle"
         bundle.save(bundle_dir)
+        digest = bundle.index_digest()
         _emit(
-            {"resealed": True, "bundle_index_digest": bundle.index_digest()},
+            {"resealed": True, "bundle_index_digest": digest},
             args.json,
-            [f"restored and resealed; new bundle index digest: {bundle.index_digest()}"],
+            [f"restored and resealed; new bundle index digest: {digest}"],
         )
         return EXIT_OK
 
@@ -281,7 +284,9 @@ def cmd_serve(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process on first use, not at import."""
     parser = argparse.ArgumentParser(
         prog="sealkit",
         description="Build, seal, verify, and attack simulated self-sealing servers.",

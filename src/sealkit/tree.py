@@ -94,14 +94,20 @@ class FileTree:
     # -- structure ----------------------------------------------------------
 
     def _ensure_parents(self, path: str) -> None:
+        """Create the missing parents of ``path``, or raise and create none.
+
+        The nearest existing ancestor is checked before anything is created,
+        so a write that fails here leaves the tree as it was.
+        """
+        missing = []
         parent = posixpath.dirname(path)
-        while parent != "/":
-            existing = self._nodes.get(parent)
-            if existing is None:
-                self._nodes[parent] = DirNode()
-            elif not isinstance(existing, DirNode):
-                raise TreeError(f"parent is not a directory: {parent}")
+        while parent not in self._nodes:  # "/" is always present
+            missing.append(parent)
             parent = posixpath.dirname(parent)
+        if not isinstance(self._nodes[parent], DirNode):
+            raise TreeError(f"parent is not a directory: {parent}")
+        for parent in missing:
+            self._nodes[parent] = DirNode()
 
     def mkdir(self, path: str) -> None:
         path = normalize(path)
@@ -200,13 +206,23 @@ class FileTree:
         return clone
 
     def mount(self, mount_point: str, other: "FileTree") -> "FileTree":
-        """Copy of this tree with ``other`` grafted below ``mount_point``."""
+        """Copy of this tree with ``other`` grafted below ``mount_point``.
+
+        Directories merge: what this tree holds below a grafted directory
+        stays visible. A grafted file or symlink hides what this tree holds
+        below its path, so the view is always a canonical tree.
+        """
         mount_point = normalize(mount_point)
         view = self.copy()
         view.mkdir(mount_point)
-        for path, node in other._nodes.items():
-            grafted = mount_point if path == "/" else mount_point + path
-            view._nodes[grafted] = node
+        base = "" if mount_point == "/" else mount_point
+        grafted = {base + path if path != "/" else mount_point: node
+                   for path, node in other._nodes.items()}
+        for path, node in grafted.items():
+            # only a directory of this tree can hold paths below a grafted file
+            if not isinstance(node, DirNode) and isinstance(view._nodes.get(path), DirNode):
+                view.remove(path)
+        view._nodes.update(grafted)
         return view
 
     # -- canonical encoding ---------------------------------------------------

@@ -231,12 +231,21 @@ class AllowlistPolicy:
         return any(fnmatch.fnmatchcase(path, pattern) for pattern in patterns)
 
     def to_dict(self) -> dict:
+        """Every field the checks read, as JSON-ready data."""
         return {
             "may_change": list(self.may_change),
             "may_add": list(self.may_add),
             "may_remove": list(self.may_remove),
+            "expected_host_commands": list(self.expected_host_commands),
+            "expected_vm_commands": list(self.expected_vm_commands),
             "hash_roots": [
                 {"path": r.path, "recursive": r.recursive} for r in self.hash_roots
+            ],
+            "ldap_dump": self.ldap_dump,
+            "critical_commands": list(self.critical_commands),
+            "archives": [
+                {"name": name, "stage": stage, "root": root}
+                for name, stage, root in self.archives
             ],
         }
 

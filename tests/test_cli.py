@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from sealkit import cli
 from sealkit.cli import run_command
 from sealkit.config import ConfigError, ServerConfig, parse_config
 from sealkit.sealing import HOST_LOG_NAME
@@ -226,6 +227,39 @@ def test_attack_subcommand_json(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report[0]["name"] == "theft-reboot"
     assert report[0]["ok"] is True
+
+
+def test_one_parser_serves_every_command_as_a_fresh_one_would(tmp_path, capsys, monkeypatch):
+    calls = [
+        ["build", *ws(tmp_path)],
+        ["seal", *ws(tmp_path), "--escrow", "2"],
+        ["verify", *ws(tmp_path), "--json"],
+        ["verify", *ws(tmp_path)],
+        ["seal", "--definitely-not-a-flag"],
+        ["attack", "all", "--json"],
+    ]
+
+    def outcomes():
+        results = []
+        for argv in calls:
+            rc = run_command(argv)
+            results.append((rc, *capsys.readouterr()))
+        return results
+
+    cli.build_parser.cache_clear()
+    reused = outcomes()
+    assert cli.build_parser.cache_info().misses == 1
+    uncached, fresh_builds = cli.build_parser.__wrapped__, []
+
+    def fresh_parser():
+        fresh_builds.append(1)
+        return uncached()
+
+    monkeypatch.setattr(cli, "build_parser", fresh_parser)
+    fresh = outcomes()
+    assert len(fresh_builds) == len(calls)
+    assert [rc for rc, _, _ in reused] == [0, 0, 0, 0, 2, 0]
+    assert reused == fresh
 
 
 def test_attack_unknown_scenario_exits_two(capsys):

@@ -21,7 +21,7 @@ from sealkit.machine import (
     save_images,
 )
 from sealkit.sealing import seal_all
-from sealkit.tree import FileNode, FileTree, SymlinkNode
+from sealkit.tree import FileNode, FileTree, SymlinkNode, TreeError
 from sealkit.util import make_rng
 
 
@@ -184,6 +184,22 @@ def test_unchanged_write_through_after_boot_rewrites_no_sector(monkeypatch):
     vm.write_file("/etc/hostname", vm.ram.tree.read_file("/etc/hostname"))
     assert written == []
     assert vm.ram.content == encoded
+
+
+def test_failed_write_below_a_file_leaves_a_bootable_volume():
+    host = build_server(13)
+    host.boot()
+    before = host.ram.tree.encode()
+    with pytest.raises(TreeError, match="parent is not a directory: /etc/hostname"):
+        host.write_file("/etc/hostname/sub/x", b"1")
+    assert host.ram.tree.encode() == before
+    host.write_file("/etc/after.txt", b"written")
+    expected = host.ram.tree.encode()
+    host.power_off()
+    host.boot()
+    assert host.ram.tree.encode() == expected
+    assert host.ram.tree.read_file("/etc/after.txt") == b"written"
+    assert not host.ram.tree.exists("/etc/hostname/sub")
 
 
 def listing_by_children(tree):

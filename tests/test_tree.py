@@ -216,6 +216,46 @@ def test_mount_grafts_other_tree():
     assert root.read_text("/etc/passwd") == "root:x:0:0::/root:/bin/bash\n"
 
 
+def test_failed_write_below_a_file_leaves_the_tree_unchanged():
+    tree = FileTree()
+    tree.write_file("/a", b"1")
+    before = (tree.paths(), tree.encode())
+    for op, args in (("write_file", (b"2",)), ("mkdir", ()), ("symlink", (".",))):
+        with pytest.raises(TreeError, match="parent is not a directory: /a"):
+            getattr(tree, op)("/a/b/c", *args)
+        assert (tree.paths(), tree.encode()) == before
+    assert FileTree.decode(tree.encode()) == tree
+
+
+def test_mount_merges_directories_and_lets_a_grafted_file_hide_a_subtree():
+    single = FileTree()
+    single.write_file("/a", b"1")
+    view = FileTree().mount("/a/a", single)
+    assert view.paths() == ["/", "/a", "/a/a", "/a/a/a"]
+    view = view.mount("/a", single)
+    assert view.paths() == ["/", "/a", "/a/a"] and view.read_file("/a/a") == b"1"
+    assert FileTree.decode(view.encode()) == view
+    # directories merge: a root-tree file under the mount point stays visible
+    root = sample_tree()
+    root.write_file("/boot/grub/grub.cfg", b"menu")
+    boot = FileTree()
+    boot.write_file("/keyfile", b"k")
+    boot.write_file("/grub/x", b"x")
+    view = root.mount("/boot", boot)
+    assert view.read_file("/boot/grub/grub.cfg") == b"menu"
+    assert view.read_file("/boot/grub/x") == b"x" and view.read_file("/boot/keyfile") == b"k"
+    assert FileTree.decode(view.encode()) == view
+
+
+def test_mount_at_root_grafts_without_a_double_slash():
+    other = FileTree()
+    other.write_file("/etc/passwd", b"replaced")
+    view = sample_tree().mount("/", other)
+    assert view.read_file("/etc/passwd") == b"replaced"
+    assert view.is_file("/etc/ssh/sshd_config")
+    assert all(normalize(p) == p for p in view.paths())
+
+
 # -- the record cache ------------------------------------------------------------
 
 
@@ -233,23 +273,36 @@ def reference_encode(tree: FileTree) -> bytes:
     return encoding(*records)
 
 
-# Paths at most two deep: a failing write then leaves the tree as it was.
-# Trees are mounted at /m, and only files at /x and /y, so a graft never
-# puts a file above an existing directory.
-_PATHS = st.sampled_from(["/m"] + [f"/{a}" for a in "abc"]
-                         + [f"/{a}/{b}" for a in "abc" for b in "abc"])
-_OPS = st.one_of(
+# Paths up to three deep, so writes and grafts land above, below and beside
+# files and directories alike.
+_PATHS = st.sampled_from([f"/{a}" for a in "abc"]
+                         + [f"/{a}/{b}" for a in "abc" for b in "abc"]
+                         + [f"/{a}/{b}/{c}" for a in "ab" for b in "ab" for c in "ab"])
+_WRITES = st.one_of(
     st.tuples(st.just("write_file"), _PATHS, st.binary(max_size=6)),
-    st.tuples(st.just("append_text"), _PATHS, st.text(alphabet="xy\n", max_size=4)),
     st.tuples(st.just("mkdir"), _PATHS),
     st.tuples(st.just("symlink"), _PATHS, st.sampled_from(["", ".", "/a/b"])),
+)
+_OPS = st.one_of(
+    _WRITES,
+    st.tuples(st.just("append_text"), _PATHS, st.text(alphabet="xy\n", max_size=4)),
     st.tuples(st.just("remove"), _PATHS),
     st.tuples(st.just("copy")),
-    st.tuples(st.just("mount"), st.dictionaries(st.sampled_from(["/x", "/y"]),
-                                                st.binary(max_size=6), max_size=2)),
+    st.tuples(st.just("mount"), st.one_of(st.just("/"), _PATHS),
+              st.lists(_WRITES, max_size=4)),
     st.tuples(st.just("decode")),
     st.tuples(st.just("encode")),
 )
+
+
+def tree_from(writes) -> FileTree:
+    tree = FileTree()
+    for name, *args in writes:
+        try:
+            getattr(tree, name)(*args)
+        except TreeError:
+            pass
+    return tree
 
 
 @settings(max_examples=500)
@@ -262,12 +315,10 @@ def test_encode_with_reused_records_equals_the_reference_encoding(ops):
             frozen.append((tree, tree.encode()))
             tree = tree.copy()
         elif name == "mount":
-            other = FileTree()
-            for path, data in args[0].items():
-                other.write_file(path, data)
+            other = tree_from(args[1])
             before = [(tree, tree.encode()), (other, other.encode())]
             try:
-                view = tree.mount("/m", other)
+                view = tree.mount(args[0], other)
             except TreeError:
                 continue
             frozen += before
@@ -277,13 +328,16 @@ def test_encode_with_reused_records_equals_the_reference_encoding(ops):
         elif name == "encode":
             assert tree.encode() == reference_encode(tree)
         else:
+            before = (tree.paths(), tree.encode())
             try:
                 getattr(tree, name)(*args)
             except TreeError:
+                assert (tree.paths(), tree.encode()) == before  # a failed op changes nothing
                 continue
             if name == "remove":
                 assert not [p for p in tree._records if p == args[0] or p.startswith(args[0] + "/")]
         assert set(tree._records) <= set(tree.paths())
+        assert FileTree.decode(tree.encode()).encode() == tree.encode()  # still canonical
     assert tree.encode() == reference_encode(tree)
     for original, encoded in frozen:
         assert original.encode() == encoded == reference_encode(original)

@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
 import zipfile
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -220,6 +221,19 @@ def test_policy_takes_archives_and_critical_steps_from_the_plan():
         f"cryptsetup-reencrypt -v -d /mnt/keyfile -l 512 {VM_ROOT_DEVICE_FROM_HOST}",
         f"cryptsetup luksErase {VM_ROOT_DEVICE}",
     )
+
+
+def test_policy_dict_shows_every_field_the_checks_read():
+    policy = default_policy(default_plan(SMALL))
+    doc = policy.to_dict()
+    assert set(doc) == {f.name for f in fields(policy)}
+    assert json.loads(json.dumps(doc)) == doc
+    assert doc["expected_host_commands"] == list(policy.expected_host_commands)
+    assert doc["expected_vm_commands"] == list(policy.expected_vm_commands)
+    assert doc["critical_commands"] == list(policy.critical_commands)
+    assert doc["ldap_dump"] == "/var/www/log/ldap.txt"
+    assert doc["archives"][0] == {"name": "etc-host.zip", "stage": "host", "root": "/etc"}
+    assert [tuple(a.values()) for a in doc["archives"]] == list(policy.archives)
 
 
 def test_archive_of_another_root_verifies_under_its_own_plan():
