@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from pathlib import Path
@@ -92,8 +91,7 @@ def cmd_seal(args) -> int:
 
     bundle, shares = seal_all_with_escrow(host, args.escrow or 0)
     bundle_dir = args.workdir / "bundle"
-    bundle.save(bundle_dir)
-    digest = bundle.index_digest()
+    digest = bundle.index_digest(bundle.save(bundle_dir))
 
     share_paths = []
     if shares:
@@ -160,8 +158,7 @@ def cmd_restore(args) -> int:
     if args.reseal:
         bundle, _ = seal_all_with_escrow(host, 0)
         bundle_dir = args.workdir / "bundle"
-        bundle.save(bundle_dir)
-        digest = bundle.index_digest()
+        digest = bundle.index_digest(bundle.save(bundle_dir))
         _emit(
             {"resealed": True, "bundle_index_digest": digest},
             args.json,
@@ -284,68 +281,79 @@ def cmd_serve(args) -> int:
     return EXIT_OK
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once per process on first use, not at import."""
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The ``sealkit`` parser; with ``argv``, only the subcommands it names get arguments.
+
+    argparse dispatches only to a subcommand whose name is a token of
+    ``argv``, so the others are listed (for usage, ``--help`` and the
+    invalid-choice error) as bare parsers that nothing parses. A one-shot
+    command then builds one subparser's arguments instead of all of them.
+    """
     parser = argparse.ArgumentParser(
         prog="sealkit",
         description="Build, seal, verify, and attack simulated self-sealing servers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_build = sub.add_parser("build", help="prepare a server and write pre-seal images")
-    _common_flags(p_build)
-    p_build.set_defaults(func=cmd_build)
+    def subcommand(name: str, help_line: str) -> argparse.ArgumentParser | None:
+        if argv is None or name in argv:
+            return sub.add_parser(name, help=help_line)
+        sub.add_parser(name, help=help_line, add_help=False)
+        return None
 
-    p_seal = sub.add_parser("seal", help="run the dual-stage seal and publish the bundle")
-    _common_flags(p_seal)
-    p_seal.add_argument("--escrow", type=int, default=0, metavar="N",
-                        help="split the VM key record into N escrow shares")
-    p_seal.set_defaults(func=cmd_seal)
+    if p_build := subcommand("build", "prepare a server and write pre-seal images"):
+        _common_flags(p_build)
+        p_build.set_defaults(func=cmd_build)
 
-    p_verify = sub.add_parser("verify", help="check the bundle against the pre-seal images")
-    _common_flags(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
+    if p_seal := subcommand("seal", "run the dual-stage seal and publish the bundle"):
+        _common_flags(p_seal)
+        p_seal.add_argument("--escrow", type=int, default=0, metavar="N",
+                            help="split the VM key record into N escrow shares")
+        p_seal.set_defaults(func=cmd_seal)
 
-    p_restore = sub.add_parser("restore", help="restore the pre-seal state from images")
-    _common_flags(p_restore)
-    p_restore.add_argument("--reseal", action="store_true",
-                           help="immediately reseal after restoring")
-    p_restore.set_defaults(func=cmd_restore)
+    if p_verify := subcommand("verify", "check the bundle against the pre-seal images"):
+        _common_flags(p_verify)
+        p_verify.set_defaults(func=cmd_verify)
 
-    p_escrow = sub.add_parser("escrow", help="split or recover escrow shares")
-    escrow_sub = p_escrow.add_subparsers(dest="escrow_action", required=True)
-    p_split = escrow_sub.add_parser("split")
-    p_split.add_argument("--secret-hex")
-    p_split.add_argument("--secret-file")
-    p_split.add_argument("-n", "--parties", type=int, required=True)
-    p_split.add_argument("--out", required=True, help="output directory for share files")
-    p_split.add_argument("--seed", type=int, default=None)
-    p_recover = escrow_sub.add_parser("recover")
-    p_recover.add_argument("shares", nargs="+", help="share files")
-    p_recover.add_argument("--out", default=None, help="write the secret to a file")
-    p_escrow.set_defaults(func=cmd_escrow)
+    if p_restore := subcommand("restore", "restore the pre-seal state from images"):
+        _common_flags(p_restore)
+        p_restore.add_argument("--reseal", action="store_true",
+                               help="immediately reseal after restoring")
+        p_restore.set_defaults(func=cmd_restore)
 
-    p_serve = sub.add_parser("serve", help="seal a server and answer line requests on stdin")
-    _common_flags(p_serve)
-    p_serve.set_defaults(func=cmd_serve)
+    if p_escrow := subcommand("escrow", "split or recover escrow shares"):
+        escrow_sub = p_escrow.add_subparsers(dest="escrow_action", required=True)
+        p_split = escrow_sub.add_parser("split")
+        p_split.add_argument("--secret-hex")
+        p_split.add_argument("--secret-file")
+        p_split.add_argument("-n", "--parties", type=int, required=True)
+        p_split.add_argument("--out", required=True, help="output directory for share files")
+        p_split.add_argument("--seed", type=int, default=None)
+        p_recover = escrow_sub.add_parser("recover")
+        p_recover.add_argument("shares", nargs="+", help="share files")
+        p_recover.add_argument("--out", default=None, help="write the secret to a file")
+        p_escrow.set_defaults(func=cmd_escrow)
 
-    p_attack = sub.add_parser("attack", help="run a named attack scenario")
-    p_attack.add_argument("scenario", help="scenario name or 'all'")
-    _common_flags(p_attack)
-    p_attack.set_defaults(func=cmd_attack)
+    if p_serve := subcommand("serve", "seal a server and answer line requests on stdin"):
+        _common_flags(p_serve)
+        p_serve.set_defaults(func=cmd_serve)
 
-    p_manifest = sub.add_parser("manifest", help="compute the manifest of an image directory")
-    p_manifest.add_argument("imagedir")
-    p_manifest.add_argument("-o", "--output", default=None)
-    _common_flags(p_manifest)
-    p_manifest.set_defaults(func=cmd_manifest)
+    if p_attack := subcommand("attack", "run a named attack scenario"):
+        p_attack.add_argument("scenario", help="scenario name or 'all'")
+        _common_flags(p_attack)
+        p_attack.set_defaults(func=cmd_attack)
+
+    if p_manifest := subcommand("manifest", "compute the manifest of an image directory"):
+        p_manifest.add_argument("imagedir")
+        p_manifest.add_argument("-o", "--output", default=None)
+        _common_flags(p_manifest)
+        p_manifest.set_defaults(func=cmd_manifest)
 
     return parser
 
 
 def run_command(argv: list[str]) -> int:
-    parser = build_parser()
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -487,17 +487,23 @@ class PublishedBundle:
         ]
         return "".join(lines)
 
-    def index_digest(self) -> str:
-        return hashlib.sha3_512(self.index_text().encode()).hexdigest()
+    def index_digest(self, index_text: str | None = None) -> str:
+        """SHA3-512 of the index; pass ``index_text`` if it is already at hand."""
+        if index_text is None:
+            index_text = self.index_text()
+        return hashlib.sha3_512(index_text.encode()).hexdigest()
 
-    def save(self, directory) -> None:
+    def save(self, directory) -> str:
+        """Write every artifact and ``index.txt``; return the index text written."""
         from pathlib import Path
 
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         for name, data in self.artifacts.items():
             (directory / name).write_bytes(data)
-        (directory / "index.txt").write_text(self.index_text())
+        index_text = self.index_text()
+        (directory / "index.txt").write_text(index_text)
+        return index_text
 
     @classmethod
     def load(cls, directory) -> "PublishedBundle":

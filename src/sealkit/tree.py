@@ -216,13 +216,13 @@ class FileTree:
         view = self.copy()
         view.mkdir(mount_point)
         base = "" if mount_point == "/" else mount_point
-        grafted = {base + path if path != "/" else mount_point: node
-                   for path, node in other._nodes.items()}
-        for path, node in grafted.items():
-            # only a directory of this tree can hold paths below a grafted file
-            if not isinstance(node, DirNode) and isinstance(view._nodes.get(path), DirNode):
-                view.remove(path)
-        view._nodes.update(grafted)
+        for path, node in other._nodes.items():
+            grafted = base + path if path != "/" else mount_point
+            # only a directory of this tree can hold paths below a grafted file;
+            # ``other`` is canonical, so nothing it grafts lies below that file
+            if not isinstance(node, DirNode) and isinstance(view._nodes.get(grafted), DirNode):
+                view.remove(grafted)
+            view._nodes[grafted] = node
         return view
 
     # -- canonical encoding ---------------------------------------------------

@@ -229,7 +229,7 @@ def test_attack_subcommand_json(tmp_path, capsys):
     assert report[0]["ok"] is True
 
 
-def test_one_parser_serves_every_command_as_a_fresh_one_would(tmp_path, capsys, monkeypatch):
+def test_per_command_parser_answers_as_the_full_parser(tmp_path, capsys, monkeypatch):
     calls = [
         ["build", *ws(tmp_path)],
         ["seal", *ws(tmp_path), "--escrow", "2"],
@@ -237,6 +237,14 @@ def test_one_parser_serves_every_command_as_a_fresh_one_would(tmp_path, capsys, 
         ["verify", *ws(tmp_path)],
         ["seal", "--definitely-not-a-flag"],
         ["attack", "all", "--json"],
+        ["--help"],
+        ["verify", "--help"],
+        ["escrow", "split", "--help"],
+        [],
+        ["bogus"],
+        ["escrow"],
+        ["manifest"],
+        ["--not-a-global-flag", "verify", "--json"],
     ]
 
     def outcomes():
@@ -246,20 +254,21 @@ def test_one_parser_serves_every_command_as_a_fresh_one_would(tmp_path, capsys, 
             results.append((rc, *capsys.readouterr()))
         return results
 
-    cli.build_parser.cache_clear()
-    reused = outcomes()
-    assert cli.build_parser.cache_info().misses == 1
-    uncached, fresh_builds = cli.build_parser.__wrapped__, []
+    per_command = outcomes()
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv: full_parser())
+    full = outcomes()
+    assert [rc for rc, _, _ in per_command] == [0, 0, 0, 0, 2, 0, 0, 0, 0, 2, 2, 2, 2, 2]
+    assert per_command == full
 
-    def fresh_parser():
-        fresh_builds.append(1)
-        return uncached()
 
-    monkeypatch.setattr(cli, "build_parser", fresh_parser)
-    fresh = outcomes()
-    assert len(fresh_builds) == len(calls)
-    assert [rc for rc, _, _ in reused] == [0, 0, 0, 0, 2, 0]
-    assert reused == fresh
+def test_a_command_builds_only_its_own_subparser():
+    subparsers = cli.build_parser(["verify", "--seed", "1"])._subparsers._group_actions[0]
+    built = {name for name, parser in subparsers.choices.items() if parser._actions}
+    assert built == {"verify"}
+    everything = cli.build_parser()._subparsers._group_actions[0]
+    assert list(subparsers.choices) == list(everything.choices)
+    assert all(parser._actions for parser in everything.choices.values())
 
 
 def test_attack_unknown_scenario_exits_two(capsys):

@@ -7,7 +7,9 @@ DIR is the root of a checkout; each run is ``python3 perfbench/run.py
 --workload NAME --seed N --seconds S --trace 0`` started in that checkout.
 Pair i runs the parent first when i is even and the change first when it is
 odd. The result line (the last line run.py prints) and the context line
-before it are stored as printed, with the order and exit code of each run.
+before it are stored as printed, with the order and exit code of each run;
+a run that prints no such lines keeps its exit code and stdout instead, and
+its pair is left out of the summary.
 An existing ``--out`` file keeps its other workloads; this workload's entry
 is replaced. The summary gives, per end-to-end metric, both medians, the
 parent's interquartile range and the number of pairs the change wins.
@@ -24,12 +26,16 @@ from pathlib import Path
 
 
 def run_once(checkout: Path, command: list[str]) -> dict:
+    """One run; without its two JSON lines, the run keeps its exit code and stdout."""
     proc = subprocess.run(command, cwd=checkout, stdout=subprocess.PIPE, text=True,
                           check=False)
     lines = proc.stdout.strip().splitlines()
-    return {"returncode": proc.returncode,
-            "context": json.loads(lines[-2])["context"],
-            "result": json.loads(lines[-1])}
+    try:
+        return {"returncode": proc.returncode,
+                "context": json.loads(lines[-2])["context"],
+                "result": json.loads(lines[-1])}
+    except (IndexError, KeyError, ValueError):
+        return {"returncode": proc.returncode or 1, "stdout": proc.stdout}
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -38,7 +44,10 @@ def quartiles(values: list[float]) -> tuple[float, float]:
 
 
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    summary = {}
+    pairs = [p for p in pairs if "result" in p["parent"] and "result" in p["change"]]
+    summary = {"pairs_with_results": len(pairs)}
+    if len(pairs) < 2:
+        return summary
     for name, direction in better.items():
         parent = [p["parent"]["result"]["metrics"][name]["value"] for p in pairs]
         change = [p["change"]["result"]["metrics"][name]["value"] for p in pairs]
@@ -79,10 +88,11 @@ def main(argv: list[str] | None = None) -> int:
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"pair": i, "order": list(order)}
         for side in order:
-            pair[side] = run_once(getattr(args, side), command)
-            metrics = pair[side]["result"]["metrics"]
-            print(f"pair {i} {side:6s} " + " ".join(
-                f"{name}={metrics[name]['value']:.6g}" for name in better), file=sys.stderr)
+            run = pair[side] = run_once(getattr(args, side), command)
+            shown = (" ".join(f"{name}={run['result']['metrics'][name]['value']:.6g}"
+                              for name in better)
+                     if "result" in run else f"no result line, exit code {run['returncode']}")
+            print(f"pair {i} {side:6s} {shown}", file=sys.stderr)
         pairs.append(pair)
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
