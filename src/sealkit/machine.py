@@ -15,6 +15,7 @@ from __future__ import annotations
 import posixpath
 import random
 import zipfile
+import zlib
 from dataclasses import dataclass, field
 from io import BytesIO
 from pathlib import Path
@@ -212,7 +213,17 @@ def zip_tree_bytes(tree: FileTree, root: str,
     return buf.getvalue()
 
 
+# What reading a corrupt archive raises, as found by seeded one-byte mutations,
+# truncations and insertions of the published archives: RuntimeError is a
+# member flagged as encrypted, NotImplementedError an unknown compression method
+# or zip version, ValueError a bad seek or a member name that is not UTF-8.
+ZIP_READ_ERRORS = (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError,
+                   RuntimeError, ValueError)
+
+
 def unzip_to_map(blob: bytes) -> dict[str, bytes]:
+    """Every member of a zip archive by absolute path; a corrupt archive raises
+    one of :data:`ZIP_READ_ERRORS`."""
     with zipfile.ZipFile(BytesIO(blob)) as zf:
         return {"/" + name: zf.read(name) for name in zf.namelist()}
 

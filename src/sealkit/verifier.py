@@ -22,6 +22,7 @@ from .machine import (
     HOST_ROOT_DEVICE,
     StepRecord,
     VM_ROOT_DEVICE,
+    ZIP_READ_ERRORS,
     full_tree_from_images,
     unzip_to_map,
 )
@@ -41,6 +42,8 @@ from .sealing import (
     SealingPlan,
     VM_LOG_NAME,
 )
+from .tree import TreeError
+from .volume import VolumeError
 
 UNDETECTABLE_NOTE = (
     "Scope: manipulations that touch hashed trees or logged evidence are "
@@ -391,7 +394,7 @@ def _check_archive(name: str, blob: bytes, src_root: str, pre_tree,
                    policy: AllowlistPolicy, findings: list[Finding]) -> None:
     try:
         members = unzip_to_map(blob)
-    except Exception:
+    except ZIP_READ_ERRORS:
         findings.append(Finding("ERROR", name, "archive cannot be read"))
         return
     files = ((p, pre_tree.file_bytes(p)) for p in pre_tree.under(src_root))
@@ -456,7 +459,7 @@ def verify_seal(host_images: DiskImagePair, vm_images: DiskImagePair,
     try:
         pre_trees = {"host": full_tree_from_images(host_images),
                      "vm": full_tree_from_images(vm_images)}
-    except Exception as exc:
+    except (TreeError, VolumeError) as exc:
         raise MalformedBundle(f"pre-seal images cannot be opened: {exc}") from exc
     for stage, evidence in (("host", host_evidence), ("vm", vm_evidence)):
         pre = compute_manifest(pre_trees[stage], roots)

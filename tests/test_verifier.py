@@ -3,17 +3,24 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import struct
 import zipfile
+import zlib
 from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SMALL, build_sealed, build_server
 
+from sealkit import verifier
 from sealkit.machine import (
     HOST_ROOT_DEVICE,
     VM_ROOT_DEVICE,
     VM_ROOT_DEVICE_FROM_HOST,
+    ZIP_READ_ERRORS,
+    DiskImagePair,
     full_tree_from_images,
     unzip_to_map,
 )
@@ -31,7 +38,7 @@ from sealkit.sealing import (
     render_log,
     seal_all,
 )
-from sealkit.tree import FileTree
+from sealkit.tree import FileTree, TreeError
 from sealkit.verifier import (
     Finding,
     MalformedBundle,
@@ -41,6 +48,7 @@ from sealkit.verifier import (
     parse_sealing_log,
     verify_seal,
 )
+from sealkit.volume import VolumeError, deserialize_volume, serialize_volume
 
 
 def clean_run(seed):
@@ -462,3 +470,118 @@ def test_archive_findings_list_changed_then_added_then_removed(honest_seal):
                           default_policy(default_plan(SMALL)))
     assert [f.subject for f in verdict.findings if "etc-host.zip" in f.explanation] == [
         "/etc/hostname", "/etc/aaa-backdoor", "/etc/hosts.deny"]
+
+
+# -- corrupt input: a finding, a verdict or a typed error, never a foreign one --------
+
+
+def _put(blob: bytes, at: int, fmt: str, value: int) -> bytes:
+    return blob[:at] + struct.pack(fmt, value) + blob[at + struct.calcsize(fmt):]
+
+
+def _zip_offsets(blob: bytes) -> dict[str, int]:
+    """The first and last central directory entry, the end record, the first member's data."""
+    name_len, extra_len = struct.unpack_from("<HH", blob, 26)
+    return {"cd": blob.find(b"PK\x01\x02"), "last": blob.rfind(b"PK\x01\x02"),
+            "end": blob.rfind(b"PK\x05\x06"), "data": 30 + name_len + extra_len}
+
+
+# One honest archive per error class in ZIP_READ_ERRORS, each with a header field
+# rewritten. A central directory entry holds the version needed at +6, the flags
+# at +8, the method at +10, the sizes at +20 and +24 and the name at +46; the end
+# record holds the directory's offset at +16. Bundle archives store their members.
+CORRUPT_ARCHIVES = {
+    "bad-directory-size": (zipfile.BadZipFile, lambda b, o: _put(b, o["end"] + 12, "<I", 1 << 30)),
+    "encrypted-member": (RuntimeError, lambda b, o: _put(b, o["cd"] + 8, "<H", 1)),
+    "unknown-method": (NotImplementedError, lambda b, o: _put(b, o["cd"] + 10, "<H", 99)),
+    "future-version": (NotImplementedError, lambda b, o: _put(b, o["cd"] + 6, "<B", 99)),
+    "negative-seek": (ValueError, lambda b, o: _put(
+        b, o["end"] + 16, "<I", struct.unpack_from("<I", b, o["end"] + 16)[0] + 224)),
+    "non-utf8-name": (UnicodeDecodeError, lambda b, o: _put(
+        _put(b, o["cd"] + 8, "<H", 0x800), o["cd"] + 46, "<B", 0xFF)),
+    "invalid-deflate-block": (zlib.error, lambda b, o: _put(
+        _put(b, o["cd"] + 10, "<H", zipfile.ZIP_DEFLATED), o["data"], "<B", 0x07)),
+    "member-past-the-end": (EOFError, lambda b, o: _put(
+        _put(b, o["last"] + 20, "<I", 1 << 24), o["last"] + 24, "<I", 1 << 24)),
+}
+
+
+def test_every_zip_read_error_is_reached_by_a_corrupt_archive():
+    reached = {error for error, _ in CORRUPT_ARCHIVES.values()}
+    assert all(any(issubclass(r, error) for r in reached) for error in ZIP_READ_ERRORS)
+
+
+@pytest.mark.parametrize("case", CORRUPT_ARCHIVES)
+def test_corrupt_archive_is_an_unreadable_archive_finding(honest_seal, case):
+    host_images, vm_images, bundle = honest_seal
+    error, edit = CORRUPT_ARCHIVES[case]
+    blob = bundle.artifacts["etc-host.zip"]
+    corrupt = edit(blob, _zip_offsets(blob))
+    with pytest.raises(error):
+        unzip_to_map(corrupt)
+    verdict = verify_seal(host_images, vm_images,
+                          PublishedBundle({**bundle.artifacts, "etc-host.zip": corrupt}),
+                          default_policy(default_plan(SMALL)))
+    assert Finding("ERROR", "etc-host.zip", "archive cannot be read") in verdict.findings
+
+
+@pytest.mark.parametrize("name", ["unzip_to_map", "full_tree_from_images"])
+def test_a_verifier_bug_surfaces_as_itself(honest_seal, monkeypatch, name):
+    """Not as an unreadable archive, nor as pre-seal images that cannot be opened."""
+    def bug(*args):
+        raise TypeError("a bug in the verifier")
+
+    monkeypatch.setattr(verifier, name, bug)
+    host_images, vm_images, bundle = honest_seal
+    with pytest.raises(TypeError, match="a bug in the verifier"):
+        verify_seal(host_images, vm_images, bundle, default_policy(default_plan(SMALL)))
+
+
+@pytest.fixture(scope="module")
+def auditor_files(honest_seal):
+    """Every file an auditor reads, as bytes: the bundle and both image directories."""
+    host_images, vm_images, bundle = honest_seal
+    files = {f"bundle/{name}": data for name, data in bundle.artifacts.items()}
+    for stage, images in (("host", host_images), ("vm", vm_images)):
+        files[f"{stage}/boot.tree"] = images.boot.encode()
+        files[f"{stage}/root.tsvol"] = b"".join(serialize_volume(images.root))
+    return files
+
+
+def _load_image_pair(files: dict[str, bytes], stage: str) -> DiskImagePair:
+    """What ``load_images`` reads from a stage's image directory."""
+    return DiskImagePair(boot=FileTree.decode(files[f"{stage}/boot.tree"]),
+                         root=deserialize_volume(io.BytesIO(files[f"{stage}/root.tsvol"])))
+
+
+def _mutate(blob: bytes, kind: str, at: int, byte: int) -> bytes:
+    at %= len(blob) + (kind == "insert")
+    if kind == "replace":
+        return blob[:at] + bytes([blob[at] ^ byte]) + blob[at + 1:]
+    if kind == "truncate":
+        return blob[:at]
+    return blob[:at] + bytes([byte]) + blob[at:]
+
+
+# Offsets near either end reach the headers, directories and end records.
+OFFSETS = st.one_of(st.integers(0, 1023), st.integers(-1024, -1), st.integers(0, 1 << 20))
+
+
+@settings(max_examples=300)
+@given(st.data(), st.sampled_from(["replace", "truncate", "insert"]), OFFSETS,
+       st.integers(1, 255))
+def test_a_mutated_input_gives_a_verdict_or_a_typed_error(auditor_files, data, kind, at, byte):
+    target = data.draw(st.sampled_from(sorted(auditor_files)))
+    files = {**auditor_files, target: _mutate(auditor_files[target], kind, at, byte)}
+    try:
+        host_images, vm_images = (_load_image_pair(files, stage) for stage in ("host", "vm"))
+    except (TreeError, VolumeError):
+        return  # the image loader refuses the file
+    bundle = PublishedBundle({name.removeprefix("bundle/"): blob
+                              for name, blob in files.items() if name.startswith("bundle/")})
+    try:
+        verdict = verify_seal(host_images, vm_images, bundle,
+                              default_policy(default_plan(SMALL)))
+    except MalformedBundle:
+        return
+    assert verdict.status in ("PASS", "FAIL")

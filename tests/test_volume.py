@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import io
 import json
 import tracemalloc
@@ -156,6 +157,33 @@ def test_unlock_rejects_1000_random_wrong_keyfiles(rng):
         with pytest.raises(NoMatchingSlot):
             vol.unlock(volume, Keyfile.generate(rng))
     assert vol.unlock(volume, keyfile).valid
+
+
+# -- slot KDF ----------------------------------------------------------------
+# ``hashlib.pbkdf2_hmac`` is the reference: the slot KDF must derive its bytes.
+
+
+def reference_kdf(passphrase: bytes, salt: bytes, iterations: int) -> bytes:
+    return hashlib.pbkdf2_hmac("sha512", passphrase, salt, iterations, dklen=32)
+
+
+def sized_binary(max_size: int):
+    """Bytes whose length is drawn uniformly, so long inputs are as likely as short ones."""
+    return st.integers(0, max_size).flatmap(lambda n: st.binary(min_size=n, max_size=n))
+
+
+@settings(max_examples=200)
+@given(sized_binary(600), sized_binary(64), st.integers(1, 64))
+def test_slot_kdf_equals_hashlib_pbkdf2(passphrase, salt, iterations):
+    """Passphrases up to 600 bytes cover keys longer than SHA-512's 128-byte block."""
+    assert vol._kdf(passphrase, salt, iterations) == reference_kdf(passphrase, salt, iterations)
+
+
+def test_slot_kdf_equals_hashlib_pbkdf2_for_a_keyfile_at_the_default_count():
+    keyfile = Keyfile.generate(make_rng(15)).data
+    salt = make_rng(16).randbytes(SALT_BYTES)
+    iterations = vol.DEFAULT_KDF_ITERATIONS
+    assert vol._kdf(keyfile, salt, iterations) == reference_kdf(keyfile, salt, iterations)
 
 
 # -- read/write sectors -------------------------------------------------------

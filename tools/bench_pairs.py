@@ -12,7 +12,11 @@ a run that prints no such lines keeps its exit code and stdout instead, and
 its pair is left out of the summary.
 An existing ``--out`` file keeps its other workloads; this workload's entry
 is replaced. The summary gives, per end-to-end metric, both medians, the
-parent's interquartile range and the number of pairs the change wins.
+parent's interquartile range and the number of pairs the change wins, and
+both medians of the work each run's context line counts (``details.cycles``
+on the cycle workloads, ``details.sessions`` on serve), so a metric that
+follows the amount of work done, such as serve's ``peak_rss_mb``, can be read
+against it.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+SIDES = ("parent", "change")
 
 
 def run_once(checkout: Path, command: list[str]) -> dict:
@@ -61,8 +67,14 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             "change_better_pairs": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
             "better": direction,
         }
+    for count in ("cycles", "sessions"):
+        if all(count in p[side]["context"]["details"] for p in pairs for side in SIDES):
+            summary[f"details.{count}"] = {
+                f"{side}_median": statistics.median(p[side]["context"]["details"][count]
+                                                    for p in pairs)
+                for side in SIDES}
     summary["failed"] = {side: sum(p[side]["result"]["failed"] for p in pairs)
-                         for side in ("parent", "change")}
+                         for side in SIDES}
     return summary
 
 
@@ -85,7 +97,7 @@ def main(argv: list[str] | None = None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     pairs = []
     for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
         pair = {"pair": i, "order": list(order)}
         for side in order:
             run = pair[side] = run_once(getattr(args, side), command)
@@ -104,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
         "pairs": pairs,
     }
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    return 0 if all(p[s]["returncode"] == 0 for p in pairs for s in ("parent", "change")) else 1
+    return 0 if all(p[s]["returncode"] == 0 for p in pairs for s in SIDES) else 1
 
 
 if __name__ == "__main__":
