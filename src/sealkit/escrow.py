@@ -23,7 +23,7 @@ from .volume import (
     VolumeError,
     VolumeHeader,
     header_bytes,
-    header_count,
+    kdf_count,
 )
 
 SHARE_MAGIC = b"TSSHARE1\n"
@@ -136,7 +136,7 @@ def apply_wrapped_key_record(volume: EncryptedVolume, record: bytes) -> None:
     try:
         doc = json.loads(record)
         slot = KeySlot(state="active", salt=header_bytes(doc["slot_salt"], SALT_BYTES),
-                       kdf_iterations=header_count(doc["kdf_iterations"]),
+                       kdf_iterations=kdf_count(doc["kdf_iterations"]),
                        wrapped_key=header_bytes(doc["wrapped_key"], WRAPPED_KEY_BYTES))
         header = replace(volume.header, slots=(slot,) + volume.header.slots[1:],
                          mk_digest_salt=header_bytes(doc["mk_digest_salt"], SALT_BYTES),

@@ -47,7 +47,8 @@ The ``TSVOL1`` container is the magic, a length-prefixed canonical JSON
 header, then the sector records. It is streamed both ways, 256 sector
 records at a time: :func:`serialize_volume` yields the container in parts and
 :func:`deserialize_volume` reads it from a file in chunks, so no copy of the
-whole container is built. A malformed container raises :class:`VolumeError`.
+whole container is built. A malformed container, or one whose header names a
+KDF count above ``MAX_KDF_ITERATIONS``, raises :class:`VolumeError`.
 
 Volumes are single-writer: dump and header_backup are safe concurrently,
 all mutating operations must be serialized by the caller, and a handle may
@@ -87,6 +88,10 @@ _CHUNK_RECORDS = 256  # sector records per part written or read of a container
 _ZERO_SECTOR = bytes(SECTOR_BYTES)
 _PREFIX_BLOCK = 8 * SECTOR_BYTES  # bytes compared at once while skipping an unchanged prefix
 DEFAULT_KDF_ITERATIONS = 10_000
+# The largest slot KDF iteration count a volume may carry: OpenSSL's C int.
+# Past it ``PBKDF2HMAC.derive`` panics (pyo3's PanicException, which is not an
+# Exception), so decoders and ``format_volume`` refuse such counts up front.
+MAX_KDF_ITERATIONS = 2**31 - 1
 
 
 class VolumeError(Exception):
@@ -300,8 +305,8 @@ def format_volume(sector_count: int, keyfile: Keyfile, rng: random.Random,
     """
     if sector_count < 1:
         raise InvalidSpec("sector_count must be >= 1")
-    if kdf_iterations < 1:
-        raise InvalidSpec("kdf_iterations must be >= 1")
+    if not 1 <= kdf_iterations <= MAX_KDF_ITERATIONS:
+        raise InvalidSpec(f"kdf_iterations must be in 1..{MAX_KDF_ITERATIONS}")
 
     master_key = MasterKey.generate(rng)
     key_fields = _key_fields(master_key, keyfile, kdf_iterations, rng)
@@ -521,6 +526,13 @@ def header_count(value: int) -> int:
     return value
 
 
+def kdf_count(value: int) -> int:
+    """A header's KDF iteration count: a positive integer up to MAX_KDF_ITERATIONS."""
+    if header_count(value) > MAX_KDF_ITERATIONS:
+        raise VolumeError(f"KDF iteration count {value} exceeds {MAX_KDF_ITERATIONS}")
+    return value
+
+
 def _header_from_record(raw: bytes) -> VolumeHeader:
     """The header whose canonical record is ``raw``; anything else raises VolumeError."""
     try:
@@ -529,14 +541,14 @@ def _header_from_record(raw: bytes) -> VolumeHeader:
             KeySlot(
                 state="active",
                 salt=header_bytes(entry["salt"], SALT_BYTES),
-                kdf_iterations=header_count(entry["kdf_iterations"]),
+                kdf_iterations=kdf_count(entry["kdf_iterations"]),
                 wrapped_key=header_bytes(entry["wrapped_key"], WRAPPED_KEY_BYTES),
             ) if entry["state"] == "active" else KeySlot()
             for entry in doc["slots"]
         )
         header = VolumeHeader(
             uuid=header_bytes(doc["uuid"], 16),
-            kdf_iterations=header_count(doc["spec"]["kdf_iterations"]),
+            kdf_iterations=kdf_count(doc["spec"]["kdf_iterations"]),
             slots=slots,
             mk_digest_salt=header_bytes(doc["mk_digest_salt"], SALT_BYTES),
             mk_digest=header_bytes(doc["mk_digest"], MK_DIGEST_BYTES),

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from sealkit import cli
+from sealkit import volume as vol
 from sealkit.cli import run_command
 from sealkit.config import ConfigError, ServerConfig, parse_config
 from sealkit.sealing import HOST_LOG_NAME
@@ -127,6 +128,33 @@ def test_verify_corrupt_image_exits_one_without_traceback(tmp_path, capsys, imag
     err = capsys.readouterr().err
     assert err.startswith("sealkit: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_verify_refuses_a_slot_kdf_count_past_the_limit_before_any_kdf(tmp_path, capsys,
+                                                                       monkeypatch):
+    """A pre-seal image whose header asks for 2**32 + 1 iterations is refused by the
+    loader, so the auditor never starts that unlock."""
+    seal_workdir(tmp_path)
+    capsys.readouterr()
+    path = tmp_path / "images" / "host" / "root.tsvol"
+    blob = path.read_bytes()
+    start = len(vol.VOLUME_MAGIC) + 4
+    end = start + int.from_bytes(blob[len(vol.VOLUME_MAGIC):start], "big")
+    doc = json.loads(blob[start:end])
+    assert doc["slots"][0]["state"] == "active"
+    doc["slots"][0]["kdf_iterations"] = 2**32 + 1
+    record = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(vol.VOLUME_MAGIC + len(record).to_bytes(4, "big") + record + blob[end:])
+    kdf = vol._kdf
+
+    def bounded_kdf(passphrase, salt, iterations):
+        assert iterations <= vol.MAX_KDF_ITERATIONS
+        return kdf(passphrase, salt, iterations)
+
+    monkeypatch.setattr(vol, "_kdf", bounded_kdf)
+    assert run_command(["verify", *ws(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"sealkit: KDF iteration count {2**32 + 1} exceeds {vol.MAX_KDF_ITERATIONS}\n"
 
 
 def test_unknown_subcommand_exits_two(capsys):

@@ -215,8 +215,9 @@ def edited_key_record(edit) -> bytes:
     b"[]",
     edited_key_record(lambda doc: doc.update(wrapped_key="00")),
     edited_key_record(lambda doc: doc.update(kdf_iterations="10")),
+    edited_key_record(lambda doc: doc.update(kdf_iterations=2**32 + 1)),
 ], ids=["not-utf8", "missing-mk-digest", "bad-hex-salt", "json-list", "short-wrapped-key",
-        "string-iterations"])
+        "string-iterations", "iterations-past-the-limit"])
 def test_malformed_key_record_raises_escrow_error_and_keeps_the_header(record):
     volume = KEY_RECORD_VOLUME.copy()
     before = volume.header

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import lzma
 import struct
 import zipfile
 import zlib
@@ -490,6 +491,7 @@ def _zip_offsets(blob: bytes) -> dict[str, int]:
 # rewritten. A central directory entry holds the version needed at +6, the flags
 # at +8, the method at +10, the sizes at +20 and +24 and the name at +46; the end
 # record holds the directory's offset at +16. Bundle archives store their members.
+# An LZMA member's data opens with a version, a properties size and properties.
 CORRUPT_ARCHIVES = {
     "bad-directory-size": (zipfile.BadZipFile, lambda b, o: _put(b, o["end"] + 12, "<I", 1 << 30)),
     "encrypted-member": (RuntimeError, lambda b, o: _put(b, o["cd"] + 8, "<H", 1)),
@@ -501,6 +503,10 @@ CORRUPT_ARCHIVES = {
         _put(b, o["cd"] + 8, "<H", 0x800), o["cd"] + 46, "<B", 0xFF)),
     "invalid-deflate-block": (zlib.error, lambda b, o: _put(
         _put(b, o["cd"] + 10, "<H", zipfile.ZIP_DEFLATED), o["data"], "<B", 0x07)),
+    "bzip2-method": (OSError, lambda b, o: _put(b, o["cd"] + 10, "<H", zipfile.ZIP_BZIP2)),
+    "lzma-bad-properties": (lzma.LZMAError, lambda b, o: _put(_put(_put(
+        b, o["cd"] + 10, "<H", zipfile.ZIP_LZMA), o["data"], "<I", 5 << 16), o["data"] + 4,
+        "<B", 0xFF)),
     "member-past-the-end": (EOFError, lambda b, o: _put(
         _put(b, o["last"] + 20, "<I", 1 << 24), o["last"] + 24, "<I", 1 << 24)),
 }

@@ -124,6 +124,12 @@ def test_format_rejects_bad_spec(rng):
         vol.format_volume(1, Keyfile.generate(rng), rng, kdf_iterations=0)
 
 
+def test_format_rejects_a_kdf_count_past_the_limit(rng):
+    with pytest.raises(InvalidSpec):
+        vol.format_volume(1, Keyfile.generate(rng), rng,
+                          kdf_iterations=vol.MAX_KDF_ITERATIONS + 1)
+
+
 def test_format_rejects_zero_sectors(rng):
     with pytest.raises(InvalidSpec):
         vol.format_volume(0, Keyfile.generate(rng), rng, kdf_iterations=FAST)
@@ -707,6 +713,8 @@ def test_one_byte_header_mutation_loads_canonically_or_raises_volume_error(index
     lambda doc: doc.update(sector_count=True),
     lambda doc: doc.update(sector_count=0),
     lambda doc: doc["spec"].update(kdf_iterations=10.0),
+    lambda doc: doc["spec"].update(kdf_iterations=vol.MAX_KDF_ITERATIONS + 1),
+    lambda doc: doc["slots"][0].update(kdf_iterations=2**32 + 1),
     lambda doc: doc["spec"].update(extra=1),
     lambda doc: doc["spec"].update(master_key_bits=256),
     lambda doc: doc["spec"].update(sector_bytes=4096),
@@ -714,7 +722,8 @@ def test_one_byte_header_mutation_loads_canonically_or_raises_volume_error(index
     lambda doc: doc["slots"][0].update(state="on"),
     lambda doc: doc["slots"].pop(),
     lambda doc: doc.update(slots={}),
-], ids=["short-uuid", "bool-count", "zero-sectors", "float-iterations", "unknown-spec-key",
+], ids=["short-uuid", "bool-count", "zero-sectors", "float-iterations",
+        "spec-iterations-past-the-limit", "slot-iterations-past-the-limit", "unknown-spec-key",
         "wrong-key-bits", "wrong-sector-size",
         "uppercase-hex", "unknown-slot-state", "seven-slots", "slots-not-a-list"])
 def test_well_formed_json_that_is_not_a_header_raises_volume_error(edit):
@@ -725,6 +734,16 @@ def test_well_formed_json_that_is_not_a_header_raises_volume_error(edit):
     blob = vol.VOLUME_MAGIC + pack_bytes(record) + CONTAINER[HEADER_END:]
     with pytest.raises(VolumeError):
         vol.deserialize_volume(io.BytesIO(blob))
+
+
+def test_header_with_kdf_counts_at_the_limit_loads():
+    start = len(vol.VOLUME_MAGIC) + 4
+    doc = json.loads(CONTAINER[start:HEADER_END])
+    doc["spec"]["kdf_iterations"] = doc["slots"][0]["kdf_iterations"] = vol.MAX_KDF_ITERATIONS
+    record = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    volume = vol.deserialize_volume(io.BytesIO(
+        vol.VOLUME_MAGIC + pack_bytes(record) + CONTAINER[HEADER_END:]))
+    assert volume.header.slots[0].kdf_iterations == vol.MAX_KDF_ITERATIONS
 
 
 def test_header_length_beyond_the_limit_raises_before_reading():

@@ -28,8 +28,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-SIDES = ("parent", "change")
-
 
 def run_once(checkout: Path, command: list[str]) -> dict:
     """One run; without its two JSON lines, the run keeps its exit code and stdout."""
@@ -68,13 +66,14 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             "better": direction,
         }
     for count in ("cycles", "sessions"):
-        if all(count in p[side]["context"]["details"] for p in pairs for side in SIDES):
+        if all(count in p[side]["context"]["details"]
+               for p in pairs for side in ("parent", "change")):
             summary[f"details.{count}"] = {
                 f"{side}_median": statistics.median(p[side]["context"]["details"][count]
                                                     for p in pairs)
-                for side in SIDES}
+                for side in ("parent", "change")}
     summary["failed"] = {side: sum(p[side]["result"]["failed"] for p in pairs)
-                         for side in SIDES}
+                         for side in ("parent", "change")}
     return summary
 
 
@@ -97,7 +96,7 @@ def main(argv: list[str] | None = None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     pairs = []
     for i in range(args.pairs):
-        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"pair": i, "order": list(order)}
         for side in order:
             run = pair[side] = run_once(getattr(args, side), command)
@@ -116,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
         "pairs": pairs,
     }
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    return 0 if all(p[s]["returncode"] == 0 for p in pairs for s in SIDES) else 1
+    return 0 if all(p[s]["returncode"] == 0 for p in pairs for s in ("parent", "change")) else 1
 
 
 if __name__ == "__main__":
