@@ -377,7 +377,7 @@ def test_verdict_renders_text_and_dict():
 
 def _log(name, edit):
     """The sealing log ``name`` with each record replaced by the records edit(record) lists."""
-    def change(artifacts, keyfile):
+    def change(artifacts, keyfiles):
         log = parse_sealing_log(artifacts[name].decode())
         log.records = [new for record in log.records for new in edit(record)]
         return {name: render_log(log).encode()}
@@ -394,7 +394,7 @@ def _with_output(prefix, rewrite):
 
 def _zip(name, edit):
     """The archive ``name`` rebuilt after edit(members) changed its path -> bytes map."""
-    def change(artifacts, keyfile):
+    def change(artifacts, keyfiles):
         members = unzip_to_map(artifacts[name])
         edit(members)
         buf = io.BytesIO()
@@ -403,6 +403,10 @@ def _zip(name, edit):
                 zf.writestr(path.lstrip("/"), data)
         return {name: buf.getvalue()}
     return change
+
+
+def _sshd_running(output):
+    return "* sshd.service - OpenBSD Secure Shell server\n   Active: active (running)"
 
 
 def _unlisted(path):
@@ -421,16 +425,26 @@ def honest_seal():
     (_log(HOST_LOG_NAME, _drop(f"cryptsetup luksDump {HOST_ROOT_DEVICE}")),
      "ERROR", f"cryptsetup luksDump {HOST_ROOT_DEVICE}",
      f"host log carries no keyslot dump for {HOST_ROOT_DEVICE}"),
+    (_log(VM_LOG_NAME, _drop(f"cryptsetup luksDump {VM_ROOT_DEVICE}")),
+     "ERROR", f"cryptsetup luksDump {VM_ROOT_DEVICE}",
+     f"vm log carries no keyslot dump for {VM_ROOT_DEVICE}"),
     (_log(VM_LOG_NAME, _drop("cat /etc/passwd")),
      "ERROR", "cat /etc/passwd", "vm log carries no passwd listing"),
+    (_log(HOST_LOG_NAME, _drop("cat /etc/passwd")),
+     "ERROR", "cat /etc/passwd", "host log carries no passwd listing"),
     (_log(HOST_LOG_NAME, _drop("systemctl status sshd")),
      "ERROR", "systemctl status sshd", "host log carries no ssh status probe"),
-    (_log(VM_LOG_NAME, _with_output("systemctl status sshd", lambda _: (
-        "* sshd.service - OpenBSD Secure Shell server\n   Active: active (running)"))),
+    (_log(VM_LOG_NAME, _drop("systemctl status sshd")),
+     "ERROR", "systemctl status sshd", "vm log carries no ssh status probe"),
+    (_log(VM_LOG_NAME, _with_output("systemctl status sshd", _sshd_running)),
      "ERROR", "sshd", "ssh server still present after the vm seal"),
+    (_log(HOST_LOG_NAME, _with_output("systemctl status sshd", _sshd_running)),
+     "ERROR", "sshd", "ssh server still present after the host seal"),
     (_log(HOST_LOG_NAME, _with_output("rhash", _unlisted("/usr/sbin/cron"))),
      "ERROR", "/usr/sbin/cron", "disappeared during the host seal"),
-    (lambda artifacts, keyfile: {"etc-host.zip": b"not a zip archive\n"},
+    (_log(VM_LOG_NAME, _with_output("rhash", _unlisted("/usr/sbin/cron"))),
+     "ERROR", "/usr/sbin/cron", "disappeared during the vm seal"),
+    (lambda artifacts, keyfiles: {"etc-host.zip": b"not a zip archive\n"},
      "ERROR", "etc-host.zip", "archive cannot be read"),
     (_zip("etc-vm.zip", lambda members: members.update({"/etc/backdoor": b"x\n"})),
      "ERROR", "/etc/backdoor", "etc-vm.zip contains a file absent from the pre-seal image"),
@@ -439,16 +453,23 @@ def honest_seal():
     (_zip("trust-vm.zip", lambda members: members.pop("/home/trust/cron-reboot.sh")),
      "ERROR", "/home/trust/cron-reboot.sh",
      "missing from trust-vm.zip but present in the pre-seal image"),
-    (lambda artifacts, keyfile: {"root-host.zip": None},
+    (lambda artifacts, keyfiles: {"root-host.zip": None},
      "ERROR", "root-host.zip", "archive missing from bundle"),
-    (lambda artifacts, keyfile: {"notes.txt": b"key: " + keyfile},
+    (lambda artifacts, keyfiles: {"notes.txt": b"key: " + keyfiles[0]},
      "ERROR", "notes.txt", "keyfile bytes leaked into the bundle"),
-], ids=["duplicate-command", "no-keyslot-dump", "no-passwd-listing", "no-ssh-probe",
-        "ssh-still-present", "file-disappeared", "archive-unreadable", "archive-added-file",
-        "archive-changed-file", "archive-dropped-file", "archive-missing", "keyfile-leaked"])
+    (lambda artifacts, keyfiles: {"notes.txt": b"key: " + keyfiles[1]},
+     "ERROR", "notes.txt", "keyfile bytes leaked into the bundle"),
+], ids=["duplicate-command", "no-keyslot-dump", "no-vm-keyslot-dump", "no-passwd-listing",
+        "no-host-passwd-listing", "no-ssh-probe", "no-vm-ssh-probe", "ssh-still-present",
+        "host-ssh-still-present", "file-disappeared", "vm-file-disappeared",
+        "archive-unreadable", "archive-added-file", "archive-changed-file",
+        "archive-dropped-file", "archive-missing", "keyfile-leaked", "vm-keyfile-leaked"])
 def test_tampered_bundle_gives_its_finding(honest_seal, change, severity, subject, explanation):
+    """Each row tampers with one stage's evidence; a per-stage check has a row per stage.
+    ``change`` gets the artifacts and the (host, vm) keyfiles."""
     host_images, vm_images, bundle = honest_seal
-    changes = change(bundle.artifacts, host_images.boot.read_file("/keyfile"))
+    changes = change(bundle.artifacts, (host_images.boot.read_file("/keyfile"),
+                                        vm_images.boot.read_file("/keyfile")))
     artifacts = {name: data for name, data in {**bundle.artifacts, **changes}.items()
                  if data is not None}
     policy = default_policy(default_plan(SMALL))
