@@ -59,13 +59,25 @@ def _image_dirs(workdir: Path) -> tuple[Path, Path]:
 
 
 def _build_server(args, config) -> tuple[Path, Path]:
-    rng = make_rng(args.seed)
-    clock = SimClock()
-    host = prepare_trusted_server(config, rng=rng, clock=clock)
+    host = prepare_trusted_server(config, rng=make_rng(args.seed), clock=SimClock())
     host_dir, vm_dir = _image_dirs(args.workdir)
     save_images(host.snapshot_image(), host_dir)
     save_images(host.nested_vm.snapshot_image(), vm_dir)
     return host_dir, vm_dir
+
+
+def _load_server(args, config):
+    """The host, with its VM attached, from the workdir's pre-seal images."""
+    host_dir, vm_dir = _image_dirs(args.workdir)
+    return server_from_images(load_images(host_dir), load_images(vm_dir), config,
+                              rng=make_rng(args.seed), clock=SimClock())
+
+
+def _seal_workdir(args, config, escrow_parties: int) -> tuple[Path, str, list]:
+    """Seal the workdir's images and save the bundle: (its directory, index digest, shares)."""
+    bundle, shares = seal_all_with_escrow(_load_server(args, config), escrow_parties)
+    bundle_dir = args.workdir / "bundle"
+    return bundle_dir, bundle.index_digest(bundle.save(bundle_dir)), shares
 
 
 def cmd_build(args) -> int:
@@ -81,17 +93,10 @@ def cmd_build(args) -> int:
 
 def cmd_seal(args) -> int:
     config = load_config(args.config)
-    rng = make_rng(args.seed)
-    clock = SimClock()
     host_dir, vm_dir = _image_dirs(args.workdir)
     if not (host_dir.exists() and vm_dir.exists()):
         _build_server(args, config)
-    host = server_from_images(load_images(host_dir), load_images(vm_dir), config,
-                              rng=rng, clock=clock)
-
-    bundle, shares = seal_all_with_escrow(host, args.escrow or 0)
-    bundle_dir = args.workdir / "bundle"
-    digest = bundle.index_digest(bundle.save(bundle_dir))
+    bundle_dir, digest, shares = _seal_workdir(args, config, args.escrow or 0)
 
     share_paths = []
     if shares:
@@ -146,19 +151,13 @@ def cmd_verify(args) -> int:
 
 def cmd_restore(args) -> int:
     config = load_config(args.config)
-    rng = make_rng(args.seed)
-    clock = SimClock()
     host_dir, vm_dir = _image_dirs(args.workdir)
     if not (host_dir.exists() and vm_dir.exists()):
         print("restore: no pre-seal images in the workdir", file=sys.stderr)
         return EXIT_FAIL
-    host = server_from_images(load_images(host_dir), load_images(vm_dir), config,
-                              rng=rng, clock=clock)
 
     if args.reseal:
-        bundle, _ = seal_all_with_escrow(host, 0)
-        bundle_dir = args.workdir / "bundle"
-        digest = bundle.index_digest(bundle.save(bundle_dir))
+        _, digest, _ = _seal_workdir(args, config, 0)
         _emit(
             {"resealed": True, "bundle_index_digest": digest},
             args.json,
@@ -166,6 +165,7 @@ def cmd_restore(args) -> int:
         )
         return EXIT_OK
 
+    host = _load_server(args, config)
     report = host.boot()
     host.power_off()
     _emit(

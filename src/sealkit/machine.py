@@ -4,7 +4,9 @@ A machine is an unencrypted boot partition (file tree holding the keyfile),
 an encrypted root volume whose plaintext is the canonical encoding of the
 root file tree, and volatile RAM state (unlocked handles, working tree,
 runtime services/firewall). Tree mutations while powered on are written
-through to the root volume sector by sector.
+through to the root volume sector by sector. A :class:`Stage` record,
+``HOST`` or ``VM``, holds all that sets one machine apart from the other:
+where its boot files live, the rules it boots with, what its seal lists.
 
 Each machine is single-threaded: the simulation advances only through
 explicit operation calls, and a machine must never be shared mutably.
@@ -36,9 +38,54 @@ from .volume import (
     UnlockedVolume,
 )
 
-HOST_ROOT_DEVICE = "/dev/sda2"
+@dataclass(frozen=True)
+class Stage:
+    """One sealing stage's machine: the host, or the VM it seals after."""
+
+    kind: str  # "host" | "vm"
+    root_device: str  # the root volume, as the stage's own commands name it
+    home: str  # holds cron-reboot.sh, iptables.v4 and the sealing script
+    script_name: str  # the sealing script, which the cron script runs
+    log_name: str  # the file the sealing script logs to
+    log_dir: str | None  # None: the config's webroot, which publishes the log
+    input_rules: tuple[str, ...]  # the INPUT chain it boots with
+    account_files: tuple[str, ...]  # listed once the admin login is gone
+
+    @property
+    def cron_script(self) -> str:
+        return f"{self.home}/cron-reboot.sh"
+
+    @property
+    def rules_file(self) -> str:
+        return f"{self.home}/iptables.v4"
+
+
+def _input_rules(*tcp_ports: int) -> tuple[str, ...]:
+    """An INPUT chain open to loopback, ping, established flows and these ports."""
+    return ("-A INPUT -m state --state RELATED,ESTABLISHED -j ACCEPT",
+            "-A INPUT -i lo -j ACCEPT",
+            "-A INPUT -p icmp -j ACCEPT",
+            *(f"-A INPUT -p tcp --dport {port} -j ACCEPT" for port in tcp_ports),
+            "-A INPUT -j DROP")
+
+
+HOST = Stage(kind="host", root_device="/dev/sda2", home="/root",
+             script_name="init_trusted_mode_reboot.sh",
+             log_name="0_init_trusted_mode_host.log", log_dir="/root",
+             input_rules=_input_rules(22, 443),
+             account_files=("/etc/passwd", "/etc/shadow"))
+VM = Stage(kind="vm", root_device="/dev/vda2", home="/home/trust",
+           script_name="init_trusted_mode.sh",
+           log_name="1_init_trusted_mode.log", log_dir=None,
+           input_rules=_input_rules(443, 22),
+           account_files=("/etc/passwd", "/etc/group", "/etc/shadow"))
+STAGES = (HOST, VM)  # in the order they seal
+
+HOST_ROOT_DEVICE = HOST.root_device
 VM_ROOT_DEVICE_FROM_HOST = "/dev/sdb2"
-VM_ROOT_DEVICE = "/dev/vda2"
+VM_ROOT_DEVICE = VM.root_device
+HOST_LOG_NAME = HOST.log_name
+VM_LOG_NAME = VM.log_name
 
 
 class MachineError(Exception):
@@ -204,7 +251,7 @@ def zip_tree_bytes(tree: FileTree, root: str,
                    date_time: tuple[int, int, int, int, int, int]) -> bytes:
     """Deterministic zip of all regular files under root (paths sans leading /)."""
     buf = BytesIO()
-    with zipfile.ZipFile(buf, "w", compression=zipfile.ZIP_DEFLATED, compresslevel=6) as zf:
+    with zipfile.ZipFile(buf, "w") as zf:
         for path in tree.under(root):
             node = tree.node(path)
             if isinstance(node, FileNode):
@@ -240,11 +287,9 @@ def unzip_to_map(blob: bytes) -> dict[str, bytes]:
 
 
 class Machine:
-    def __init__(self, *, kind: str, name: str, images: DiskImagePair,
+    def __init__(self, *, stage: Stage, name: str, images: DiskImagePair,
                  rng: random.Random, clock: SimClock, config: ServerConfig):
-        if kind not in ("host", "vm"):
-            raise MachineError(f"unknown machine kind {kind!r}")
-        self.kind = kind
+        self.stage = stage
         self.name = name
         self.rng = rng
         self.clock = clock
@@ -288,14 +333,14 @@ class Machine:
 
         services = ServiceState()
         services.ssh = "installed" if tree.is_file("/usr/sbin/sshd") else "purged"
-        cron = tree.file_bytes(self._cron_script_path()) or b""
+        cron = tree.file_bytes(self.stage.cron_script) or b""
         services.cron_reboot = [
             line for line in cron.decode().splitlines()
             if line.strip() and not line.startswith("#")
         ]
 
         firewall = FirewallPolicy()
-        rules = tree.file_bytes(self._iptables_path())
+        rules = tree.file_bytes(self.stage.rules_file)
         if rules is not None:
             firewall.input_rules, firewall.output_policy = parse_iptables_save(rules.decode())
 
@@ -324,12 +369,6 @@ class Machine:
         if self.ram is None:
             raise MachineNotRunning(f"{self.name} is powered off")
         return self.ram
-
-    def _cron_script_path(self) -> str:
-        return "/root/cron-reboot.sh" if self.kind == "host" else "/home/trust/cron-reboot.sh"
-
-    def _iptables_path(self) -> str:
-        return "/root/iptables.v4" if self.kind == "host" else "/home/trust/iptables.v4"
 
     # -- write-through tree mutation ------------------------------------------
 

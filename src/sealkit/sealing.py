@@ -19,24 +19,24 @@ from . import escrow as escrow_mod
 from . import services as services_mod
 from .config import ConfigError, ServerConfig
 from .machine import (
+    HOST,
+    HOST_LOG_NAME,
+    VM,
+    VM_LOG_NAME,
+    VM_ROOT_DEVICE_FROM_HOST,
     DiskImagePair,
-    HOST_ROOT_DEVICE,
+    FirewallPolicy,
     Machine,
     MachineRunning,
     SealingStep,
+    Stage,
     StepRecord,
-    VM_ROOT_DEVICE,
-    VM_ROOT_DEVICE_FROM_HOST,
     passwd_line,
     provision,
     render_iptables_save,
-    FirewallPolicy,
 )
 from .tree import FileTree
 from .util import SimClock
-
-HOST_LOG_NAME = "0_init_trusted_mode_host.log"
-VM_LOG_NAME = "1_init_trusted_mode.log"
 
 REQUIRED_BUNDLE_ARTIFACTS = (
     HOST_LOG_NAME,
@@ -77,9 +77,7 @@ class SealingPlan:
 
 @dataclass
 class SealingLog:
-    stage: str  # "host" | "vm"
     records: list[StepRecord] = field(default_factory=list)
-    status: str = "ok"  # "ok" | "failed"
 
     def commands(self) -> list[str]:
         return [r.command for r in self.records]
@@ -103,34 +101,17 @@ def _step(kind: str, command: str, critical: bool = False, **args) -> SealingSte
     return SealingStep(kind=kind, command=command, args=args, critical=critical)
 
 
-_HOST_RULES = [
-    "-A INPUT -m state --state RELATED,ESTABLISHED -j ACCEPT",
-    "-A INPUT -i lo -j ACCEPT",
-    "-A INPUT -p icmp -j ACCEPT",
-    "-A INPUT -p tcp --dport 22 -j ACCEPT",
-    "-A INPUT -p tcp --dport 443 -j ACCEPT",
-    "-A INPUT -j DROP",
-]
-
-_VM_RULES = [
-    "-A INPUT -m state --state RELATED,ESTABLISHED -j ACCEPT",
-    "-A INPUT -i lo -j ACCEPT",
-    "-A INPUT -p icmp -j ACCEPT",
-    "-A INPUT -p tcp --dport 443 -j ACCEPT",
-    "-A INPUT -p tcp --dport 22 -j ACCEPT",
-    "-A INPUT -j DROP",
-]
-
-_HOST_ACCOUNT_FILES = ("/etc/passwd", "/etc/shadow")
-_VM_ACCOUNT_FILES = ("/etc/passwd", "/etc/group", "/etc/shadow")
+def _log_path(stage: Stage, config: ServerConfig) -> str:
+    """Where the stage's sealing script writes its log."""
+    return f"{stage.log_dir or config.webroot}/{stage.log_name}"
 
 
-def _lockdown(rules: list[str], account_files: tuple[str, ...],
-              device: str) -> list[SealingStep]:
+def _lockdown(stage: Stage) -> list[SealingStep]:
     """The steps both stages run before publishing anything: firewall, ssh
     purge, admin login removal and keyslot erase, each with its listing."""
     # iptables -D counts from 1; the rule table is the one the stage boots with
-    index = next(i for i, rule in enumerate(rules, start=1) if "--dport 22" in rule)
+    index = next(i for i, rule in enumerate(stage.input_rules, start=1)
+                 if "--dport 22" in rule)
     return [
         _step("set_output_drop", "iptables -P OUTPUT DROP"),
         _step("delete_input_rule", f"iptables -D INPUT {index}", index=index),
@@ -141,9 +122,10 @@ def _lockdown(rules: list[str], account_files: tuple[str, ...],
         _step("purge_ssh", "apt-get -y purge openssh-server"),
         _step("service_status", "systemctl status sshd"),
         _step("remove_user", "userdel -f trust", name="trust"),
-        *(_step("show_file", f"cat {path}", path=path) for path in account_files),
-        _step("luks_erase", f"cryptsetup luksErase {device}", critical=True, target="self"),
-        _step("luks_dump", f"cryptsetup luksDump {device}", target="self"),
+        *(_step("show_file", f"cat {path}", path=path) for path in stage.account_files),
+        _step("luks_erase", f"cryptsetup luksErase {stage.root_device}", critical=True,
+              target="self"),
+        _step("luks_dump", f"cryptsetup luksDump {stage.root_device}", target="self"),
     ]
 
 
@@ -164,7 +146,7 @@ def default_plan(config: ServerConfig) -> SealingPlan:
     w = config.webroot
 
     host: list[SealingStep] = [
-        *_lockdown(_HOST_RULES, _HOST_ACCOUNT_FILES, HOST_ROOT_DEVICE),
+        *_lockdown(HOST),
         _step("luks_dump", f"cryptsetup luksDump {VM_ROOT_DEVICE_FROM_HOST}", target="vm"),
         _step("reencrypt_vm",
               f"cryptsetup-reencrypt -v -d /mnt/keyfile -l 512 {VM_ROOT_DEVICE_FROM_HOST}",
@@ -175,13 +157,13 @@ def default_plan(config: ServerConfig) -> SealingPlan:
         _step("zip_tree", "zip -r /mnt/root-host.zip /root",
               src="/root", dest="vm_boot", name="root-host.zip"),
         *_tree_evidence(config),
-        _step("copy_log_to_vm_boot", f"cp /root/{HOST_LOG_NAME} /mnt"),
+        _step("copy_log_to_vm_boot", f"cp {_log_path(HOST, config)} /mnt"),
         _step("start_vm", f"virsh start {config.vm_name}", name=config.vm_name),
     ]
 
     vm: list[SealingStep] = [
         _step("remove_hosts_allow", "rm /etc/hosts.allow"),
-        *_lockdown(_VM_RULES, _VM_ACCOUNT_FILES, VM_ROOT_DEVICE),
+        *_lockdown(VM),
         _step("move_from_boot", f"mv /boot/{HOST_LOG_NAME} {w}",
               name=HOST_LOG_NAME, dest_dir=w),
         _step("move_from_boot", f"mv /boot/etc-host.zip {w}",
@@ -212,8 +194,7 @@ def default_plan(config: ServerConfig) -> SealingPlan:
 
 def single_stage_host_plan(config: ServerConfig) -> SealingPlan:
     """Host-only seal: keyslot erase without the VM reencryption stage."""
-    host = [*_lockdown(_HOST_RULES, _HOST_ACCOUNT_FILES, HOST_ROOT_DEVICE),
-            *_tree_evidence(config)]
+    host = [*_lockdown(HOST), *_tree_evidence(config)]
     return SealingPlan(host_steps=tuple(host), vm_steps=())
 
 
@@ -274,11 +255,27 @@ def _render_script(title: str, commands: list[str]) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def _boot_tree(kind: str) -> FileTree:
+def _boot_tree(stage: Stage) -> FileTree:
     tree = FileTree()
-    tree.write_file("/initrd.img", f"initrd image ({kind})\n".encode())
-    tree.write_file("/vmlinuz", f"kernel image ({kind})\n".encode())
+    tree.write_file("/initrd.img", f"initrd image ({stage.kind})\n".encode())
+    tree.write_file("/vmlinuz", f"kernel image ({stage.kind})\n".encode())
     return tree
+
+
+def _write_stage_files(tree: FileTree, stage: Stage, config: ServerConfig, hostname: str,
+                       steps: tuple[SealingStep, ...], *setup: str) -> None:
+    """Hostname, crontab, cron script (``setup`` first), sealing script and boot rules."""
+    script = f"{stage.home}/{stage.script_name}"
+    tree.write_file("/etc/hostname", f"{hostname}\n".encode())
+    tree.write_file("/etc/crontab", f"@reboot root {stage.cron_script}\n".encode())
+    tree.write_file(stage.cron_script, _render_script(f"cron-reboot {stage.kind}", [
+        *setup,
+        f"iptables-restore {stage.rules_file}",
+        f"{script} > {_log_path(stage, config)} 2>&1",
+    ]))
+    tree.write_file(script, _render_script(f"{stage.kind} sealing", [s.command for s in steps]))
+    tree.write_file(stage.rules_file, render_iptables_save(
+        FirewallPolicy(input_rules=list(stage.input_rules))).encode())
 
 
 def prepare_trusted_server(config: ServerConfig, *,
@@ -291,24 +288,8 @@ def prepare_trusted_server(config: ServerConfig, *,
                                   ("trust", 1000, "/bin/bash")], rng=rng)
     host_tree.mkdir("/home/trust")
     host_tree.write_file("/home/trust/.bashrc", b"# trust shell profile\n")
-    host_tree.write_file("/etc/hostname", b"ts-host\n")
-    host_tree.write_file("/etc/crontab", b"@reboot root /root/cron-reboot.sh\n")
-    host_tree.write_file(
-        "/root/cron-reboot.sh",
-        _render_script("cron-reboot host", [
-            "mount /dev/sdb1 /mnt",
-            "iptables-restore /root/iptables.v4",
-            f"/root/init_trusted_mode_reboot.sh > /root/{HOST_LOG_NAME} 2>&1",
-        ]),
-    )
-    host_tree.write_file(
-        "/root/init_trusted_mode_reboot.sh",
-        _render_script("host sealing", [s.command for s in plan.host_steps]),
-    )
-    host_tree.write_file(
-        "/root/iptables.v4",
-        render_iptables_save(FirewallPolicy(input_rules=list(_HOST_RULES))).encode(),
-    )
+    _write_stage_files(host_tree, HOST, config, "ts-host", plan.host_steps,
+                       "mount /dev/sdb1 /mnt")
     host_tree.write_file(
         "/root/host-secret.txt",
         f"host secret payload {rng.randbytes(16).hex()}\n".encode(),
@@ -317,25 +298,8 @@ def prepare_trusted_server(config: ServerConfig, *,
     vm_tree = _base_tree(users=[("root", 0, "/usr/sbin/nologin"),
                                 ("www-data", 33, "/usr/sbin/nologin"),
                                 ("trust", 1000, "/bin/bash")], rng=rng)
-    vm_tree.mkdir("/home/trust")
     vm_tree.mkdir(config.webroot)
-    vm_tree.write_file("/etc/hostname", f"{config.vm_name}\n".encode())
-    vm_tree.write_file("/etc/crontab", b"@reboot root /home/trust/cron-reboot.sh\n")
-    vm_tree.write_file(
-        "/home/trust/cron-reboot.sh",
-        _render_script("cron-reboot vm", [
-            "iptables-restore /home/trust/iptables.v4",
-            f"/home/trust/init_trusted_mode.sh > {config.webroot}/{VM_LOG_NAME} 2>&1",
-        ]),
-    )
-    vm_tree.write_file(
-        "/home/trust/init_trusted_mode.sh",
-        _render_script("vm sealing", [s.command for s in plan.vm_steps]),
-    )
-    vm_tree.write_file(
-        "/home/trust/iptables.v4",
-        render_iptables_save(FirewallPolicy(input_rules=list(_VM_RULES))).encode(),
-    )
+    _write_stage_files(vm_tree, VM, config, config.vm_name, plan.vm_steps)
     vm_tree.write_file(
         "/etc/ldap/directory.tsv",
         services_mod.render_directory_file(config.ldap_users, rng).encode(),
@@ -346,9 +310,9 @@ def prepare_trusted_server(config: ServerConfig, *,
         f"vm secret payload {rng.randbytes(16).hex()}\n".encode(),
     )
 
-    host_images = provision(root_tree=host_tree, boot_tree=_boot_tree("host"),
+    host_images = provision(root_tree=host_tree, boot_tree=_boot_tree(HOST),
                             sector_count=config.host_sectors, rng=rng)
-    vm_images = provision(root_tree=vm_tree, boot_tree=_boot_tree("vm"),
+    vm_images = provision(root_tree=vm_tree, boot_tree=_boot_tree(VM),
                           sector_count=config.vm_sectors, rng=rng)
     host = server_from_images(host_images, vm_images, config, rng=rng, clock=clock)
     # Both stages hash every root over their full view; a missing root would
@@ -369,9 +333,9 @@ def server_from_images(host_images: DiskImagePair, vm_images: DiskImagePair,
 
     The machines take the disks without copying them.
     """
-    host = Machine(kind="host", name="ts-host", images=host_images,
+    host = Machine(stage=HOST, name="ts-host", images=host_images,
                    rng=rng, clock=clock, config=config)
-    host.nested_vm = Machine(kind="vm", name=config.vm_name, images=vm_images,
+    host.nested_vm = Machine(stage=VM, name=config.vm_name, images=vm_images,
                              rng=rng, clock=clock, config=config)
     return host
 
@@ -379,14 +343,15 @@ def server_from_images(host_images: DiskImagePair, vm_images: DiskImagePair,
 # -- stage drivers -----------------------------------------------------------------
 
 
-def _run_stage(machine: Machine, stage: str, steps: tuple[SealingStep, ...]) -> SealingLog:
-    log = SealingLog(stage=stage)
+def _run_stage(machine: Machine, steps: tuple[SealingStep, ...]) -> SealingLog:
+    """Run the steps, then write their log where the stage's cron line sends it."""
+    log = SealingLog()
     for step in steps:
         record = machine.exec_step(step)
         log.records.append(record)
         if step.critical and not record.ok:
-            log.status = "failed"
             raise CriticalStepFailure(log, step, record)
+    machine.write_file(_log_path(machine.stage, machine.config), render_log(log).encode())
     return log
 
 
@@ -397,12 +362,9 @@ def seal_host(host: Machine, plan: SealingPlan | None = None) -> SealingLog:
         raise ProtocolError("nested VM must be powered off during the host stage")
     plan = plan or default_plan(host.config)
 
-    log = _run_stage(host, "host", plan.host_steps)
-
-    text = render_log(log)
-    host.write_file(f"/root/{HOST_LOG_NAME}", text.encode())
+    log = _run_stage(host, plan.host_steps)
     if host.ram.publish_log_requested and host.nested_vm is not None:
-        host.nested_vm.boot_partition.write_file(f"/{HOST_LOG_NAME}", text.encode())
+        host.nested_vm.boot_partition.write_file(f"/{HOST_LOG_NAME}", render_log(log).encode())
     return log
 
 
@@ -411,9 +373,7 @@ def seal_vm(vm: Machine, plan: SealingPlan | None = None) -> SealingLog:
         raise ProtocolError("vm must be booted before sealing")
     plan = plan or default_plan(vm.config)
 
-    log = _run_stage(vm, "vm", plan.vm_steps)
-    vm.write_file(f"{vm.config.webroot}/{VM_LOG_NAME}", render_log(log).encode())
-    return log
+    return _run_stage(vm, plan.vm_steps)
 
 
 def seal_all_with_escrow(host: Machine, escrow_parties: int = 0,

@@ -18,11 +18,12 @@ from dataclasses import dataclass, field
 
 from .escrow import SHARE_MAGIC
 from .machine import (
-    DiskImagePair,
-    HOST_ROOT_DEVICE,
-    StepRecord,
-    VM_ROOT_DEVICE,
+    STAGES,
+    VM,
     ZIP_READ_ERRORS,
+    DiskImagePair,
+    Stage,
+    StepRecord,
     full_tree_from_images,
     unzip_to_map,
 )
@@ -35,15 +36,9 @@ from .manifest import (
     diff_manifests,
     manifest_from_lines,
 )
-from .sealing import (
-    HOST_LOG_NAME,
-    PublishedBundle,
-    SealingLog,
-    SealingPlan,
-    VM_LOG_NAME,
-)
+from .sealing import PublishedBundle, SealingLog, SealingPlan
 from .tree import TreeError
-from .volume import VolumeError
+from .volume import DEFAULT_KDF_ITERATIONS, VolumeError
 
 UNDETECTABLE_NOTE = (
     "Scope: manipulations that touch hashed trees or logged evidence are "
@@ -108,7 +103,7 @@ class Verdict:
 # -- sealing log parsing ---------------------------------------------------------
 
 
-def parse_sealing_log(text: str, stage: str = "unknown") -> SealingLog:
+def parse_sealing_log(text: str) -> SealingLog:
     """Parse '+ command' / output text back into structured records."""
     records: list[StepRecord] = []
     command: str | None = None
@@ -130,7 +125,7 @@ def parse_sealing_log(text: str, stage: str = "unknown") -> SealingLog:
         records.append(StepRecord(command, "\n".join(output_lines)))
     if not records:
         raise MalformedLog("no '+ command' records found", 1)
-    return SealingLog(stage=stage, records=records)
+    return SealingLog(records=records)
 
 
 # -- evidence extraction -----------------------------------------------------------
@@ -308,73 +303,75 @@ def default_policy(plan: SealingPlan) -> AllowlistPolicy:
 # -- the verification procedure ------------------------------------------------------
 
 
-def _check_step_sequence(stage: str, expected: tuple[str, ...], critical: tuple[str, ...],
-                         log: SealingLog, findings: list[Finding]) -> None:
+def _check_step_sequence(stage: Stage, policy: AllowlistPolicy, log: SealingLog,
+                         findings: list[Finding]) -> None:
+    expected = getattr(policy, f"expected_{stage.kind}_commands")
     log_commands = log.commands()
     cursor = 0
     for command in expected:
         try:
             cursor = log_commands.index(command, cursor) + 1
         except ValueError:
-            label = ("missing critical step" if command in critical
+            label = ("missing critical step" if command in policy.critical_commands
                      else "missing or out-of-order step")
-            findings.append(Finding("ERROR", command, f"{label} in {stage} log"))
+            findings.append(Finding("ERROR", command, f"{label} in {stage.kind} log"))
     for command in set(expected):
         if log_commands.count(command) > expected.count(command):
             findings.append(Finding(
                 "WARNING", command,
-                f"appears more often in the {stage} log than the plan requires",
+                f"appears more often in the {stage.kind} log than the plan requires",
             ))
 
 
-def _check_dump_evidence(stage: str, device: str, evidence: LogEvidence,
+def _check_dump_evidence(stage: Stage, evidence: LogEvidence,
                          findings: list[Finding]) -> None:
+    device = stage.root_device
     dump = evidence.last_dump_for(device)
     if dump is None:
         findings.append(Finding(
             "ERROR", f"cryptsetup luksDump {device}",
-            f"{stage} log carries no keyslot dump for {device}",
+            f"{stage.kind} log carries no keyslot dump for {device}",
         ))
         return
     if not dump.all_empty:
         active = [i for i, s in enumerate(dump.slot_states) if s != "EMPTY"]
         findings.append(Finding(
             "ERROR", device,
-            f"keyslots {active} still active after the {stage} seal",
+            f"keyslots {active} still active after the {stage.kind} seal",
         ))
 
 
-def _check_passwd_evidence(stage: str, evidence: LogEvidence,
+def _check_passwd_evidence(stage: Stage, evidence: LogEvidence,
                            findings: list[Finding]) -> None:
     if not evidence.passwd_listings:
         findings.append(Finding(
-            "ERROR", "cat /etc/passwd", f"{stage} log carries no passwd listing"
+            "ERROR", "cat /etc/passwd", f"{stage.kind} log carries no passwd listing"
         ))
         return
     login_users = login_users_in_listing(evidence.passwd_listings[-1])
     for user in login_users:
         findings.append(Finding(
-            "ERROR", user, f"login-capable user survived the {stage} seal"
+            "ERROR", user, f"login-capable user survived the {stage.kind} seal"
         ))
 
 
-def _check_ssh_evidence(stage: str, evidence: LogEvidence,
+def _check_ssh_evidence(stage: Stage, evidence: LogEvidence,
                         findings: list[Finding]) -> None:
     if not evidence.purge_seen:
         findings.append(Finding(
             "ERROR", "apt-get -y purge openssh-server",
-            f"{stage} log carries no ssh purge step",
+            f"{stage.kind} log carries no ssh purge step",
         ))
         return
     if not evidence.ssh_status_outputs:
         findings.append(Finding(
             "ERROR", "systemctl status sshd",
-            f"{stage} log carries no ssh status probe",
+            f"{stage.kind} log carries no ssh status probe",
         ))
         return
     if "could not be found" not in evidence.ssh_status_outputs[-1]:
         findings.append(Finding(
-            "ERROR", "sshd", f"ssh server still present after the {stage} seal"
+            "ERROR", "sshd", f"ssh server still present after the {stage.kind} seal"
         ))
 
 
@@ -420,76 +417,76 @@ def _check_published_file(path: str, bundle: PublishedBundle, manifest: Manifest
         ))
 
 
+def _check_kdf_counts(stage: Stage, images: DiskImagePair) -> None:
+    """An honest pre-seal root asks for the default KDF count and no other, so
+    a header cannot make the auditor's unlock arbitrarily slow."""
+    header = images.root.header
+    counts = {header.kdf_iterations,
+              *(slot.kdf_iterations for slot in header.slots if slot.state == "active")}
+    if counts != {DEFAULT_KDF_ITERATIONS}:
+        raise MalformedBundle(f"the {stage.kind} pre-seal root asks for KDF iteration "
+                              f"counts {sorted(counts)}, not {DEFAULT_KDF_ITERATIONS}")
+
+
 def verify_seal(host_images: DiskImagePair, vm_images: DiskImagePair,
                 bundle: PublishedBundle, policy: AllowlistPolicy) -> Verdict:
     """Compare the published sealed state against the pre-seal disk images."""
     findings: list[Finding] = []
+    images = dict(zip(STAGES, (host_images, vm_images)))
 
-    for required in (HOST_LOG_NAME, VM_LOG_NAME):
-        if required not in bundle.artifacts:
-            raise MalformedBundle(f"bundle is missing {required}")
+    for stage in STAGES:
+        if stage.log_name not in bundle.artifacts:
+            raise MalformedBundle(f"bundle is missing {stage.log_name}")
+        _check_kdf_counts(stage, images[stage])  # before any unlock
     try:
-        host_log = parse_sealing_log(bundle.host_log_text, stage="host")
-        vm_log = parse_sealing_log(bundle.vm_log_text, stage="vm")
-        host_evidence = extract_evidence(host_log)
-        vm_evidence = extract_evidence(vm_log)
+        logs = {stage: parse_sealing_log(bundle.artifacts[stage.log_name].decode())
+                for stage in STAGES}
+        evidence = {stage: extract_evidence(log) for stage, log in logs.items()}
     except (MalformedLog, ManifestError, UnicodeDecodeError) as exc:
         raise MalformedBundle(f"unparseable sealing log: {exc}") from exc
 
     # (1) both logs replay the full plan in order
-    _check_step_sequence("host", policy.expected_host_commands, policy.critical_commands,
-                         host_log, findings)
-    _check_step_sequence("vm", policy.expected_vm_commands, policy.critical_commands,
-                         vm_log, findings)
+    for stage in STAGES:
+        _check_step_sequence(stage, policy, logs[stage], findings)
 
-    # (2) keyslot dumps show both disks sealed
-    _check_dump_evidence("host", HOST_ROOT_DEVICE, host_evidence, findings)
-    _check_dump_evidence("vm", VM_ROOT_DEVICE, vm_evidence, findings)
-
-    # (3) no login users survive
-    _check_passwd_evidence("host", host_evidence, findings)
-    _check_passwd_evidence("vm", vm_evidence, findings)
-
-    # (4) ssh is gone
-    _check_ssh_evidence("host", host_evidence, findings)
-    _check_ssh_evidence("vm", vm_evidence, findings)
+    # (2) keyslot dumps show both disks sealed, (3) no login users survive, (4) ssh is gone
+    for check in (_check_dump_evidence, _check_passwd_evidence, _check_ssh_evidence):
+        for stage in STAGES:
+            check(stage, evidence[stage], findings)
 
     # (5) manifests rebuilt from the pre-seal images match the published ones
-    roots = list(policy.hash_roots)
     try:
-        pre_trees = {"host": full_tree_from_images(host_images),
-                     "vm": full_tree_from_images(vm_images)}
+        pre_trees = {stage.kind: full_tree_from_images(images[stage]) for stage in STAGES}
     except (TreeError, VolumeError) as exc:
         raise MalformedBundle(f"pre-seal images cannot be opened: {exc}") from exc
-    for stage, evidence in (("host", host_evidence), ("vm", vm_evidence)):
-        pre = compute_manifest(pre_trees[stage], roots)
-        _check_diff(diff_manifests(pre.as_dict(), evidence.manifest.as_dict()), policy, findings,
-                    changed=f"content changed across the {stage} seal",
-                    added=f"appeared during the {stage} seal",
-                    removed=f"disappeared during the {stage} seal")
+    for stage in STAGES:
+        pre = compute_manifest(pre_trees[stage.kind], policy.hash_roots)
+        _check_diff(diff_manifests(pre.as_dict(), evidence[stage].manifest.as_dict()), policy,
+                    findings, changed=f"content changed across the {stage.kind} seal",
+                    added=f"appeared during the {stage.kind} seal",
+                    removed=f"disappeared during the {stage.kind} seal")
 
     # (6) published archives match the pre-seal trees modulo the allowlist
-    for name, stage, src_root in policy.archives:
+    for name, stage_kind, src_root in policy.archives:
         if name not in bundle.artifacts:
             findings.append(Finding("ERROR", name, "archive missing from bundle"))
             continue
-        _check_archive(name, bundle.artifacts[name], src_root, pre_trees[stage],
+        _check_archive(name, bundle.artifacts[name], src_root, pre_trees[stage_kind],
                        policy, findings)
 
     # (7) nothing secret leaks into the bundle
-    host_keyfile = host_images.boot.read_file("/keyfile")
-    vm_keyfile = vm_images.boot.read_file("/keyfile")
+    keyfiles = [images[stage].boot.read_file("/keyfile") for stage in STAGES]
     for name, data in bundle.artifacts.items():
         if SHARE_MAGIC in data:
             findings.append(Finding(
                 "ERROR", name, "escrow share material published in the bundle"
             ))
-        if host_keyfile in data or vm_keyfile in data:
+        if any(keyfile in data for keyfile in keyfiles):
             findings.append(Finding("ERROR", name, "keyfile bytes leaked into the bundle"))
 
     # (8) the published directory dump is the file the VM hashed
     if policy.ldap_dump:
-        _check_published_file(policy.ldap_dump, bundle, vm_evidence.manifest, findings)
+        _check_published_file(policy.ldap_dump, bundle, evidence[VM].manifest, findings)
 
     status = "FAIL" if any(f.severity == "ERROR" for f in findings) else "PASS"
     return Verdict(status=status, findings=findings)

@@ -130,21 +130,26 @@ def test_verify_corrupt_image_exits_one_without_traceback(tmp_path, capsys, imag
     assert "Traceback" not in err
 
 
-def test_verify_refuses_a_slot_kdf_count_past_the_limit_before_any_kdf(tmp_path, capsys,
-                                                                       monkeypatch):
-    """A pre-seal image whose header asks for 2**32 + 1 iterations is refused by the
-    loader, so the auditor never starts that unlock."""
-    seal_workdir(tmp_path)
-    capsys.readouterr()
+def _edit_host_root_header(tmp_path, edit) -> None:
+    """Rewrite the host's pre-seal root.tsvol with edit(header record) applied, canonically."""
     path = tmp_path / "images" / "host" / "root.tsvol"
     blob = path.read_bytes()
     start = len(vol.VOLUME_MAGIC) + 4
     end = start + int.from_bytes(blob[len(vol.VOLUME_MAGIC):start], "big")
     doc = json.loads(blob[start:end])
     assert doc["slots"][0]["state"] == "active"
-    doc["slots"][0]["kdf_iterations"] = 2**32 + 1
+    edit(doc)
     record = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     path.write_bytes(vol.VOLUME_MAGIC + len(record).to_bytes(4, "big") + record + blob[end:])
+
+
+def test_verify_refuses_a_slot_kdf_count_past_the_limit_before_any_kdf(tmp_path, capsys,
+                                                                       monkeypatch):
+    """A pre-seal image whose header asks for 2**32 + 1 iterations is refused by the
+    loader, so the auditor never starts that unlock."""
+    seal_workdir(tmp_path)
+    capsys.readouterr()
+    _edit_host_root_header(tmp_path, lambda doc: doc["slots"][0].update(kdf_iterations=2**32 + 1))
     kdf = vol._kdf
 
     def bounded_kdf(passphrase, salt, iterations):
@@ -155,6 +160,27 @@ def test_verify_refuses_a_slot_kdf_count_past_the_limit_before_any_kdf(tmp_path,
     assert run_command(["verify", *ws(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err == f"sealkit: KDF iteration count {2**32 + 1} exceeds {vol.MAX_KDF_ITERATIONS}\n"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["slots"][0].update(kdf_iterations=vol.MAX_KDF_ITERATIONS),
+    lambda doc: doc["spec"].update(kdf_iterations=vol.MAX_KDF_ITERATIONS),
+], ids=["active-slot", "header"])
+def test_verify_refuses_a_non_default_kdf_count_with_no_kdf_call(tmp_path, capsys, monkeypatch,
+                                                                 edit):
+    """2**31 - 1 iterations load, but one unlock at that count takes about half an
+    hour: the verifier refuses any count but the default before it unlocks."""
+    seal_workdir(tmp_path)
+    capsys.readouterr()
+    _edit_host_root_header(tmp_path, edit)
+    calls = []
+    monkeypatch.setattr(vol, "_kdf", lambda *args: calls.append(args))
+    assert run_command(["verify", *ws(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("verify: malformed bundle: the host pre-seal root asks for KDF iteration "
+                   f"counts [{vol.DEFAULT_KDF_ITERATIONS}, {vol.MAX_KDF_ITERATIONS}], "
+                   f"not {vol.DEFAULT_KDF_ITERATIONS}\n")
+    assert calls == []
 
 
 def test_unknown_subcommand_exits_two(capsys):

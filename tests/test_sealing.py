@@ -107,7 +107,6 @@ def test_critical_step_failure_aborts():
     host.nested_vm.boot_partition.write_file("/keyfile", b"\x00" * 512)
     with pytest.raises(CriticalStepFailure) as excinfo:
         seal_host(host, plan)
-    assert excinfo.value.log.status == "failed"
     assert "cryptsetup-reencrypt" in excinfo.value.step.command
 
 
