@@ -38,6 +38,7 @@ from .volume import (
     UnlockedVolume,
 )
 
+
 @dataclass(frozen=True)
 class Stage:
     """One sealing stage's machine: the host, or the VM it seals after."""
