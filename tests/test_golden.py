@@ -67,6 +67,10 @@ PLANS_SMALL_AND_ALT = (
     "47fbe962b63d623c196570eb0a24341871aece94bd7f392b1ebfe1b9224a2155"
     "dd444936f1178423591bd8ef399274570e9e001549c4c96bb4bc5d6482f11fd2"
 )
+CLI_SEED1_VERIFY_JSON = (
+    "be14aa576fd70c07cb23ae739c44146654c532e5008cc1859fe93fb3c1b1acf1"
+    "ffeb86663fbf9abdf6296dcc87aa6f1a6c8ac018d7fe2e9e03209b2896f21469"
+)
 ESCROW_90002_INDEX = (
     "89a067c57df9401c660ff6d9cf9c3485ebefeee116d256bb03576446579a09e7"
     "25b3ee8771cbcaa27d78767b1c9673f52754184abb79262a24cb02d24396d314"
@@ -101,6 +105,10 @@ def test_cli_build_seal_seed_1_bundle_digest(tmp_path, capsys):
     assert run_command(["seal", *argv, "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["bundle_index_digest"] == CLI_SEED1_INDEX
+    # The verdict and the policy it was checked against; no workdir path in it.
+    assert run_command(["verify", *argv, "--json"]) == 0
+    verify_out = capsys.readouterr().out
+    assert hashlib.sha3_512(verify_out.encode()).hexdigest() == CLI_SEED1_VERIFY_JSON
 
 
 def test_data_vault_and_escrow_seed_90002():
