@@ -17,7 +17,6 @@ from .sealing import (
     default_plan,
     prepare_trusted_server,
     publish_bundle,
-    restore_pre_seal,
     seal_all,
     seal_all_with_escrow,
     seal_host,
@@ -40,7 +39,6 @@ __all__ = [
     "parse_config",
     "prepare_trusted_server",
     "publish_bundle",
-    "restore_pre_seal",
     "seal_all",
     "seal_all_with_escrow",
     "seal_host",

@@ -82,9 +82,7 @@ VM = Stage(kind="vm", root_device="/dev/vda2", home="/home/trust",
            account_files=("/etc/passwd", "/etc/group", "/etc/shadow"))
 STAGES = (HOST, VM)  # in the order they seal
 
-HOST_ROOT_DEVICE = HOST.root_device
 VM_ROOT_DEVICE_FROM_HOST = "/dev/sdb2"
-VM_ROOT_DEVICE = VM.root_device
 HOST_LOG_NAME = HOST.log_name
 VM_LOG_NAME = VM.log_name
 

@@ -13,7 +13,8 @@ from typing import Callable, NamedTuple
 
 from . import volume as vol
 from .config import ServerConfig
-from .machine import Machine, SealedAndCold, full_tree_from_images, read_volume_tree
+from .machine import (HOST, VM, Machine, SealedAndCold, Stage, full_tree_from_images,
+                      read_volume_tree)
 from .sealing import (
     PublishedBundle,
     SealingPlan,
@@ -105,19 +106,17 @@ def _build(seed: int, config: ServerConfig):
     return host, host.nested_vm
 
 
-def drop_step(plan: SealingPlan, stage: str, kind: str) -> SealingPlan:
-    """Plan with the first ``kind`` step removed from the ``host`` or ``vm`` stage.
+def drop_step(plan: SealingPlan, stage: Stage, kind: str) -> SealingPlan:
+    """Plan with the first ``kind`` step removed from ``stage``.
 
-    A stage or kind not in the plan raises ValueError: a typo must not seal honestly.
+    A kind the stage lacks raises ValueError: a typo must not seal honestly.
     """
-    if stage not in ("host", "vm"):
-        raise ValueError(f"unknown stage {stage!r}; expected 'host' or 'vm'")
-    steps = getattr(plan, f"{stage}_steps")
+    steps = plan.steps[stage]
     kinds = [step.kind for step in steps]
     if kind not in kinds:
-        raise ValueError(f"the {stage} stage has no {kind!r} step")
+        raise ValueError(f"the {stage.kind} stage has no {kind!r} step")
     i = kinds.index(kind)
-    return replace(plan, **{f"{stage}_steps": steps[:i] + steps[i + 1:]})
+    return replace(plan, steps={**plan.steps, stage: steps[:i] + steps[i + 1:]})
 
 
 def _run_theft_reboot(seed: int, config: ServerConfig) -> ScenarioReport:
@@ -212,17 +211,17 @@ def _trojan_cron(host: Machine, plan: SealingPlan) -> PublishedBundle:
     return seal_all(host, plan)
 
 
-def _without(stage: str, kind: str):
+def _without(stage: Stage, kind: str):
     """Sabotage that seals with the first ``kind`` step of ``stage`` removed."""
     return lambda host, plan: seal_all(host, drop_step(plan, stage, kind))
 
 
 _FLAGS_ROWS = {
     "tamper-binary": FlagsRow(_trojan_cron, lambda f: f.subject == "/usr/sbin/cron"),
-    "skip-erase": FlagsRow(_without("host", "luks_erase"),
+    "skip-erase": FlagsRow(_without(HOST, "luks_erase"),
                            lambda f: "luksErase" in f.subject or "still active" in f.explanation,
                            lambda host: [f"host still unlockable: {not host.is_sealed}"]),
-    "leftover-user": FlagsRow(_without("vm", "remove_user"),
+    "leftover-user": FlagsRow(_without(VM, "remove_user"),
                               lambda f: f.subject == "trust" or "userdel" in f.subject),
     "tampered-ldap": FlagsRow(
         lambda host, plan: PublishedBundle(

@@ -27,7 +27,6 @@ from .machine import (
     DiskImagePair,
     FirewallPolicy,
     Machine,
-    MachineRunning,
     SealingStep,
     Stage,
     StepRecord,
@@ -71,8 +70,7 @@ class CriticalStepFailure(ProtocolError):
 
 @dataclass(frozen=True)
 class SealingPlan:
-    host_steps: tuple[SealingStep, ...]
-    vm_steps: tuple[SealingStep, ...]
+    steps: dict[Stage, tuple[SealingStep, ...]]  # every stage of STAGES, in order
 
 
 @dataclass
@@ -189,13 +187,13 @@ def default_plan(config: ServerConfig) -> SealingPlan:
               subject=f"trusted server running@{config.server_address}",
               body_path="/home/trust/date.txt"),
     ]
-    return SealingPlan(host_steps=tuple(host), vm_steps=tuple(vm))
+    return SealingPlan(steps={HOST: tuple(host), VM: tuple(vm)})
 
 
 def single_stage_host_plan(config: ServerConfig) -> SealingPlan:
     """Host-only seal: keyslot erase without the VM reencryption stage."""
     host = [*_lockdown(HOST), *_tree_evidence(config)]
-    return SealingPlan(host_steps=tuple(host), vm_steps=())
+    return SealingPlan(steps={HOST: tuple(host), VM: ()})
 
 
 # -- server construction --------------------------------------------------------------
@@ -288,7 +286,7 @@ def prepare_trusted_server(config: ServerConfig, *,
                                   ("trust", 1000, "/bin/bash")], rng=rng)
     host_tree.mkdir("/home/trust")
     host_tree.write_file("/home/trust/.bashrc", b"# trust shell profile\n")
-    _write_stage_files(host_tree, HOST, config, "ts-host", plan.host_steps,
+    _write_stage_files(host_tree, HOST, config, "ts-host", plan.steps[HOST],
                        "mount /dev/sdb1 /mnt")
     host_tree.write_file(
         "/root/host-secret.txt",
@@ -299,7 +297,7 @@ def prepare_trusted_server(config: ServerConfig, *,
                                 ("www-data", 33, "/usr/sbin/nologin"),
                                 ("trust", 1000, "/bin/bash")], rng=rng)
     vm_tree.mkdir(config.webroot)
-    _write_stage_files(vm_tree, VM, config, config.vm_name, plan.vm_steps)
+    _write_stage_files(vm_tree, VM, config, config.vm_name, plan.steps[VM])
     vm_tree.write_file(
         "/etc/ldap/directory.tsv",
         services_mod.render_directory_file(config.ldap_users, rng).encode(),
@@ -343,10 +341,14 @@ def server_from_images(host_images: DiskImagePair, vm_images: DiskImagePair,
 # -- stage drivers -----------------------------------------------------------------
 
 
-def _run_stage(machine: Machine, steps: tuple[SealingStep, ...]) -> SealingLog:
-    """Run the steps, then write their log where the stage's cron line sends it."""
+def _run_stage(machine: Machine, plan: SealingPlan | None) -> SealingLog:
+    """Run the machine's stage of the plan (default: ``default_plan``), then
+    write its log where the stage's cron line sends it."""
+    if not machine.is_on:
+        raise ProtocolError(f"{machine.stage.kind} must be booted before sealing")
+    plan = plan or default_plan(machine.config)
     log = SealingLog()
-    for step in steps:
+    for step in plan.steps[machine.stage]:
         record = machine.exec_step(step)
         log.records.append(record)
         if step.critical and not record.ok:
@@ -356,24 +358,16 @@ def _run_stage(machine: Machine, steps: tuple[SealingStep, ...]) -> SealingLog:
 
 
 def seal_host(host: Machine, plan: SealingPlan | None = None) -> SealingLog:
-    if not host.is_on:
-        raise ProtocolError("host must be booted before sealing")
     if host.nested_vm is not None and host.nested_vm.is_on:
         raise ProtocolError("nested VM must be powered off during the host stage")
-    plan = plan or default_plan(host.config)
-
-    log = _run_stage(host, plan.host_steps)
+    log = _run_stage(host, plan)
     if host.ram.publish_log_requested and host.nested_vm is not None:
         host.nested_vm.boot_partition.write_file(f"/{HOST_LOG_NAME}", render_log(log).encode())
     return log
 
 
 def seal_vm(vm: Machine, plan: SealingPlan | None = None) -> SealingLog:
-    if not vm.is_on:
-        raise ProtocolError("vm must be booted before sealing")
-    plan = plan or default_plan(vm.config)
-
-    return _run_stage(vm, plan.vm_steps)
+    return _run_stage(vm, plan)
 
 
 def seal_all_with_escrow(host: Machine, escrow_parties: int = 0,
@@ -412,17 +406,6 @@ def seal_all(host: Machine, plan: SealingPlan | None = None) -> "PublishedBundle
     return bundle
 
 
-def restore_pre_seal(host: Machine, host_images: DiskImagePair,
-                     vm_images: DiskImagePair) -> None:
-    """Put both machines back into their imaged pre-seal state."""
-    vm = host.nested_vm
-    if host.is_on or (vm is not None and vm.is_on):
-        raise MachineRunning("machines must be powered off before restore")
-    host.restore_image(host_images)
-    if vm is not None:
-        vm.restore_image(vm_images)
-
-
 # -- the published bundle -------------------------------------------------------------
 
 
@@ -431,14 +414,6 @@ class PublishedBundle:
     """Everything the sealed server publishes for third-party verification."""
 
     artifacts: dict[str, bytes]
-
-    @property
-    def host_log_text(self) -> str:
-        return self.artifacts[HOST_LOG_NAME].decode()
-
-    @property
-    def vm_log_text(self) -> str:
-        return self.artifacts[VM_LOG_NAME].decode()
 
     def index_text(self) -> str:
         lines = [

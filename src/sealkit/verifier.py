@@ -206,19 +206,18 @@ def login_users_in_listing(lines: list[str]) -> list[str]:
 @dataclass(frozen=True)
 class AllowlistPolicy:
     """Path globs a clean seal is expected to change/add/remove, the step
-    sequences the logs must replay, the path of the published directory dump
-    (empty when the plan dumps none), which commands are critical, and the
-    published archives as (bundle name, stage, zipped root)."""
+    sequence each stage's log must replay, the path of the published
+    directory dump (empty when the plan dumps none), which commands are
+    critical, and the published archives as (bundle name, stage, zipped root)."""
 
     may_change: tuple[str, ...] = ()
     may_add: tuple[str, ...] = ()
     may_remove: tuple[str, ...] = ()
-    expected_host_commands: tuple[str, ...] = ()
-    expected_vm_commands: tuple[str, ...] = ()
+    expected_commands: dict[Stage, tuple[str, ...]] = field(default_factory=dict)
     hash_roots: tuple[RootSpec, ...] = ()
     ldap_dump: str = ""
     critical_commands: tuple[str, ...] = ()
-    archives: tuple[tuple[str, str, str], ...] = ()
+    archives: tuple[tuple[str, Stage, str], ...] = ()
 
     def allows(self, kind: str, path: str) -> bool:
         patterns = {
@@ -234,15 +233,15 @@ class AllowlistPolicy:
             "may_change": list(self.may_change),
             "may_add": list(self.may_add),
             "may_remove": list(self.may_remove),
-            "expected_host_commands": list(self.expected_host_commands),
-            "expected_vm_commands": list(self.expected_vm_commands),
+            **{f"expected_{stage.kind}_commands": list(self.expected_commands.get(stage, ()))
+               for stage in STAGES},
             "hash_roots": [
                 {"path": r.path, "recursive": r.recursive} for r in self.hash_roots
             ],
             "ldap_dump": self.ldap_dump,
             "critical_commands": list(self.critical_commands),
             "archives": [
-                {"name": name, "stage": stage, "root": root}
+                {"name": name, "stage": stage.kind, "root": root}
                 for name, stage, root in self.archives
             ],
         }
@@ -258,7 +257,8 @@ def default_policy(plan: SealingPlan) -> AllowlistPolicy:
     seen_roots: set[str] = set()
     ldap_dump = ""
 
-    for step in (*plan.host_steps, *plan.vm_steps):
+    all_steps = [step for steps in plan.steps.values() for step in steps]
+    for step in all_steps:
         if step.kind == "remove_user":
             may_change.update(("/etc/passwd", "/etc/shadow", "/etc/group"))
         elif step.kind == "purge_ssh":
@@ -283,19 +283,18 @@ def default_policy(plan: SealingPlan) -> AllowlistPolicy:
     archives = tuple(
         (step.args.get("name") or posixpath.basename(step.args["dest_path"]),
          stage, step.args["src"])
-        for stage, steps in (("host", plan.host_steps), ("vm", plan.vm_steps))
+        for stage, steps in plan.steps.items()
         for step in steps if step.kind == "zip_tree"
     )
     return AllowlistPolicy(
         may_change=tuple(sorted(may_change)),
         may_add=tuple(sorted(may_add)),
         may_remove=tuple(sorted(may_remove)),
-        expected_host_commands=tuple(s.command for s in plan.host_steps),
-        expected_vm_commands=tuple(s.command for s in plan.vm_steps),
+        expected_commands={stage: tuple(s.command for s in steps)
+                           for stage, steps in plan.steps.items()},
         hash_roots=tuple(roots),
         ldap_dump=ldap_dump,
-        critical_commands=tuple(
-            s.command for s in (*plan.host_steps, *plan.vm_steps) if s.critical),
+        critical_commands=tuple(s.command for s in all_steps if s.critical),
         archives=archives,
     )
 
@@ -305,7 +304,7 @@ def default_policy(plan: SealingPlan) -> AllowlistPolicy:
 
 def _check_step_sequence(stage: Stage, policy: AllowlistPolicy, log: SealingLog,
                          findings: list[Finding]) -> None:
-    expected = getattr(policy, f"expected_{stage.kind}_commands")
+    expected = policy.expected_commands.get(stage, ())
     log_commands = log.commands()
     cursor = 0
     for command in expected:
@@ -456,22 +455,22 @@ def verify_seal(host_images: DiskImagePair, vm_images: DiskImagePair,
 
     # (5) manifests rebuilt from the pre-seal images match the published ones
     try:
-        pre_trees = {stage.kind: full_tree_from_images(images[stage]) for stage in STAGES}
+        pre_trees = {stage: full_tree_from_images(images[stage]) for stage in STAGES}
     except (TreeError, VolumeError) as exc:
         raise MalformedBundle(f"pre-seal images cannot be opened: {exc}") from exc
     for stage in STAGES:
-        pre = compute_manifest(pre_trees[stage.kind], policy.hash_roots)
+        pre = compute_manifest(pre_trees[stage], policy.hash_roots)
         _check_diff(diff_manifests(pre.as_dict(), evidence[stage].manifest.as_dict()), policy,
                     findings, changed=f"content changed across the {stage.kind} seal",
                     added=f"appeared during the {stage.kind} seal",
                     removed=f"disappeared during the {stage.kind} seal")
 
     # (6) published archives match the pre-seal trees modulo the allowlist
-    for name, stage_kind, src_root in policy.archives:
+    for name, stage, src_root in policy.archives:
         if name not in bundle.artifacts:
             findings.append(Finding("ERROR", name, "archive missing from bundle"))
             continue
-        _check_archive(name, bundle.artifacts[name], src_root, pre_trees[stage_kind],
+        _check_archive(name, bundle.artifacts[name], src_root, pre_trees[stage],
                        policy, findings)
 
     # (7) nothing secret leaks into the bundle

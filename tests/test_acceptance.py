@@ -15,7 +15,7 @@ from conftest import SMALL, build_sealed, build_server
 from sealkit import volume as vol
 from sealkit.config import ServerConfig
 from sealkit.escrow import MissingShares, reconstruct, split_key
-from sealkit.machine import full_tree_from_images
+from sealkit.machine import HOST, VM, full_tree_from_images
 from sealkit.sealing import (
     default_plan,
     prepare_trusted_server,
@@ -119,9 +119,9 @@ TAMPER_CLASSES = [
      "/usr/local/bin/exfiltrate.sh"),
     ("modified-binary", _written_before_seal("/usr/sbin/cron", b"#!ELF trojaned cron binary\n"),
      "/usr/sbin/cron"),
-    ("residual-keyslot", _without("host", "luks_erase"), "luksErase"),
-    ("surviving-user", _without("vm", "remove_user"), "trust"),
-    ("surviving-ssh", _without("vm", "purge_ssh"), "ssh"),
+    ("residual-keyslot", _without(HOST, "luks_erase"), "luksErase"),
+    ("surviving-user", _without(VM, "remove_user"), "trust"),
+    ("surviving-ssh", _without(VM, "purge_ssh"), "ssh"),
 ]
 
 
@@ -253,8 +253,8 @@ def test_criterion_7_log_and_manifest_determinism():
         ).render()
         return (
             pre_manifest,
-            bundle.host_log_text,
-            bundle.vm_log_text,
+            bundle.artifacts[HOST.log_name],
+            bundle.artifacts[VM.log_name],
             bundle.index_digest(),
         )
 

@@ -13,7 +13,7 @@ from conftest import SMALL, build_server
 
 from sealkit.cli import run_command
 from sealkit.config import ServerConfig
-from sealkit.machine import save_images
+from sealkit.machine import STAGES, save_images
 from sealkit.scenarios import SCENARIOS, run_scenario
 from sealkit.sealing import (
     default_plan,
@@ -88,11 +88,11 @@ def test_plan_steps_small_and_alt_config():
     alt = ServerConfig(webroot="/srv/pub", vm_name="tsvm2", mail_to="ops@example.net",
                        hash_roots=("/etc", "/usr/bin", "/srv"))
     rows = [
-        [stage, step.kind, step.command, step.args, step.critical]
+        [stage.kind, step.kind, step.command, step.args, step.critical]
         for config in (SMALL, alt)
         for plan in (default_plan(config), single_stage_host_plan(config))
-        for stage, steps in (("host", plan.host_steps), ("vm", plan.vm_steps))
-        for step in steps
+        for stage in STAGES
+        for step in plan.steps[stage]
     ]
     digest = hashlib.sha3_512(json.dumps(rows, sort_keys=True).encode()).hexdigest()
     assert digest == PLANS_SMALL_AND_ALT

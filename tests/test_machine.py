@@ -9,6 +9,7 @@ from conftest import build_server
 from sealkit import volume as vol
 from sealkit.config import ServerConfig
 from sealkit.machine import (
+    HOST,
     DiskFull,
     DiskImagePair,
     GeometryMismatch,
@@ -161,7 +162,7 @@ def test_write_through_after_every_step():
 
     host = build_server(12)
     host.boot()
-    for s in default_plan(host.config).host_steps:
+    for s in default_plan(host.config).steps[HOST]:
         host.exec_step(s)
         # serialize RAM tree; decrypting the volume must reproduce it exactly
         expected = host.ram.tree.encode()

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import SMALL
 
+from sealkit.machine import HOST, VM
 from sealkit.scenarios import SCENARIOS, drop_step, run_scenario
 from sealkit.sealing import default_plan
 
@@ -27,18 +28,17 @@ def test_unknown_scenario_rejected():
 
 def test_drop_step_removes_the_first_step_of_its_kind_from_one_stage():
     plan = default_plan(SMALL)
-    dropped = drop_step(plan, "vm", "chown_webroot")
-    assert dropped.host_steps == plan.host_steps
-    assert len(dropped.vm_steps) == len(plan.vm_steps) - 1
-    [kept] = [step for step in dropped.vm_steps if step.kind == "chown_webroot"]
+    dropped = drop_step(plan, VM, "chown_webroot")
+    assert dropped.steps[HOST] == plan.steps[HOST]
+    assert len(dropped.steps[VM]) == len(plan.steps[VM]) - 1
+    [kept] = [step for step in dropped.steps[VM] if step.kind == "chown_webroot"]
     assert kept.command == "chown -R www-data:www-data /var/www"
 
 
 @pytest.mark.parametrize("stage, kind", [
-    ("host", "remove_hosts_allow"),  # a vm-stage step the host stage lacks
-    ("hots", "luks_erase"),
-    ("vm", "no_such_step"),
-])
+    (HOST, "remove_hosts_allow"),  # a vm-stage step the host stage lacks
+    (VM, "no_such_step"),
+], ids=["host-remove_hosts_allow", "vm-no_such_step"])
 def test_drop_step_rejects_a_stage_or_kind_not_in_the_plan(stage, kind):
     with pytest.raises(ValueError):
         drop_step(default_plan(SMALL), stage, kind)

@@ -8,7 +8,7 @@ from conftest import SMALL, build_sealed, build_server
 
 from sealkit import volume as vol
 from sealkit.config import ConfigError
-from sealkit.machine import MachineRunning
+from sealkit.machine import HOST, VM, GeometryMismatch, MachineRunning
 from sealkit.sealing import (
     AlreadySealed,
     CriticalStepFailure,
@@ -20,7 +20,6 @@ from sealkit.sealing import (
     default_plan,
     publish_bundle,
     render_log,
-    restore_pre_seal,
     seal_all,
     seal_host,
     seal_vm,
@@ -181,15 +180,15 @@ def test_golden_path_logs_a_noncritical_failure_and_continues():
 
 def test_plan_hashes_usr_bin_non_recursively():
     plan = default_plan(SMALL)
-    commands = [s.command for s in plan.host_steps]
+    commands = [s.command for s in plan.steps[HOST]]
     assert "rhash --sha3-512 /usr/bin/*" in commands
     assert "rhash -r --sha3-512 /etc" in commands
 
 
 def test_plan_stage_endings():
     plan = default_plan(SMALL)
-    assert [s.kind for s in plan.host_steps[-2:]] == ["copy_log_to_vm_boot", "start_vm"]
-    assert [s.kind for s in plan.vm_steps[-2:]] == ["start_web", "send_mail"]
+    assert [s.kind for s in plan.steps[HOST][-2:]] == ["copy_log_to_vm_boot", "start_vm"]
+    assert [s.kind for s in plan.steps[VM][-2:]] == ["start_web", "send_mail"]
 
 
 def test_log_completeness_every_plan_step_once_in_order():
@@ -197,10 +196,10 @@ def test_log_completeness_every_plan_step_once_in_order():
     plan = default_plan(host.config)
     host.boot()
     host_log = seal_host(host, plan)
-    assert host_log.commands() == [s.command for s in plan.host_steps]
+    assert host_log.commands() == [s.command for s in plan.steps[HOST]]
     host.nested_vm.boot()
     vm_log = seal_vm(host.nested_vm, plan)
-    assert vm_log.commands() == [s.command for s in plan.vm_steps]
+    assert vm_log.commands() == [s.command for s in plan.steps[VM]]
 
 
 def test_post_seal_invariants():
@@ -254,14 +253,14 @@ def test_bundle_save_load_round_trip(tmp_path):
     assert loaded.index_digest() == bundle.index_digest()
 
 
-# -- restore_pre_seal ----------------------------------------------------------------
+# -- restoring the pre-seal images ------------------------------------------------------
 
 
 def test_restore_without_reseal_leaves_unsealed_bootable():
     host, vm, host_images, vm_images, _ = build_sealed(51)
     host.power_off()
-    result = restore_pre_seal(host, host_images, vm_images)
-    assert result is None
+    host.restore_image(host_images)
+    vm.restore_image(vm_images)
     assert not host.is_sealed
     assert host.boot().unlocked
 
@@ -270,22 +269,23 @@ def test_restore_with_reseal_produces_fresh_key():
     host, vm, host_images, vm_images, first = build_sealed(52)
     first_digest = vm.root_volume.header.mk_digest
     host.power_off()
-    assert restore_pre_seal(host, host_images, vm_images) is None
+    host.restore_image(host_images)
+    vm.restore_image(vm_images)
     second = seal_all(host)
     assert vm.root_volume.header.mk_digest != first_digest
     assert second.index_digest() != first.index_digest()
 
 
 def test_restore_requires_power_off():
-    host, _, host_images, vm_images, _ = build_sealed(53)
+    host, _, host_images, _, _ = build_sealed(53)
     with pytest.raises(MachineRunning):
-        restore_pre_seal(host, host_images, vm_images)
+        host.restore_image(host_images)
 
 
 def test_restore_rejects_swapped_images():
-    host, _, host_images, vm_images, _ = build_sealed(54)
+    host, vm, host_images, vm_images, _ = build_sealed(54)
     host.power_off()
-    from sealkit.machine import GeometryMismatch
-
     with pytest.raises(GeometryMismatch):
-        restore_pre_seal(host, vm_images, host_images)
+        host.restore_image(vm_images)
+    with pytest.raises(GeometryMismatch):
+        vm.restore_image(host_images)

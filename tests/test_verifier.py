@@ -17,8 +17,9 @@ from conftest import SMALL, build_sealed, build_server
 
 from sealkit import verifier
 from sealkit.machine import (
-    HOST_ROOT_DEVICE,
-    VM_ROOT_DEVICE,
+    HOST,
+    STAGES,
+    VM,
     VM_ROOT_DEVICE_FROM_HOST,
     ZIP_READ_ERRORS,
     DiskImagePair,
@@ -153,7 +154,8 @@ def test_diff_detects_single_byte_change():
 
 def test_log_round_trip_identity():
     host, _, _, _, bundle, _ = clean_run(61)
-    for text in (bundle.host_log_text, bundle.vm_log_text):
+    for stage in STAGES:
+        text = bundle.artifacts[stage.log_name].decode()
         parsed = parse_sealing_log(text)
         assert render_log(parsed) == text
 
@@ -161,13 +163,13 @@ def test_log_round_trip_identity():
 def test_log_missing_erase_line_parses_without_evidence():
     _, _, _, _, bundle, _ = clean_run(62)
     lines = [
-        l for l in bundle.host_log_text.splitlines()
+        l for l in bundle.artifacts[HOST.log_name].decode().splitlines()
         if not l.startswith("+ cryptsetup luksErase")
     ]
     parsed = parse_sealing_log("\n".join(lines))
     assert not any(c.startswith("cryptsetup luksErase") for c in parsed.commands())
-    assert f"cryptsetup luksDump {HOST_ROOT_DEVICE}" in parsed.commands()
-    assert extract_evidence(parsed).last_dump_for(HOST_ROOT_DEVICE) is not None
+    assert f"cryptsetup luksDump {HOST.root_device}" in parsed.commands()
+    assert extract_evidence(parsed).last_dump_for(HOST.root_device) is not None
 
 
 def test_garbage_log_is_malformed():
@@ -212,7 +214,7 @@ def test_policy_follows_a_non_default_webroot():
 def test_policy_for_empty_plan_admits_nothing():
     from sealkit.sealing import SealingPlan
 
-    policy = default_policy(SealingPlan(host_steps=(), vm_steps=()))
+    policy = default_policy(SealingPlan(steps={HOST: (), VM: ()}))
     assert policy.may_change == () and policy.may_add == () and policy.may_remove == ()
     assert not policy.allows("change", "/etc/passwd")
 
@@ -220,29 +222,31 @@ def test_policy_for_empty_plan_admits_nothing():
 def test_policy_takes_archives_and_critical_steps_from_the_plan():
     policy = default_policy(default_plan(SMALL))
     assert policy.archives == (
-        ("etc-host.zip", "host", "/etc"),
-        ("root-host.zip", "host", "/root"),
-        ("etc-vm.zip", "vm", "/etc"),
-        ("trust-vm.zip", "vm", "/home/trust"),
+        ("etc-host.zip", HOST, "/etc"),
+        ("root-host.zip", HOST, "/root"),
+        ("etc-vm.zip", VM, "/etc"),
+        ("trust-vm.zip", VM, "/home/trust"),
     )
     assert policy.critical_commands == (
-        f"cryptsetup luksErase {HOST_ROOT_DEVICE}",
+        f"cryptsetup luksErase {HOST.root_device}",
         f"cryptsetup-reencrypt -v -d /mnt/keyfile -l 512 {VM_ROOT_DEVICE_FROM_HOST}",
-        f"cryptsetup luksErase {VM_ROOT_DEVICE}",
+        f"cryptsetup luksErase {VM.root_device}",
     )
 
 
 def test_policy_dict_shows_every_field_the_checks_read():
     policy = default_policy(default_plan(SMALL))
     doc = policy.to_dict()
-    assert set(doc) == {f.name for f in fields(policy)}
+    per_stage = {f"expected_{stage.kind}_commands" for stage in STAGES}
+    assert set(doc) == {f.name for f in fields(policy)} - {"expected_commands"} | per_stage
     assert json.loads(json.dumps(doc)) == doc
-    assert doc["expected_host_commands"] == list(policy.expected_host_commands)
-    assert doc["expected_vm_commands"] == list(policy.expected_vm_commands)
+    for stage in STAGES:
+        assert doc[f"expected_{stage.kind}_commands"] == list(policy.expected_commands[stage])
     assert doc["critical_commands"] == list(policy.critical_commands)
     assert doc["ldap_dump"] == "/var/www/log/ldap.txt"
     assert doc["archives"][0] == {"name": "etc-host.zip", "stage": "host", "root": "/etc"}
-    assert [tuple(a.values()) for a in doc["archives"]] == list(policy.archives)
+    assert [tuple(a.values()) for a in doc["archives"]] == [
+        (name, stage.kind, root) for name, stage, root in policy.archives]
 
 
 def test_archive_of_another_root_verifies_under_its_own_plan():
@@ -255,9 +259,9 @@ def test_archive_of_another_root_verifies_under_its_own_plan():
         replace(step, command=f"zip -r {w}/trust-vm.zip /srv/data",
                 args={**step.args, "src": "/srv/data"})
         if step.args.get("dest_path") == f"{w}/trust-vm.zip" else step
-        for step in plan.vm_steps
+        for step in plan.steps[VM]
     )
-    plan = replace(plan, vm_steps=vm_steps)
+    plan = replace(plan, steps={**plan.steps, VM: vm_steps})
     bundle = seal_all(host, plan)
     assert "/srv/data/vm-secret.txt" in unzip_to_map(bundle.artifacts["trust-vm.zip"])
     verdict = verify_seal(host_images, vm_images, bundle, default_policy(plan))
@@ -290,7 +294,7 @@ def test_binary_tampered_before_sealing_fails_naming_path():
 def test_log_with_erase_removed_fails_as_missing_critical_step():
     _, _, host_images, vm_images, bundle, policy = clean_run(65)
     mangled = "\n".join(
-        l for l in bundle.host_log_text.splitlines()
+        l for l in bundle.artifacts[HOST.log_name].decode().splitlines()
         if not l.startswith("+ cryptsetup luksErase")
     ) + "\n"
     artifacts = dict(bundle.artifacts)
@@ -311,7 +315,7 @@ def test_bundle_missing_log_is_malformed():
 
 def test_rhash_line_without_separator_is_malformed():
     _, _, host_images, vm_images, bundle, policy = clean_run(65)
-    lines = bundle.host_log_text.splitlines()
+    lines = bundle.artifacts[HOST.log_name].decode().splitlines()
     first = lines.index(next(l for l in lines if l.startswith("+ rhash"))) + 1
     lines[first] = lines[first].replace("  ", " ", 1)
     artifacts = dict(bundle.artifacts)
@@ -332,7 +336,7 @@ def test_published_ldap_dump_is_bound_to_the_vm_manifest():
     _, _, host_images, vm_images, bundle, policy = clean_run(65)
     assert policy.ldap_dump == "/var/www/log/ldap.txt"
     honest = bundle.artifacts["ldap.txt"]
-    vm_log = bundle.vm_log_text
+    vm_log = bundle.artifacts[VM.log_name].decode()
     unhashed = "".join(l for l in vm_log.splitlines(keepends=True)
                        if not l.endswith(f"  {policy.ldap_dump}\n"))
     assert unhashed != vm_log
@@ -422,12 +426,12 @@ def honest_seal():
 @pytest.mark.parametrize("change, severity, subject, explanation", [
     (_log(HOST_LOG_NAME, lambda r: [r, r] if r.command == "iptables-save" else [r]),
      "WARNING", "iptables-save", "appears more often in the host log than the plan requires"),
-    (_log(HOST_LOG_NAME, _drop(f"cryptsetup luksDump {HOST_ROOT_DEVICE}")),
-     "ERROR", f"cryptsetup luksDump {HOST_ROOT_DEVICE}",
-     f"host log carries no keyslot dump for {HOST_ROOT_DEVICE}"),
-    (_log(VM_LOG_NAME, _drop(f"cryptsetup luksDump {VM_ROOT_DEVICE}")),
-     "ERROR", f"cryptsetup luksDump {VM_ROOT_DEVICE}",
-     f"vm log carries no keyslot dump for {VM_ROOT_DEVICE}"),
+    (_log(HOST_LOG_NAME, _drop(f"cryptsetup luksDump {HOST.root_device}")),
+     "ERROR", f"cryptsetup luksDump {HOST.root_device}",
+     f"host log carries no keyslot dump for {HOST.root_device}"),
+    (_log(VM_LOG_NAME, _drop(f"cryptsetup luksDump {VM.root_device}")),
+     "ERROR", f"cryptsetup luksDump {VM.root_device}",
+     f"vm log carries no keyslot dump for {VM.root_device}"),
     (_log(VM_LOG_NAME, _drop("cat /etc/passwd")),
      "ERROR", "cat /etc/passwd", "vm log carries no passwd listing"),
     (_log(HOST_LOG_NAME, _drop("cat /etc/passwd")),
