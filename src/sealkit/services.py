@@ -240,6 +240,8 @@ class ServiceFrontend:
         return self.primary_directory is not None
 
     def _parse_once(self, path: str, parse):
+        if self.machine.ram is None:
+            raise NotSealed("the server is powered off")
         raw = self.machine.ram.tree.file_bytes(path) or b""
         cached = self._parsed.get(path)
         if cached is None or cached[0] is not raw:
@@ -273,11 +275,8 @@ class ServiceFrontend:
     def publish_ranking(self) -> list[str]:
         config = self.machine.config
         names = millionaires_publish(self._load_state(), config.millionaires_descending)
-        if self.machine.is_on:
-            self.machine.write_file(
-                f"{config.webroot}/ranking.txt",
-                ("".join(f"{n}\n" for n in names)).encode(),
-            )
+        self.machine.write_file(f"{config.webroot}/ranking.txt",
+                                "".join(f"{n}\n" for n in names).encode())
         return names
 
     def submit_mail(self, nickname: str, comment: str,
@@ -312,6 +311,8 @@ class ServiceFrontend:
 
     def resolve(self, domain: str) -> str:
         """The upstream only ever sees the server's address, never the client's."""
+        if self.machine.ram is None:
+            raise NotSealed("the server is powered off")
         if self.upstream is None:
             raise Unresolvable("no upstream resolver configured")
         return self.upstream.query(self.machine.config.server_address, domain)

@@ -390,6 +390,19 @@ def test_line_protocol_auth_and_audit():
     ]
 
 
+@pytest.mark.parametrize("sealed", [False, True], ids=["unbooted", "sealed-then-off"])
+def test_every_verb_on_a_powered_off_vm_answers_err(sealed):
+    host = build_sealed(17)[0] if sealed else build_server(17)
+    host.power_off()
+    primary = CredentialDirectory()
+    primary.add_user("alice", "pw", make_rng(17))
+    frontend = ServiceFrontend(host.nested_vm, primary_directory=primary,
+                               upstream=UpstreamResolver(table={"example.org": "93.184.216.34"}))
+    for line in ("SUBMIT Alice 5 alice pw", "PUBLISH", "MAIL nick|hello|", "AUTH alice pw",
+                 "SYNC", "VAULTKEY 00ff", "RESOLVE example.org"):
+        assert frontend.handle_line(line).startswith("ERR NotSealed: "), line
+
+
 def test_frontend_reads_its_settings_from_the_machine_config():
     config = replace(SMALL, mail_to="desk@example.net", server_address="198.51.100.7",
                      millionaires_descending=False)
