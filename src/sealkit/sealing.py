@@ -378,6 +378,8 @@ def seal_all_with_escrow(host: Machine, escrow_parties: int = 0,
     The escrow capture must happen between the two stages: after the host
     reencrypted the VM disk, before the VM erases its own keyslots.
     """
+    if escrow_parties and escrow_parties < 2:  # refused before any step runs
+        raise escrow_mod.EscrowError("need at least 2 parties")
     plan = plan or default_plan(host.config)
     vm = host.nested_vm
     if vm is None:

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -222,6 +226,19 @@ def test_seal_with_escrow_writes_shares(tmp_path):
     assert len(shares) == 3
 
 
+@pytest.mark.parametrize("parties", ["1", "-1"])
+def test_seal_refuses_an_escrow_of_fewer_than_two_parties_before_any_step(
+        tmp_path, capsys, monkeypatch, parties):
+    assert run_command(["build", *ws(tmp_path)]) == 0
+    capsys.readouterr()
+    calls, kdf = [], vol._kdf
+    monkeypatch.setattr(vol, "_kdf", lambda *args: calls.append(args) or kdf(*args))
+    assert run_command(["seal", *ws(tmp_path), "--escrow", parties]) == 1
+    assert capsys.readouterr().err == "sealkit: need at least 2 parties\n"
+    assert calls == []
+    assert not (tmp_path / "bundle").exists()
+
+
 def test_escrow_split_requires_a_secret_source(tmp_path):
     assert run_command(["escrow", "split", "-n", "3",
                         "--out", str(tmp_path / "p")]) == 2
@@ -349,6 +366,22 @@ def test_verify_json_output(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "PASS"
     assert "/etc/passwd" in doc["policy"]["may_change"]  # reviewable allowlist
+
+
+def test_verify_into_a_closed_pipe_exits_one_without_traceback(tmp_path):
+    seal_workdir(tmp_path)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write, as after `| head -c1`
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    try:
+        done = subprocess.run([sys.executable, "-m", "sealkit", "verify", *ws(tmp_path), "--json"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == b""
 
 
 def test_verify_without_workdir_contents_fails(tmp_path):
