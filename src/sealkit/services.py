@@ -275,8 +275,10 @@ class ServiceFrontend:
     def publish_ranking(self) -> list[str]:
         config = self.machine.config
         names = millionaires_publish(self._load_state(), config.millionaires_descending)
-        self.machine.write_file(f"{config.webroot}/ranking.txt",
-                                "".join(f"{n}\n" for n in names).encode())
+        self.machine.write_file(
+            f"{config.webroot}/ranking.txt",
+            ("".join(f"{n}\n" for n in names)).encode(),
+        )
         return names
 
     def submit_mail(self, nickname: str, comment: str,
