@@ -459,6 +459,40 @@ def test_ranking_survives_power_cycle_with_a_fresh_frontend():
     assert frontend.handle_line("PUBLISH") == before  # the old frontend re-parses too
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_no_key_and_nonce_pair_repeats_over_a_sealed_session(seed, monkeypatch):
+    """Every AES-GCM encryption of a run, from build through sealing to 200
+    served SUBMITs with a SYNC before every 20, uses a (key, nonce) pair of its own."""
+    from sealkit.sealing import seal_all_with_escrow
+
+    pairs = []
+    real_cipher = vol.AESGCM
+
+    class RecordingCipher:
+        def __init__(self, key):
+            self.key, self.cipher = key, real_cipher(key)
+
+        def encrypt(self, nonce, data, aad):
+            pairs.append((self.key, nonce))
+            return self.cipher.encrypt(nonce, data, aad)
+
+        def decrypt(self, nonce, data, aad):
+            return self.cipher.decrypt(nonce, data, aad)
+
+    monkeypatch.setattr(vol, "AESGCM", RecordingCipher)
+    host = build_server(seed)
+    seal_all_with_escrow(host, 2)
+    primary = CredentialDirectory()
+    primary.add_user("alice", "wonder", make_rng(seed))
+    frontend = ServiceFrontend(host.nested_vm, primary_directory=primary)
+    for k in range(200):
+        if k % 20 == 0:
+            assert frontend.handle_line("SYNC") == "OK 1"
+        assert frontend.handle_line(f"SUBMIT User{k} {k} alice wonder") == f"OK {k}"
+    assert len(pairs) > 10_000  # about 11 600 at these seeds
+    assert len(set(pairs)) == len(pairs)
+
+
 def test_sync_after_adding_a_user_makes_auth_accept():
     rng = make_rng(17)
     primary = CredentialDirectory()

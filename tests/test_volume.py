@@ -59,6 +59,28 @@ def window_in(haystack: bytes, needle: bytes, width: int = 16) -> bool:
     )
 
 
+class EncryptionRecorder:
+    """A sector cipher that appends to ``indices`` the sector index named by the
+    AAD of each sector encryption it makes, in call order."""
+
+    def __init__(self, cipher, indices: list[int]):
+        self.cipher, self.indices = cipher, indices
+
+    def encrypt(self, nonce, data, aad):
+        if aad.startswith(vol._AAD_PREFIX):
+            self.indices.append(int.from_bytes(aad[len(vol._AAD_PREFIX):], "big"))
+        return self.cipher.encrypt(nonce, data, aad)
+
+    def decrypt(self, nonce, data, aad):
+        return self.cipher.decrypt(nonce, data, aad)
+
+
+def record_encryptions(handle) -> list[int]:
+    """The sector indices that ``handle``'s encryptions name from now on."""
+    handle.cipher = EncryptionRecorder(handle.cipher, [])
+    return handle.cipher.indices
+
+
 # -- format ------------------------------------------------------------------
 
 
@@ -94,9 +116,8 @@ def test_format_returns_live_handle_on_new_volume(rng):
 
 def test_format_installs_image_with_one_write_per_sector(rng, monkeypatch):
     written = []
-    real_write_sector = vol.write_sector
-    monkeypatch.setattr(vol, "write_sector",
-                        lambda h, i, data: written.append(i) or real_write_sector(h, i, data))
+    real_cipher = vol.AESGCM
+    monkeypatch.setattr(vol, "AESGCM", lambda key: EncryptionRecorder(real_cipher(key), written))
     keyfile = Keyfile.generate(rng)
     image = rng.randbytes(2 * SECTOR_BYTES + 100)
     handle = vol.format_volume(6, keyfile, rng, image=image, kdf_iterations=FAST)
@@ -328,8 +349,8 @@ def test_image_write_replaces_only_changed_sectors(rng):
     (4, None, 4 * SECTOR_BYTES, None),
 ], ids=["shrink", "shrink-boundary", "append-byte", "zero-end-old", "zero-end-new",
         "one-sector", "one-sector-grow", "fill", "fresh-empty", "fresh-full"])
-def test_image_write_rewrites_exactly_the_differing_sectors(rng, monkeypatch, sectors,
-                                                            old_len, new_len, zeros):
+def test_image_write_rewrites_exactly_the_differing_sectors(rng, sectors, old_len, new_len,
+                                                            zeros):
     volume, keyfile = make_volume(rng, sectors=sectors)
     handle = vol.unlock(volume, keyfile)
     content = bytearray(rng.randbytes(max(old_len or 0, new_len)))
@@ -339,10 +360,7 @@ def test_image_write_rewrites_exactly_the_differing_sectors(rng, monkeypatch, se
     old = None if old_len is None else content[:old_len]
     if old is not None:
         vol.write_image(handle, old)
-    written = []
-    real_write_sector = vol.write_sector
-    monkeypatch.setattr(vol, "write_sector",
-                        lambda h, i, data: written.append(i) or real_write_sector(h, i, data))
+    written = record_encryptions(handle)
     vol.write_image(handle, content[:new_len], old)
     assert written == differing_sectors(content[:new_len], old, sectors)
     if zeros:
@@ -406,22 +424,19 @@ def image_pairs(draw):
 
 
 @settings(max_examples=300)
-@given(image_pairs())
-def test_image_write_equals_the_padded_copy_loop(pair):
+@given(image_pairs(), st.booleans())
+def test_image_write_equals_the_padded_copy_loop(pair, fresh):
+    """A write over known content (``old``), or over an unknown disk (``None``)."""
     old, new = pair
+    known = None if fresh else old
     keyfile = Keyfile(bytes(vol.KEYFILE_BYTES))
     volumes = []
     for write in (vol.write_image, reference_write_image):
         handle = vol.format_volume(PROPERTY_SECTORS, keyfile, make_rng(9), image=old,
                                    kdf_iterations=FAST)
-        written = []
-        real_write_sector = vol.write_sector
-        vol.write_sector = lambda h, i, data: written.append(i) or real_write_sector(h, i, data)
-        try:
-            write(handle, new, old)
-        finally:
-            vol.write_sector = real_write_sector
-        assert written == differing_sectors(new, old, PROPERTY_SECTORS)
+        written = record_encryptions(handle)
+        write(handle, new, known)
+        assert written == differing_sectors(new, known, PROPERTY_SECTORS)
         volumes.append(handle.volume)
     ours, reference = volumes
     assert ours.sectors == reference.sectors
@@ -461,10 +476,11 @@ def test_sector_cipher_built_once_per_key(rng, monkeypatch):
 def test_oversize_image_raises_disk_full_and_writes_nothing(rng):
     volume, keyfile = make_volume(rng, sectors=2)
     handle = vol.unlock(volume, keyfile)
-    before = list(volume.sectors)
+    before, state = list(volume.sectors), volume.rng.getstate()
     with pytest.raises(DiskFull):
         vol.write_image(handle, b"x" * (2 * SECTOR_BYTES + 1))
     assert volume.sectors == before
+    assert volume.rng.getstate() == state  # refused before any nonce is drawn
     vol.write_image(handle, b"x" * (2 * SECTOR_BYTES))
     assert vol.read_image(handle) == b"x" * (2 * SECTOR_BYTES)
 
@@ -473,10 +489,13 @@ def test_image_io_through_stale_handle_raises(rng):
     volume, keyfile = make_volume(rng)
     handle = vol.unlock(volume, keyfile)
     handle.invalidate()
+    before, state = list(volume.sectors), volume.rng.getstate()
     with pytest.raises(StaleHandle):
         vol.read_image(handle)
     with pytest.raises(StaleHandle):
         vol.write_image(handle, b"data")
+    assert volume.sectors == before
+    assert volume.rng.getstate() == state  # refused before any nonce is drawn
 
 
 # -- erase_keyslots -------------------------------------------------------------
@@ -539,7 +558,7 @@ def test_failed_reencrypt_leaves_the_data_readable(rng):
     corrupt[NONCE_BYTES + 7] ^= 0x01
     volume.sectors[2] = bytes(corrupt)
     before = list(volume.sectors)
-    with pytest.raises(AuthFailure):
+    with pytest.raises(AuthFailure, match=r"^sector 2 does not authenticate"):
         vol.reencrypt(volume, keyfile)
     assert volume.sectors[2:] == before[2:]
     assert all(volume.sectors[i] != before[i] for i in (0, 1))  # fresh nonces
@@ -548,6 +567,37 @@ def test_failed_reencrypt_leaves_the_data_readable(rng):
         assert vol.read_sector(fresh, i) == written[i]
     with pytest.raises(AuthFailure):
         vol.read_sector(fresh, 2)
+
+
+def reference_reencrypt(volume, keyfile) -> None:
+    """``reencrypt`` one sector at a time: ``read_sector`` under the old key, then
+    ``write_sector``, with its own nonce draw, under the new one."""
+    handle = vol.unlock(volume, keyfile)
+    rekeyed = vol.UnlockedVolume(volume=volume, key=vol.MasterKey.generate(volume.rng))
+    for i in range(volume.sector_count):
+        vol.write_sector(rekeyed, i, vol.read_sector(handle, i))
+    volume.header = dataclasses.replace(volume.header, **vol._key_fields(
+        rekeyed.key, keyfile, volume.header.kdf_iterations, volume.rng))
+
+
+@settings(max_examples=60)
+@given(st.integers(1, PROPERTY_SECTORS), edge_offsets(PROPERTY_SECTORS * SECTOR_BYTES),
+       st.integers(0, 2**32))
+def test_reencrypt_equals_the_per_sector_loop(sectors, content, seed):
+    keyfile = Keyfile(bytes(vol.KEYFILE_BYTES))
+    volumes = []
+    for rekey in (vol.reencrypt, reference_reencrypt):
+        rng = make_rng(seed)
+        image = rng.randbytes(min(content, sectors * SECTOR_BYTES))
+        volume = vol.format_volume(sectors, keyfile, rng, image=image,
+                                   kdf_iterations=FAST).volume
+        rekey(volume, keyfile)
+        volumes.append(volume)
+    ours, reference = volumes
+    assert ours.sectors == reference.sectors
+    assert ours.header == reference.header
+    assert ours.rng.getstate() == reference.rng.getstate()
+    assert read_padded(vol.unlock(ours, keyfile)).startswith(image)
 
 
 def test_reencrypt_changes_wrapped_key(rng):
