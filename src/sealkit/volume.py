@@ -24,19 +24,21 @@ slot KDF is most of a default build-seal-verify cycle.
 
 A volume's plaintext image is ``sector_count * 512`` bytes: its content, then
 zeros up to capacity. :func:`read_image` and :func:`write_image` are the one
-path for whole-image I/O; both go sector by sector through :func:`read_sector`
-/ :func:`write_sector`, one AEAD call per sector. ``read_image`` decrypts and
-authenticates every sector but returns the image only through its last
-non-zero sector, so memory follows the content, not the capacity; readers
-treat the bytes after it as zeros. ``write_image`` takes the new
-and the previous content, zero tails implied, and rewrites only the sectors
-whose zero-padded bytes differ, in ascending order. It skips their common
-prefix a block of sectors at a time with one comparison per block, and
-compares the sectors that both sides hold in full without copying the old
-one. :func:`format_volume` installs the first image through it with no
-previous content, so formatting encrypts each sector once. The previous
-content is trusted to match the disk, which holds because a volume has a
-single writer (below): nothing else changes its sectors.
+path for whole-image I/O, one AEAD call per sector. ``read_image`` decrypts
+and authenticates every sector through :func:`read_sector`, where a tracer
+sees each read, but returns the image only through its last non-zero sector,
+so memory follows the content, not the capacity; readers treat the bytes
+after it as zeros. ``write_image`` takes the new and the previous content,
+zero tails implied, and rewrites only the sectors whose zero-padded bytes
+differ, in ascending order, through :func:`write_sector`. It skips their
+common prefix a block of sectors at a time with one comparison per block,
+and compares the sectors that both sides hold in full without copying the
+old one. The previous content is trusted to match the disk, which holds
+because a volume has a single writer (below): nothing else changes its
+sectors. A pass that rewrites every sector, ``write_image`` with no previous
+content (as :func:`format_volume` makes) and :func:`reencrypt`, runs one loop
+instead: one draw for all nonces, the same bytes as a ``write_sector`` per
+sector, and one AAD per sector, which reencryption's decrypt and encrypt share.
 
 The sector cipher (data key plus AES-GCM object) is built once per key: an
 :class:`UnlockedVolume` builds it at construction and drops it, with the
@@ -269,14 +271,6 @@ def _unwrap_master_key(slot: KeySlot, keyfile: Keyfile) -> MasterKey | None:
     return MasterKey(raw)
 
 
-def _decrypt_sector(cipher: AESGCM, index: int, record: bytes) -> bytes:
-    try:
-        return cipher.decrypt(record[:NONCE_BYTES], record[NONCE_BYTES:],
-                              _AAD_PREFIX + index.to_bytes(8, "big"))
-    except InvalidTag:
-        raise AuthFailure(f"sector {index} does not authenticate under this key") from None
-
-
 # -- operations ---------------------------------------------------------------
 
 
@@ -346,7 +340,12 @@ def read_sector(handle: UnlockedVolume, index: int) -> bytes:
     volume = handle.volume
     if not (handle.valid and 0 <= index < volume.header.sector_count):
         _check_handle(handle, index)
-    return _decrypt_sector(handle.cipher, index, volume.sectors[index])
+    record = volume.sectors[index]
+    try:
+        return handle.cipher.decrypt(record[:NONCE_BYTES], record[NONCE_BYTES:],
+                                     _AAD_PREFIX + index.to_bytes(8, "big"))
+    except InvalidTag:
+        raise AuthFailure(f"sector {index} does not authenticate under this key") from None
 
 
 def write_sector(handle: UnlockedVolume, index: int, plaintext: bytes) -> None:
@@ -383,6 +382,32 @@ def _padded_sector(buf: bytes | bytearray, lo: int) -> bytes | bytearray:
     return buf[lo:].ljust(SECTOR_BYTES, b"\x00") if lo < len(buf) else _ZERO_SECTOR
 
 
+def _encrypt_every_sector(handle: UnlockedVolume, image: bytes = b"",
+                          old: AESGCM | None = None) -> int:
+    """Rewrite every sector in ascending order under ``handle``'s cipher, with
+    sector i of ``image`` (zeros past its end) or, given ``old``, with its record
+    decrypted under that. Returns how many sectors were rewritten: all, or those
+    before the first record that does not authenticate under ``old``."""
+    sectors = handle.volume.sectors
+    nonces = handle.volume.rng.randbytes(NONCE_BYTES * len(sectors))
+    encrypt, decrypt = handle.cipher.encrypt, old and old.decrypt
+    full = len(image) // SECTOR_BYTES  # sectors that ``image`` holds in full
+    for i, record in enumerate(sectors):
+        aad = _AAD_PREFIX + i.to_bytes(8, "big")
+        if decrypt:
+            try:
+                plaintext = decrypt(record[:NONCE_BYTES], record[NONCE_BYTES:], aad)
+            except InvalidTag:
+                return i
+        elif i < full:
+            plaintext = image[i * SECTOR_BYTES:(i + 1) * SECTOR_BYTES]
+        else:
+            plaintext = _padded_sector(image, i * SECTOR_BYTES) if i == full else _ZERO_SECTOR
+        nonce = nonces[i * NONCE_BYTES:(i + 1) * NONCE_BYTES]
+        sectors[i] = nonce + encrypt(nonce, plaintext, aad)
+    return len(sectors)
+
+
 def write_image(handle: UnlockedVolume, image: bytes, old: bytes | None = None) -> None:
     """Store ``image`` followed by zeros up to capacity.
 
@@ -395,8 +420,8 @@ def write_image(handle: UnlockedVolume, image: bytes, old: bytes | None = None) 
     if len(image) > capacity:
         raise DiskFull(f"image needs {len(image)} bytes, volume holds {capacity}")
     if old is None:
-        for i in range(handle.volume.sector_count):
-            write_sector(handle, i, _padded_sector(image, i * SECTOR_BYTES))
+        _check_handle(handle, 0)
+        _encrypt_every_sector(handle, image)
         return
     # The common prefix is skipped a block at a time without copying either side.
     start, common = 0, min(len(image), len(old))
@@ -429,26 +454,16 @@ def reencrypt(volume: EncryptedVolume, keyfile: Keyfile) -> None:
     under the old key, with fresh nonces, and the :class:`AuthFailure` is raised.
     """
     handle = unlock(volume, keyfile)
-    rng = volume.rng
-    new_key = MasterKey.generate(rng)
-    new_cipher = AESGCM(_data_key(new_key.data))
-
-    sectors = volume.sectors
-    nonces = rng.randbytes(NONCE_BYTES * len(sectors))
-    try:
-        for i, record in enumerate(sectors):
-            nonce = nonces[i * NONCE_BYTES:(i + 1) * NONCE_BYTES]
-            sectors[i] = nonce + new_cipher.encrypt(
-                nonce, _decrypt_sector(handle.cipher, i, record),
-                _AAD_PREFIX + i.to_bytes(8, "big"))
-    except AuthFailure:
-        # Slot 0 still wraps the old key: put sectors 0..i-1 back under it.
-        for k in range(i):
-            write_sector(handle, k, _decrypt_sector(new_cipher, k, sectors[k]))
-        raise
+    rekeyed = UnlockedVolume(volume=volume, key=MasterKey.generate(volume.rng))
+    done = _encrypt_every_sector(rekeyed, old=handle.cipher)
+    if done < volume.sector_count:
+        # Slot 0 still wraps the old key: put the sectors before ``done`` back under it.
+        for k in range(done):
+            write_sector(handle, k, read_sector(rekeyed, k))
+        raise AuthFailure(f"sector {done} does not authenticate under this key")
 
     volume.header = replace(volume.header, **_key_fields(
-        new_key, keyfile, volume.header.kdf_iterations, rng))
+        rekeyed.key, keyfile, volume.header.kdf_iterations, volume.rng))
     handle.invalidate()
 
 
