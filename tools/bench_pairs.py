@@ -12,7 +12,9 @@ a run that prints no such lines keeps its exit code and stdout instead, and
 its pair is left out of the summary.
 An existing ``--out`` file keeps its other workloads; this workload's entry
 is replaced. The summary gives, per end-to-end metric, both medians, the
-parent's interquartile range and the number of pairs the change wins, and
+parent's interquartile range, the number of pairs the change wins and
+whether the change's median is worse than the parent's by more than the
+metric's ``bound`` in ``BENCHMARK.json`` (a fraction of the parent median), and
 both medians of the work each run's context line counts (``details.cycles``
 on the cycle workloads, ``details.sessions`` on serve), so a metric that
 follows the amount of work done, such as serve's ``peak_rss_mb``, can be read
@@ -47,23 +49,29 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
+    """``end_to_end`` is ``BENCHMARK.json``'s list of metrics, each with its
+    ``name``, ``better`` direction and ``bound``."""
     pairs = [p for p in pairs if "result" in p["parent"] and "result" in p["change"]]
     summary = {"pairs_with_results": len(pairs)}
     if len(pairs) < 2:
         return summary
-    for name, direction in better.items():
+    for metric in end_to_end:
+        name, direction = metric["name"], metric["better"]
         parent = [p["parent"]["result"]["metrics"][name]["value"] for p in pairs]
         change = [p["change"]["result"]["metrics"][name]["value"] for p in pairs]
         q1, q3 = quartiles(parent)
         sign = 1 if direction == "higher" else -1
+        relative = statistics.median(change) / statistics.median(parent) - 1
         summary[name] = {
             "parent_median": statistics.median(parent),
             "change_median": statistics.median(change),
-            "relative_change": statistics.median(change) / statistics.median(parent) - 1,
+            "relative_change": relative,
             "parent_iqr": q3 - q1,
             "change_better_pairs": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
             "better": direction,
+            "bound": metric["bound"],
+            "worse_than_bound": -sign * relative > metric["bound"],
         }
     for count in ("cycles", "sessions"):
         if all(count in p[side]["context"]["details"]
@@ -92,16 +100,15 @@ def main(argv: list[str] | None = None) -> int:
 
     command = ["python3", "perfbench/run.py", "--workload", args.workload,
                "--seed", str(args.seed), "--seconds", f"{args.seconds:g}", "--trace", "0"]
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    end_to_end = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
     pairs = []
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"pair": i, "order": list(order)}
         for side in order:
             run = pair[side] = run_once(getattr(args, side), command)
-            shown = (" ".join(f"{name}={run['result']['metrics'][name]['value']:.6g}"
-                              for name in better)
+            shown = (" ".join(f"{m['name']}={run['result']['metrics'][m['name']]['value']:.6g}"
+                              for m in end_to_end)
                      if "result" in run else f"no result line, exit code {run['returncode']}")
             print(f"pair {i} {side:6s} {shown}", file=sys.stderr)
         pairs.append(pair)
@@ -111,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
         "command": command,
         "seed": args.seed,
         "seconds": args.seconds,
-        "summary": summarize(pairs, better),
+        "summary": summarize(pairs, end_to_end),
         "pairs": pairs,
     }
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
