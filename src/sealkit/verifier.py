@@ -4,9 +4,12 @@ Everything here is a pure function over the pre-seal disk images, the
 published bundle, and an explicit allowlist policy. ``default_policy``
 derives the policy from the sealing plan: which paths may change, which
 steps each log must replay and which of them are critical, and which
-published archive zips which root of which stage. Manipulations confined
-to volatile state that no hash root or logged listing covers are outside
-what manifests can see; the verdict preamble says so.
+published archive zips which root of which stage. Evidence is read only
+from records of planned commands, by exact command: ``extract_evidence``
+indexes each planned command's outputs, and a record whose command no plan
+step produces is not evidence. Manipulations confined to volatile state
+that no hash root or logged listing covers are outside what manifests can
+see; the verdict preamble says so.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import fnmatch
 import hashlib
 import posixpath
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .escrow import SHARE_MAGIC
@@ -131,73 +135,31 @@ def parse_sealing_log(text: str) -> SealingLog:
 # -- evidence extraction -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DumpEvidence:
-    command: str
-    uuid: str
-    mk_digest: str
-    slot_states: tuple[str, ...]
-
-    @property
-    def all_empty(self) -> bool:
-        return bool(self.slot_states) and all(s == "EMPTY" for s in self.slot_states)
-
-
 @dataclass
 class LogEvidence:
-    dumps: list[DumpEvidence] = field(default_factory=list)
-    passwd_listings: list[list[str]] = field(default_factory=list)
-    purge_seen: bool = False
-    ssh_status_outputs: list[str] = field(default_factory=list)
-    manifest: Manifest = Manifest(entries=())
+    """One stage log's evidence: each planned command's outputs in log order,
+    and the manifest that the planned ``rhash`` records list."""
 
-    def last_dump_for(self, device: str) -> DumpEvidence | None:
-        matches = [d for d in self.dumps if d.command.endswith(device)]
-        return matches[-1] if matches else None
+    outputs: dict[str, list[str]]
+    manifest: Manifest
 
-
-def _parse_dump_output(command: str, output: str) -> DumpEvidence:
-    uuid = digest = ""
-    states = []
-    for line in output.splitlines():
-        if line.startswith("UUID:"):
-            uuid = line.split(":", 1)[1].strip()
-        elif line.startswith("MK digest:"):
-            digest = line.split(":", 1)[1].strip()
-        elif line.startswith("Key Slot "):
-            states.append(line.split(":", 1)[1].strip())
-    return DumpEvidence(command=command, uuid=uuid, mk_digest=digest,
-                        slot_states=tuple(states))
+    def last(self, command: str) -> str | None:
+        """The output of the last record of ``command``, or None."""
+        found = self.outputs.get(command)
+        return found[-1] if found else None
 
 
-def extract_evidence(log: SealingLog) -> LogEvidence:
-    evidence = LogEvidence()
+def extract_evidence(log: SealingLog, planned: Iterable[str]) -> LogEvidence:
+    """Index the log's records by command. A record whose command no plan step
+    produces is not evidence."""
+    outputs: dict[str, list[str]] = {command: [] for command in planned}
     manifest_lines: list[str] = []
     for record in log.records:
-        cmd = record.command
-        if cmd.startswith("cryptsetup luksDump"):
-            evidence.dumps.append(_parse_dump_output(cmd, record.output))
-        elif cmd == "cat /etc/passwd":
-            evidence.passwd_listings.append(
-                [l for l in record.output.splitlines() if l.strip()]
-            )
-        elif cmd.startswith("apt-get -y purge openssh-server"):
-            evidence.purge_seen = True
-        elif cmd.startswith("systemctl status sshd"):
-            evidence.ssh_status_outputs.append(record.output)
-        elif cmd.startswith("rhash"):
-            manifest_lines.extend(record.output.splitlines())
-    evidence.manifest = manifest_from_lines(manifest_lines)
-    return evidence
-
-
-def login_users_in_listing(lines: list[str]) -> list[str]:
-    users = []
-    for line in lines:
-        fields = line.split(":")
-        if len(fields) >= 7 and fields[-1] in LOGIN_SHELLS:
-            users.append(fields[0])
-    return users
+        if record.command in outputs:
+            outputs[record.command].append(record.output)
+            if record.command.startswith("rhash "):
+                manifest_lines.extend(record.output.splitlines())
+    return LogEvidence(outputs, manifest_from_lines(manifest_lines))
 
 
 # -- allowlist policy --------------------------------------------------------------
@@ -314,7 +276,7 @@ def _check_step_sequence(stage: Stage, policy: AllowlistPolicy, log: SealingLog,
             label = ("missing critical step" if command in policy.critical_commands
                      else "missing or out-of-order step")
             findings.append(Finding("ERROR", command, f"{label} in {stage.kind} log"))
-    for command in set(expected):
+    for command in dict.fromkeys(expected):
         if log_commands.count(command) > expected.count(command):
             findings.append(Finding(
                 "WARNING", command,
@@ -325,50 +287,54 @@ def _check_step_sequence(stage: Stage, policy: AllowlistPolicy, log: SealingLog,
 def _check_dump_evidence(stage: Stage, evidence: LogEvidence,
                          findings: list[Finding]) -> None:
     device = stage.root_device
-    dump = evidence.last_dump_for(device)
+    command = f"cryptsetup luksDump {device}"
+    dump = evidence.last(command)
     if dump is None:
         findings.append(Finding(
-            "ERROR", f"cryptsetup luksDump {device}",
-            f"{stage.kind} log carries no keyslot dump for {device}",
+            "ERROR", command, f"{stage.kind} log carries no keyslot dump for {device}",
         ))
         return
-    if not dump.all_empty:
-        active = [i for i, s in enumerate(dump.slot_states) if s != "EMPTY"]
+    states = [line.partition(":")[2].strip() for line in dump.splitlines()
+              if line.startswith("Key Slot ")]
+    active = [i for i, state in enumerate(states) if state != "EMPTY"]
+    if active or not states:
         findings.append(Finding(
-            "ERROR", device,
-            f"keyslots {active} still active after the {stage.kind} seal",
+            "ERROR", device, f"keyslots {active} still active after the {stage.kind} seal",
         ))
 
 
 def _check_passwd_evidence(stage: Stage, evidence: LogEvidence,
                            findings: list[Finding]) -> None:
-    if not evidence.passwd_listings:
+    listing = evidence.last("cat /etc/passwd")
+    if listing is None:
         findings.append(Finding(
             "ERROR", "cat /etc/passwd", f"{stage.kind} log carries no passwd listing"
         ))
         return
-    login_users = login_users_in_listing(evidence.passwd_listings[-1])
-    for user in login_users:
-        findings.append(Finding(
-            "ERROR", user, f"login-capable user survived the {stage.kind} seal"
-        ))
+    for line in listing.splitlines():
+        fields = line.split(":")
+        if len(fields) >= 7 and fields[-1] in LOGIN_SHELLS:
+            findings.append(Finding(
+                "ERROR", fields[0], f"login-capable user survived the {stage.kind} seal"
+            ))
 
 
 def _check_ssh_evidence(stage: Stage, evidence: LogEvidence,
                         findings: list[Finding]) -> None:
-    if not evidence.purge_seen:
+    if evidence.last("apt-get -y purge openssh-server") is None:
         findings.append(Finding(
             "ERROR", "apt-get -y purge openssh-server",
             f"{stage.kind} log carries no ssh purge step",
         ))
         return
-    if not evidence.ssh_status_outputs:
+    status = evidence.last("systemctl status sshd")
+    if status is None:
         findings.append(Finding(
             "ERROR", "systemctl status sshd",
             f"{stage.kind} log carries no ssh status probe",
         ))
         return
-    if "could not be found" not in evidence.ssh_status_outputs[-1]:
+    if "could not be found" not in status:
         findings.append(Finding(
             "ERROR", "sshd", f"ssh server still present after the {stage.kind} seal"
         ))
@@ -440,7 +406,8 @@ def verify_seal(host_images: DiskImagePair, vm_images: DiskImagePair,
     try:
         logs = {stage: parse_sealing_log(bundle.artifacts[stage.log_name].decode())
                 for stage in STAGES}
-        evidence = {stage: extract_evidence(log) for stage, log in logs.items()}
+        evidence = {stage: extract_evidence(log, policy.expected_commands.get(stage, ()))
+                    for stage, log in logs.items()}
     except (MalformedLog, ManifestError, UnicodeDecodeError) as exc:
         raise MalformedBundle(f"unparseable sealing log: {exc}") from exc
 

@@ -4,10 +4,14 @@ import hashlib
 import io
 import json
 import lzma
+import os
 import struct
+import subprocess
+import sys
 import zipfile
 import zlib
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -169,7 +173,8 @@ def test_log_missing_erase_line_parses_without_evidence():
     parsed = parse_sealing_log("\n".join(lines))
     assert not any(c.startswith("cryptsetup luksErase") for c in parsed.commands())
     assert f"cryptsetup luksDump {HOST.root_device}" in parsed.commands()
-    assert extract_evidence(parsed).last_dump_for(HOST.root_device) is not None
+    planned = default_policy(default_plan(SMALL)).expected_commands[HOST]
+    assert extract_evidence(parsed, planned).last(f"cryptsetup luksDump {HOST.root_device}")
 
 
 def test_garbage_log_is_malformed():
@@ -324,6 +329,15 @@ def test_rhash_line_without_separator_is_malformed():
         verify_seal(host_images, vm_images, PublishedBundle(artifacts=artifacts), policy)
 
 
+def test_an_unplanned_rhash_record_is_not_evidence():
+    """Its lines reach no manifest, so one without a separator is no malformed bundle."""
+    _, _, host_images, vm_images, bundle, policy = clean_run(65)
+    log = bundle.artifacts[HOST_LOG_NAME] + b"+ rhash --md5 /etc\nno separator here\n"
+    verdict = verify_seal(host_images, vm_images,
+                          PublishedBundle({**bundle.artifacts, HOST_LOG_NAME: log}), policy)
+    assert not any(f.subject.startswith("/") for f in verdict.findings)
+
+
 def test_non_utf8_host_log_is_malformed():
     _, _, host_images, vm_images, bundle, policy = clean_run(65)
     artifacts = dict(bundle.artifacts)
@@ -417,6 +431,28 @@ def _unlisted(path):
     return lambda output: "\n".join(l for l in output.splitlines() if not l.endswith(f"  {path}"))
 
 
+def _lookalike(command, rewrite, lookalike, honest=lambda output: output):
+    """The planned ``command``'s output rewritten, then a record of the unplanned
+    ``lookalike`` command carrying honest(the planned record's honest output)."""
+    return lambda r: ([replace(r, output=rewrite(r.output)),
+                       replace(r, command=lookalike, output=honest(r.output))]
+                      if r.command == command else [r])
+
+
+def _slot_0_active(output):
+    return output.replace("Key Slot 0: EMPTY", "Key Slot 0: ACTIVE")
+
+
+def _cron_lines(output):
+    return "\n".join(l for l in output.splitlines() if l.endswith("  /usr/sbin/cron"))
+
+
+def _cron_trojaned(output):
+    trojaned = hashlib.sha3_512(b"#!ELF trojaned cron binary\n").hexdigest()
+    return "\n".join(f"{trojaned}  /usr/sbin/cron" if l.endswith("  /usr/sbin/cron") else l
+                     for l in output.splitlines())
+
+
 @pytest.fixture(scope="module")
 def honest_seal():
     _, _, host_images, vm_images, bundle = build_sealed(69)
@@ -448,6 +484,19 @@ def honest_seal():
      "ERROR", "/usr/sbin/cron", "disappeared during the host seal"),
     (_log(VM_LOG_NAME, _with_output("rhash", _unlisted("/usr/sbin/cron"))),
      "ERROR", "/usr/sbin/cron", "disappeared during the vm seal"),
+    (_log(VM_LOG_NAME, _lookalike("systemctl status sshd", _sshd_running,
+                                  "systemctl status sshd.service")),
+     "ERROR", "sshd", "ssh server still present after the vm seal"),
+    (_log(HOST_LOG_NAME, _lookalike(f"cryptsetup luksDump {HOST.root_device}", _slot_0_active,
+                                    f"cryptsetup luksDump --header-backup-file x "
+                                    f"{HOST.root_device}")),
+     "ERROR", HOST.root_device, "keyslots [0] still active after the host seal"),
+    (_log(HOST_LOG_NAME, _lookalike("rhash -r --sha3-512 /usr/sbin", _cron_trojaned,
+                                    "rhash --sha3-512 /usr/sbin/cron", _cron_lines)),
+     "ERROR", "/usr/sbin/cron", "content changed across the host seal"),
+    (_log(HOST_LOG_NAME, _with_output(f"cryptsetup luksDump {HOST.root_device}",
+                                      lambda o: o.replace("Key Slot 3: EMPTY", "Key Slot 3"))),
+     "ERROR", HOST.root_device, "keyslots [3] still active after the host seal"),
     (lambda artifacts, keyfiles: {"etc-host.zip": b"not a zip archive\n"},
      "ERROR", "etc-host.zip", "archive cannot be read"),
     (_zip("etc-vm.zip", lambda members: members.update({"/etc/backdoor": b"x\n"})),
@@ -466,6 +515,8 @@ def honest_seal():
 ], ids=["duplicate-command", "no-keyslot-dump", "no-vm-keyslot-dump", "no-passwd-listing",
         "no-host-passwd-listing", "no-ssh-probe", "no-vm-ssh-probe", "ssh-still-present",
         "host-ssh-still-present", "file-disappeared", "vm-file-disappeared",
+        "lookalike-ssh-probe", "lookalike-keyslot-dump", "lookalike-rhash",
+        "keyslot-line-without-state",
         "archive-unreadable", "archive-added-file", "archive-changed-file",
         "archive-dropped-file", "archive-missing", "keyfile-leaked", "vm-keyfile-leaked"])
 def test_tampered_bundle_gives_its_finding(honest_seal, change, severity, subject, explanation):
@@ -480,6 +531,38 @@ def test_tampered_bundle_gives_its_finding(honest_seal, change, severity, subjec
     verdict = verify_seal(host_images, vm_images, PublishedBundle(artifacts), policy)
     assert Finding(severity, subject, explanation) in verdict.findings
     assert verdict.status == ("FAIL" if severity == "ERROR" else "PASS")
+
+
+DOUBLED = ("iptables-save", "iptables -L -n", "systemctl status sshd", "ls -RlA /")
+
+
+def doubled_record_findings() -> list[dict]:
+    """The findings, as JSON data, for the seed-69 seal whose host log holds each
+    record of a DOUBLED command twice."""
+    _, _, host_images, vm_images, bundle = build_sealed(69)
+    double = _log(HOST_LOG_NAME, lambda r: [r, r] if r.command in DOUBLED else [r])
+    artifacts = {**bundle.artifacts, **double(bundle.artifacts, ())}
+    verdict = verify_seal(host_images, vm_images, PublishedBundle(artifacts),
+                          default_policy(default_plan(SMALL)))
+    return verdict.to_dict()["findings"]
+
+
+def test_repeat_warnings_come_in_plan_order_under_any_hash_seed():
+    path = [str(Path(verifier.__file__).parents[1]), str(Path(__file__).parent),
+            os.environ.get("PYTHONPATH")]
+    runs = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import json, test_verifier; print(json.dumps(test_verifier.doubled_record_findings()))"],
+            capture_output=True, text=True, env=env, timeout=120, check=True)
+        runs.append(json.loads(done.stdout))
+    expected = [{"severity": "WARNING", "subject": command,
+                 "explanation": "appears more often in the host log than the plan requires"}
+                for command in DOUBLED]
+    assert runs == [expected, expected]
 
 
 def test_archive_findings_list_changed_then_added_then_removed(honest_seal):
