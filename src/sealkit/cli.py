@@ -37,14 +37,19 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="deterministic RNG seed")
-    parser.add_argument("--workdir", type=Path, default=Path("."),
-                        help="directory for images, bundle, and shares")
-    parser.add_argument("--config", type=Path, default=None,
-                        help="key-value config file")
-    parser.add_argument("--json", action="store_true",
-                        help="machine-readable report on stdout")
+_SHARED_FLAGS = {
+    "seed": dict(type=int, default=None, help="deterministic RNG seed"),
+    "workdir": dict(type=Path, default=Path("."),
+                    help="directory for images, bundle, and shares"),
+    "config": dict(type=Path, default=None, help="key-value config file"),
+    "json": dict(action="store_true", help="machine-readable report on stdout"),
+}
+
+
+def _flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Give ``parser`` the shared flags its handler reads, by name."""
+    for name in names:
+        parser.add_argument(f"--{name}", **_SHARED_FLAGS[name])
 
 
 def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
@@ -303,21 +308,21 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
         return None
 
     if p_build := subcommand("build", "prepare a server and write pre-seal images"):
-        _common_flags(p_build)
+        _flags(p_build, "seed", "workdir", "config", "json")
         p_build.set_defaults(func=cmd_build)
 
     if p_seal := subcommand("seal", "run the dual-stage seal and publish the bundle"):
-        _common_flags(p_seal)
+        _flags(p_seal, "seed", "workdir", "config", "json")
         p_seal.add_argument("--escrow", type=int, default=0, metavar="N",
                             help="split the VM key record into N escrow shares")
         p_seal.set_defaults(func=cmd_seal)
 
     if p_verify := subcommand("verify", "check the bundle against the pre-seal images"):
-        _common_flags(p_verify)
+        _flags(p_verify, "workdir", "config", "json")
         p_verify.set_defaults(func=cmd_verify)
 
     if p_restore := subcommand("restore", "restore the pre-seal state from images"):
-        _common_flags(p_restore)
+        _flags(p_restore, "seed", "workdir", "config", "json")
         p_restore.add_argument("--reseal", action="store_true",
                                help="immediately reseal after restoring")
         p_restore.set_defaults(func=cmd_restore)
@@ -336,18 +341,18 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
         p_escrow.set_defaults(func=cmd_escrow)
 
     if p_serve := subcommand("serve", "seal a server and answer line requests on stdin"):
-        _common_flags(p_serve)
+        _flags(p_serve, "seed", "config")
         p_serve.set_defaults(func=cmd_serve)
 
     if p_attack := subcommand("attack", "run a named attack scenario"):
         p_attack.add_argument("scenario", help="scenario name or 'all'")
-        _common_flags(p_attack)
+        _flags(p_attack, "seed", "config", "json")
         p_attack.set_defaults(func=cmd_attack)
 
     if p_manifest := subcommand("manifest", "compute the manifest of an image directory"):
         p_manifest.add_argument("imagedir")
         p_manifest.add_argument("-o", "--output", default=None)
-        _common_flags(p_manifest)
+        _flags(p_manifest, "config")
         p_manifest.set_defaults(func=cmd_manifest)
 
     return parser

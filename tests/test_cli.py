@@ -15,8 +15,13 @@ from sealkit.config import ConfigError, ServerConfig, parse_config
 from sealkit.sealing import HOST_LOG_NAME
 
 
+def wd(tmp_path, *extra):
+    """The workdir flag alone, for commands that draw no randomness (verify)."""
+    return ["--workdir", str(tmp_path), *extra]
+
+
 def ws(tmp_path, *extra):
-    return ["--workdir", str(tmp_path), "--seed", "21", *extra]
+    return wd(tmp_path, "--seed", "21", *extra)
 
 
 def seal_workdir(tmp_path):
@@ -72,12 +77,13 @@ def test_non_default_config_holds_through_the_image_path(tmp_path, capsys):
     conf = tmp_path / "alt.conf"
     conf.write_text(ALT_CONFIG)
     args = ws(tmp_path, "--config", str(conf), "--json")
+    verify_args = wd(tmp_path, "--config", str(conf), "--json")
     assert run_command(["build", *args]) == 0
     capsys.readouterr()
     assert run_command(["seal", *args]) == 0
     sealed = json.loads(capsys.readouterr().out)
     assert "virsh start tsvm2" in (tmp_path / "bundle" / HOST_LOG_NAME).read_text()
-    assert run_command(["verify", *args]) == 0
+    assert run_command(["verify", *verify_args]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "PASS"
     assert run_command(["restore", *args, "--reseal"]) == 0
     resealed = json.loads(capsys.readouterr().out)
@@ -89,7 +95,7 @@ def test_non_default_config_holds_through_the_image_path(tmp_path, capsys):
 
 def test_seal_then_verify_exits_zero(tmp_path, capsys):
     seal_workdir(tmp_path)
-    assert run_command(["verify", *ws(tmp_path)]) == 0
+    assert run_command(["verify", *wd(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "VERDICT: PASS" in out
 
@@ -102,7 +108,7 @@ def test_verify_tampered_bundle_exits_one(tmp_path, capsys):
         "\n".join(l for l in text.splitlines()
                   if not l.startswith("+ cryptsetup luksErase")) + "\n"
     )
-    assert run_command(["verify", *ws(tmp_path)]) == 1
+    assert run_command(["verify", *wd(tmp_path)]) == 1
     out = capsys.readouterr().out
     assert "missing critical step" in out
 
@@ -111,7 +117,7 @@ def test_verify_non_utf8_log_exits_one_as_malformed_bundle(tmp_path, capsys):
     seal_workdir(tmp_path)
     (tmp_path / "bundle" / HOST_LOG_NAME).write_bytes(b"+ iptables -P OUTPUT DROP\n\xff\xfe\n")
     capsys.readouterr()
-    assert run_command(["verify", *ws(tmp_path)]) == 1
+    assert run_command(["verify", *wd(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("verify: malformed bundle: ") and err.count("\n") == 1
     assert "Traceback" not in err
@@ -128,7 +134,7 @@ def test_verify_corrupt_image_exits_one_without_traceback(tmp_path, capsys, imag
     data = bytearray(path.read_bytes())
     data[offset] ^= 0xFF
     path.write_bytes(bytes(data))
-    assert run_command(["verify", *argv]) == 1
+    assert run_command(["verify", *wd(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("sealkit: ") and err.count("\n") == 1
     assert "Traceback" not in err
@@ -161,7 +167,7 @@ def test_verify_refuses_a_slot_kdf_count_past_the_limit_before_any_kdf(tmp_path,
         return kdf(passphrase, salt, iterations)
 
     monkeypatch.setattr(vol, "_kdf", bounded_kdf)
-    assert run_command(["verify", *ws(tmp_path)]) == 1
+    assert run_command(["verify", *wd(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err == f"sealkit: KDF iteration count {2**32 + 1} exceeds {vol.MAX_KDF_ITERATIONS}\n"
 
@@ -179,7 +185,7 @@ def test_verify_refuses_a_non_default_kdf_count_with_no_kdf_call(tmp_path, capsy
     _edit_host_root_header(tmp_path, edit)
     calls = []
     monkeypatch.setattr(vol, "_kdf", lambda *args: calls.append(args))
-    assert run_command(["verify", *ws(tmp_path)]) == 1
+    assert run_command(["verify", *wd(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err == ("verify: malformed bundle: the host pre-seal root asks for KDF iteration "
                    f"counts [{vol.DEFAULT_KDF_ITERATIONS}, {vol.MAX_KDF_ITERATIONS}], "
@@ -304,8 +310,8 @@ def test_per_command_parser_answers_as_the_full_parser(tmp_path, capsys, monkeyp
     calls = [
         ["build", *ws(tmp_path)],
         ["seal", *ws(tmp_path), "--escrow", "2"],
-        ["verify", *ws(tmp_path), "--json"],
-        ["verify", *ws(tmp_path)],
+        ["verify", *wd(tmp_path), "--json"],
+        ["verify", *wd(tmp_path)],
         ["seal", "--definitely-not-a-flag"],
         ["attack", "all", "--json"],
         ["--help"],
@@ -342,6 +348,21 @@ def test_a_command_builds_only_its_own_subparser():
     assert all(parser._actions for parser in everything.choices.values())
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("build", {"--seed", "--workdir", "--config", "--json"}),
+    ("seal", {"--seed", "--workdir", "--config", "--json", "--escrow"}),
+    ("verify", {"--workdir", "--config", "--json"}),
+    ("restore", {"--seed", "--workdir", "--config", "--json", "--reseal"}),
+    ("serve", {"--seed", "--config"}),
+    ("attack", {"--seed", "--config", "--json"}),
+    ("manifest", {"--config", "--output"}),
+])
+def test_a_command_takes_only_the_flags_its_handler_reads(command, flags):
+    parser = cli.build_parser([command])._subparsers._group_actions[0].choices[command]
+    taken = {o for action in parser._actions for o in action.option_strings if o.startswith("--")}
+    assert taken == flags | {"--help"}
+
+
 def test_attack_unknown_scenario_exits_two(capsys):
     assert run_command(["attack", "voodoo"]) == 2
 
@@ -362,7 +383,7 @@ def test_manifest_subcommand(tmp_path, capsys):
 def test_verify_json_output(tmp_path, capsys):
     seal_workdir(tmp_path)
     capsys.readouterr()
-    assert run_command(["verify", *ws(tmp_path), "--json"]) == 0
+    assert run_command(["verify", *wd(tmp_path), "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "PASS"
     assert "/etc/passwd" in doc["policy"]["may_change"]  # reviewable allowlist
@@ -376,7 +397,7 @@ def test_verify_into_a_closed_pipe_exits_one_without_traceback(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
     try:
-        done = subprocess.run([sys.executable, "-m", "sealkit", "verify", *ws(tmp_path), "--json"],
+        done = subprocess.run([sys.executable, "-m", "sealkit", "verify", *wd(tmp_path), "--json"],
                               stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
     finally:
         os.close(write_end)

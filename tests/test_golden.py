@@ -106,7 +106,7 @@ def test_cli_build_seal_seed_1_bundle_digest(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["bundle_index_digest"] == CLI_SEED1_INDEX
     # The verdict and the policy it was checked against; no workdir path in it.
-    assert run_command(["verify", *argv, "--json"]) == 0
+    assert run_command(["verify", "--workdir", str(tmp_path), "--json"]) == 0
     verify_out = capsys.readouterr().out
     assert hashlib.sha3_512(verify_out.encode()).hexdigest() == CLI_SEED1_VERIFY_JSON
 
