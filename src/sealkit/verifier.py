@@ -276,7 +276,7 @@ def _check_step_sequence(stage: Stage, policy: AllowlistPolicy, log: SealingLog,
             label = ("missing critical step" if command in policy.critical_commands
                      else "missing or out-of-order step")
             findings.append(Finding("ERROR", command, f"{label} in {stage.kind} log"))
-    for command in dict.fromkeys(expected):
+    for command in dict.fromkeys(expected):  # plan order, whatever the string hash seed
         if log_commands.count(command) > expected.count(command):
             findings.append(Finding(
                 "WARNING", command,

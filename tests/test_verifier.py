@@ -556,7 +556,7 @@ def test_repeat_warnings_come_in_plan_order_under_any_hash_seed():
                "PYTHONPATH": os.pathsep.join(filter(None, path))}
         done = subprocess.run(
             [sys.executable, "-c",
-             "import json, test_verifier; print(json.dumps(test_verifier.doubled_record_findings()))"],
+             "import json, test_verifier as t; print(json.dumps(t.doubled_record_findings()))"],
             capture_output=True, text=True, env=env, timeout=120, check=True)
         runs.append(json.loads(done.stdout))
     expected = [{"severity": "WARNING", "subject": command,
