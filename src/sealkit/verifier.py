@@ -279,7 +279,7 @@ def _check_step_sequence(stage: Stage, policy: AllowlistPolicy, log: SealingLog,
     for command in dict.fromkeys(expected):  # plan order, whatever the string hash seed
         if log_commands.count(command) > expected.count(command):
             findings.append(Finding(
-                "WARNING", command,
+                "ERROR", command,
                 f"appears more often in the {stage.kind} log than the plan requires",
             ))
 

@@ -432,8 +432,8 @@ def _unlisted(path):
 
 
 def _lookalike(command, rewrite, lookalike, honest=lambda output: output):
-    """The planned ``command``'s output rewritten, then a record of the unplanned
-    ``lookalike`` command carrying honest(the planned record's honest output)."""
+    """The planned ``command``'s output rewritten, then a record of ``lookalike`` (an
+    unplanned command, or ``command`` again) carrying honest(the honest output)."""
     return lambda r: ([replace(r, output=rewrite(r.output)),
                        replace(r, command=lookalike, output=honest(r.output))]
                       if r.command == command else [r])
@@ -461,7 +461,7 @@ def honest_seal():
 
 @pytest.mark.parametrize("change, severity, subject, explanation", [
     (_log(HOST_LOG_NAME, lambda r: [r, r] if r.command == "iptables-save" else [r]),
-     "WARNING", "iptables-save", "appears more often in the host log than the plan requires"),
+     "ERROR", "iptables-save", "appears more often in the host log than the plan requires"),
     (_log(HOST_LOG_NAME, _drop(f"cryptsetup luksDump {HOST.root_device}")),
      "ERROR", f"cryptsetup luksDump {HOST.root_device}",
      f"host log carries no keyslot dump for {HOST.root_device}"),
@@ -494,6 +494,10 @@ def honest_seal():
     (_log(HOST_LOG_NAME, _lookalike("rhash -r --sha3-512 /usr/sbin", _cron_trojaned,
                                     "rhash --sha3-512 /usr/sbin/cron", _cron_lines)),
      "ERROR", "/usr/sbin/cron", "content changed across the host seal"),
+    (_log(HOST_LOG_NAME, _lookalike("rhash -r --sha3-512 /usr/sbin", _cron_trojaned,
+                                    "rhash -r --sha3-512 /usr/sbin", _cron_lines)),
+     "ERROR", "rhash -r --sha3-512 /usr/sbin",
+     "appears more often in the host log than the plan requires"),
     (_log(HOST_LOG_NAME, _with_output(f"cryptsetup luksDump {HOST.root_device}",
                                       lambda o: o.replace("Key Slot 3: EMPTY", "Key Slot 3"))),
      "ERROR", HOST.root_device, "keyslots [3] still active after the host seal"),
@@ -515,7 +519,7 @@ def honest_seal():
 ], ids=["duplicate-command", "no-keyslot-dump", "no-vm-keyslot-dump", "no-passwd-listing",
         "no-host-passwd-listing", "no-ssh-probe", "no-vm-ssh-probe", "ssh-still-present",
         "host-ssh-still-present", "file-disappeared", "vm-file-disappeared",
-        "lookalike-ssh-probe", "lookalike-keyslot-dump", "lookalike-rhash",
+        "lookalike-ssh-probe", "lookalike-keyslot-dump", "lookalike-rhash", "repeated-rhash",
         "keyslot-line-without-state",
         "archive-unreadable", "archive-added-file", "archive-changed-file",
         "archive-dropped-file", "archive-missing", "keyfile-leaked", "vm-keyfile-leaked"])
@@ -547,7 +551,7 @@ def doubled_record_findings() -> list[dict]:
     return verdict.to_dict()["findings"]
 
 
-def test_repeat_warnings_come_in_plan_order_under_any_hash_seed():
+def test_repeat_errors_come_in_plan_order_under_any_hash_seed():
     path = [str(Path(verifier.__file__).parents[1]), str(Path(__file__).parent),
             os.environ.get("PYTHONPATH")]
     runs = []
@@ -559,7 +563,7 @@ def test_repeat_warnings_come_in_plan_order_under_any_hash_seed():
              "import json, test_verifier as t; print(json.dumps(t.doubled_record_findings()))"],
             capture_output=True, text=True, env=env, timeout=120, check=True)
         runs.append(json.loads(done.stdout))
-    expected = [{"severity": "WARNING", "subject": command,
+    expected = [{"severity": "ERROR", "subject": command,
                  "explanation": "appears more often in the host log than the plan requires"}
                 for command in DOUBLED]
     assert runs == [expected, expected]
