@@ -3,10 +3,12 @@
 A machine is an unencrypted boot partition (file tree holding the keyfile),
 an encrypted root volume whose plaintext is the canonical encoding of the
 root file tree, and volatile RAM state (unlocked handles, working tree,
-runtime services/firewall). Tree mutations while powered on are written
-through to the root volume sector by sector. A :class:`Stage` record,
-``HOST`` or ``VM``, holds all that sets one machine apart from the other:
-where its boot files live, the rules it boots with, what its seal lists.
+runtime services/firewall). RAM state exists exactly while the machine is on:
+powering off drops it, and the master key with it. Tree mutations while
+powered on are written through to the root volume sector by sector. A
+:class:`Stage` record, ``HOST`` or ``VM``, holds all that sets one machine
+apart from the other: where its boot files live, the rules it boots with,
+what its seal lists.
 
 Each machine is single-threaded: the simulation advances only through
 explicit operation calls, and a machine must never be shared mutably.
@@ -83,6 +85,7 @@ VM = Stage(kind="vm", root_device="/dev/vda2", home="/home/trust",
 STAGES = (HOST, VM)  # in the order they seal
 
 VM_ROOT_DEVICE_FROM_HOST = "/dev/sdb2"
+SSHD = "/usr/sbin/sshd"
 HOST_LOG_NAME = HOST.log_name
 VM_LOG_NAME = VM.log_name
 
@@ -112,24 +115,9 @@ class MailMessage:
 
 
 @dataclass
-class ServiceState:
-    ssh: str = "installed"  # "installed" | "purged"
-    web: str = "stopped"  # "stopped" | "running"
-    cron_reboot: list[str] = field(default_factory=list)
-    mailer: list[MailMessage] = field(default_factory=list)
-
-
-@dataclass
 class FirewallPolicy:
     input_rules: list[str] = field(default_factory=list)
     output_policy: str = "ACCEPT"
-
-
-@dataclass(frozen=True)
-class BootReport:
-    machine: str
-    unlocked: bool
-    cron_commands: tuple[str, ...]
 
 
 @dataclass
@@ -154,10 +142,11 @@ class SealingStep:
 @dataclass
 class RamState:
     handle: UnlockedVolume
-    tree: FileTree
-    services: ServiceState
+    tree: FileTree  # sshd counts as installed while SSHD is a regular file in it
     firewall: FirewallPolicy
     content: bytes  # the root volume's plaintext is this, then zeros to capacity
+    web: str = "stopped"  # "stopped" | "running"
+    mailer: list[MailMessage] = field(default_factory=list)
     vault_handles: list[UnlockedVolume] = field(default_factory=list)
     vm_start_requested: bool = False
     publish_log_requested: bool = False
@@ -293,7 +282,6 @@ class Machine:
         self.rng = rng
         self.clock = clock
         self.config = config
-        self.power = "off"
         self.ram: RamState | None = None
         self.nested_vm: Machine | None = None
         self._install(images)
@@ -310,13 +298,13 @@ class Machine:
 
     @property
     def is_on(self) -> bool:
-        return self.power == "on"
+        return self.ram is not None
 
     @property
     def is_sealed(self) -> bool:
         return all(slot.state != "active" for slot in self.root_volume.header.slots)
 
-    def boot(self) -> BootReport:
+    def boot(self) -> None:
         if self.is_on:
             raise MachineRunning(f"{self.name} is already powered on")
         try:
@@ -330,28 +318,12 @@ class Machine:
         tree, image = read_volume_tree(handle)
         content = bytes(image.rstrip(b"\x00"))
 
-        services = ServiceState()
-        services.ssh = "installed" if tree.is_file("/usr/sbin/sshd") else "purged"
-        cron = tree.file_bytes(self.stage.cron_script) or b""
-        services.cron_reboot = [
-            line for line in cron.decode().splitlines()
-            if line.strip() and not line.startswith("#")
-        ]
-
         firewall = FirewallPolicy()
         rules = tree.file_bytes(self.stage.rules_file)
         if rules is not None:
             firewall.input_rules, firewall.output_policy = parse_iptables_save(rules.decode())
 
-        self.ram = RamState(
-            handle=handle, tree=tree, services=services,
-            firewall=firewall, content=content,
-        )
-        self.power = "on"
-        return BootReport(
-            machine=self.name, unlocked=True,
-            cron_commands=tuple(services.cron_reboot),
-        )
+        self.ram = RamState(handle=handle, tree=tree, firewall=firewall, content=content)
 
     def power_off(self) -> None:
         """Clear RAM: the master key vanishes, all handles go stale."""
@@ -360,7 +332,6 @@ class Machine:
             for h in self.ram.vault_handles:
                 h.invalidate()
         self.ram = None
-        self.power = "off"
         if self.nested_vm is not None:
             self.nested_vm.power_off()
 
@@ -476,13 +447,11 @@ class Machine:
         return "", 0
 
     def _step_purge_ssh(self, ram, args):
-        if ram.services.ssh == "purged":
+        if not ram.tree.is_file(SSHD):
             return "Package 'openssh-server' is not installed, so not removed.", 0
-        if ram.tree.exists("/usr/sbin/sshd"):
-            self.remove_path("/usr/sbin/sshd")
+        self.remove_path(SSHD)
         if ram.tree.exists("/etc/ssh"):
             self.remove_path("/etc/ssh")
-        ram.services.ssh = "purged"
         return (
             "Reading package lists...\n"
             "Removing openssh-server ...\n"
@@ -490,7 +459,7 @@ class Machine:
         ), 0
 
     def _step_service_status(self, ram, args):
-        if ram.services.ssh == "purged":
+        if not ram.tree.is_file(SSHD):
             return "Unit sshd.service could not be found.", 4
         return (
             "* sshd.service - OpenBSD Secure Shell server\n"
@@ -596,7 +565,7 @@ class Machine:
     def _step_send_mail(self, ram, args):
         body_path = args.get("body_path")
         body = (ram.tree.file_bytes(body_path) or b"") if body_path else b""
-        ram.services.mailer.append(
+        ram.mailer.append(
             MailMessage(to=args["to"], subject=args["subject"], body=body.decode())
         )
         return "", 0
@@ -608,7 +577,7 @@ class Machine:
         return f"Domain '{args.get('name', self.nested_vm.name)}' started", 0
 
     def _step_start_web(self, ram, args):
-        ram.services.web = "running"
+        ram.web = "running"
         return "", 0
 
 

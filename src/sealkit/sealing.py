@@ -458,7 +458,7 @@ class PublishedBundle:
 def publish_bundle(vm: Machine) -> PublishedBundle:
     if not vm.is_on or not vm.is_sealed:
         raise ProtocolError("bundle can only be published from a sealed, running VM")
-    if vm.ram.services.web != "running":
+    if vm.ram.web != "running":
         raise ProtocolError("web service is not running")
 
     webroot = vm.config.webroot

@@ -204,7 +204,7 @@ def _parse_replica(text: str) -> CredentialDirectory:
 
 
 class ServiceFrontend:
-    """Typed request surface of a sealed VM, with an audit hook.
+    """Typed request surface of a sealed VM.
 
     Mutations run in arrival order (the caller is the single queue). The
     ranking table and the replica are parsed once per stored version: the
@@ -217,23 +217,17 @@ class ServiceFrontend:
 
     def __init__(self, machine: Machine, *,
                  primary_directory: CredentialDirectory | None = None,
-                 upstream: UpstreamResolver | None = None,
-                 audit_hook=None):
+                 upstream: UpstreamResolver | None = None):
         self.machine = machine
         self.primary_directory = primary_directory
         self.upstream = upstream
-        self.audit_hook = audit_hook
         self._parsed: dict[str, tuple[bytes, object]] = {}  # path -> (stored bytes, parse)
 
     # -- helpers -------------------------------------------------------------
 
-    def _audit(self, request: str, response: str) -> None:
-        if self.audit_hook is not None:
-            self.audit_hook(request, response)
-
     def _require_sealed_web(self) -> None:
         m = self.machine
-        if not m.is_on or not m.is_sealed or m.ram.services.web != "running":
+        if not m.is_on or not m.is_sealed or m.ram.web != "running":
             raise NotSealed("service requires a sealed server with the web service up")
 
     def _auth_configured(self) -> bool:
@@ -293,7 +287,7 @@ class ServiceFrontend:
             body=body,
             return_address=return_address,
         )
-        self.machine.ram.services.mailer.append(message)
+        self.machine.ram.mailer.append(message)
         return message
 
     def sync_credentials(self) -> str:
@@ -325,11 +319,9 @@ class ServiceFrontend:
         """One request, one response. See the CLI ``serve`` loop."""
         request = line.strip()
         try:
-            response = self._dispatch(request)
+            return self._dispatch(request)
         except ServiceError as exc:
-            response = f"ERR {type(exc).__name__}: {exc}"
-        self._audit(request, response)
-        return response
+            return f"ERR {type(exc).__name__}: {exc}"
 
     def _dispatch(self, request: str) -> str:
         if not request:

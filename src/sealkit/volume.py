@@ -237,18 +237,16 @@ class EncryptedVolume:
 
 @dataclass
 class UnlockedVolume:
-    """Volatile handle: the master key lives here and nowhere persistent."""
+    """Volatile handle, live while it holds the master key: nothing persistent does."""
 
     volume: EncryptedVolume
     key: MasterKey | None = field(repr=False)
-    valid: bool = True
     cipher: AESGCM | None = field(init=False, repr=False)
 
     def __post_init__(self):
         self.cipher = AESGCM(_data_key(self.key.data))
 
     def invalidate(self) -> None:
-        self.valid = False
         self.key = None
         self.cipher = None
 
@@ -330,7 +328,7 @@ def unlock(volume: EncryptedVolume, keyfile: Keyfile) -> UnlockedVolume:
 
 
 def _check_handle(handle: UnlockedVolume, index: int) -> None:
-    if not handle.valid:
+    if handle.cipher is None:
         raise StaleHandle("handle invalidated (power loss or reboot)")
     if not 0 <= index < handle.volume.sector_count:
         raise OutOfRange(f"sector {index} outside 0..{handle.volume.sector_count - 1}")
@@ -338,7 +336,7 @@ def _check_handle(handle: UnlockedVolume, index: int) -> None:
 
 def read_sector(handle: UnlockedVolume, index: int) -> bytes:
     volume = handle.volume
-    if not (handle.valid and 0 <= index < volume.header.sector_count):
+    if handle.cipher is None or not 0 <= index < volume.header.sector_count:
         _check_handle(handle, index)
     record = volume.sectors[index]
     try:
@@ -350,7 +348,7 @@ def read_sector(handle: UnlockedVolume, index: int) -> bytes:
 
 def write_sector(handle: UnlockedVolume, index: int, plaintext: bytes) -> None:
     volume = handle.volume
-    if not (handle.valid and 0 <= index < volume.header.sector_count):
+    if handle.cipher is None or not 0 <= index < volume.header.sector_count:
         _check_handle(handle, index)
     if len(plaintext) != SECTOR_BYTES:
         raise VolumeError(f"plaintext must be exactly {SECTOR_BYTES} bytes")

@@ -39,10 +39,10 @@ def step(kind, command="", **args):
 
 def test_boot_runs_cron_commands():
     host = build_server(1)
-    report = host.boot()
-    assert report.unlocked
-    assert any("iptables-restore" in c for c in report.cron_commands)
-    assert any("init_trusted_mode" in c for c in report.cron_commands)
+    host.boot()
+    cron = host.ram.tree.read_text(host.stage.cron_script)
+    assert "iptables-restore" in cron
+    assert "init_trusted_mode" in cron
 
 
 def test_boot_sealed_machine_is_cold():
@@ -69,7 +69,7 @@ def test_power_off_is_idempotent():
     host = build_server(4)
     host.power_off()
     host.power_off()
-    assert host.power == "off"
+    assert not host.is_on
 
 
 def test_power_off_invalidates_handles():
@@ -77,7 +77,6 @@ def test_power_off_invalidates_handles():
     host.boot()
     handle = host.ram.handle
     host.power_off()
-    assert not handle.valid
     assert handle.cipher is None and handle.key is None
     assert host.ram is None
     with pytest.raises(vol.StaleHandle):
@@ -89,7 +88,7 @@ def test_power_off_cascades_to_nested_vm():
     host.boot()
     host.nested_vm.boot()
     host.power_off()
-    assert host.nested_vm.power == "off"
+    assert not host.nested_vm.is_on
 
 
 def test_power_cycle_preserves_persistent_state():
@@ -141,10 +140,32 @@ def test_purge_ssh_removes_service_and_files():
     host = build_server(10)
     host.boot()
     assert host.exec_step(step("purge_ssh")).ok
-    assert host.ram.services.ssh == "purged"
     assert not host.ram.tree.exists("/usr/sbin/sshd")
     probe = host.exec_step(step("service_status"))
     assert "could not be found" in probe.output
+
+
+def test_ssh_steps_on_a_vm_that_boots_without_sshd():
+    vm = build_server(11).nested_vm
+    vm.boot()
+    vm.remove_path("/usr/sbin/sshd")
+    vm.power_off()
+    vm.boot()  # the disk it boots from holds no sshd
+    purge = vm.exec_step(step("purge_ssh"))
+    assert (purge.output, purge.exit_status) == (
+        "Package 'openssh-server' is not installed, so not removed.", 0)
+    probe = vm.exec_step(step("service_status"))
+    assert (probe.output, probe.exit_status) == ("Unit sshd.service could not be found.", 4)
+
+
+def test_sshd_written_back_after_the_purge_reports_running():
+    """sshd counts as installed while /usr/sbin/sshd is a regular file in the RAM tree."""
+    host = build_server(12)
+    host.boot()
+    assert host.exec_step(step("purge_ssh")).ok
+    host.write_file("/usr/sbin/sshd", b"#!ELF sshd\n")
+    probe = host.exec_step(step("service_status"))
+    assert probe.ok and "Active: active (running)" in probe.output
 
 
 def test_delete_input_rule_shifts_indices():
@@ -311,8 +332,9 @@ def test_restore_after_sealing_makes_machine_bootable():
     host.power_off()
     host.restore_image(images)
     host.nested_vm.restore_image(vm_images)
-    assert host.boot().unlocked
-    assert host.nested_vm.boot().unlocked
+    host.boot()
+    host.nested_vm.boot()
+    assert host.is_on and host.nested_vm.is_on
 
 
 def test_restore_rejects_geometry_mismatch():

@@ -169,7 +169,7 @@ def test_read_requests_leave_persistent_state_unchanged(line, response, monkeypa
     calls.clear()
     before = manifest_of(vm)
     content, sectors = vm.ram.content, list(vm.root_volume.sectors)
-    outbox = len(vm.ram.services.mailer)
+    outbox = len(vm.ram.mailer)
 
     assert frontend.handle_line(line) == response
     assert manifest_of(vm) == before  # manifest-equality oracle
@@ -177,7 +177,7 @@ def test_read_requests_leave_persistent_state_unchanged(line, response, monkeypa
     assert len(vm.root_volume.sectors) == len(sectors)
     assert all(a is b for a, b in zip(vm.root_volume.sectors, sectors))
     assert calls == Counter()  # no read_sector, no write_sector
-    assert len(vm.ram.services.mailer) == outbox + line.startswith("MAIL")
+    assert len(vm.ram.mailer) == outbox + line.startswith("MAIL")
 
 
 def test_maildrop_includes_return_address_when_given():
@@ -322,7 +322,7 @@ def test_vault_key_must_be_reuploaded_after_power_loss():
     seal_all(host)
     handle = vault_attach(vm, key)
     host.power_off()
-    assert not handle.valid
+    assert handle.cipher is None and handle.key is None
     # the server itself is sealed: it cannot come back, so neither can the vault
     from sealkit.machine import SealedAndCold
 
@@ -370,24 +370,16 @@ def test_line_protocol_round_trip():
     assert frontend.handle_line("SUBMIT too few").startswith("ERR usage")
 
 
-def test_line_protocol_auth_and_audit():
+def test_line_protocol_auth():
     rng = make_rng(16)
     primary = CredentialDirectory()
     primary.add_user("alice", "pw", rng)
-    audit: list[tuple[str, str]] = []
-    vm, frontend = sealed_frontend(
-        96, primary_directory=primary,
-        audit_hook=lambda req, resp: audit.append((req, resp)),
-    )
+    vm, frontend = sealed_frontend(96, primary_directory=primary)
     assert frontend.handle_line("SYNC") == "OK 1"
     assert frontend.handle_line("AUTH alice pw") == "OK accept"
     assert frontend.handle_line("AUTH alice bad") == "OK reject"
     assert frontend.handle_line("SUBMIT Eve 5").startswith("ERR AuthRequired")
     assert frontend.handle_line("SUBMIT Alice 5 alice pw") == "OK 0"
-    assert [req for req, _ in audit] == [
-        "SYNC", "AUTH alice pw", "AUTH alice bad", "SUBMIT Eve 5",
-        "SUBMIT Alice 5 alice pw",
-    ]
 
 
 @pytest.mark.parametrize("sealed", [False, True], ids=["unbooted", "sealed-then-off"])
@@ -410,7 +402,7 @@ def test_frontend_reads_its_settings_from_the_machine_config():
     upstream = UpstreamResolver(table={"example.org": "93.184.216.34"})
     frontend = ServiceFrontend(vm, upstream=upstream)
     assert frontend.handle_line("MAIL nick|hello") == "OK sent"
-    assert vm.ram.services.mailer[-1].to == "desk@example.net"
+    assert vm.ram.mailer[-1].to == "desk@example.net"
     assert frontend.handle_line("RESOLVE example.org") == "OK 93.184.216.34"
     assert upstream.query_log == [("198.51.100.7", "example.org")]
     for line in ("SUBMIT Alice 500", "SUBMIT Bob 900", "SUBMIT Carol 100"):

@@ -109,7 +109,7 @@ def test_format_fresh_volume_reads_zero_sectors(rng):
 def test_format_returns_live_handle_on_new_volume(rng):
     keyfile = Keyfile.generate(rng)
     handle = vol.format_volume(2, keyfile, rng, kdf_iterations=FAST)
-    assert handle.valid
+    assert handle.cipher is not None
     assert handle.key.data == vol.unlock(handle.volume, keyfile).key.data
     assert vol.read_sector(handle, 1) == b"\x00" * SECTOR_BYTES
 
@@ -162,7 +162,7 @@ def test_format_rejects_zero_sectors(rng):
 def test_unlock_round_trip(rng):
     volume, keyfile = make_volume(rng)
     handle = vol.unlock(volume, keyfile)
-    assert handle.valid
+    assert handle.cipher is not None
 
 
 def test_unlock_wrong_keyfile(rng):
@@ -183,7 +183,7 @@ def test_unlock_rejects_1000_random_wrong_keyfiles(rng):
     for _ in range(1000):
         with pytest.raises(NoMatchingSlot):
             vol.unlock(volume, Keyfile.generate(rng))
-    assert vol.unlock(volume, keyfile).valid
+    assert vol.unlock(volume, keyfile).cipher is not None
 
 
 # -- slot KDF ----------------------------------------------------------------
@@ -652,7 +652,7 @@ def test_backup_erase_restore_reopens_volume(rng):
     with pytest.raises(KeyslotsEmpty):
         vol.unlock(volume, keyfile)
     vol.restore_header(volume, backup)
-    assert vol.unlock(volume, keyfile).valid
+    assert vol.unlock(volume, keyfile).cipher is not None
 
 
 def test_backup_is_deep_copy_and_byte_identical(rng):
