@@ -18,10 +18,11 @@ END_TO_END = [
 ]
 
 
-def run(ops_per_s: float, write_p50_ms: float, failed: int = 0) -> dict:
+def run(ops_per_s: float, write_p50_ms: float, failed: int = 0,
+        attempted: int = 100) -> dict:
     return {"returncode": 0,
             "context": {"details": {"cycles": 10}},
-            "result": {"failed": failed,
+            "result": {"attempted": attempted, "failed": failed,
                        "metrics": {"ops_per_s": {"value": ops_per_s},
                                    "write_p50_ms": {"value": write_p50_ms}}}}
 
@@ -45,7 +46,18 @@ def test_summary_gives_medians_wins_and_the_bound_per_metric():
     assert write["change_better_pairs"] == 0
     assert write["worse_than_bound"] is False
     assert summary["details.cycles"] == {"parent_median": 10, "change_median": 10}
+    assert summary["attempted"] == {"parent": 400, "change": 400}
     assert summary["failed"] == {"parent": 0, "change": 0}
+
+
+def test_summary_sums_attempted_and_failed_operations_per_side():
+    pairs = pairs_of([(10.0, 100.0)] * 3, [(10.0, 100.0)] * 3)
+    for i, pair in enumerate(pairs):
+        pair["parent"]["result"].update(attempted=100 + i, failed=i)
+        pair["change"]["result"].update(attempted=50, failed=1)
+    summary = bench_pairs.summarize(pairs, END_TO_END)
+    assert summary["attempted"] == {"parent": 303, "change": 150}
+    assert summary["failed"] == {"parent": 3, "change": 3}
 
 
 @pytest.mark.parametrize("parent, change, marked", [

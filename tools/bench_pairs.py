@@ -18,7 +18,8 @@ metric's ``bound`` in ``BENCHMARK.json`` (a fraction of the parent median), and
 both medians of the work each run's context line counts (``details.cycles``
 on the cycle workloads, ``details.sessions`` on serve), so a metric that
 follows the amount of work done, such as serve's ``peak_rss_mb``, can be read
-against it.
+against it. Per side it also sums the operations the runs attempted and those
+that failed, so each side's share of failed operations can be read from it.
 """
 
 from __future__ import annotations
@@ -80,8 +81,9 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
                 f"{side}_median": statistics.median(p[side]["context"]["details"][count]
                                                     for p in pairs)
                 for side in ("parent", "change")}
-    summary["failed"] = {side: sum(p[side]["result"]["failed"] for p in pairs)
-                         for side in ("parent", "change")}
+    for count in ("attempted", "failed"):
+        summary[count] = {side: sum(p[side]["result"][count] for p in pairs)
+                          for side in ("parent", "change")}
     return summary
 
 
