@@ -43,6 +43,7 @@ from sealkit.sealing import (
     default_plan,
     render_log,
     seal_all,
+    single_stage_host_plan,
 )
 from sealkit.tree import FileTree, TreeError
 from sealkit.verifier import (
@@ -252,6 +253,89 @@ def test_policy_dict_shows_every_field_the_checks_read():
     assert doc["archives"][0] == {"name": "etc-host.zip", "stage": "host", "root": "/etc"}
     assert [tuple(a.values()) for a in doc["archives"]] == [
         (name, stage.kind, root) for name, stage, root in policy.archives]
+
+
+_HASH_ROOTS = [{"path": path, "recursive": path != "/usr/bin"} for path in (
+    "/boot", "/etc", "/home", "/lib", "/root", "/sbin", "/srv", "/tmp", "/usr/bin",
+    "/usr/lib", "/usr/local", "/usr/sbin", "/usr/share", "/var")]
+_TREE_EVIDENCE = [
+    "ls -RlA /",
+    "rhash -r --sha3-512 /boot", "rhash -r --sha3-512 /etc", "rhash -r --sha3-512 /home",
+    "rhash -r --sha3-512 /lib", "rhash -r --sha3-512 /root", "rhash -r --sha3-512 /sbin",
+    "rhash -r --sha3-512 /srv", "rhash -r --sha3-512 /tmp", "rhash --sha3-512 /usr/bin/*",
+    "rhash -r --sha3-512 /usr/lib", "rhash -r --sha3-512 /usr/local",
+    "rhash -r --sha3-512 /usr/sbin", "rhash -r --sha3-512 /usr/share",
+    "rhash -r --sha3-512 /var",
+]
+_HOST_LOCKDOWN = [
+    "iptables -P OUTPUT DROP", "iptables -D INPUT 4", "iptables-save", "iptables -L -n",
+    "cat /etc/hosts.allow", "cat /etc/hosts.deny", "apt-get -y purge openssh-server",
+    "systemctl status sshd", "userdel -f trust", "cat /etc/passwd", "cat /etc/shadow",
+    "cryptsetup luksErase /dev/sda2", "cryptsetup luksDump /dev/sda2",
+]
+
+
+def pinned_dual_stage_policy(w: str) -> dict:
+    """``default_policy(default_plan(...)).to_dict()`` at SMALL with webroot ``w``."""
+    return {
+        "may_change": ["/etc/group", "/etc/passwd", "/etc/shadow"],
+        "may_add": ["/home/trust/date.txt", f"{w}/*", f"{w}/etc-vm.zip", f"{w}/ldap.txt",
+                    f"{w}/trust-vm.zip"],
+        "may_remove": ["/etc/hosts.allow", "/etc/ssh/*", "/usr/sbin/sshd"],
+        "expected_host_commands": [
+            *_HOST_LOCKDOWN,
+            "cryptsetup luksDump /dev/sdb2",
+            "cryptsetup-reencrypt -v -d /mnt/keyfile -l 512 /dev/sdb2",
+            "cryptsetup luksDump /dev/sdb2",
+            "zip -r /mnt/etc-host.zip /etc", "zip -r /mnt/root-host.zip /root",
+            *_TREE_EVIDENCE,
+            "cp /root/0_init_trusted_mode_host.log /mnt", "virsh start tsvm",
+        ],
+        "expected_vm_commands": [
+            "rm /etc/hosts.allow", "iptables -P OUTPUT DROP", "iptables -D INPUT 5",
+            "iptables-save", "iptables -L -n", "cat /etc/hosts.allow", "cat /etc/hosts.deny",
+            "apt-get -y purge openssh-server", "systemctl status sshd", "userdel -f trust",
+            "cat /etc/passwd", "cat /etc/group", "cat /etc/shadow",
+            "cryptsetup luksErase /dev/vda2", "cryptsetup luksDump /dev/vda2",
+            f"mv /boot/0_init_trusted_mode_host.log {w}", f"mv /boot/etc-host.zip {w}",
+            f"mv /boot/root-host.zip {w}", "chown www-data:www-data /var/www",
+            f"zip -r {w}/etc-vm.zip /etc", f"zip -r {w}/trust-vm.zip /home/trust",
+            f"date >> {w}/ldap.txt && slapcat >> {w}/ldap.txt",
+            "chown -R www-data:www-data /var/www",
+            *_TREE_EVIDENCE,
+            "echo $(date) >> /home/trust/date.txt", "systemctl start apache2",
+            'mail -s "trusted server running@203.0.113.80" auditor@example.org'
+            " < /home/trust/date.txt",
+        ],
+        "hash_roots": _HASH_ROOTS,
+        "ldap_dump": f"{w}/ldap.txt",
+        "critical_commands": ["cryptsetup luksErase /dev/sda2",
+                              "cryptsetup-reencrypt -v -d /mnt/keyfile -l 512 /dev/sdb2",
+                              "cryptsetup luksErase /dev/vda2"],
+        "archives": [{"name": "etc-host.zip", "stage": "host", "root": "/etc"},
+                     {"name": "root-host.zip", "stage": "host", "root": "/root"},
+                     {"name": "etc-vm.zip", "stage": "vm", "root": "/etc"},
+                     {"name": "trust-vm.zip", "stage": "vm", "root": "/home/trust"}],
+    }
+
+
+@pytest.mark.parametrize("plan, expected", [
+    (single_stage_host_plan(SMALL), {
+        "may_change": ["/etc/group", "/etc/passwd", "/etc/shadow"],
+        "may_add": [],
+        "may_remove": ["/etc/ssh/*", "/usr/sbin/sshd"],
+        "expected_host_commands": [*_HOST_LOCKDOWN, *_TREE_EVIDENCE],
+        "expected_vm_commands": [],
+        "hash_roots": _HASH_ROOTS,
+        "ldap_dump": "",
+        "critical_commands": ["cryptsetup luksErase /dev/sda2"],
+        "archives": [],
+    }),
+    (default_plan(SMALL), pinned_dual_stage_policy("/var/www/log")),
+    (default_plan(replace(SMALL, webroot="/srv/pub")), pinned_dual_stage_policy("/srv/pub")),
+], ids=["single-stage-host", "default", "webroot-srv-pub"])
+def test_policy_of_each_shipped_plan_is_pinned(plan, expected):
+    assert default_policy(plan).to_dict() == expected
 
 
 def test_archive_of_another_root_verifies_under_its_own_plan():
