@@ -21,9 +21,11 @@ import posixpath
 import random
 import zipfile
 import zlib
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from io import BytesIO
 from pathlib import Path
+from typing import NamedTuple
 
 from . import volume as vol
 from .config import ServerConfig
@@ -86,6 +88,7 @@ STAGES = (HOST, VM)  # in the order they seal
 
 VM_ROOT_DEVICE_FROM_HOST = "/dev/sdb2"
 SSHD = "/usr/sbin/sshd"
+_USER_DATABASES = ("/etc/passwd", "/etc/shadow", "/etc/group")  # userdel rewrites each
 HOST_LOG_NAME = HOST.log_name
 VM_LOG_NAME = VM.log_name
 
@@ -137,6 +140,18 @@ class SealingStep:
     command: str
     args: dict = field(default_factory=dict)
     critical: bool = False
+
+
+PathRule = Callable[[dict], list[tuple[str, str]]]
+
+
+def _leaves(rule: PathRule):
+    """Give a ``_step_<kind>`` executor its allowlist rule: from the step's args,
+    the ``("change" | "add" | "remove", path glob)`` pairs a clean run may leave."""
+    def mark(executor):
+        executor.leaves = rule
+        return executor
+    return mark
 
 
 @dataclass
@@ -395,11 +410,8 @@ class Machine:
         continue-on-error behavior of a ``set -x`` shell script.
         """
         ram = self._require_on()
-        handler = getattr(self, f"_step_{step.kind}", None)
-        if handler is None:
-            return StepRecord(step.command, f"unknown step kind {step.kind!r}", 127)
         try:
-            output, status = handler(ram, step.args)
+            output, status = STEP_KINDS[step.kind].run(self, ram, step.args)
         except DiskFull as exc:
             return StepRecord(step.command, f"no space left on device: {exc}", 1)
         return StepRecord(command=step.command, output=output, exit_status=status)
@@ -440,12 +452,14 @@ class Machine:
             return f"cat: {path}: No such file or directory", 1
         return data.decode(errors="replace"), 0
 
+    @_leaves(lambda args: [("remove", "/etc/hosts.allow")])
     def _step_remove_hosts_allow(self, ram, args):
         if not ram.tree.is_file("/etc/hosts.allow"):
             return "rm: cannot remove '/etc/hosts.allow': No such file or directory", 1
         self.remove_path("/etc/hosts.allow")
         return "", 0
 
+    @_leaves(lambda args: [("remove", SSHD), ("remove", "/etc/ssh/*")])
     def _step_purge_ssh(self, ram, args):
         if not ram.tree.is_file(SSHD):
             return "Package 'openssh-server' is not installed, so not removed.", 0
@@ -466,12 +480,13 @@ class Machine:
             "   Active: active (running)"
         ), 0
 
+    @_leaves(lambda args: [("change", path) for path in _USER_DATABASES])
     def _step_remove_user(self, ram, args):
         name = args["name"]
         passwd = ram.tree.file_bytes("/etc/passwd") or b""
         if not any(line.startswith(f"{name}:") for line in passwd.decode().splitlines()):
             return f"userdel: user '{name}' does not exist", 1
-        for path in ("/etc/passwd", "/etc/shadow", "/etc/group"):
+        for path in _USER_DATABASES:
             data = ram.tree.file_bytes(path)
             if data is not None:
                 kept = [
@@ -504,6 +519,7 @@ class Machine:
             return f"cryptsetup-reencrypt: {exc}", 1
         return "Finished, reencryption complete.", 0
 
+    @_leaves(lambda args: [("add", args["dest_path"])] if args["dest"] == "tree" else [])
     def _step_zip_tree(self, ram, args):
         src = args["src"]
         view = self.full_view()
@@ -539,6 +555,7 @@ class Machine:
         ram.publish_log_requested = True
         return "", 0
 
+    @_leaves(lambda args: [("add", args["dest_dir"] + "/*")])
     def _step_move_from_boot(self, ram, args):
         name = args["name"]
         src = "/" + name
@@ -552,12 +569,14 @@ class Machine:
     def _step_chown_webroot(self, ram, args):
         return "", 0
 
+    @_leaves(lambda args: [("add", args["dest"])])
     def _step_ldap_dump(self, ram, args):
         listing = (ram.tree.file_bytes("/etc/ldap/directory.tsv") or b"").decode()
         text = f"{self.clock.stamp()}\n{listing}"
         self.append_text(args["dest"], text)
         return "", 0
 
+    @_leaves(lambda args: [("add", args["path"])])
     def _step_append_date(self, ram, args):
         self.append_text(args["path"], self.clock.stamp() + "\n")
         return "", 0
@@ -579,6 +598,19 @@ class Machine:
     def _step_start_web(self, ram, args):
         ram.web = "running"
         return "", 0
+
+
+class StepKind(NamedTuple):
+    run: Callable  # (machine, ram, args) -> (output, exit status)
+    leaves: PathRule
+
+
+# Every step kind a plan may use: Machine's ``_step_<kind>`` executor and the
+# allowlist rule it carries (a step without one leaves no path changed).
+STEP_KINDS: dict[str, StepKind] = {
+    name.removeprefix("_step_"): StepKind(run, getattr(run, "leaves", lambda args: []))
+    for name, run in vars(Machine).items() if name.startswith("_step_")
+}
 
 
 def read_volume_tree(handle: UnlockedVolume) -> tuple[FileTree, bytearray]:

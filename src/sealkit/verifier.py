@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from .escrow import SHARE_MAGIC
 from .machine import (
     STAGES,
+    STEP_KINDS,
     VM,
     ZIP_READ_ERRORS,
     DiskImagePair,
@@ -181,13 +182,9 @@ class AllowlistPolicy:
     critical_commands: tuple[str, ...] = ()
     archives: tuple[tuple[str, Stage, str], ...] = ()
 
-    def allows(self, kind: str, path: str) -> bool:
-        patterns = {
-            "change": self.may_change,
-            "add": self.may_add,
-            "remove": self.may_remove,
-        }[kind]
-        return any(fnmatch.fnmatchcase(path, pattern) for pattern in patterns)
+    def allows(self, how: str, path: str) -> bool:
+        """Whether ``path`` may differ that way: ``how`` is "change", "add" or "remove"."""
+        return any(fnmatch.fnmatchcase(path, glob) for glob in getattr(self, f"may_{how}"))
 
     def to_dict(self) -> dict:
         """Every field the checks read, as JSON-ready data."""
@@ -210,37 +207,21 @@ class AllowlistPolicy:
 
 
 def default_policy(plan: SealingPlan) -> AllowlistPolicy:
-    """Derive the allowlist, archive sources and critical steps mechanically
-    from the plan's steps."""
-    may_change: set[str] = set()
-    may_add: set[str] = set()
-    may_remove: set[str] = set()
-    roots: list[RootSpec] = []
-    seen_roots: set[str] = set()
+    """Derive the allowlist from each step kind's rule in ``STEP_KINDS``, and
+    the evidence roles, archive sources and critical steps from the plan's steps."""
+    may: dict[str, set[str]] = {"change": set(), "add": set(), "remove": set()}
+    roots: dict[str, RootSpec] = {}
     ldap_dump = ""
 
     all_steps = [step for steps in plan.steps.values() for step in steps]
     for step in all_steps:
-        if step.kind == "remove_user":
-            may_change.update(("/etc/passwd", "/etc/shadow", "/etc/group"))
-        elif step.kind == "purge_ssh":
-            may_remove.update(("/usr/sbin/sshd", "/etc/ssh/*"))
-        elif step.kind == "remove_hosts_allow":
-            may_remove.add("/etc/hosts.allow")
-        elif step.kind == "move_from_boot":
-            may_add.add(step.args["dest_dir"] + "/*")
-        elif step.kind == "zip_tree" and step.args.get("dest") == "tree":
-            may_add.add(step.args["dest_path"])
-        elif step.kind == "ldap_dump":
+        for how, glob in STEP_KINDS[step.kind].leaves(step.args):
+            may[how].add(glob)
+        if step.kind == "ldap_dump":
             ldap_dump = step.args["dest"]
-            may_add.add(ldap_dump)
-        elif step.kind == "append_date":
-            may_add.add(step.args["path"])
         elif step.kind == "hash_tree":
-            root = step.args["root"]
-            if root not in seen_roots:
-                seen_roots.add(root)
-                roots.append(RootSpec(root, step.args.get("recursive", True)))
+            roots.setdefault(step.args["root"],
+                             RootSpec(step.args["root"], step.args.get("recursive", True)))
 
     archives = tuple(
         (step.args.get("name") or posixpath.basename(step.args["dest_path"]),
@@ -249,12 +230,10 @@ def default_policy(plan: SealingPlan) -> AllowlistPolicy:
         for step in steps if step.kind == "zip_tree"
     )
     return AllowlistPolicy(
-        may_change=tuple(sorted(may_change)),
-        may_add=tuple(sorted(may_add)),
-        may_remove=tuple(sorted(may_remove)),
+        **{f"may_{how}": tuple(sorted(globs)) for how, globs in may.items()},
         expected_commands={stage: tuple(s.command for s in steps)
                            for stage, steps in plan.steps.items()},
-        hash_roots=tuple(roots),
+        hash_roots=tuple(roots.values()),
         ldap_dump=ldap_dump,
         critical_commands=tuple(s.command for s in all_steps if s.critical),
         archives=archives,

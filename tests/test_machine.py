@@ -14,6 +14,7 @@ from sealkit.machine import (
     DiskImagePair,
     GeometryMismatch,
     MachineRunning,
+    STEP_KINDS,
     SealedAndCold,
     SealingStep,
     full_tree_from_images,
@@ -176,6 +177,57 @@ def test_delete_input_rule_shifts_indices():
     assert host.ram.firewall.input_rules == rules[:3] + rules[4:]
     bad = host.exec_step(step("delete_input_rule", index=99))
     assert not bad.ok
+
+
+def booted_vm(seed):
+    """A running VM: a machine with no nested VM of its own."""
+    vm = build_server(seed).nested_vm
+    vm.boot()
+    return vm
+
+
+def host_with_vm_on(seed):
+    host = build_server(seed)
+    host.boot()
+    host.nested_vm.boot()
+    return host
+
+
+@pytest.mark.parametrize("machine, failing, output, status", [
+    (booted_vm, step("reencrypt_vm"), "cryptsetup-reencrypt: no such device", 1),
+    (booted_vm, step("copy_log_to_vm_boot"),
+     "cp: cannot create regular file '/mnt': no medium", 1),
+    (booted_vm, step("start_vm", name="tsvm"), "error: failed to get domain 'tsvm'", 1),
+    (booted_vm, step("zip_tree", src="/etc", dest="vm_boot", name="etc-host.zip"),
+     "zip error: destination not mounted", 15),
+    (host_with_vm_on, step("reencrypt_vm"), "cryptsetup-reencrypt: device is busy", 1),
+    (booted_vm, step("zip_tree", src="/nope", dest="tree", dest_path="/var/www/log/x.zip"),
+     "zip error: nothing to do (/nope not found)", 12),
+    (booted_vm, step("hash_tree", root="/nope"), "rhash: /nope: No such file or directory", 1),
+    (booted_vm, step("move_from_boot", name="missing.log", dest_dir="/var/www/log"),
+     "mv: cannot stat '/boot/missing.log': No such file or directory", 1),
+], ids=["reencrypt-no-vm", "copy-log-no-vm", "start-vm-no-vm", "zip-to-vm-boot-no-vm",
+        "reencrypt-vm-running", "zip-missing-root", "hash-missing-root", "move-missing-file"])
+def test_failing_step_records_its_output_and_status(machine, failing, output, status):
+    m = machine(18)
+    before = m.ram.tree.encode()
+    record = m.exec_step(failing)
+    assert (record.command, record.output, record.exit_status) == (failing.command, output, status)
+    assert m.ram.tree.encode() == before
+
+
+def test_default_plan_uses_every_step_kind_and_no_other():
+    from sealkit.sealing import default_plan
+
+    plan = default_plan(build_server(19).config)
+    assert {s.kind for steps in plan.steps.values() for s in steps} == set(STEP_KINDS)
+
+
+def test_unknown_step_kind_raises_key_error():
+    host = build_server(20)
+    host.boot()
+    with pytest.raises(KeyError):
+        host.exec_step(step("format_disk"))
 
 
 def test_write_through_after_every_step():
