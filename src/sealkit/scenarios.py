@@ -198,9 +198,9 @@ def _run_verifier_flags(name: str, seed: int, config: ServerConfig) -> ScenarioR
     bundle = row.sabotage(host, honest)
     verdict = verify_seal(host_images, vm_images, bundle, default_policy(honest))
 
-    flagged = verdict.status == "FAIL" and any(row.flags(f) for f in verdict.errors)
+    flagged = verdict.status == "FAIL" and any(row.flags(f) for f in verdict.findings)
     details = [f"verdict: {verdict.status}", *row.notes(host)]
-    details.extend(f.render() for f in verdict.errors[:5])
+    details.extend(f.render() for f in verdict.findings[:5])
     observed = VERIFIER_FLAGS if flagged else ATTACK_SUCCEEDS
     return ScenarioReport(name, seed, VERIFIER_FLAGS, observed, details)
 

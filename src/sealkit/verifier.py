@@ -2,14 +2,14 @@
 
 Everything here is a pure function over the pre-seal disk images, the
 published bundle, and an explicit allowlist policy. ``default_policy``
-derives the policy from the sealing plan: which paths may change, which
-steps each log must replay and which of them are critical, and which
-published archive zips which root of which stage. Evidence is read only
-from records of planned commands, by exact command: ``extract_evidence``
-indexes each planned command's outputs, and a record whose command no plan
-step produces is not evidence. Manipulations confined to volatile state
-that no hash root or logged listing covers are outside what manifests can
-see; the verdict preamble says so.
+derives the policy from the sealing plan: which paths may change (each step
+kind's rule in ``machine.STEP_KINDS``), which steps each log must replay and
+which of them are critical, and which published archive zips which root of
+which stage. Evidence is read only from records of planned commands, by
+exact command: ``extract_evidence`` indexes each planned command's outputs,
+and a record whose command no plan step produces is not evidence.
+Manipulations confined to volatile state that no hash root or logged listing
+covers are outside what manifests can see; the verdict preamble says so.
 """
 
 from __future__ import annotations
@@ -70,23 +70,20 @@ class MalformedBundle(VerifierError):
 
 @dataclass(frozen=True)
 class Finding:
-    severity: str  # "ERROR" | "WARNING" | "INFO"
+    """One reason the seal fails; every finding is an error."""
+
     subject: str  # path or step
     explanation: str
 
     def render(self) -> str:
-        return f"{self.severity} {self.subject}: {self.explanation}"
+        return f"ERROR {self.subject}: {self.explanation}"
 
 
 @dataclass
 class Verdict:
-    status: str  # "PASS" | "FAIL"
+    status: str  # "FAIL" exactly when there are findings
     findings: list[Finding] = field(default_factory=list)
     preamble: str = UNDETECTABLE_NOTE
-
-    @property
-    def errors(self) -> list[Finding]:
-        return [f for f in self.findings if f.severity == "ERROR"]
 
     def render_text(self) -> str:
         lines = [f"VERDICT: {self.status}", self.preamble]
@@ -98,8 +95,7 @@ class Verdict:
             "status": self.status,
             "preamble": self.preamble,
             "findings": [
-                {"severity": f.severity, "subject": f.subject,
-                 "explanation": f.explanation}
+                {"severity": "ERROR", "subject": f.subject, "explanation": f.explanation}
                 for f in self.findings
             ],
         }
@@ -254,13 +250,11 @@ def _check_step_sequence(stage: Stage, policy: AllowlistPolicy, log: SealingLog,
         except ValueError:
             label = ("missing critical step" if command in policy.critical_commands
                      else "missing or out-of-order step")
-            findings.append(Finding("ERROR", command, f"{label} in {stage.kind} log"))
+            findings.append(Finding(command, f"{label} in {stage.kind} log"))
     for command in dict.fromkeys(expected):  # plan order, whatever the string hash seed
         if log_commands.count(command) > expected.count(command):
             findings.append(Finding(
-                "ERROR", command,
-                f"appears more often in the {stage.kind} log than the plan requires",
-            ))
+                command, f"appears more often in the {stage.kind} log than the plan requires"))
 
 
 def _check_dump_evidence(stage: Stage, evidence: LogEvidence,
@@ -269,54 +263,42 @@ def _check_dump_evidence(stage: Stage, evidence: LogEvidence,
     command = f"cryptsetup luksDump {device}"
     dump = evidence.last(command)
     if dump is None:
-        findings.append(Finding(
-            "ERROR", command, f"{stage.kind} log carries no keyslot dump for {device}",
-        ))
+        findings.append(Finding(command, f"{stage.kind} log carries no keyslot dump for {device}"))
         return
     states = [line.partition(":")[2].strip() for line in dump.splitlines()
               if line.startswith("Key Slot ")]
     active = [i for i, state in enumerate(states) if state != "EMPTY"]
     if active or not states:
         findings.append(Finding(
-            "ERROR", device, f"keyslots {active} still active after the {stage.kind} seal",
-        ))
+            device, f"keyslots {active} still active after the {stage.kind} seal"))
 
 
 def _check_passwd_evidence(stage: Stage, evidence: LogEvidence,
                            findings: list[Finding]) -> None:
     listing = evidence.last("cat /etc/passwd")
     if listing is None:
-        findings.append(Finding(
-            "ERROR", "cat /etc/passwd", f"{stage.kind} log carries no passwd listing"
-        ))
+        findings.append(Finding("cat /etc/passwd", f"{stage.kind} log carries no passwd listing"))
         return
     for line in listing.splitlines():
         fields = line.split(":")
         if len(fields) >= 7 and fields[-1] in LOGIN_SHELLS:
             findings.append(Finding(
-                "ERROR", fields[0], f"login-capable user survived the {stage.kind} seal"
-            ))
+                fields[0], f"login-capable user survived the {stage.kind} seal"))
 
 
 def _check_ssh_evidence(stage: Stage, evidence: LogEvidence,
                         findings: list[Finding]) -> None:
     if evidence.last("apt-get -y purge openssh-server") is None:
         findings.append(Finding(
-            "ERROR", "apt-get -y purge openssh-server",
-            f"{stage.kind} log carries no ssh purge step",
-        ))
+            "apt-get -y purge openssh-server", f"{stage.kind} log carries no ssh purge step"))
         return
     status = evidence.last("systemctl status sshd")
     if status is None:
         findings.append(Finding(
-            "ERROR", "systemctl status sshd",
-            f"{stage.kind} log carries no ssh status probe",
-        ))
+            "systemctl status sshd", f"{stage.kind} log carries no ssh status probe"))
         return
     if "could not be found" not in status:
-        findings.append(Finding(
-            "ERROR", "sshd", f"ssh server still present after the {stage.kind} seal"
-        ))
+        findings.append(Finding("sshd", f"ssh server still present after the {stage.kind} seal"))
 
 
 def _check_diff(diff: ManifestDiff, policy: AllowlistPolicy, findings: list[Finding], *,
@@ -328,7 +310,7 @@ def _check_diff(diff: ManifestDiff, policy: AllowlistPolicy, findings: list[Find
                                      ("remove", diff.removed, removed)):
         for path in sorted(paths):
             if not policy.allows(kind, path):
-                findings.append(Finding("ERROR", path, explanation))
+                findings.append(Finding(path, explanation))
 
 
 def _check_archive(name: str, blob: bytes, src_root: str, pre_tree,
@@ -336,7 +318,7 @@ def _check_archive(name: str, blob: bytes, src_root: str, pre_tree,
     try:
         members = unzip_to_map(blob)
     except ZIP_READ_ERRORS:
-        findings.append(Finding("ERROR", name, "archive cannot be read"))
+        findings.append(Finding(name, "archive cannot be read"))
         return
     files = ((p, pre_tree.file_bytes(p)) for p in pre_tree.under(src_root))
     pre_files = {p: data for p, data in files if data is not None}
@@ -352,13 +334,12 @@ def _check_published_file(path: str, bundle: PublishedBundle, manifest: Manifest
     name = posixpath.basename(path)
     recorded = manifest.digest_of(path)
     if name not in bundle.artifacts:
-        findings.append(Finding("ERROR", name, "missing from the bundle"))
+        findings.append(Finding(name, "missing from the bundle"))
     elif recorded is None:
-        findings.append(Finding("ERROR", name, f"the vm manifest records no digest for {path}"))
+        findings.append(Finding(name, f"the vm manifest records no digest for {path}"))
     elif hashlib.sha3_512(bundle.artifacts[name]).hexdigest() != recorded:
         findings.append(Finding(
-            "ERROR", name, f"differs from the digest the vm manifest records for {path}"
-        ))
+            name, f"differs from the digest the vm manifest records for {path}"))
 
 
 def _check_kdf_counts(stage: Stage, images: DiskImagePair) -> None:
@@ -414,7 +395,7 @@ def verify_seal(host_images: DiskImagePair, vm_images: DiskImagePair,
     # (6) published archives match the pre-seal trees modulo the allowlist
     for name, stage, src_root in policy.archives:
         if name not in bundle.artifacts:
-            findings.append(Finding("ERROR", name, "archive missing from bundle"))
+            findings.append(Finding(name, "archive missing from bundle"))
             continue
         _check_archive(name, bundle.artifacts[name], src_root, pre_trees[stage],
                        policy, findings)
@@ -423,15 +404,12 @@ def verify_seal(host_images: DiskImagePair, vm_images: DiskImagePair,
     keyfiles = [images[stage].boot.read_file("/keyfile") for stage in STAGES]
     for name, data in bundle.artifacts.items():
         if SHARE_MAGIC in data:
-            findings.append(Finding(
-                "ERROR", name, "escrow share material published in the bundle"
-            ))
+            findings.append(Finding(name, "escrow share material published in the bundle"))
         if any(keyfile in data for keyfile in keyfiles):
-            findings.append(Finding("ERROR", name, "keyfile bytes leaked into the bundle"))
+            findings.append(Finding(name, "keyfile bytes leaked into the bundle"))
 
     # (8) the published directory dump is the file the VM hashed
     if policy.ldap_dump:
         _check_published_file(policy.ldap_dump, bundle, evidence[VM].manifest, findings)
 
-    status = "FAIL" if any(f.severity == "ERROR" for f in findings) else "PASS"
-    return Verdict(status=status, findings=findings)
+    return Verdict(status="FAIL" if findings else "PASS", findings=findings)

@@ -131,17 +131,17 @@ def test_criterion_3_verifier_soundness_and_completeness():
     for index, (name, sabotage, subject) in enumerate(TAMPER_CLASSES):
         verdict = _sabotaged_verdict(40_000 + index, sabotage)
         assert verdict.status == "FAIL", f"tamper class {name} was not flagged"
-        named = [f for f in verdict.errors if subject in f.subject]
+        named = [f for f in verdict.findings if subject in f.subject]
         assert named, (
             f"tamper class {name}: no finding names {subject!r}: "
-            f"{[f.render() for f in verdict.errors]}"
+            f"{[f.render() for f in verdict.findings]}"
         )
 
     for seed in range(100):
         host, vm, hi, vi, bundle = build_sealed(50_000 + seed)
         verdict = verify_seal(hi, vi, bundle, default_policy(default_plan(host.config)))
-        assert verdict.status == "PASS" and not verdict.errors, (
-            f"seed {seed}: {[f.render() for f in verdict.errors]}"
+        assert verdict.status == "PASS" and not verdict.findings, (
+            f"seed {seed}: {[f.render() for f in verdict.findings]}"
         )
     report(3, "verifier soundness 5/5, completeness 100/100")
 

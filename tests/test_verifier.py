@@ -364,7 +364,7 @@ def test_clean_seal_passes_with_zero_errors():
     _, _, host_images, vm_images, bundle, policy = clean_run(63)
     verdict = verify_seal(host_images, vm_images, bundle, policy)
     assert verdict.status == "PASS"
-    assert verdict.errors == []
+    assert verdict.findings == []
 
 
 def test_binary_tampered_before_sealing_fails_naming_path():
@@ -377,7 +377,7 @@ def test_binary_tampered_before_sealing_fails_naming_path():
     policy = default_policy(default_plan(host.config))
     verdict = verify_seal(host_images, vm_images, bundle, policy)
     assert verdict.status == "FAIL"
-    assert any(f.subject == "/usr/sbin/cron" for f in verdict.errors)
+    assert any(f.subject == "/usr/sbin/cron" for f in verdict.findings)
 
 
 def test_log_with_erase_removed_fails_as_missing_critical_step():
@@ -391,7 +391,7 @@ def test_log_with_erase_removed_fails_as_missing_critical_step():
     verdict = verify_seal(host_images, vm_images,
                           PublishedBundle(artifacts=artifacts), policy)
     assert verdict.status == "FAIL"
-    assert any("missing critical step" in f.explanation for f in verdict.errors)
+    assert any("missing critical step" in f.explanation for f in verdict.findings)
 
 
 def test_bundle_missing_log_is_malformed():
@@ -450,7 +450,7 @@ def test_published_ldap_dump_is_bound_to_the_vm_manifest():
         artifacts = {name: data for name, data in artifacts.items() if data is not None}
         verdict = verify_seal(host_images, vm_images, PublishedBundle(artifacts), policy)
         assert verdict.status == "FAIL", case
-        assert [f.subject for f in verdict.errors] == ["ldap.txt"], case
+        assert [f.subject for f in verdict.findings] == ["ldap.txt"], case
 
 
 def test_escrow_share_in_bundle_is_flagged():
@@ -461,7 +461,7 @@ def test_escrow_share_in_bundle_is_flagged():
     artifacts["oops.tsshare"] = SHARE_MAGIC + b"\x00" * 16
     verdict = verify_seal(host_images, vm_images,
                           PublishedBundle(artifacts=artifacts), policy)
-    assert any("escrow share" in f.explanation for f in verdict.errors)
+    assert any("escrow share" in f.explanation for f in verdict.findings)
 
 
 def test_verdict_renders_text_and_dict():
@@ -543,63 +543,63 @@ def honest_seal():
     return host_images, vm_images, bundle
 
 
-@pytest.mark.parametrize("change, severity, subject, explanation", [
+@pytest.mark.parametrize("change, subject, explanation", [
     (_log(HOST_LOG_NAME, lambda r: [r, r] if r.command == "iptables-save" else [r]),
-     "ERROR", "iptables-save", "appears more often in the host log than the plan requires"),
+     "iptables-save", "appears more often in the host log than the plan requires"),
     (_log(HOST_LOG_NAME, _drop(f"cryptsetup luksDump {HOST.root_device}")),
-     "ERROR", f"cryptsetup luksDump {HOST.root_device}",
+     f"cryptsetup luksDump {HOST.root_device}",
      f"host log carries no keyslot dump for {HOST.root_device}"),
     (_log(VM_LOG_NAME, _drop(f"cryptsetup luksDump {VM.root_device}")),
-     "ERROR", f"cryptsetup luksDump {VM.root_device}",
+     f"cryptsetup luksDump {VM.root_device}",
      f"vm log carries no keyslot dump for {VM.root_device}"),
     (_log(VM_LOG_NAME, _drop("cat /etc/passwd")),
-     "ERROR", "cat /etc/passwd", "vm log carries no passwd listing"),
+     "cat /etc/passwd", "vm log carries no passwd listing"),
     (_log(HOST_LOG_NAME, _drop("cat /etc/passwd")),
-     "ERROR", "cat /etc/passwd", "host log carries no passwd listing"),
+     "cat /etc/passwd", "host log carries no passwd listing"),
     (_log(HOST_LOG_NAME, _drop("systemctl status sshd")),
-     "ERROR", "systemctl status sshd", "host log carries no ssh status probe"),
+     "systemctl status sshd", "host log carries no ssh status probe"),
     (_log(VM_LOG_NAME, _drop("systemctl status sshd")),
-     "ERROR", "systemctl status sshd", "vm log carries no ssh status probe"),
+     "systemctl status sshd", "vm log carries no ssh status probe"),
     (_log(VM_LOG_NAME, _with_output("systemctl status sshd", _sshd_running)),
-     "ERROR", "sshd", "ssh server still present after the vm seal"),
+     "sshd", "ssh server still present after the vm seal"),
     (_log(HOST_LOG_NAME, _with_output("systemctl status sshd", _sshd_running)),
-     "ERROR", "sshd", "ssh server still present after the host seal"),
+     "sshd", "ssh server still present after the host seal"),
     (_log(HOST_LOG_NAME, _with_output("rhash", _unlisted("/usr/sbin/cron"))),
-     "ERROR", "/usr/sbin/cron", "disappeared during the host seal"),
+     "/usr/sbin/cron", "disappeared during the host seal"),
     (_log(VM_LOG_NAME, _with_output("rhash", _unlisted("/usr/sbin/cron"))),
-     "ERROR", "/usr/sbin/cron", "disappeared during the vm seal"),
+     "/usr/sbin/cron", "disappeared during the vm seal"),
     (_log(VM_LOG_NAME, _lookalike("systemctl status sshd", _sshd_running,
                                   "systemctl status sshd.service")),
-     "ERROR", "sshd", "ssh server still present after the vm seal"),
+     "sshd", "ssh server still present after the vm seal"),
     (_log(HOST_LOG_NAME, _lookalike(f"cryptsetup luksDump {HOST.root_device}", _slot_0_active,
                                     f"cryptsetup luksDump --header-backup-file x "
                                     f"{HOST.root_device}")),
-     "ERROR", HOST.root_device, "keyslots [0] still active after the host seal"),
+     HOST.root_device, "keyslots [0] still active after the host seal"),
     (_log(HOST_LOG_NAME, _lookalike("rhash -r --sha3-512 /usr/sbin", _cron_trojaned,
                                     "rhash --sha3-512 /usr/sbin/cron", _cron_lines)),
-     "ERROR", "/usr/sbin/cron", "content changed across the host seal"),
+     "/usr/sbin/cron", "content changed across the host seal"),
     (_log(HOST_LOG_NAME, _lookalike("rhash -r --sha3-512 /usr/sbin", _cron_trojaned,
                                     "rhash -r --sha3-512 /usr/sbin", _cron_lines)),
-     "ERROR", "rhash -r --sha3-512 /usr/sbin",
+     "rhash -r --sha3-512 /usr/sbin",
      "appears more often in the host log than the plan requires"),
     (_log(HOST_LOG_NAME, _with_output(f"cryptsetup luksDump {HOST.root_device}",
                                       lambda o: o.replace("Key Slot 3: EMPTY", "Key Slot 3"))),
-     "ERROR", HOST.root_device, "keyslots [3] still active after the host seal"),
+     HOST.root_device, "keyslots [3] still active after the host seal"),
     (lambda artifacts, keyfiles: {"etc-host.zip": b"not a zip archive\n"},
-     "ERROR", "etc-host.zip", "archive cannot be read"),
+     "etc-host.zip", "archive cannot be read"),
     (_zip("etc-vm.zip", lambda members: members.update({"/etc/backdoor": b"x\n"})),
-     "ERROR", "/etc/backdoor", "etc-vm.zip contains a file absent from the pre-seal image"),
+     "/etc/backdoor", "etc-vm.zip contains a file absent from the pre-seal image"),
     (_zip("etc-host.zip", lambda members: members.update({"/etc/hostname": b"evil\n"})),
-     "ERROR", "/etc/hostname", "etc-host.zip content differs from the pre-seal image"),
+     "/etc/hostname", "etc-host.zip content differs from the pre-seal image"),
     (_zip("trust-vm.zip", lambda members: members.pop("/home/trust/cron-reboot.sh")),
-     "ERROR", "/home/trust/cron-reboot.sh",
+     "/home/trust/cron-reboot.sh",
      "missing from trust-vm.zip but present in the pre-seal image"),
     (lambda artifacts, keyfiles: {"root-host.zip": None},
-     "ERROR", "root-host.zip", "archive missing from bundle"),
+     "root-host.zip", "archive missing from bundle"),
     (lambda artifacts, keyfiles: {"notes.txt": b"key: " + keyfiles[0]},
-     "ERROR", "notes.txt", "keyfile bytes leaked into the bundle"),
+     "notes.txt", "keyfile bytes leaked into the bundle"),
     (lambda artifacts, keyfiles: {"notes.txt": b"key: " + keyfiles[1]},
-     "ERROR", "notes.txt", "keyfile bytes leaked into the bundle"),
+     "notes.txt", "keyfile bytes leaked into the bundle"),
 ], ids=["duplicate-command", "no-keyslot-dump", "no-vm-keyslot-dump", "no-passwd-listing",
         "no-host-passwd-listing", "no-ssh-probe", "no-vm-ssh-probe", "ssh-still-present",
         "host-ssh-still-present", "file-disappeared", "vm-file-disappeared",
@@ -607,7 +607,7 @@ def honest_seal():
         "keyslot-line-without-state",
         "archive-unreadable", "archive-added-file", "archive-changed-file",
         "archive-dropped-file", "archive-missing", "keyfile-leaked", "vm-keyfile-leaked"])
-def test_tampered_bundle_gives_its_finding(honest_seal, change, severity, subject, explanation):
+def test_tampered_bundle_gives_its_finding(honest_seal, change, subject, explanation):
     """Each row tampers with one stage's evidence; a per-stage check has a row per stage.
     ``change`` gets the artifacts and the (host, vm) keyfiles."""
     host_images, vm_images, bundle = honest_seal
@@ -617,8 +617,8 @@ def test_tampered_bundle_gives_its_finding(honest_seal, change, severity, subjec
                  if data is not None}
     policy = default_policy(default_plan(SMALL))
     verdict = verify_seal(host_images, vm_images, PublishedBundle(artifacts), policy)
-    assert Finding(severity, subject, explanation) in verdict.findings
-    assert verdict.status == ("FAIL" if severity == "ERROR" else "PASS")
+    assert Finding(subject, explanation) in verdict.findings
+    assert verdict.status == "FAIL"
 
 
 DOUBLED = ("iptables-save", "iptables -L -n", "systemctl status sshd", "ls -RlA /")
@@ -724,7 +724,7 @@ def test_corrupt_archive_is_an_unreadable_archive_finding(honest_seal, case):
     verdict = verify_seal(host_images, vm_images,
                           PublishedBundle({**bundle.artifacts, "etc-host.zip": corrupt}),
                           default_policy(default_plan(SMALL)))
-    assert Finding("ERROR", "etc-host.zip", "archive cannot be read") in verdict.findings
+    assert Finding("etc-host.zip", "archive cannot be read") in verdict.findings
 
 
 @pytest.mark.parametrize("name", ["unzip_to_map", "full_tree_from_images"])
