@@ -360,7 +360,12 @@ class Machine:
     def _sync_volume(self) -> None:
         ram = self._require_on()
         content = ram.tree.encode()
-        vol.write_image(ram.handle, content, ram.content)
+        try:
+            vol.write_image(ram.handle, content, ram.content)
+        except DiskFull:  # raised before any sector is written: the tree goes back to the disk's
+            capacity = ram.handle.volume.sector_count * vol.SECTOR_BYTES
+            ram.tree = FileTree.decode(ram.content, capacity)
+            raise
         ram.content = content
 
     def write_file(self, path: str, data: bytes) -> None:

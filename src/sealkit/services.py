@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from . import volume as vol
 from .machine import Machine, MailMessage, format_tree_volume
 from .tree import FileTree
-from .volume import Keyfile, NoMatchingSlot, UnlockedVolume
+from .volume import DiskFull, Keyfile, UnlockedVolume
 
 
 class ServiceError(Exception):
@@ -186,11 +186,10 @@ def vault_attach(machine: Machine, key: bytes | Keyfile) -> UnlockedVolume:
         raise NotSealed("vault keys are only accepted by a sealed, running server")
     if not machine.extra_disks:
         raise ServiceError("no vault disk attached")
-    keyfile = key if isinstance(key, Keyfile) else Keyfile(key)
-    vault = machine.extra_disks[0]
-    try:
-        handle = vol.unlock(vault, keyfile)
-    except (NoMatchingSlot, vol.KeyslotsEmpty) as exc:
+    try:  # a key of the wrong length is a wrong key too
+        keyfile = key if isinstance(key, Keyfile) else Keyfile(key)
+        handle = vol.unlock(machine.extra_disks[0], keyfile)
+    except vol.VolumeError as exc:
         raise WrongKey(str(exc)) from exc
     machine.ram.vault_handles.append(handle)
     return handle
@@ -320,7 +319,7 @@ class ServiceFrontend:
         request = line.strip()
         try:
             return self._dispatch(request)
-        except ServiceError as exc:
+        except (ServiceError, DiskFull) as exc:
             return f"ERR {type(exc).__name__}: {exc}"
 
     def _dispatch(self, request: str) -> str:

@@ -318,10 +318,12 @@ def test_write_beyond_capacity_raises_disk_full():
     host.boot()
     capacity = host.root_volume.sector_count * vol.SECTOR_BYTES
     sectors, content = list(host.root_volume.sectors), host.ram.content
+    tree = host.ram.tree.encode()
     with pytest.raises(DiskFull):
         host.write_file("/root/big.bin", b"x" * capacity)
     assert host.root_volume.sectors == sectors
     assert host.ram.content == content
+    assert host.ram.tree.encode() == tree  # the RAM tree goes back to what the disk holds
 
 
 def test_overflowing_step_records_no_space_left():

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import SMALL, build_sealed, build_server
 
@@ -497,3 +500,79 @@ def test_sync_after_adding_a_user_makes_auth_accept():
     assert frontend.handle_line("SYNC") == "OK 2"
     assert frontend.handle_line("AUTH dave diver") == "OK accept"
     assert frontend.handle_line("SUBMIT Dave 4 dave diver") == "OK 0"
+
+
+# -- every request line is answered ----------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def serving():
+    """A sealed VM's frontend set up as ``sealkit serve`` sets one up: a vault
+    attached before the seal, a primary directory, an upstream resolver."""
+    from sealkit.sealing import seal_all
+
+    host = build_server(104)
+    vm = host.nested_vm
+    attach_data_vault(vm, 8, {"/data/records.csv": b"id,value\n"}, make_rng(104))
+    seal_all(host)
+    primary = CredentialDirectory()
+    primary.add_user("alice", "pw", make_rng(104))
+    return ServiceFrontend(vm, primary_directory=primary,
+                           upstream=UpstreamResolver(table={"example.org": "93.184.216.34"}))
+
+
+SUBMIT_USAGE = "ERR usage: SUBMIT <name> <assets> [user pass]"
+MAIL_USAGE = "ERR usage: MAIL <nick>|<comment>|[return]"
+
+
+@pytest.mark.parametrize("line, response", [
+    ("", "ERR usage: empty request"),
+    ("SUBMIT", SUBMIT_USAGE),
+    ("SUBMIT Alice", SUBMIT_USAGE),
+    ("SUBMIT Alice 5 alice", SUBMIT_USAGE),
+    ("SUBMIT Alice lots", "ERR usage: assets must be an integer"),
+    ("MAIL", MAIL_USAGE),
+    ("MAIL nick only", MAIL_USAGE),
+    ("MAIL |no nick", MAIL_USAGE),
+    ("AUTH alice", "ERR usage: AUTH <user> <pass>"),
+    ("AUTH alice pw extra", "ERR usage: AUTH <user> <pass>"),
+    ("VAULTKEY", "ERR usage: VAULTKEY <hex>"),
+    ("VAULTKEY 00 ff", "ERR usage: VAULTKEY <hex>"),
+    ("VAULTKEY xyz", "ERR usage: key must be hex"),
+    ("VAULTKEY 00", "ERR WrongKey: keyfile must be 512 bytes"),
+    ("RESOLVE", "ERR usage: RESOLVE <domain>"),
+    ("RESOLVE example.org example.net", "ERR usage: RESOLVE <domain>"),
+    ("frob x", "ERR usage: unknown command FROB"),
+])
+def test_malformed_request_gets_its_usage_answer(serving, line, response):
+    assert serving.handle_line(line) == response
+
+
+VERBS = ("SUBMIT", "PUBLISH", "MAIL", "AUTH", "SYNC", "VAULTKEY", "RESOLVE")
+request_lines = st.one_of(
+    st.builds(lambda verb, tokens: " ".join((verb, *tokens)),
+              st.sampled_from(VERBS) | st.sampled_from(VERBS).map(str.lower),
+              st.lists(st.text(min_size=1, max_size=12), max_size=5)),
+    st.text("0123456789abcdefABCDEF", max_size=1100).map("VAULTKEY {}".format),
+)
+
+
+@settings(max_examples=120)
+@example(line="VAULTKEY " + "00" * 512)
+@given(line=request_lines)
+def test_every_request_line_gets_one_answer_and_the_next_auth_too(serving, line):
+    response = serving.handle_line(line)
+    assert "\n" not in response
+    assert response == "OK" or response.startswith(("OK ", "ERR "))
+    assert serving.handle_line("AUTH alice pw") in ("OK accept", "OK reject")
+
+
+def test_oversized_submit_answers_disk_full_and_the_next_one_is_stored():
+    vm, frontend = sealed_frontend(105)
+    capacity = vm.root_volume.sector_count * vol.SECTOR_BYTES
+    response = frontend.handle_line(f"SUBMIT {'n' * capacity} 5")
+    assert re.fullmatch(rf"ERR DiskFull: image needs \d+ bytes, volume holds {capacity}",
+                        response)
+    assert frontend.handle_line("SUBMIT Bob 7") == "OK 0"
+    assert frontend.handle_line("PUBLISH") == "OK Bob"
+    assert read_volume_tree(vm.ram.handle)[0].encode() == vm.ram.tree.encode()
