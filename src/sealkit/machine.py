@@ -8,7 +8,8 @@ powering off drops it, and the master key with it. Tree mutations while
 powered on are written through to the root volume sector by sector. A
 :class:`Stage` record, ``HOST`` or ``VM``, holds all that sets one machine
 apart from the other: where its boot files live, the rules it boots with,
-what its seal lists.
+what its seal lists. :data:`STEP_KINDS` gives each sealing step kind its
+executor and the paths a clean run of it may leave changed.
 
 Each machine is single-threaded: the simulation advances only through
 explicit operation calls, and a machine must never be shared mutably.
@@ -412,7 +413,8 @@ class Machine:
         """Apply one sealing step and record command, output, exit status.
 
         Failures come back as records with nonzero status, mirroring the
-        continue-on-error behavior of a ``set -x`` shell script.
+        continue-on-error behavior of a ``set -x`` shell script. Plans are
+        built in code, so a kind missing from :data:`STEP_KINDS` raises KeyError.
         """
         ram = self._require_on()
         try:

@@ -81,7 +81,7 @@ class Finding:
 
 @dataclass
 class Verdict:
-    status: str  # "FAIL" exactly when there are findings
+    status: str  # "PASS", or "FAIL" exactly when there are findings
     findings: list[Finding] = field(default_factory=list)
     preamble: str = UNDETECTABLE_NOTE
 
