@@ -1,30 +1,19 @@
 """n-of-n XOR key escrow: the intentional emergency backdoor.
 
-The escrowed secret is the VM disk's rewrapped master-key record (keyslot
-plus header digest salts), captured between the two sealing stages. Shares
+The escrowed secret is the VM disk's header record, in the form TSVOL1 stores
+it, captured between the host stage's re-key and the VM's own erase. Shares
 1..n-1 are uniformly random; only all n together reveal anything.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .util import pack_bytes, unpack_bytes
-from .volume import (
-    MK_DIGEST_BYTES,
-    SALT_BYTES,
-    WRAPPED_KEY_BYTES,
-    EncryptedVolume,
-    KeySlot,
-    VolumeError,
-    VolumeHeader,
-    header_bytes,
-    kdf_count,
-)
+from .volume import EncryptedVolume, VolumeError, header_from_record, header_record, restore_header
 
 SHARE_MAGIC = b"TSSHARE1\n"
 
@@ -98,57 +87,37 @@ def reconstruct(shares: list[KeyShare]) -> bytes:
     return secret
 
 
-# -- escrowed payload: the VM's rewrapped key record -----------------------------
+# -- escrowed payload: the VM's header record ------------------------------------
 
 
 def wrapped_key_record(volume: EncryptedVolume) -> bytes:
-    """Serialize the active keyslot plus header digest material.
+    """The volume's header record, the bytes TSVOL1 stores after its magic.
 
-    This is an encrypted copy of the master key: useless without the keyfile,
-    but enough to re-enable unlock on a volume whose slots were erased.
+    Its active keyslot is an encrypted copy of the master key: useless without
+    the keyfile, but enough to re-enable unlock on a volume whose slots were erased.
     """
-    return _key_record(volume.header)
-
-
-def _key_record(header: VolumeHeader) -> bytes:
-    active = header.active_slots()
-    if not active:
+    if not volume.header.active_slots():
         raise VolumeError("volume has no active keyslot to escrow")
-    slot = header.slots[active[0]]
-    doc = {
-        "uuid": header.uuid.hex(),
-        "slot_salt": slot.salt.hex(),
-        "kdf_iterations": slot.kdf_iterations,
-        "wrapped_key": slot.wrapped_key.hex(),
-        "mk_digest_salt": header.mk_digest_salt.hex(),
-        "mk_digest": header.mk_digest.hex(),
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    return header_record(volume.header)
 
 
 def apply_wrapped_key_record(volume: EncryptedVolume, record: bytes) -> None:
-    """Reinstate an escrowed keyslot so the original keyfile unlocks again.
+    """Reinstate an escrowed header so the original keyfile unlocks again.
 
-    Only the canonical record :func:`wrapped_key_record` writes is accepted;
-    anything else raises :class:`EscrowError`, and a record of another volume
-    raises :class:`VolumeError`. Either way the header is left as it was.
+    Only a canonical header record with an active keyslot is accepted; anything
+    else raises :class:`EscrowError`. A record of another volume raises
+    :class:`VolumeError`, one of another sector count :class:`GeometryMismatch`.
+    On every refusal the header is left as it was.
     """
     try:
-        doc = json.loads(record)
-        slot = KeySlot(state="active", salt=header_bytes(doc["slot_salt"], SALT_BYTES),
-                       kdf_iterations=kdf_count(doc["kdf_iterations"]),
-                       wrapped_key=header_bytes(doc["wrapped_key"], WRAPPED_KEY_BYTES))
-        header = replace(volume.header, slots=(slot,) + volume.header.slots[1:],
-                         mk_digest_salt=header_bytes(doc["mk_digest_salt"], SALT_BYTES),
-                         mk_digest=header_bytes(doc["mk_digest"], MK_DIGEST_BYTES))
-        uuid = header_bytes(doc["uuid"], 16)
-    except (ValueError, KeyError, TypeError, RecursionError, VolumeError) as exc:
-        raise EscrowError(f"malformed key record ({type(exc).__name__}: {exc})") from None
-    if uuid != volume.header.uuid:
+        header = header_from_record(record)
+    except VolumeError as exc:
+        raise EscrowError(f"malformed key record: {exc}") from None
+    if not header.active_slots():
+        raise EscrowError("key record has no active keyslot")
+    if header.uuid != volume.header.uuid:
         raise VolumeError("escrow record belongs to a different volume")
-    if _key_record(header) != record:
-        raise EscrowError("key record is not in canonical form")
-    volume.header = header
+    restore_header(volume, header)
 
 
 # -- share files -----------------------------------------------------------------

@@ -90,6 +90,7 @@ STAGES = (HOST, VM)  # in the order they seal
 VM_ROOT_DEVICE_FROM_HOST = "/dev/sdb2"
 SSHD = "/usr/sbin/sshd"
 _USER_DATABASES = ("/etc/passwd", "/etc/shadow", "/etc/group")  # userdel rewrites each
+LDAP_REPLICA_PATH = "/etc/ldap/directory.tsv"  # the directory replica the VM serves
 HOST_LOG_NAME = HOST.log_name
 VM_LOG_NAME = VM.log_name
 
@@ -379,6 +380,13 @@ class Machine:
         ram.tree.append_text(path, text)
         self._sync_volume()
 
+    def append_directory_dump(self, path: str) -> str:
+        """Append a time stamp and the replica listing to ``path``; return that text."""
+        listing = (self._require_on().tree.file_bytes(LDAP_REPLICA_PATH) or b"").decode()
+        text = f"{self.clock.stamp()}\n{listing}"
+        self.append_text(path, text)
+        return text
+
     def remove_path(self, path: str) -> None:
         ram = self._require_on()
         ram.tree.remove(path)
@@ -578,9 +586,7 @@ class Machine:
 
     @_leaves(lambda args: [("add", args["dest"])])
     def _step_ldap_dump(self, ram, args):
-        listing = (ram.tree.file_bytes("/etc/ldap/directory.tsv") or b"").decode()
-        text = f"{self.clock.stamp()}\n{listing}"
-        self.append_text(args["dest"], text)
+        self.append_directory_dump(args["dest"])
         return "", 0
 
     @_leaves(lambda args: [("add", args["path"])])

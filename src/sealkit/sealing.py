@@ -21,6 +21,7 @@ from .config import ConfigError, ServerConfig
 from .machine import (
     HOST,
     HOST_LOG_NAME,
+    LDAP_REPLICA_PATH,
     VM,
     VM_LOG_NAME,
     VM_ROOT_DEVICE_FROM_HOST,
@@ -298,10 +299,8 @@ def prepare_trusted_server(config: ServerConfig, *,
                                 ("trust", 1000, "/bin/bash")], rng=rng)
     vm_tree.mkdir(config.webroot)
     _write_stage_files(vm_tree, VM, config, config.vm_name, plan.steps[VM])
-    vm_tree.write_file(
-        "/etc/ldap/directory.tsv",
-        services_mod.render_directory_file(config.ldap_users, rng).encode(),
-    )
+    vm_tree.write_file(LDAP_REPLICA_PATH,
+                       services_mod.render_directory_file(config.ldap_users, rng).encode())
     vm_tree.mkdir("/srv/data")
     vm_tree.write_file(
         "/srv/data/vm-secret.txt",

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import volume as vol
-from .machine import Machine, MailMessage, format_tree_volume
+from .machine import LDAP_REPLICA_PATH, Machine, MailMessage, format_tree_volume
 from .tree import FileTree
 from .volume import DiskFull, Keyfile, UnlockedVolume
 
@@ -212,7 +212,6 @@ class ServiceFrontend:
     """
 
     TABLE_PATH = "/srv/millionaires/table.tsv"
-    REPLICA_PATH = "/etc/ldap/directory.tsv"
 
     def __init__(self, machine: Machine, *,
                  primary_directory: CredentialDirectory | None = None,
@@ -242,7 +241,7 @@ class ServiceFrontend:
         return cached[1]
 
     def _replica(self) -> CredentialDirectory:
-        return self._parse_once(self.REPLICA_PATH, _parse_replica)
+        return self._parse_once(LDAP_REPLICA_PATH, _parse_replica)
 
     def _load_state(self) -> MillionairesState:
         return self._parse_once(self.TABLE_PATH, MillionairesState.parse)
@@ -294,11 +293,8 @@ class ServiceFrontend:
         if self.primary_directory is None:
             raise ReplicationUnconfigured("no primary directory was configured at prepare time")
         # one-way: the replica becomes a copy of the primary, and the dump is published
-        listing = self.primary_directory.render()
-        self.machine.write_file(self.REPLICA_PATH, listing.encode())
-        dump = f"{self.machine.clock.stamp()}\n{listing}"
-        self.machine.append_text(f"{self.machine.config.webroot}/ldap.txt", dump)
-        return dump
+        self.machine.write_file(LDAP_REPLICA_PATH, self.primary_directory.render().encode())
+        return self.machine.append_directory_dump(f"{self.machine.config.webroot}/ldap.txt")
 
     def authenticate(self, user: str, password: str) -> bool:
         """Verifier comparison only; no record of who asked is kept."""
@@ -317,6 +313,10 @@ class ServiceFrontend:
     def handle_line(self, line: str) -> str:
         """One request, one response. See the CLI ``serve`` loop."""
         request = line.strip()
+        try:
+            request.encode()
+        except UnicodeEncodeError:  # a non-UTF-8 stdin's bytes arrive surrogate-escaped
+            return "ERR usage: request is not UTF-8"
         try:
             return self._dispatch(request)
         except (ServiceError, DiskFull) as exc:

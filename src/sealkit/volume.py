@@ -45,9 +45,9 @@ The sector cipher (data key plus AES-GCM object) is built once per key: an
 master key, in ``invalidate``; :func:`reencrypt` builds one for each of its
 two keys.
 
-The ``TSVOL1`` container is the magic, a length-prefixed canonical JSON
-header, then the sector records. It is streamed both ways, 256 sector
-records at a time: :func:`serialize_volume` yields the container in parts and
+The ``TSVOL1`` container is the magic, a length-prefixed :func:`header_record`
+(canonical JSON, also what escrow splits), then the sector records, streamed
+256 at a time: :func:`serialize_volume` yields it in parts and
 :func:`deserialize_volume` reads it from a file in chunks, so no copy of the
 whole container is built. A malformed container, or one whose header names a
 KDF count above ``MAX_KDF_ITERATIONS``, raises :class:`VolumeError`.
@@ -497,7 +497,8 @@ def dump(volume: EncryptedVolume) -> str:
 # -- container serialization ----------------------------------------------------
 
 
-def _header_record(header: VolumeHeader) -> bytes:
+def header_record(header: VolumeHeader) -> bytes:
+    """The canonical JSON record of ``header``: what TSVOL1 stores after its magic."""
     slots = []
     for slot in header.slots:
         if slot.active:
@@ -524,52 +525,51 @@ def _header_record(header: VolumeHeader) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 
 
-def header_bytes(value: str, size: int) -> bytes:
-    """``value``'s hex as bytes, which must be ``size`` long; for every decoder of
-    header material (this container's header record, the escrowed key record)."""
+def _header_bytes(value: str, size: int) -> bytes:
+    """``value``'s hex as bytes, which must be ``size`` long."""
     raw = bytes.fromhex(value)
     if len(raw) != size:
         raise VolumeError(f"header field holds {len(raw)} bytes, expected {size}")
     return raw
 
 
-def header_count(value: int) -> int:
+def _header_count(value: int) -> int:
     if type(value) is not int or value < 1:
         raise VolumeError(f"header count {value!r} is not a positive integer")
     return value
 
 
-def kdf_count(value: int) -> int:
+def _kdf_count(value: int) -> int:
     """A header's KDF iteration count: a positive integer up to MAX_KDF_ITERATIONS."""
-    if header_count(value) > MAX_KDF_ITERATIONS:
+    if _header_count(value) > MAX_KDF_ITERATIONS:
         raise VolumeError(f"KDF iteration count {value} exceeds {MAX_KDF_ITERATIONS}")
     return value
 
 
-def _header_from_record(raw: bytes) -> VolumeHeader:
+def header_from_record(raw: bytes) -> VolumeHeader:
     """The header whose canonical record is ``raw``; anything else raises VolumeError."""
     try:
         doc = json.loads(raw)
         slots = tuple(
             KeySlot(
                 state="active",
-                salt=header_bytes(entry["salt"], SALT_BYTES),
-                kdf_iterations=kdf_count(entry["kdf_iterations"]),
-                wrapped_key=header_bytes(entry["wrapped_key"], WRAPPED_KEY_BYTES),
+                salt=_header_bytes(entry["salt"], SALT_BYTES),
+                kdf_iterations=_kdf_count(entry["kdf_iterations"]),
+                wrapped_key=_header_bytes(entry["wrapped_key"], WRAPPED_KEY_BYTES),
             ) if entry["state"] == "active" else KeySlot()
             for entry in doc["slots"]
         )
         header = VolumeHeader(
-            uuid=header_bytes(doc["uuid"], 16),
-            kdf_iterations=kdf_count(doc["spec"]["kdf_iterations"]),
+            uuid=_header_bytes(doc["uuid"], 16),
+            kdf_iterations=_kdf_count(doc["spec"]["kdf_iterations"]),
             slots=slots,
-            mk_digest_salt=header_bytes(doc["mk_digest_salt"], SALT_BYTES),
-            mk_digest=header_bytes(doc["mk_digest"], MK_DIGEST_BYTES),
-            sector_count=header_count(doc["sector_count"]),
+            mk_digest_salt=_header_bytes(doc["mk_digest_salt"], SALT_BYTES),
+            mk_digest=_header_bytes(doc["mk_digest"], MK_DIGEST_BYTES),
+            sector_count=_header_count(doc["sector_count"]),
         )
     except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise VolumeError(f"malformed volume header ({type(exc).__name__}: {exc})") from None
-    if _header_record(header) != raw:
+    if header_record(header) != raw:
         raise VolumeError("volume header record is not in canonical form")
     return header
 
@@ -578,7 +578,7 @@ def serialize_volume(volume: EncryptedVolume) -> Iterator[bytes]:
     """The TSVOL1 container in parts: magic, header record, then the sector
     records, ``_CHUNK_RECORDS`` to a part."""
     yield VOLUME_MAGIC
-    yield pack_bytes(_header_record(volume.header))
+    yield pack_bytes(header_record(volume.header))
     sectors = volume.sectors
     for first in range(0, len(sectors), _CHUNK_RECORDS):
         yield b"".join(sectors[first:first + _CHUNK_RECORDS])
@@ -596,7 +596,7 @@ def deserialize_volume(file: BinaryIO, rng: random.Random | None = None) -> Encr
     record = file.read(size)
     if len(record) != size:
         raise VolumeError("truncated volume header")
-    header = _header_from_record(record)
+    header = header_from_record(record)
     sectors: list[bytes] = []
     for first in range(0, header.sector_count, _CHUNK_RECORDS):
         want = min(_CHUNK_RECORDS, header.sector_count - first) * SECTOR_RECORD_BYTES

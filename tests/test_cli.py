@@ -405,6 +405,17 @@ def test_verify_into_a_closed_pipe_exits_one_without_traceback(tmp_path):
     assert done.stderr == b""
 
 
+def test_serve_answers_a_non_utf8_line_and_the_next_one():
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "LC_ALL": "C", "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-m", "sealkit", "serve", "--seed", "1"],
+                          input=b"SUBMIT \xff\xfe 5\nAUTH a b\n", capture_output=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [b"ERR usage: request is not UTF-8", b"OK reject"]
+
+
 def test_verify_without_workdir_contents_fails(tmp_path):
     assert run_command(["verify", "--workdir", str(tmp_path)]) == 1
 

@@ -23,8 +23,10 @@ from sealkit.escrow import (
     split_key,
     wrapped_key_record,
 )
+from sealkit.machine import HOST_LOG_NAME, VM_ROOT_DEVICE_FROM_HOST
 from sealkit.sealing import seal_all_with_escrow
 from sealkit.util import make_rng
+from sealkit.verifier import parse_sealing_log
 from sealkit.volume import Keyfile
 
 
@@ -208,20 +210,34 @@ def edited_key_record(edit) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 
 
+def edit_slot_0(**fields):
+    return edited_key_record(lambda doc: doc["slots"][0].update(fields))
+
+
 @pytest.mark.parametrize("record", [
     b"\xff" + KEY_RECORD,
     edited_key_record(lambda doc: doc.pop("mk_digest")),
-    edited_key_record(lambda doc: doc.update(slot_salt="zz")),
+    edit_slot_0(salt="zz"),
     b"[]",
-    edited_key_record(lambda doc: doc.update(wrapped_key="00")),
-    edited_key_record(lambda doc: doc.update(kdf_iterations="10")),
-    edited_key_record(lambda doc: doc.update(kdf_iterations=2**32 + 1)),
+    edit_slot_0(wrapped_key="00"),
+    edit_slot_0(kdf_iterations="10"),
+    edit_slot_0(kdf_iterations=2**31),
+    edited_key_record(lambda doc: doc.update(slots=[{"state": "empty"}] * 8)),
 ], ids=["not-utf8", "missing-mk-digest", "bad-hex-salt", "json-list", "short-wrapped-key",
-        "string-iterations", "iterations-past-the-limit"])
+        "string-iterations", "iterations-past-the-limit", "no-active-slot"])
 def test_malformed_key_record_raises_escrow_error_and_keeps_the_header(record):
     volume = KEY_RECORD_VOLUME.copy()
     before = volume.header
     with pytest.raises(EscrowError):
+        apply_wrapped_key_record(volume, record)
+    assert volume.header is before
+
+
+def test_key_record_of_another_sector_count_raises_geometry_mismatch_and_keeps_the_header():
+    record = edited_key_record(lambda doc: doc.update(sector_count=2))
+    volume = KEY_RECORD_VOLUME.copy()
+    before = volume.header
+    with pytest.raises(vol.GeometryMismatch):
         apply_wrapped_key_record(volume, record)
     assert volume.header is before
 
@@ -238,14 +254,26 @@ def test_one_byte_key_record_mutation_applies_cleanly_or_raises_escrow_error(ind
     except EscrowError:
         assert volume.header is before
         return
-    except vol.VolumeError:  # a well-formed record of another volume
-        assert json.loads(record)["uuid"] != before.uuid.hex()
+    except vol.VolumeError:  # a well-formed record of another volume or geometry
+        doc = json.loads(record)
+        assert (doc["uuid"], doc["sector_count"]) != (before.uuid.hex(), before.sector_count)
         assert volume.header is before
         return
     try:
         vol.unlock(volume, KEY_RECORD_KEYFILE)
     except vol.VolumeError:
         pass
+
+
+def test_recovery_installs_the_header_the_host_stage_dumped_last():
+    host = build_server(72)
+    vm = host.nested_vm
+    bundle, shares = seal_all_with_escrow(host, 2)
+    apply_wrapped_key_record(vm.root_volume, reconstruct(shares))
+    log = parse_sealing_log(bundle.artifacts[HOST_LOG_NAME].decode())
+    dumps = [record.output for record in log.records
+             if record.command == f"cryptsetup luksDump {VM_ROOT_DEVICE_FROM_HOST}"]
+    assert vol.dump(vm.root_volume) == dumps[-1] + "\n"
 
 
 def test_bundle_excludes_escrow_material():

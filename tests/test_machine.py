@@ -193,6 +193,12 @@ def host_with_vm_on(seed):
     return host
 
 
+def booted_vm_without_hosts_allow(seed):
+    vm = booted_vm(seed)
+    vm.remove_path("/etc/hosts.allow")
+    return vm
+
+
 @pytest.mark.parametrize("machine, failing, output, status", [
     (booted_vm, step("reencrypt_vm"), "cryptsetup-reencrypt: no such device", 1),
     (booted_vm, step("copy_log_to_vm_boot"),
@@ -206,8 +212,13 @@ def host_with_vm_on(seed):
     (booted_vm, step("hash_tree", root="/nope"), "rhash: /nope: No such file or directory", 1),
     (booted_vm, step("move_from_boot", name="missing.log", dest_dir="/var/www/log"),
      "mv: cannot stat '/boot/missing.log': No such file or directory", 1),
+    (booted_vm, step("delete_input_rule", index=99), "iptables: Index of deletion too big.", 1),
+    (booted_vm_without_hosts_allow, step("remove_hosts_allow"),
+     "rm: cannot remove '/etc/hosts.allow': No such file or directory", 1),
+    (booted_vm, step("remove_user", name="mallory"), "userdel: user 'mallory' does not exist", 1),
 ], ids=["reencrypt-no-vm", "copy-log-no-vm", "start-vm-no-vm", "zip-to-vm-boot-no-vm",
-        "reencrypt-vm-running", "zip-missing-root", "hash-missing-root", "move-missing-file"])
+        "reencrypt-vm-running", "zip-missing-root", "hash-missing-root", "move-missing-file",
+        "delete-rule-past-the-table", "remove-missing-hosts-allow", "remove-unknown-user"])
 def test_failing_step_records_its_output_and_status(machine, failing, output, status):
     m = machine(18)
     before = m.ram.tree.encode()

@@ -549,20 +549,25 @@ def test_malformed_request_gets_its_usage_answer(serving, line, response):
 
 
 VERBS = ("SUBMIT", "PUBLISH", "MAIL", "AUTH", "SYNC", "VAULTKEY", "RESOLVE")
+# what a line of non-UTF-8 bytes becomes on a stdin decoded with surrogateescape
+escaped_bytes = st.binary(max_size=12).map(lambda b: b.decode("utf-8", "surrogateescape"))
 request_lines = st.one_of(
     st.builds(lambda verb, tokens: " ".join((verb, *tokens)),
               st.sampled_from(VERBS) | st.sampled_from(VERBS).map(str.lower),
-              st.lists(st.text(min_size=1, max_size=12), max_size=5)),
+              st.lists(st.text(min_size=1, max_size=12) | escaped_bytes, max_size=5)),
     st.text("0123456789abcdefABCDEF", max_size=1100).map("VAULTKEY {}".format),
+    escaped_bytes,
 )
 
 
 @settings(max_examples=120)
 @example(line="VAULTKEY " + "00" * 512)
+@example(line="SUBMIT \udcff\udcfe 5 alice pw")
 @given(line=request_lines)
 def test_every_request_line_gets_one_answer_and_the_next_auth_too(serving, line):
     response = serving.handle_line(line)
     assert "\n" not in response
+    response.encode()  # writable to any UTF-8 stdout
     assert response == "OK" or response.startswith(("OK ", "ERR "))
     assert serving.handle_line("AUTH alice pw") in ("OK accept", "OK reject")
 

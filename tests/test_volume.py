@@ -658,7 +658,7 @@ def test_backup_erase_restore_reopens_volume(rng):
 def test_backup_is_deep_copy_and_byte_identical(rng):
     volume, _ = make_volume(rng)
     backup = vol.header_backup(volume)
-    assert vol._header_record(backup) == vol._header_record(volume.header)
+    assert vol.header_record(backup) == vol.header_record(volume.header)
     vol.erase_keyslots(volume)
     assert backup.slots[0].state == "active"  # isolated from later mutation
 
