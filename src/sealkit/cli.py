@@ -17,7 +17,7 @@ from .machine import (
     save_images,
 )
 from .volume import VolumeError
-from .manifest import compute_manifest
+from .manifest import ManifestError, compute_manifest
 from .scenarios import SCENARIOS, run_scenario
 from .sealing import (
     PublishedBundle,
@@ -184,18 +184,7 @@ def cmd_restore(args) -> int:
 
 def cmd_escrow(args) -> int:
     if args.escrow_action == "split":
-        if not args.secret_hex and not args.secret_file:
-            print("escrow split: --secret-hex or --secret-file is required",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        if args.secret_hex:
-            try:
-                secret = bytes.fromhex(args.secret_hex)
-            except ValueError:
-                print("escrow split: --secret-hex is not valid hex", file=sys.stderr)
-                return EXIT_USAGE
-        else:
-            secret = Path(args.secret_file).read_bytes()
+        secret = args.secret_hex if args.secret_file is None else args.secret_file.read_bytes()
         shares = escrow_mod.split_key(secret, args.parties, make_rng(args.seed))
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -204,12 +193,7 @@ def cmd_escrow(args) -> int:
         print(f"wrote {len(shares)} shares to {out_dir}")
         return EXIT_OK
 
-    shares = [escrow_mod.load_share(p) for p in args.shares]
-    try:
-        secret = escrow_mod.reconstruct(shares)
-    except escrow_mod.EscrowError as exc:
-        print(f"escrow recover: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    secret = escrow_mod.reconstruct([escrow_mod.load_share(p) for p in args.shares])
     if args.out:
         Path(args.out).write_bytes(secret)
         print(f"secret written to {args.out}")
@@ -221,10 +205,6 @@ def cmd_escrow(args) -> int:
 def cmd_attack(args) -> int:
     config = load_config(args.config)
     names = sorted(SCENARIOS) if args.scenario == "all" else [args.scenario]
-    if any(name not in SCENARIOS for name in names):
-        print(f"attack: unknown scenario {args.scenario!r}; "
-              f"known: {', '.join(sorted(SCENARIOS))} or 'all'", file=sys.stderr)
-        return EXIT_USAGE
     seed = args.seed if args.seed is not None else 0
     reports = [run_scenario(name, seed, config) for name in names]
     if args.json:
@@ -280,8 +260,8 @@ def cmd_serve(args) -> int:
           file=sys.stderr)
     print(f"(full key: {vault_key.data.hex()})", file=sys.stderr)
     try:
-        for line in sys.stdin:
-            print(frontend.handle_line(line), flush=True)
+        for line in sys.stdin.buffer:  # bytes, so no locale's strict decoding ends the session
+            print(frontend.handle_line(line.decode("utf-8", "surrogateescape")), flush=True)
     except KeyboardInterrupt:
         pass
     return EXIT_OK
@@ -330,8 +310,9 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     if p_escrow := subcommand("escrow", "split or recover escrow shares"):
         escrow_sub = p_escrow.add_subparsers(dest="escrow_action", required=True)
         p_split = escrow_sub.add_parser("split")
-        p_split.add_argument("--secret-hex")
-        p_split.add_argument("--secret-file")
+        secret = p_split.add_mutually_exclusive_group(required=True)
+        secret.add_argument("--secret-hex", type=bytes.fromhex)
+        secret.add_argument("--secret-file", type=Path)
         p_split.add_argument("-n", "--parties", type=int, required=True)
         p_split.add_argument("--out", required=True, help="output directory for share files")
         p_split.add_argument("--seed", type=int, default=None)
@@ -345,7 +326,8 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
         p_serve.set_defaults(func=cmd_serve)
 
     if p_attack := subcommand("attack", "run a named attack scenario"):
-        p_attack.add_argument("scenario", help="scenario name or 'all'")
+        p_attack.add_argument("scenario", choices=[*sorted(SCENARIOS), "all"],
+                              help="scenario name or 'all'")
         _flags(p_attack, "seed", "config", "json")
         p_attack.set_defaults(func=cmd_attack)
 
@@ -366,8 +348,10 @@ def run_command(argv: list[str]) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ConfigError, ProtocolError, MachineError, VolumeError, TreeError,
-            escrow_mod.EscrowError, FileNotFoundError) as exc:
+    except BrokenPipeError:
+        raise  # main() handles a reader that left
+    except (ConfigError, ProtocolError, MachineError, VolumeError, TreeError, ManifestError,
+            escrow_mod.EscrowError, OSError) as exc:
         print(f"sealkit: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .manifest import RootSpec
+from .tree import normalize
 
 DEFAULT_HASH_ROOTS = (
     "/boot", "/etc", "/home", "/lib", "/root", "/sbin", "/srv", "/tmp",
@@ -48,12 +49,15 @@ class ServerConfig:
             for path in self.hash_roots
         ]
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if "@" not in self.mail_to:
             raise ConfigError(f"mail_to does not look like an address: {self.mail_to!r}")
         if not self.webroot.startswith("/"):
             raise ConfigError("webroot must be an absolute path")
-        if self.host_sectors < 1 or self.vm_sectors < 1:
+        # The bundle is named by stripping the webroot off normalized tree paths.
+        if self.webroot == "/" or normalize(self.webroot) != self.webroot:
+            raise ConfigError(f"webroot must be a normalized directory below /: {self.webroot!r}")
+        if min(self.host_sectors, self.vm_sectors, self.vault_sectors) < 1:
             raise ConfigError("sector counts must be positive")
         for root in self.hash_roots:
             if not root.startswith("/"):
@@ -69,9 +73,9 @@ def parse_config(text: str) -> ServerConfig:
     dns.<domain> = <address>. Each stage deletes the ssh accept rule at its
     position in the stage's built-in rule table, so no key sets it.
     """
-    cfg = ServerConfig()
-    ldap_users = list(cfg.ldap_users)
-    dns_table = list(cfg.dns_table)
+    fields: dict[str, object] = {}
+    ldap_users = list(ServerConfig.ldap_users)
+    dns_table = list(ServerConfig.dns_table)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -81,18 +85,17 @@ def parse_config(text: str) -> ServerConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         try:
             if key in _INT_KEYS:
-                cfg = replace(cfg, **{key: int(value)})
+                fields[key] = int(value)
             elif key in _STR_KEYS:
-                cfg = replace(cfg, **{key: value})
+                fields[key] = value
             elif key == "hash_roots":
-                roots = tuple(r.strip() for r in value.split(",") if r.strip())
-                cfg = replace(cfg, hash_roots=roots)
+                fields[key] = tuple(r.strip() for r in value.split(",") if r.strip())
             elif key == "millionaires_order":
                 if value not in ("descending", "ascending"):
                     raise ConfigError(
                         f"line {lineno}: millionaires_order must be descending|ascending"
                     )
-                cfg = replace(cfg, millionaires_descending=value == "descending")
+                fields["millionaires_descending"] = value == "descending"
             elif key.startswith("ldap_user."):
                 ldap_users.append((key.split(".", 1)[1], value))
             elif key.startswith("dns."):
@@ -101,14 +104,8 @@ def parse_config(text: str) -> ServerConfig:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from exc
-    cfg = replace(cfg, ldap_users=tuple(ldap_users), dns_table=tuple(dns_table))
-    cfg.validate()
-    return cfg
+    return ServerConfig(**fields, ldap_users=tuple(ldap_users), dns_table=tuple(dns_table))
 
 
 def load_config(path: str | Path | None) -> ServerConfig:
-    if path is None:
-        cfg = ServerConfig()
-        cfg.validate()
-        return cfg
-    return parse_config(Path(path).read_text())
+    return ServerConfig() if path is None else parse_config(Path(path).read_text())

@@ -431,14 +431,11 @@ class Machine:
             return StepRecord(step.command, f"no space left on device: {exc}", 1)
         return StepRecord(command=step.command, output=output, exit_status=status)
 
-    def _resolve_disk(self, target: str) -> EncryptedVolume:
+    def _resolve_disk(self, target: str) -> EncryptedVolume | None:
+        """This machine's root volume (``"self"``) or its VM's (``"vm"``); None with no VM."""
         if target == "self":
             return self.root_volume
-        if target == "vm":
-            if self.nested_vm is None:
-                raise MachineError("no nested VM attached")
-            return self.nested_vm.root_volume
-        raise MachineError(f"unknown disk target {target!r}")
+        return self.nested_vm and self.nested_vm.root_volume
 
     def _step_set_output_drop(self, ram, args):
         ram.firewall.output_policy = "DROP"
@@ -514,11 +511,15 @@ class Machine:
 
     def _step_luks_erase(self, ram, args):
         disk = self._resolve_disk(args["target"])
+        if disk is None:
+            return "cryptsetup: no such device", 1
         vol.erase_keyslots(disk)
         return "", 0
 
     def _step_luks_dump(self, ram, args):
         disk = self._resolve_disk(args["target"])
+        if disk is None:
+            return "cryptsetup: no such device", 1
         return vol.dump(disk), 0
 
     def _step_reencrypt_vm(self, ram, args):

@@ -80,7 +80,7 @@ def compute_manifest(tree: FileTree, roots: list[RootSpec | str]) -> Manifest:
         try:
             lines += hash_lines(tree, spec.path, spec.recursive)
         except MissingPath:
-            raise MissingRoot(spec.path) from None
+            raise MissingRoot(f"hash root {spec.path} does not exist") from None
     return manifest_from_lines(lines)
 
 

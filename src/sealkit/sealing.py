@@ -280,7 +280,6 @@ def _write_stage_files(tree: FileTree, stage: Stage, config: ServerConfig, hostn
 def prepare_trusted_server(config: ServerConfig, *,
                            rng: random.Random, clock: SimClock) -> Machine:
     """Build the unsealed host+VM pair in its pre-seal production state."""
-    config.validate()
     plan = default_plan(config)
 
     host_tree = _base_tree(users=[("root", 0, "/usr/sbin/nologin"),

@@ -48,6 +48,15 @@ def test_parse_config_round_trip():
     assert ("internal.test", "10.1.2.3") in cfg.dns_table
 
 
+# Configs that used to fail only late: either webroot sealed both machines and then
+# published nothing, and an empty vault failed when `serve` formatted it.
+REFUSED_CONFIGS = {
+    "webroot = /var/www/log/": "webroot must be a normalized directory below /",
+    "webroot = /": "webroot must be a normalized directory below /",
+    "vault_sectors = 0": "sector counts must be positive",
+}
+
+
 def test_parse_config_rejects_unknown_key_and_bad_values():
     with pytest.raises(ConfigError):
         parse_config("no_such_key = 1")
@@ -59,10 +68,13 @@ def test_parse_config_rejects_unknown_key_and_bad_values():
         parse_config("mail_to = not-an-address")
     with pytest.raises(ConfigError):
         parse_config("just a line")
+    for text, message in REFUSED_CONFIGS.items():
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
 
 
 def test_default_config_is_valid():
-    ServerConfig().validate()
+    ServerConfig()
 
 
 ALT_CONFIG = """
@@ -218,6 +230,17 @@ def test_build_with_a_missing_hash_root_exits_one(tmp_path, capsys):
     assert not (tmp_path / "images").exists()
 
 
+@pytest.mark.parametrize("text", REFUSED_CONFIGS,
+                         ids=["webroot-trailing-slash", "webroot-root", "vault-sectors-zero"])
+def test_build_with_a_refused_config_exits_one_and_writes_no_images(tmp_path, capsys, text):
+    conf = tmp_path / "refused.conf"
+    conf.write_text(text)
+    assert run_command(["build", *ws(tmp_path, "--config", str(conf))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"sealkit: {REFUSED_CONFIGS[text]}") and err.count("\n") == 1
+    assert not (tmp_path / "images").exists()
+
+
 def test_seal_reuses_existing_images(tmp_path):
     assert run_command(["build", *ws(tmp_path)]) == 0
     before = (tmp_path / "images" / "host" / "root.tsvol").read_bytes()
@@ -280,6 +303,13 @@ def test_escrow_recover_corrupt_share_exits_one_without_traceback(tmp_path, caps
     assert str(shares[0]) in err and str(shares[1]) not in err
 
 
+def test_escrow_recover_of_a_directory_exits_one_without_traceback(tmp_path, capsys):
+    assert run_command(["escrow", "recover", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sealkit: ") and err.count("\n") == 1
+    assert str(tmp_path) in err
+
+
 def test_restore_after_seal(tmp_path, capsys):
     seal_workdir(tmp_path)
     assert run_command(["restore", *ws(tmp_path)]) == 0
@@ -304,6 +334,13 @@ def test_attack_subcommand_json(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report[0]["name"] == "theft-reboot"
     assert report[0]["ok"] is True
+
+
+def test_attack_subcommand_text(capsys):
+    assert run_command(["attack", "theft-reboot", "--seed", "2"]) == 0
+    first, *details = capsys.readouterr().out.splitlines()
+    assert first == "theft-reboot: expected attack-fails, observed attack-fails [ok]"
+    assert len(details) == 3 and all(d.startswith("    ") for d in details)
 
 
 def test_per_command_parser_answers_as_the_full_parser(tmp_path, capsys, monkeypatch):
@@ -380,6 +417,15 @@ def test_manifest_subcommand(tmp_path, capsys):
     assert paths == sorted(paths)  # sorted bytewise by path
 
 
+def test_manifest_of_a_missing_hash_root_exits_one_without_traceback(tmp_path, capsys):
+    assert run_command(["build", *ws(tmp_path)]) == 0
+    conf = tmp_path / "roots.conf"
+    conf.write_text("hash_roots = /etc, /nonexistent\n")
+    capsys.readouterr()
+    assert run_command(["manifest", str(tmp_path / "images" / "vm"), "--config", str(conf)]) == 1
+    assert capsys.readouterr().err == "sealkit: hash root /nonexistent does not exist\n"
+
+
 def test_verify_json_output(tmp_path, capsys):
     seal_workdir(tmp_path)
     capsys.readouterr()
@@ -407,13 +453,15 @@ def test_verify_into_a_closed_pipe_exits_one_without_traceback(tmp_path):
 
 def test_serve_answers_a_non_utf8_line_and_the_next_one():
     src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "LC_ALL": "C", "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run([sys.executable, "-m", "sealkit", "serve", "--seed", "1"],
-                          input=b"SUBMIT \xff\xfe 5\nAUTH a b\n", capture_output=True,
-                          env=env, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == [b"ERR usage: request is not UTF-8", b"OK reject"]
+    # text-mode stdin decodes with surrogateescape under the C locale, strictly under the other
+    for stdin_env in ({"LC_ALL": "C"}, {"PYTHONIOENCODING": "utf-8:strict"}):
+        env = {**os.environ, **stdin_env, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run([sys.executable, "-m", "sealkit", "serve", "--seed", "1"],
+                              input=b"SUBMIT \xff\xfe 5\nAUTH a b\n", capture_output=True,
+                              env=env, timeout=60)
+        assert done.returncode == 0, (stdin_env, done.stderr)
+        assert done.stdout.splitlines() == [b"ERR usage: request is not UTF-8", b"OK reject"]
 
 
 def test_verify_without_workdir_contents_fails(tmp_path):
@@ -438,7 +486,7 @@ def test_serve_loop(tmp_path, capsys, monkeypatch):
         "RESOLVE internal.test",
         "RESOLVE unknown.test",
     ]) + "\n"
-    monkeypatch.setattr("sys.stdin", io.StringIO(requests))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(requests.encode())))
     assert run_command(["serve", "--seed", "9", "--config", str(config)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out == [

@@ -201,6 +201,8 @@ def booted_vm_without_hosts_allow(seed):
 
 @pytest.mark.parametrize("machine, failing, output, status", [
     (booted_vm, step("reencrypt_vm"), "cryptsetup-reencrypt: no such device", 1),
+    (booted_vm, step("luks_dump", target="vm"), "cryptsetup: no such device", 1),
+    (booted_vm, step("luks_erase", target="vm"), "cryptsetup: no such device", 1),
     (booted_vm, step("copy_log_to_vm_boot"),
      "cp: cannot create regular file '/mnt': no medium", 1),
     (booted_vm, step("start_vm", name="tsvm"), "error: failed to get domain 'tsvm'", 1),
@@ -216,8 +218,8 @@ def booted_vm_without_hosts_allow(seed):
     (booted_vm_without_hosts_allow, step("remove_hosts_allow"),
      "rm: cannot remove '/etc/hosts.allow': No such file or directory", 1),
     (booted_vm, step("remove_user", name="mallory"), "userdel: user 'mallory' does not exist", 1),
-], ids=["reencrypt-no-vm", "copy-log-no-vm", "start-vm-no-vm", "zip-to-vm-boot-no-vm",
-        "reencrypt-vm-running", "zip-missing-root", "hash-missing-root", "move-missing-file",
+], ids=["reencrypt-no-vm", "luks-dump-no-vm", "luks-erase-no-vm", "copy-log-no-vm",
+        "start-vm-no-vm", "zip-to-vm-boot-no-vm", "reencrypt-vm-running", "zip-missing-root", "hash-missing-root", "move-missing-file",
         "delete-rule-past-the-table", "remove-missing-hosts-allow", "remove-unknown-user"])
 def test_failing_step_records_its_output_and_status(machine, failing, output, status):
     m = machine(18)

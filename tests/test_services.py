@@ -548,6 +548,31 @@ def test_malformed_request_gets_its_usage_answer(serving, line, response):
     assert serving.handle_line(line) == response
 
 
+@pytest.fixture(scope="module")
+def bare_serving():
+    """A sealed SMALL VM's frontend with no vault disk, directory or upstream resolver."""
+    return sealed_frontend(106)[1]
+
+
+@pytest.mark.parametrize("line, response", [
+    ("SUBMIT x -5", "ERR ServiceError: assets must be non-negative"),
+    ("RESOLVE example.org", "ERR Unresolvable: no upstream resolver configured"),
+    ("VAULTKEY " + "00" * 512, "ERR ServiceError: no vault disk attached"),
+])
+def test_a_refused_request_gets_its_exact_answer(bare_serving, line, response):
+    assert bare_serving.handle_line(line) == response
+
+
+def test_vaultkey_with_the_data_providers_key_unlocks_the_vault():
+    from sealkit.sealing import seal_all
+
+    host = build_server(107)
+    key = attach_data_vault(host.nested_vm, 8, {"/d": b"x"}, make_rng(17))
+    seal_all(host)
+    frontend = ServiceFrontend(host.nested_vm)
+    assert frontend.handle_line(f"VAULTKEY {key.data.hex()}") == "OK vault unlocked"
+
+
 VERBS = ("SUBMIT", "PUBLISH", "MAIL", "AUTH", "SYNC", "VAULTKEY", "RESOLVE")
 # what a line of non-UTF-8 bytes becomes on a stdin decoded with surrogateescape
 escaped_bytes = st.binary(max_size=12).map(lambda b: b.decode("utf-8", "surrogateescape"))
