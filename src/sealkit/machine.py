@@ -194,11 +194,19 @@ def format_tree_volume(tree: FileTree, sector_count: int,
     return handle.volume, keyfile
 
 
+KEYFILE_PATH = "/keyfile"  # on the boot tree, which is not encrypted
+
+
+def boot_keyfile(boot: FileTree) -> Keyfile:
+    """The keyfile that unlocks the root volume, as the boot tree holds it."""
+    return Keyfile(boot.read_file(KEYFILE_PATH))
+
+
 def provision(*, root_tree: FileTree, boot_tree: FileTree, sector_count: int,
               rng: random.Random) -> DiskImagePair:
     """Format a root volume holding the tree; the keyfile goes on the boot tree."""
     root, keyfile = format_tree_volume(root_tree, sector_count, rng)
-    boot_tree.write_file("/keyfile", keyfile.data)
+    boot_tree.write_file(KEYFILE_PATH, keyfile.data)
     return DiskImagePair(boot=boot_tree, root=root)
 
 
@@ -325,8 +333,7 @@ class Machine:
         if self.is_on:
             raise MachineRunning(f"{self.name} is already powered on")
         try:
-            keyfile = Keyfile(self.boot_partition.read_file("/keyfile"))
-            handle = vol.unlock(self.root_volume, keyfile)
+            handle = vol.unlock(self.root_volume, boot_keyfile(self.boot_partition))
         except (KeyslotsEmpty, NoMatchingSlot) as exc:
             raise SealedAndCold(
                 f"{self.name}: root volume cannot be unlocked ({exc})"
@@ -529,8 +536,7 @@ class Machine:
             return "cryptsetup-reencrypt: device is busy", 1
         vm = self.nested_vm
         try:
-            keyfile = Keyfile(vm.boot_partition.read_file("/keyfile"))
-            vol.reencrypt(vm.root_volume, keyfile)
+            vol.reencrypt(vm.root_volume, boot_keyfile(vm.boot_partition))
         except (KeyslotsEmpty, NoMatchingSlot, vol.VolumeError) as exc:
             return f"cryptsetup-reencrypt: {exc}", 1
         return "Finished, reencryption complete.", 0
@@ -640,8 +646,7 @@ def read_volume_tree(handle: UnlockedVolume) -> tuple[FileTree, bytearray]:
 
 def full_tree_from_images(images: DiskImagePair) -> FileTree:
     """Decrypt and decode an image pair using the keyfile on its boot tree."""
-    keyfile = Keyfile(images.boot.read_file("/keyfile"))
-    handle = vol.unlock(images.root, keyfile)
+    handle = vol.unlock(images.root, boot_keyfile(images.boot))
     return read_volume_tree(handle)[0].mount("/boot", images.boot)
 
 

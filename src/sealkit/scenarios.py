@@ -13,8 +13,8 @@ from typing import Callable, NamedTuple
 
 from . import volume as vol
 from .config import ServerConfig
-from .machine import (HOST, VM, Machine, SealedAndCold, Stage, full_tree_from_images,
-                      read_volume_tree)
+from .machine import (HOST, VM, Machine, SealedAndCold, Stage, boot_keyfile,
+                      full_tree_from_images, read_volume_tree)
 from .sealing import (
     PublishedBundle,
     SealingPlan,
@@ -133,8 +133,7 @@ def _run_theft_reboot(seed: int, config: ServerConfig) -> ScenarioReport:
             outcomes.append("booted")
         except SealedAndCold:
             outcomes.append("sealed-and-cold")
-        keyfile = Keyfile(machine.boot_partition.read_file("/keyfile"))
-        state, _ = _probe_volume(machine.root_volume, keyfile)
+        state, _ = _probe_volume(machine.root_volume, boot_keyfile(machine.boot_partition))
         outcomes.append(state)
         details.append(f"{machine.name}: boot+unlock -> {outcomes[-2]}, {outcomes[-1]}")
     cold = all(o in ("sealed-and-cold", "keyslots-empty") for o in outcomes)
@@ -156,8 +155,7 @@ def _run_header_restore_single(seed: int, config: ServerConfig) -> ScenarioRepor
     host.power_off()
 
     vol.restore_header(host.root_volume, backup)
-    keyfile = Keyfile(host.boot_partition.read_file("/keyfile"))
-    state, tree = _probe_volume(host.root_volume, keyfile)
+    state, tree = _probe_volume(host.root_volume, boot_keyfile(host.boot_partition))
     details = [f"unlock after header restore: {state}"]
     recovered = tree is not None and tree.file_bytes("/root/host-secret.txt") == secret.encode()
     details.append(f"secret recovered: {recovered}")
@@ -172,8 +170,7 @@ def _run_header_restore_dual(seed: int, config: ServerConfig) -> ScenarioReport:
     host.power_off()
 
     vol.restore_header(vm.root_volume, backup)
-    keyfile = Keyfile(vm.boot_partition.read_file("/keyfile"))
-    state, tree = _probe_volume(vm.root_volume, keyfile)
+    state, tree = _probe_volume(vm.root_volume, boot_keyfile(vm.boot_partition))
     details = [f"read attempt after header restore: {state}"]
     observed = ATTACK_FAILS if state == "all-auth-failures" and tree is None else ATTACK_SUCCEEDS
     return ScenarioReport("header-restore-dual", seed, ATTACK_FAILS, observed, details)

@@ -29,6 +29,7 @@ from .machine import (
     DiskImagePair,
     Stage,
     StepRecord,
+    boot_keyfile,
     full_tree_from_images,
     unzip_to_map,
 )
@@ -401,7 +402,7 @@ def verify_seal(host_images: DiskImagePair, vm_images: DiskImagePair,
                        policy, findings)
 
     # (7) nothing secret leaks into the bundle
-    keyfiles = [images[stage].boot.read_file("/keyfile") for stage in STAGES]
+    keyfiles = [boot_keyfile(images[stage].boot).data for stage in STAGES]
     for name, data in bundle.artifacts.items():
         if SHARE_MAGIC in data:
             findings.append(Finding(name, "escrow share material published in the bundle"))

@@ -43,7 +43,14 @@ sector, and one AAD per sector, which reencryption's decrypt and encrypt share.
 The sector cipher (data key plus AES-GCM object) is built once per key: an
 :class:`UnlockedVolume` builds it at construction and drops it, with the
 master key, in ``invalidate``; :func:`reencrypt` builds one for each of its
-two keys.
+two keys. Each sector's AAD is built once per process, not per call: one
+immutable tuple holds the AAD of every index below the largest sector count
+a handle has been opened on (about 64 B per index, some 2 MB for a 16 MiB
+volume). The module grows it copy-on-write, never in place, and each
+handle keeps the table it was opened with, which covers its volume, so a
+thread that grows the table never changes an AAD that another reads, and no
+lock is needed. Every sector read and write takes its AAD from the handle's
+table.
 
 The ``TSVOL1`` container is the magic, a length-prefixed :func:`header_record`
 (canonical JSON, also what escrow splits), then the sector records, streamed
@@ -146,6 +153,20 @@ def _master_digest(salt: bytes, master_key: bytes) -> bytes:
 
 # Sector AAD: this prefix plus the 8-byte big-endian sector index.
 _AAD_PREFIX = b"TSVOL1 sector "
+# The AAD of each sector index below the largest sector count opened so far.
+# Replaced by a longer tuple, never changed in place: handles keep their own.
+_aad_table: tuple[bytes, ...] = ()
+
+
+def _sector_aads(sector_count: int) -> tuple[bytes, ...]:
+    """A table whose entry i is sector i's AAD, for every i below ``sector_count``."""
+    global _aad_table
+    table = _aad_table
+    if len(table) < sector_count:
+        table += tuple(_AAD_PREFIX + i.to_bytes(8, "big")
+                       for i in range(len(table), sector_count))
+        _aad_table = table
+    return table
 
 
 @dataclass
@@ -242,9 +263,11 @@ class UnlockedVolume:
     volume: EncryptedVolume
     key: MasterKey | None = field(repr=False)
     cipher: AESGCM | None = field(init=False, repr=False)
+    aads: tuple[bytes, ...] = field(init=False, repr=False)  # covers the volume
 
     def __post_init__(self):
         self.cipher = AESGCM(_data_key(self.key.data))
+        self.aads = _sector_aads(self.volume.sector_count)
 
     def invalidate(self) -> None:
         self.key = None
@@ -341,7 +364,7 @@ def read_sector(handle: UnlockedVolume, index: int) -> bytes:
     record = volume.sectors[index]
     try:
         return handle.cipher.decrypt(record[:NONCE_BYTES], record[NONCE_BYTES:],
-                                     _AAD_PREFIX + index.to_bytes(8, "big"))
+                                     handle.aads[index])
     except InvalidTag:
         raise AuthFailure(f"sector {index} does not authenticate under this key") from None
 
@@ -353,8 +376,7 @@ def write_sector(handle: UnlockedVolume, index: int, plaintext: bytes) -> None:
     if len(plaintext) != SECTOR_BYTES:
         raise VolumeError(f"plaintext must be exactly {SECTOR_BYTES} bytes")
     nonce = volume.rng.getrandbits(NONCE_BYTES * 8).to_bytes(NONCE_BYTES, "little")
-    volume.sectors[index] = nonce + handle.cipher.encrypt(
-        nonce, plaintext, _AAD_PREFIX + index.to_bytes(8, "big"))
+    volume.sectors[index] = nonce + handle.cipher.encrypt(nonce, plaintext, handle.aads[index])
 
 
 def read_image(handle: UnlockedVolume) -> bytearray:
@@ -363,12 +385,13 @@ def read_image(handle: UnlockedVolume) -> bytearray:
     Every sector is decrypted and authenticated. The buffer grows only when a
     non-zero sector arrives, so a volume's zero tail is never stored.
     """
+    read, zero = read_sector, _ZERO_SECTOR  # read_sector as patched at entry
     image = bytearray()
     for i in range(handle.volume.sector_count):
-        sector = read_sector(handle, i)
-        if sector != _ZERO_SECTOR:
+        sector = read(handle, i)
+        if sector != zero:
             while len(image) < i * SECTOR_BYTES:  # zero sectors inside the content
-                image += _ZERO_SECTOR
+                image += zero
             image += sector
     return image
 
@@ -388,20 +411,23 @@ def _encrypt_every_sector(handle: UnlockedVolume, image: bytes = b"",
     before the first record that does not authenticate under ``old``."""
     sectors = handle.volume.sectors
     nonces = handle.volume.rng.randbytes(NONCE_BYTES * len(sectors))
-    encrypt, decrypt = handle.cipher.encrypt, old and old.decrypt
-    full = len(image) // SECTOR_BYTES  # sectors that ``image`` holds in full
+    encrypt, decrypt, aads = handle.cipher.encrypt, old and old.decrypt, handle.aads
+    nonce_bytes, size, zero = NONCE_BYTES, SECTOR_BYTES, _ZERO_SECTOR
+    full = len(image) // size  # sectors that ``image`` holds in full
+    at = 0  # where sector i's nonce starts in ``nonces``
     for i, record in enumerate(sectors):
-        aad = _AAD_PREFIX + i.to_bytes(8, "big")
+        aad = aads[i]
         if decrypt:
             try:
-                plaintext = decrypt(record[:NONCE_BYTES], record[NONCE_BYTES:], aad)
+                plaintext = decrypt(record[:nonce_bytes], record[nonce_bytes:], aad)
             except InvalidTag:
                 return i
         elif i < full:
-            plaintext = image[i * SECTOR_BYTES:(i + 1) * SECTOR_BYTES]
+            plaintext = image[i * size:(i + 1) * size]
         else:
-            plaintext = _padded_sector(image, i * SECTOR_BYTES) if i == full else _ZERO_SECTOR
-        nonce = nonces[i * NONCE_BYTES:(i + 1) * NONCE_BYTES]
+            plaintext = _padded_sector(image, i * size) if i == full else zero
+        nonce = nonces[at:at + nonce_bytes]
+        at += nonce_bytes
         sectors[i] = nonce + encrypt(nonce, plaintext, aad)
     return len(sectors)
 

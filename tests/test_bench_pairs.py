@@ -71,6 +71,24 @@ def test_summary_marks_each_metric_worse_than_its_bound(parent, change, marked):
     assert {m["name"] for m in END_TO_END if summary[m["name"]]["worse_than_bound"]} == marked
 
 
+PARENT_OPS = [10.0] * 5 + [11.0] * 5  # median 10.5, interquartile range 1.0
+
+
+@pytest.mark.parametrize("metric, parent, change, shown", [
+    ("ops_per_s", PARENT_OPS, [12.0] * 9 + [9.0], True),  # 9 of 10, gap 1.5
+    ("ops_per_s", PARENT_OPS, [12.0] * 8 + [9.0] * 2, False),  # 8 of 10
+    ("ops_per_s", PARENT_OPS, [v + 0.1 for v in PARENT_OPS], False),  # gap 0.1
+    ("write_p50_ms", [100.0] * 5 + [110.0] * 5, [200.0] * 10, False),  # slower writes
+], ids=["nine-of-ten", "eight-of-ten", "inside-iqr", "wrong-direction"])
+def test_summary_shows_a_gain_only_past_nine_tenths_and_the_iqr(metric, parent, change,
+                                                                shown):
+    def pair(value):
+        return (value, 100.0) if metric == "ops_per_s" else (10.0, value)
+    summary = bench_pairs.summarize(pairs_of([pair(v) for v in parent],
+                                             [pair(v) for v in change]), END_TO_END)
+    assert summary[metric]["gain_shown"] is shown
+
+
 def test_pairs_without_a_result_line_are_left_out():
     pairs = pairs_of([(10.0, 100.0)] * 3, [(5.0, 100.0)] * 3)
     pairs[0]["change"] = {"returncode": 1, "stdout": ""}

@@ -7,6 +7,7 @@ import json
 import tracemalloc
 
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -274,6 +275,40 @@ def test_same_plaintext_twice_distinct_ciphertexts(rng):
     assert volume.sectors[0] != first
 
 
+def reference_open(master_key: vol.MasterKey, index: int, record: bytes) -> bytes:
+    """Sector ``index``'s record decrypted under a bare AES-GCM of the data key,
+    with the AAD spelled out."""
+    return AESGCM(vol._data_key(master_key.data)).decrypt(
+        record[:NONCE_BYTES], record[NONCE_BYTES:],
+        b"TSVOL1 sector " + index.to_bytes(8, "big"))
+
+
+def test_every_sector_record_binds_its_index_as_aad(rng):
+    # 8, then 256, then 16 sectors: the last volume opens after a larger one.
+    for sectors in (8, 256, 16):
+        keyfile = Keyfile.generate(rng)
+        image = rng.randbytes(sectors * SECTOR_BYTES)
+        handle = vol.format_volume(sectors, keyfile, rng, image=image, kdf_iterations=FAST)
+        volume, ends = handle.volume, (0, sectors - 1)
+        for i in ends:  # written by format_volume
+            assert reference_open(handle.key, i, volume.sectors[i]) == \
+                image[i * SECTOR_BYTES:(i + 1) * SECTOR_BYTES]
+        for i in ends:
+            vol.write_sector(handle, i, bytes([i % 256]) * SECTOR_BYTES)
+            assert reference_open(handle.key, i, volume.sectors[i]) == \
+                bytes([i % 256]) * SECTOR_BYTES
+        vol.reencrypt(volume, keyfile)
+        handle = vol.unlock(volume, keyfile)
+        for i in ends:
+            assert reference_open(handle.key, i, volume.sectors[i]) == \
+                bytes([i % 256]) * SECTOR_BYTES
+        volume.sectors[sectors - 1] = volume.sectors[0]  # a record moved to another index
+        with pytest.raises(AuthFailure, match=f"^sector {sectors - 1} "):
+            vol.read_sector(handle, sectors - 1)
+        with pytest.raises(AuthFailure, match=f"^sector {sectors - 1} "):
+            vol.read_image(handle)
+
+
 # -- read/write images --------------------------------------------------------
 
 
@@ -320,6 +355,19 @@ def test_read_image_stores_no_zero_tail(rng, content, expected):
     image, peak = traced_read_image(handle)
     assert image == expected
     assert peak < 8 * 1024
+
+
+def test_read_image_reads_each_sector_once_in_order_through_read_sector(rng, monkeypatch):
+    volume, keyfile = make_volume(rng, sectors=12)
+    handle = vol.unlock(volume, keyfile)
+    # Sector 0, a zero run over sectors 1-3, sectors 4 and 5, then a zero tail.
+    content = b"\x01" * SECTOR_BYTES + bytes(3 * SECTOR_BYTES) + b"\x02" * 700
+    vol.write_image(handle, content)
+    real_read_sector, read = vol.read_sector, []
+    monkeypatch.setattr(vol, "read_sector",
+                        lambda h, i: read.append(i) or real_read_sector(h, i))
+    assert vol.read_image(handle) == content.ljust(6 * SECTOR_BYTES, b"\x00")
+    assert read == list(range(12))
 
 
 def test_image_write_replaces_only_changed_sectors(rng):

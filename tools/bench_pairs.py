@@ -12,9 +12,12 @@ a run that prints no such lines keeps its exit code and stdout instead, and
 its pair is left out of the summary.
 An existing ``--out`` file keeps its other workloads; this workload's entry
 is replaced. The summary gives, per end-to-end metric, both medians, the
-parent's interquartile range, the number of pairs the change wins and
-whether the change's median is worse than the parent's by more than the
-metric's ``bound`` in ``BENCHMARK.json`` (a fraction of the parent median), and
+parent's interquartile range, the number of pairs the change wins, whether
+the change's median is worse than the parent's by more than the metric's
+``bound`` in ``BENCHMARK.json`` (a fraction of the parent median), and whether
+it shows a gain: the change wins at least nine tenths of the pairs with
+results and its median beats the parent's by more than the parent's
+interquartile range, both in the metric's ``better`` direction. It also gives
 both medians of the work each run's context line counts (``details.cycles``
 on the cycle workloads, ``details.sessions`` on serve), so a metric that
 follows the amount of work done, such as serve's ``peak_rss_mb``, can be read
@@ -63,16 +66,20 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
         change = [p["change"]["result"]["metrics"][name]["value"] for p in pairs]
         q1, q3 = quartiles(parent)
         sign = 1 if direction == "higher" else -1
-        relative = statistics.median(change) / statistics.median(parent) - 1
+        parent_median, change_median = statistics.median(parent), statistics.median(change)
+        relative = change_median / parent_median - 1
+        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         summary[name] = {
-            "parent_median": statistics.median(parent),
-            "change_median": statistics.median(change),
+            "parent_median": parent_median,
+            "change_median": change_median,
             "relative_change": relative,
             "parent_iqr": q3 - q1,
-            "change_better_pairs": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+            "change_better_pairs": wins,
             "better": direction,
             "bound": metric["bound"],
             "worse_than_bound": -sign * relative > metric["bound"],
+            "gain_shown": (10 * wins >= 9 * len(pairs)
+                           and sign * (change_median - parent_median) > q3 - q1),
         }
     for count in ("cycles", "sessions"):
         if all(count in p[side]["context"]["details"]
