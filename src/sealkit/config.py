@@ -59,9 +59,10 @@ class ServerConfig:
             raise ConfigError(f"webroot must be a normalized directory below /: {self.webroot!r}")
         if min(self.host_sectors, self.vm_sectors, self.vault_sectors) < 1:
             raise ConfigError("sector counts must be positive")
+        # NON_RECURSIVE_ROOTS is matched by string: "/usr/bin/" would hash recursively.
         for root in self.hash_roots:
-            if not root.startswith("/"):
-                raise ConfigError(f"hash root must be absolute: {root!r}")
+            if not root.startswith("/") or normalize(root) != root:
+                raise ConfigError(f"hash root must be a normalized absolute path: {root!r}")
 
 
 def parse_config(text: str) -> ServerConfig:

@@ -67,13 +67,17 @@ def split_key(secret: bytes, n: int, rng: random.Random) -> list[KeyShare]:
 def reconstruct(shares: list[KeyShare]) -> bytes:
     if not shares:
         raise MissingShares("no shares given")
-    total = shares[0].total
-    commitment = shares[0].commitment
+    first = shares[0]
+    total, commitment = first.total, first.commitment
     for s in shares:
         if s.total != total:
             raise EscrowError(f"share {s.index} claims total {s.total}, expected {total}")
         if s.commitment != commitment:
             raise CommitmentMismatch("shares carry different commitments")
+        # _xor stops at the shorter payload, so a cut share must be refused here.
+        if len(s.payload) != len(first.payload):
+            raise EscrowError(f"share {s.index} holds {len(s.payload)} payload bytes, "
+                              f"share {first.index} holds {len(first.payload)}")
     indices = {s.index for s in shares}
     if len(shares) < total or indices != set(range(1, total + 1)):
         raise MissingShares(

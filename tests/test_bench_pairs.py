@@ -89,6 +89,26 @@ def test_summary_shows_a_gain_only_past_nine_tenths_and_the_iqr(metric, parent, 
     assert summary[metric]["gain_shown"] is shown
 
 
+WIDE_OPS = [8.0] * 5 + [12.0] * 5  # median 10, interquartile range 4: past 0.2 x 10
+
+
+@pytest.mark.parametrize("metric, parent, change, unresolved", [
+    ("ops_per_s", WIDE_OPS, [10.0] * 10, True),  # spread past the bound
+    ("ops_per_s", WIDE_OPS, [12.5] * 10, False),  # every change run beats every parent run
+    ("ops_per_s", WIDE_OPS, [12.5] * 9 + [11.0], True),  # one change run below a parent run
+    ("ops_per_s", PARENT_OPS, [10.0] * 10, False),  # interquartile range 1.0 inside 2.1
+    ("write_p50_ms", [80.0] * 5 + [120.0] * 5, [70.0] * 10, False),  # faster than all
+    ("write_p50_ms", [80.0] * 5 + [120.0] * 5, [130.0] * 10, True),  # slower is not resolved
+], ids=["wide", "separated", "one-overlap", "narrow", "write-separated", "write-slower"])
+def test_summary_marks_a_metric_unresolved_when_its_spread_passes_the_bound(
+        metric, parent, change, unresolved):
+    def pair(value):
+        return (value, 100.0) if metric == "ops_per_s" else (10.0, value)
+    summary = bench_pairs.summarize(pairs_of([pair(v) for v in parent],
+                                             [pair(v) for v in change]), END_TO_END)
+    assert summary[metric]["unresolved"] is unresolved
+
+
 def test_pairs_without_a_result_line_are_left_out():
     pairs = pairs_of([(10.0, 100.0)] * 3, [(5.0, 100.0)] * 3)
     pairs[0]["change"] = {"returncode": 1, "stdout": ""}

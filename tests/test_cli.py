@@ -54,6 +54,7 @@ REFUSED_CONFIGS = {
     "webroot = /var/www/log/": "webroot must be a normalized directory below /",
     "webroot = /": "webroot must be a normalized directory below /",
     "vault_sectors = 0": "sector counts must be positive",
+    "hash_roots = /etc,/usr/bin/": "hash root must be a normalized absolute path",
 }
 
 
@@ -75,6 +76,13 @@ def test_parse_config_rejects_unknown_key_and_bad_values():
 
 def test_default_config_is_valid():
     ServerConfig()
+
+
+@pytest.mark.parametrize("root", ["/usr//bin", "/usr/./bin", "/usr/lib/../bin", "usr/bin"])
+def test_config_refuses_a_hash_root_that_is_not_normalized(root):
+    # /usr/bin is hashed non-recursively only under its exact name.
+    with pytest.raises(ConfigError, match="hash root must be a normalized absolute path"):
+        ServerConfig(hash_roots=("/etc", root))
 
 
 ALT_CONFIG = """
@@ -231,7 +239,8 @@ def test_build_with_a_missing_hash_root_exits_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text", REFUSED_CONFIGS,
-                         ids=["webroot-trailing-slash", "webroot-root", "vault-sectors-zero"])
+                         ids=["webroot-trailing-slash", "webroot-root", "vault-sectors-zero",
+                              "hash-root-trailing-slash"])
 def test_build_with_a_refused_config_exits_one_and_writes_no_images(tmp_path, capsys, text):
     conf = tmp_path / "refused.conf"
     conf.write_text(text)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -107,6 +108,18 @@ def test_duplicate_index_is_inconsistent(rng):
     shares = split_key(rng.randbytes(16), 3, rng)
     with pytest.raises(MissingShares):
         reconstruct([shares[0], shares[0], shares[2]])
+
+
+@pytest.mark.parametrize("cut", [0, 1, 2])
+def test_a_share_cut_short_is_refused_by_name(rng, tmp_path, cut):
+    # Payloads XOR byte by byte, so a cut share must not reconstruct a shorter secret.
+    shares = split_key(rng.randbytes(16), 3, rng)
+    short = replace(shares[cut], payload=shares[cut].payload[:-4])
+    save_share(short, tmp_path / "share")
+    shares[cut] = load_share(tmp_path / "share")
+    with pytest.raises(EscrowError, match=f"share {cut + 1} holds 12") as exc:
+        reconstruct(shares)
+    assert not isinstance(exc.value, CommitmentMismatch)
 
 
 def test_mixed_commitments_are_inconsistent(rng):

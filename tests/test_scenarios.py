@@ -4,9 +4,12 @@ import pytest
 
 from conftest import SMALL
 
-from sealkit.machine import HOST, VM
-from sealkit.scenarios import SCENARIOS, drop_step, run_scenario
+from sealkit import volume as vol
+from sealkit.machine import HOST, VM, format_tree_volume
+from sealkit.scenarios import SCENARIOS, _probe_volume, drop_step, run_scenario
 from sealkit.sealing import default_plan
+from sealkit.tree import FileTree
+from sealkit.util import make_rng
 
 
 def test_scenario_registry_is_complete():
@@ -42,6 +45,18 @@ def test_drop_step_removes_the_first_step_of_its_kind_from_one_stage():
 def test_drop_step_rejects_a_stage_or_kind_not_in_the_plan(stage, kind):
     with pytest.raises(ValueError):
         drop_step(default_plan(SMALL), stage, kind)
+
+
+def test_probe_reads_a_volume_with_one_corrupted_record_as_partially_readable():
+    tree = FileTree()
+    tree.write_file("/secret", b"s" * 3 * vol.SECTOR_BYTES)
+    volume, keyfile = format_tree_volume(tree, 8, make_rng(3))
+    state, probed = _probe_volume(volume, keyfile)
+    assert state == "readable" and probed.read_file("/secret") == b"s" * 3 * vol.SECTOR_BYTES
+    record = bytearray(volume.sectors[2])
+    record[-1] ^= 1  # one tag bit
+    volume.sectors[2] = bytes(record)
+    assert _probe_volume(volume, keyfile) == ("partially-readable", None)
 
 
 def test_scenario_reports_are_deterministic_per_seed():

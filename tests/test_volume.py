@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -773,6 +774,15 @@ def test_deserialize_rejects_garbage(rng):
         vol.deserialize_volume(io.BytesIO(b"not a volume"), rng)
 
 
+# Containers that end inside the first chunk, at its end, just past it, and in a third.
+CHUNK_COUNTS = [3, vol._CHUNK_RECORDS, vol._CHUNK_RECORDS + 1, 2 * vol._CHUNK_RECORDS + 1]
+
+
+@functools.cache
+def chunked_volume(sectors: int) -> vol.EncryptedVolume:
+    return make_volume(make_rng(sectors), sectors=sectors)[0]
+
+
 @pytest.mark.parametrize("mangle", [
     lambda blob: blob[:-7],
     lambda blob: blob + b"\x00",
@@ -782,11 +792,24 @@ def test_deserialize_rejects_garbage(rng):
 ], ids=["truncated-mid-sector", "trailing-byte", "missing-record", "truncated-length-prefix",
         "truncated-header"])
 def test_deserialize_rejects_sector_data_of_the_wrong_length(rng, mangle):
-    volume, _ = make_volume(rng, sectors=3)
-    blob = serialized(volume)
-    assert vol.deserialize_volume(io.BytesIO(blob), rng).sectors == volume.sectors
-    with pytest.raises(VolumeError):
-        vol.deserialize_volume(io.BytesIO(mangle(blob)), rng)
+    for sectors in CHUNK_COUNTS:
+        volume = chunked_volume(sectors)
+        blob = serialized(volume)
+        restored = vol.deserialize_volume(io.BytesIO(blob), rng)
+        assert restored.sectors == volume.sectors
+        assert all(type(record) is bytes for record in restored.sectors)
+        assert serialized(restored) == blob
+        with pytest.raises(VolumeError):
+            vol.deserialize_volume(io.BytesIO(mangle(blob)), rng)
+
+
+def test_a_container_cut_inside_a_record_names_that_record(rng):
+    sectors = 2 * vol._CHUNK_RECORDS + 1
+    blob = serialized(chunked_volume(sectors))
+    record_300 = len(blob) - (sectors - 300) * vol.SECTOR_RECORD_BYTES
+    cut = blob[:record_300 + vol.SECTOR_RECORD_BYTES // 2]
+    with pytest.raises(VolumeError, match="ends inside record 300;"):
+        vol.deserialize_volume(io.BytesIO(cut), rng)
 
 
 CONTAINER = serialized(make_volume(make_rng(7), sectors=2)[0])

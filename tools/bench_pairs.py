@@ -17,7 +17,10 @@ the change's median is worse than the parent's by more than the metric's
 ``bound`` in ``BENCHMARK.json`` (a fraction of the parent median), and whether
 it shows a gain: the change wins at least nine tenths of the pairs with
 results and its median beats the parent's by more than the parent's
-interquartile range, both in the metric's ``better`` direction. It also gives
+interquartile range, both in the metric's ``better`` direction. A metric is
+``unresolved`` when the parent's interquartile range is wider than its bound
+(as a fraction of the parent median) and not every change run beats every
+parent run: its spread is too wide to tell it from unchanged. It also gives
 both medians of the work each run's context line counts (``details.cycles``
 on the cycle workloads, ``details.sessions`` on serve), so a metric that
 follows the amount of work done, such as serve's ``peak_rss_mb``, can be read
@@ -69,6 +72,7 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
         parent_median, change_median = statistics.median(parent), statistics.median(change)
         relative = change_median / parent_median - 1
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        separated = all(sign * (c - p) > 0 for p in parent for c in change)
         summary[name] = {
             "parent_median": parent_median,
             "change_median": change_median,
@@ -80,6 +84,7 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
             "worse_than_bound": -sign * relative > metric["bound"],
             "gain_shown": (10 * wins >= 9 * len(pairs)
                            and sign * (change_median - parent_median) > q3 - q1),
+            "unresolved": q3 - q1 > metric["bound"] * parent_median and not separated,
         }
     for count in ("cycles", "sessions"):
         if all(count in p[side]["context"]["details"]
