@@ -88,15 +88,17 @@ def millionaires_publish(state: MillionairesState, descending: bool = True) -> l
 # -- credential directory -------------------------------------------------------
 
 
-def _verifier(password: str, salt: bytes) -> str:
-    return hashlib.sha3_512(salt + password.encode()).hexdigest()
+def _verifier(password: str, salt: bytes) -> bytes:
+    return hashlib.sha3_512(salt + password.encode()).digest()
 
 
 @dataclass(frozen=True)
 class DirectoryEntry:
+    """Salt and verifier as bytes: hex exists only in the rendered replica text."""
+
     user: str
-    salt: str  # hex
-    verifier: str  # hex
+    salt: bytes
+    verifier: bytes
 
 
 @dataclass
@@ -110,7 +112,7 @@ class CredentialDirectory:
                 "sealed-side directory is a replica; update the primary and sync"
             )
         salt = rng.randbytes(16)
-        self.entries[user] = DirectoryEntry(user, salt.hex(), _verifier(password, salt))
+        self.entries[user] = DirectoryEntry(user, salt, _verifier(password, salt))
 
     def remove_user(self, user: str) -> None:
         if self.read_only:
@@ -123,11 +125,11 @@ class CredentialDirectory:
         entry = self.entries.get(user)
         if entry is None:
             return False
-        return _verifier(password, bytes.fromhex(entry.salt)) == entry.verifier
+        return _verifier(password, entry.salt) == entry.verifier
 
     def render(self) -> str:
         return "".join(
-            f"{e.user}:{e.salt}:{e.verifier}\n"
+            f"{e.user}:{e.salt.hex()}:{e.verifier.hex()}\n"
             for e in sorted(self.entries.values(), key=lambda e: e.user)
         )
 
@@ -138,7 +140,7 @@ class CredentialDirectory:
             if not line.strip():
                 continue
             user, salt, verifier = line.split(":")
-            entries[user] = DirectoryEntry(user, salt, verifier)
+            entries[user] = DirectoryEntry(user, bytes.fromhex(salt), bytes.fromhex(verifier))
         return cls(entries=entries, read_only=read_only)
 
 
@@ -313,10 +315,11 @@ class ServiceFrontend:
     def handle_line(self, line: str) -> str:
         """One request, one response. See the CLI ``serve`` loop."""
         request = line.strip()
-        try:
-            request.encode()
-        except UnicodeEncodeError:  # a non-UTF-8 stdin's bytes arrive surrogate-escaped
-            return "ERR usage: request is not UTF-8"
+        if not request.isascii():  # only a non-ASCII str can hold a lone surrogate
+            try:
+                request.encode()
+            except UnicodeEncodeError:  # a non-UTF-8 stdin's bytes arrive surrogate-escaped
+                return "ERR usage: request is not UTF-8"
         try:
             return self._dispatch(request)
         except (ServiceError, DiskFull) as exc:

@@ -266,9 +266,19 @@ def test_authenticate_pure():
     rng = make_rng(10)
     directory = CredentialDirectory()
     directory.add_user("u", "right", rng)
-    assert directory.check("u", "right")
-    assert not directory.check("u", "wrong")
-    assert not directory.check("ghost", "right")
+    directory.add_user("v", "other", rng)
+    replica = CredentialDirectory.parse(directory.render(), read_only=True)
+    assert replica.render() == directory.render()
+    lines = replica.render().splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        assert re.fullmatch(r"[uv]:[0-9a-f]{32}:[0-9a-f]{128}", line)
+    for d in (directory, replica):
+        assert d.check("u", "right")
+        assert d.check("v", "other")
+        assert not d.check("u", "wrong")
+        assert not d.check("u", "other")
+        assert not d.check("ghost", "right")
 
 
 # -- data vault ---------------------------------------------------------------------
@@ -588,6 +598,8 @@ request_lines = st.one_of(
 @settings(max_examples=120)
 @example(line="VAULTKEY " + "00" * 512)
 @example(line="SUBMIT \udcff\udcfe 5 alice pw")
+@example(line="AUTH jürgen pw")
+@example(line="RESOLVE bücher.example")
 @given(line=request_lines)
 def test_every_request_line_gets_one_answer_and_the_next_auth_too(serving, line):
     response = serving.handle_line(line)

@@ -5,6 +5,7 @@ import functools
 import hashlib
 import io
 import json
+import random
 import tracemalloc
 
 import pytest
@@ -12,7 +13,11 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import build_server
+
 from sealkit import volume as vol
+from sealkit.config import ServerConfig
+from sealkit.sealing import seal_all
 from sealkit.util import make_rng, pack_bytes
 from sealkit.volume import (
     AuthFailure,
@@ -921,3 +926,38 @@ def test_sealed_volume_call_sequences_never_yield_plaintext():
                         assert not window_in(result.encode(), secret)
                     assert not isinstance(result, vol.UnlockedVolume)
                 assert not window_in(serialized(volume), secret)
+
+
+def untemper(y: int) -> int:
+    """The MT19937 state word that the tempering step turns into output ``y``."""
+    y ^= y >> 18
+    y ^= (y << 15) & 0xEFC60000
+    x = y
+    for _ in range(4):  # each pass fixes seven more low bits
+        x = y ^ ((x << 7) & 0x9D2C5680)
+    y = x
+    for _ in range(2):  # each pass fixes eleven more high bits
+        x = y ^ (x >> 11)
+    return x
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 12: MT19937 draws every sector nonce, "
+                           "so the stored nonces predict the generator")
+def test_stored_nonces_of_a_sealed_vm_disk_do_not_predict_the_next_ones():
+    # An attacker holding only the sealed VM disk: 208 stored nonces are 624
+    # consecutive 32-bit generator outputs, enough for MT19937's whole state.
+    # The last 215 sectors of a 512-sector VM are not rewritten after reencrypt.
+    host = build_server(1, ServerConfig())
+    seal_all(host)
+    host.power_off()
+    volume = vol.deserialize_volume(io.BytesIO(serialized(host.nested_vm.root_volume)))
+    assert volume.sector_count == 512
+    assert volume.header.active_slots() == []
+    words = [int.from_bytes(record[i:i + 4], "little")
+             for record in volume.sectors[-215:] for i in range(0, NONCE_BYTES, 4)]
+    known, following = words[:624], words[624:]
+    assert len(following) == 21
+    clone = random.Random()
+    clone.setstate((3, tuple(untemper(w) for w in known) + (624,), None))
+    assert [clone.getrandbits(32) for _ in following] != following
