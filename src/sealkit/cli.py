@@ -79,13 +79,6 @@ def _load_server(args, config):
                               rng=make_rng(args.seed), clock=SimClock())
 
 
-def _seal_workdir(args, config, escrow_parties: int) -> tuple[Path, str, list]:
-    """Seal the workdir's images and save the bundle: (its directory, index digest, shares)."""
-    bundle, shares = seal_all_with_escrow(_load_server(args, config), escrow_parties)
-    bundle_dir = args.workdir / "bundle"
-    return bundle_dir, bundle.index_digest(bundle.save(bundle_dir)), shares
-
-
 def cmd_build(args) -> int:
     config = load_config(args.config)
     host_dir, vm_dir = _build_server(args, config)
@@ -102,17 +95,10 @@ def cmd_seal(args) -> int:
     host_dir, vm_dir = _image_dirs(args.workdir)
     if not (host_dir.exists() and vm_dir.exists()):
         _build_server(args, config)
-    bundle_dir, digest, shares = _seal_workdir(args, config, args.escrow or 0)
-
-    share_paths = []
-    if shares:
-        share_dir = args.workdir / "shares"
-        share_dir.mkdir(parents=True, exist_ok=True)
-        for share in shares:
-            path = share_dir / f"share-{share.index}.tsshare"
-            escrow_mod.save_share(share, path)
-            share_paths.append(str(path))
-
+    bundle, shares = seal_all_with_escrow(_load_server(args, config), args.escrow)
+    bundle_dir = args.workdir / "bundle"
+    digest = bundle.index_digest(bundle.save(bundle_dir))
+    share_paths = [str(p) for p in escrow_mod.save_shares(shares, args.workdir / "shares")]
     _emit(
         {
             "bundle": str(bundle_dir),
@@ -162,15 +148,6 @@ def cmd_restore(args) -> int:
         print("restore: no pre-seal images in the workdir", file=sys.stderr)
         return EXIT_FAIL
 
-    if args.reseal:
-        _, digest, _ = _seal_workdir(args, config, 0)
-        _emit(
-            {"resealed": True, "bundle_index_digest": digest},
-            args.json,
-            [f"restored and resealed; new bundle index digest: {digest}"],
-        )
-        return EXIT_OK
-
     host = _load_server(args, config)
     host.boot()  # a root volume that cannot be unlocked raises SealedAndCold
     host.power_off()
@@ -186,11 +163,8 @@ def cmd_escrow(args) -> int:
     if args.escrow_action == "split":
         secret = args.secret_hex if args.secret_file is None else args.secret_file.read_bytes()
         shares = escrow_mod.split_key(secret, args.parties, make_rng(args.seed))
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for share in shares:
-            escrow_mod.save_share(share, out_dir / f"share-{share.index}.tsshare")
-        print(f"wrote {len(shares)} shares to {out_dir}")
+        escrow_mod.save_shares(shares, args.out)
+        print(f"wrote {len(shares)} shares to {Path(args.out)}")
         return EXIT_OK
 
     secret = escrow_mod.reconstruct([escrow_mod.load_share(p) for p in args.shares])
@@ -242,9 +216,7 @@ def cmd_serve(args) -> int:
         vm, config.vault_sectors,
         {"/data/records.csv": b"id,value\n1,confidential\n"}, rng,
     )
-    primary = CredentialDirectory()
-    for user, password in config.ldap_users:
-        primary.add_user(user, password, rng)
+    primary = CredentialDirectory.from_users(config.ldap_users, rng)
     upstream = UpstreamResolver(table=dict(config.dns_table))
 
     seal_all_with_escrow(host, 0)
@@ -303,8 +275,6 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
 
     if p_restore := subcommand("restore", "restore the pre-seal state from images"):
         _flags(p_restore, "seed", "workdir", "config", "json")
-        p_restore.add_argument("--reseal", action="store_true",
-                               help="immediately reseal after restoring")
         p_restore.set_defaults(func=cmd_restore)
 
     if p_escrow := subcommand("escrow", "split or recover escrow shares"):

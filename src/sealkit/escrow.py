@@ -164,6 +164,15 @@ def save_share(share: KeyShare, path: str | Path) -> None:
     Path(path).write_bytes(serialize_share(share))
 
 
+def save_shares(shares: list[KeyShare], directory: str | Path) -> list[Path]:
+    """Write each share to ``directory/share-<index>.tsshare``; no shares make no directory."""
+    paths = [Path(directory) / f"share-{share.index}.tsshare" for share in shares]
+    for share, path in zip(shares, paths):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        save_share(share, path)
+    return paths
+
+
 def load_share(path: str | Path) -> KeyShare:
     try:
         return deserialize_share(Path(path).read_bytes())

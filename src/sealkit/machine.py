@@ -162,7 +162,7 @@ class RamState:
     tree: FileTree  # sshd counts as installed while SSHD is a regular file in it
     firewall: FirewallPolicy
     content: bytes  # the root volume's plaintext is this, then zeros to capacity
-    web: str = "stopped"  # "stopped" | "running"
+    web_running: bool = False
     mailer: list[MailMessage] = field(default_factory=list)
     vault_handles: list[UnlockedVolume] = field(default_factory=list)
     vm_start_requested: bool = False
@@ -261,17 +261,19 @@ def render_listing(tree: FileTree) -> str:
 
 
 def zip_tree_bytes(tree: FileTree, root: str,
-                   date_time: tuple[int, int, int, int, int, int]) -> bytes:
-    """Deterministic zip of all regular files under root (paths sans leading /)."""
+                   date_time: tuple[int, int, int, int, int, int]) -> tuple[bytes, list[str]]:
+    """Deterministic zip of all regular files under root, and its member names (sans leading /)."""
     buf = BytesIO()
+    names = []
     with zipfile.ZipFile(buf, "w") as zf:
         for path in tree.under(root):
             node = tree.node(path)
             if isinstance(node, FileNode):
-                info = zipfile.ZipInfo(filename=path.lstrip("/"), date_time=date_time)
+                names.append(path.lstrip("/"))
+                info = zipfile.ZipInfo(filename=names[-1], date_time=date_time)
                 info.external_attr = 0o644 << 16
                 zf.writestr(info, node.data)
-    return buf.getvalue()
+    return buf.getvalue(), names
 
 
 # What reading a corrupt archive raises. zipfile takes each member's compression
@@ -327,7 +329,7 @@ class Machine:
 
     @property
     def is_sealed(self) -> bool:
-        return all(slot.state != "active" for slot in self.root_volume.header.slots)
+        return not self.root_volume.header.active_slots()
 
     def boot(self) -> None:
         if self.is_on:
@@ -547,11 +549,7 @@ class Machine:
         view = self.full_view()
         if not view.exists(src):
             return f"zip error: nothing to do ({src} not found)", 12
-        blob = zip_tree_bytes(view, src, self.clock.zip_date_time())
-        member_lines = "\n".join(
-            f"  adding: {p.lstrip('/')}" for p in view.under(src)
-            if isinstance(view.node(p), FileNode)
-        )
+        blob, names = zip_tree_bytes(view, src, self.clock.zip_date_time())
         dest = args["dest"]
         if dest == "vm_boot":
             if self.nested_vm is None:
@@ -559,7 +557,7 @@ class Machine:
             self.nested_vm.boot_partition.write_file("/" + args["name"], blob)
         else:
             self.write_file(args["dest_path"], blob)
-        return member_lines, 0
+        return "\n".join(f"  adding: {name}" for name in names), 0
 
     def _step_list_files(self, ram, args):
         return render_listing(self.full_view()), 0
@@ -616,7 +614,7 @@ class Machine:
         return f"Domain '{args.get('name', self.nested_vm.name)}' started", 0
 
     def _step_start_web(self, ram, args):
-        ram.web = "running"
+        ram.web_running = True
         return "", 0
 
 

@@ -119,7 +119,7 @@ def drop_step(plan: SealingPlan, stage: Stage, kind: str) -> SealingPlan:
     return replace(plan, steps={**plan.steps, stage: steps[:i] + steps[i + 1:]})
 
 
-def _run_theft_reboot(seed: int, config: ServerConfig) -> ScenarioReport:
+def _run_theft_reboot(seed: int, config: ServerConfig) -> tuple[str, list[str]]:
     host, vm = _build(seed, config)
     host_secret = _image_secret(host, "/root/host-secret.txt")
     seal_all(host)
@@ -138,14 +138,14 @@ def _run_theft_reboot(seed: int, config: ServerConfig) -> ScenarioReport:
         details.append(f"{machine.name}: boot+unlock -> {outcomes[-2]}, {outcomes[-1]}")
     cold = all(o in ("sealed-and-cold", "keyslots-empty") for o in outcomes)
     observed = ATTACK_FAILS if cold else ATTACK_SUCCEEDS
-    return ScenarioReport("theft-reboot", seed, ATTACK_FAILS, observed, details)
+    return observed, details
 
 
 def _image_secret(machine, path: str) -> str:
     return full_tree_from_images(machine.snapshot_image()).read_text(path)
 
 
-def _run_header_restore_single(seed: int, config: ServerConfig) -> ScenarioReport:
+def _run_header_restore_single(seed: int, config: ServerConfig) -> tuple[str, list[str]]:
     host, _ = _build(seed, config)
     secret = _image_secret(host, "/root/host-secret.txt")
     backup = vol.header_backup(host.root_volume)
@@ -160,10 +160,10 @@ def _run_header_restore_single(seed: int, config: ServerConfig) -> ScenarioRepor
     recovered = tree is not None and tree.file_bytes("/root/host-secret.txt") == secret.encode()
     details.append(f"secret recovered: {recovered}")
     observed = ATTACK_SUCCEEDS if recovered else ATTACK_FAILS
-    return ScenarioReport("header-restore-single", seed, ATTACK_SUCCEEDS, observed, details)
+    return observed, details
 
 
-def _run_header_restore_dual(seed: int, config: ServerConfig) -> ScenarioReport:
+def _run_header_restore_dual(seed: int, config: ServerConfig) -> tuple[str, list[str]]:
     host, vm = _build(seed, config)
     backup = vol.header_backup(vm.root_volume)
     seal_all(host)
@@ -173,7 +173,7 @@ def _run_header_restore_dual(seed: int, config: ServerConfig) -> ScenarioReport:
     state, tree = _probe_volume(vm.root_volume, boot_keyfile(vm.boot_partition))
     details = [f"read attempt after header restore: {state}"]
     observed = ATTACK_FAILS if state == "all-auth-failures" and tree is None else ATTACK_SUCCEEDS
-    return ScenarioReport("header-restore-dual", seed, ATTACK_FAILS, observed, details)
+    return observed, details
 
 
 class FlagsRow(NamedTuple):
@@ -185,7 +185,7 @@ class FlagsRow(NamedTuple):
     notes: Callable[[Machine], list[str]] = lambda host: []
 
 
-def _run_verifier_flags(name: str, seed: int, config: ServerConfig) -> ScenarioReport:
+def _run_verifier_flags(name: str, seed: int, config: ServerConfig) -> tuple[str, list[str]]:
     """Seal through the row's sabotage, then verify against the honest plan."""
     row = _FLAGS_ROWS[name]
     host, vm = _build(seed, config)
@@ -199,7 +199,7 @@ def _run_verifier_flags(name: str, seed: int, config: ServerConfig) -> ScenarioR
     details = [f"verdict: {verdict.status}", *row.notes(host)]
     details.extend(f.render() for f in verdict.findings[:5])
     observed = VERIFIER_FLAGS if flagged else ATTACK_SUCCEEDS
-    return ScenarioReport(name, seed, VERIFIER_FLAGS, observed, details)
+    return observed, details
 
 
 def _trojan_cron(host: Machine, plan: SealingPlan) -> PublishedBundle:
@@ -227,12 +227,19 @@ _FLAGS_ROWS = {
     ),
 }
 
-_RUNNERS = {
+
+def _reporting(name: str, run: Callable) -> Callable[[int, ServerConfig], ScenarioReport]:
+    """Scenario ``name``'s runner: ``run``'s (observed, details), expected from SCENARIOS."""
+    return lambda seed, config: ScenarioReport(name, seed, SCENARIOS[name].expected,
+                                               *run(seed, config))
+
+
+_RUNNERS = {name: _reporting(name, run) for name, run in {
     "theft-reboot": _run_theft_reboot,
     "header-restore-single": _run_header_restore_single,
     "header-restore-dual": _run_header_restore_dual,
     **{name: partial(_run_verifier_flags, name) for name in _FLAGS_ROWS},
-}
+}.items()}
 
 
 def run_scenario(scenario: str | Scenario, seed: int, config: ServerConfig) -> ScenarioReport:

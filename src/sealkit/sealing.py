@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from . import escrow as escrow_mod
 from . import services as services_mod
@@ -298,8 +299,8 @@ def prepare_trusted_server(config: ServerConfig, *,
                                 ("trust", 1000, "/bin/bash")], rng=rng)
     vm_tree.mkdir(config.webroot)
     _write_stage_files(vm_tree, VM, config, config.vm_name, plan.steps[VM])
-    vm_tree.write_file(LDAP_REPLICA_PATH,
-                       services_mod.render_directory_file(config.ldap_users, rng).encode())
+    directory = services_mod.CredentialDirectory.from_users(config.ldap_users, rng)
+    vm_tree.write_file(LDAP_REPLICA_PATH, directory.render().encode())
     vm_tree.mkdir("/srv/data")
     vm_tree.write_file(
         "/srv/data/vm-secret.txt",
@@ -430,8 +431,6 @@ class PublishedBundle:
 
     def save(self, directory) -> str:
         """Write every artifact and ``index.txt``; return the index text written."""
-        from pathlib import Path
-
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         for name, data in self.artifacts.items():
@@ -442,8 +441,6 @@ class PublishedBundle:
 
     @classmethod
     def load(cls, directory) -> "PublishedBundle":
-        from pathlib import Path
-
         directory = Path(directory)
         artifacts = {
             p.name: p.read_bytes()
@@ -456,7 +453,7 @@ class PublishedBundle:
 def publish_bundle(vm: Machine) -> PublishedBundle:
     if not vm.is_on or not vm.is_sealed:
         raise ProtocolError("bundle can only be published from a sealed, running VM")
-    if vm.ram.web != "running":
+    if not vm.ram.web_running:
         raise ProtocolError("web service is not running")
 
     webroot = vm.config.webroot

@@ -134,6 +134,15 @@ class CredentialDirectory:
         )
 
     @classmethod
+    def from_users(cls, users: tuple[tuple[str, str], ...],
+                   rng: random.Random) -> "CredentialDirectory":
+        """A directory of each (user, password) pair, salted from ``rng`` in order."""
+        directory = cls()
+        for user, password in users:
+            directory.add_user(user, password, rng)
+        return directory
+
+    @classmethod
     def parse(cls, text: str, read_only: bool = False) -> "CredentialDirectory":
         entries = {}
         for line in text.splitlines():
@@ -142,14 +151,6 @@ class CredentialDirectory:
             user, salt, verifier = line.split(":")
             entries[user] = DirectoryEntry(user, bytes.fromhex(salt), bytes.fromhex(verifier))
         return cls(entries=entries, read_only=read_only)
-
-
-def render_directory_file(users: tuple[tuple[str, str], ...],
-                          rng: random.Random) -> str:
-    directory = CredentialDirectory()
-    for user, password in users:
-        directory.add_user(user, password, rng)
-    return directory.render()
 
 
 # -- DNS privacy proxy ------------------------------------------------------------
@@ -227,7 +228,7 @@ class ServiceFrontend:
 
     def _require_sealed_web(self) -> None:
         m = self.machine
-        if not m.is_on or not m.is_sealed or m.ram.web != "running":
+        if not m.is_on or not m.is_sealed or not m.ram.web_running:
             raise NotSealed("service requires a sealed server with the web service up")
 
     def _auth_configured(self) -> bool:

@@ -117,19 +117,19 @@ class FileTree:
         self._ensure_parents(path)
         self._nodes[path] = DirNode()
 
-    def write_file(self, path: str, data: bytes) -> None:
+    def _put(self, path: str, node: Node) -> None:
+        """Store a file or symlink node at ``path``, which must not be a directory."""
         path = normalize(path)
         if isinstance(self._nodes.get(path), DirNode):
             raise TreeError(f"is a directory: {path}")
         self._ensure_parents(path)
-        self._nodes[path] = FileNode(bytes(data))
+        self._nodes[path] = node
+
+    def write_file(self, path: str, data: bytes) -> None:
+        self._put(path, FileNode(bytes(data)))
 
     def symlink(self, path: str, target: str) -> None:
-        path = normalize(path)
-        if isinstance(self._nodes.get(path), DirNode):
-            raise TreeError(f"is a directory: {path}")
-        self._ensure_parents(path)
-        self._nodes[path] = SymlinkNode(target)
+        self._put(path, SymlinkNode(target))
 
     def remove(self, path: str) -> None:
         """Remove a node; directories are removed with their subtree."""

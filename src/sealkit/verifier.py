@@ -52,7 +52,8 @@ UNDETECTABLE_NOTE = (
     "undetectable by manifest comparison."
 )
 
-LOGIN_SHELLS = ("/bin/bash", "/bin/sh")
+# Every other shell, an empty field included (login(1) runs /bin/sh for it), admits a login.
+NOLOGIN_SHELLS = ("/usr/sbin/nologin", "/sbin/nologin", "/bin/false", "/usr/bin/false")
 
 
 class VerifierError(Exception):
@@ -258,13 +259,21 @@ def _check_step_sequence(stage: Stage, policy: AllowlistPolicy, log: SealingLog,
                 command, f"appears more often in the {stage.kind} log than the plan requires"))
 
 
+def _last_output(stage: Stage, evidence: LogEvidence, command: str, what: str,
+                 findings: list[Finding]) -> str | None:
+    """The last ``command`` record's output; without one, a "log carries no" finding and None."""
+    output = evidence.last(command)
+    if output is None:
+        findings.append(Finding(command, f"{stage.kind} log carries no {what}"))
+    return output
+
+
 def _check_dump_evidence(stage: Stage, evidence: LogEvidence,
                          findings: list[Finding]) -> None:
     device = stage.root_device
-    command = f"cryptsetup luksDump {device}"
-    dump = evidence.last(command)
+    dump = _last_output(stage, evidence, f"cryptsetup luksDump {device}",
+                        f"keyslot dump for {device}", findings)
     if dump is None:
-        findings.append(Finding(command, f"{stage.kind} log carries no keyslot dump for {device}"))
         return
     states = [line.partition(":")[2].strip() for line in dump.splitlines()
               if line.startswith("Key Slot ")]
@@ -276,29 +285,21 @@ def _check_dump_evidence(stage: Stage, evidence: LogEvidence,
 
 def _check_passwd_evidence(stage: Stage, evidence: LogEvidence,
                            findings: list[Finding]) -> None:
-    listing = evidence.last("cat /etc/passwd")
-    if listing is None:
-        findings.append(Finding("cat /etc/passwd", f"{stage.kind} log carries no passwd listing"))
-        return
-    for line in listing.splitlines():
+    listing = _last_output(stage, evidence, "cat /etc/passwd", "passwd listing", findings)
+    for line in (listing or "").splitlines():
         fields = line.split(":")
-        if len(fields) >= 7 and fields[-1] in LOGIN_SHELLS:
+        if len(fields) >= 7 and fields[-1] not in NOLOGIN_SHELLS:
             findings.append(Finding(
                 fields[0], f"login-capable user survived the {stage.kind} seal"))
 
 
 def _check_ssh_evidence(stage: Stage, evidence: LogEvidence,
                         findings: list[Finding]) -> None:
-    if evidence.last("apt-get -y purge openssh-server") is None:
-        findings.append(Finding(
-            "apt-get -y purge openssh-server", f"{stage.kind} log carries no ssh purge step"))
+    if _last_output(stage, evidence, "apt-get -y purge openssh-server", "ssh purge step",
+                    findings) is None:
         return
-    status = evidence.last("systemctl status sshd")
-    if status is None:
-        findings.append(Finding(
-            "systemctl status sshd", f"{stage.kind} log carries no ssh status probe"))
-        return
-    if "could not be found" not in status:
+    status = _last_output(stage, evidence, "systemctl status sshd", "ssh status probe", findings)
+    if status is not None and "could not be found" not in status:
         findings.append(Finding("sshd", f"ssh server still present after the {stage.kind} seal"))
 
 
@@ -348,7 +349,7 @@ def _check_kdf_counts(stage: Stage, images: DiskImagePair) -> None:
     a header cannot make the auditor's unlock arbitrarily slow."""
     header = images.root.header
     counts = {header.kdf_iterations,
-              *(slot.kdf_iterations for slot in header.slots if slot.state == "active")}
+              *(slot.kdf_iterations for slot in header.slots if slot.active)}
     if counts != {DEFAULT_KDF_ITERATIONS}:
         raise MalformedBundle(f"the {stage.kind} pre-seal root asks for KDF iteration "
                               f"counts {sorted(counts)}, not {DEFAULT_KDF_ITERATIONS}")

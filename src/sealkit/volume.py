@@ -216,14 +216,10 @@ _EMPTY_SALT = b"\x00" * SALT_BYTES
 
 @dataclass(frozen=True)
 class KeySlot:
-    state: str = "empty"  # "empty" | "active"
+    active: bool = False
     salt: bytes = _EMPTY_SALT
     kdf_iterations: int = 0
     wrapped_key: bytes = b""
-
-    @property
-    def active(self) -> bool:
-        return self.state == "active"
 
 
 _EMPTY_SLOTS = (KeySlot(),) * SLOT_COUNT
@@ -307,7 +303,7 @@ def _key_fields(master_key: MasterKey, keyfile: Keyfile, iterations: int,
     ``keyfile``, the other slots empty, and a freshly salted digest. Draws the
     slot salt, the wrap nonce, then the digest salt."""
     slot_salt = rng.randbytes(SALT_BYTES)
-    slot = KeySlot(state="active", salt=slot_salt, kdf_iterations=iterations,
+    slot = KeySlot(active=True, salt=slot_salt, kdf_iterations=iterations,
                    wrapped_key=_wrap_master_key(master_key, keyfile, slot_salt,
                                                 iterations, rng))
     digest_salt = rng.randbytes(SALT_BYTES)
@@ -584,7 +580,7 @@ def header_from_record(raw: bytes) -> VolumeHeader:
         doc = json.loads(raw)
         slots = tuple(
             KeySlot(
-                state="active",
+                active=True,
                 salt=_header_bytes(entry["salt"], SALT_BYTES),
                 kdf_iterations=_kdf_count(entry["kdf_iterations"]),
                 wrapped_key=_header_bytes(entry["wrapped_key"], WRAPPED_KEY_BYTES),

@@ -105,7 +105,7 @@ def test_non_default_config_holds_through_the_image_path(tmp_path, capsys):
     assert "virsh start tsvm2" in (tmp_path / "bundle" / HOST_LOG_NAME).read_text()
     assert run_command(["verify", *verify_args]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "PASS"
-    assert run_command(["restore", *args, "--reseal"]) == 0
+    assert run_command(["seal", *args]) == 0
     resealed = json.loads(capsys.readouterr().out)
     assert resealed["bundle_index_digest"] == sealed["bundle_index_digest"]
 
@@ -323,18 +323,17 @@ def test_restore_after_seal(tmp_path, capsys):
     seal_workdir(tmp_path)
     assert run_command(["restore", *ws(tmp_path)]) == 0
     assert "restored" in capsys.readouterr().out
-    assert run_command(["restore", *ws(tmp_path), "--reseal"]) == 0
+    assert run_command(["seal", *ws(tmp_path)]) == 0
 
 
 def test_restore_reseal_seed_controls_bundle_digest(tmp_path, capsys):
     seal_workdir(tmp_path)
     first = (tmp_path / "bundle" / "index.txt").read_text()
     # the same seed reproduces the identical bundle (determinism) ...
-    assert run_command(["restore", *ws(tmp_path), "--reseal"]) == 0
+    assert run_command(["seal", *ws(tmp_path)]) == 0
     assert (tmp_path / "bundle" / "index.txt").read_text() == first
     # ... a fresh seed yields a fresh reencryption key and a new bundle
-    assert run_command(["restore", "--workdir", str(tmp_path),
-                        "--seed", "22", "--reseal"]) == 0
+    assert run_command(["seal", "--workdir", str(tmp_path), "--seed", "22"]) == 0
     assert (tmp_path / "bundle" / "index.txt").read_text() != first
 
 
@@ -398,7 +397,7 @@ def test_a_command_builds_only_its_own_subparser():
     ("build", {"--seed", "--workdir", "--config", "--json"}),
     ("seal", {"--seed", "--workdir", "--config", "--json", "--escrow"}),
     ("verify", {"--workdir", "--config", "--json"}),
-    ("restore", {"--seed", "--workdir", "--config", "--json", "--reseal"}),
+    ("restore", {"--seed", "--workdir", "--config", "--json"}),
     ("serve", {"--seed", "--config"}),
     ("attack", {"--seed", "--config", "--json"}),
     ("manifest", {"--config", "--output"}),

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from itertools import takewhile
+from pathlib import Path
+
 import pytest
 
 from conftest import SMALL
@@ -22,6 +25,18 @@ def test_scenario_registry_is_complete():
         "leftover-user",
         "tampered-ldap",
     }
+
+
+def test_readme_attack_table_matches_the_scenarios():
+    """Each row of README's "Attack scenarios" table: a scenario's name, and an
+    outcome whose first word is that scenario's expected outcome."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    after = readme.split("\n### Attack scenarios\n", 1)[1].lstrip("\n").splitlines()
+    header, rule, *rows = takewhile(lambda line: line.startswith("|"), after)
+    assert header == "| name | expected outcome |"
+    cells = [[cell.strip() for cell in row.strip("|").split("|")] for row in rows]
+    table = sorted((name.strip("`"), outcome.split()[0]) for name, outcome in cells)
+    assert table == sorted((name, s.expected) for name, s in SCENARIOS.items())
 
 
 def test_unknown_scenario_rejected():

@@ -144,7 +144,7 @@ def test_seal_all_full_run():
     host, vm, _, _, bundle = build_sealed(41)
     assert host.is_sealed and vm.is_sealed
     assert host.is_on and vm.is_on
-    assert vm.ram.web == "running"
+    assert vm.ram.web_running
     for name in (HOST_LOG_NAME, VM_LOG_NAME, "etc-host.zip", "root-host.zip",
                  "etc-vm.zip", "trust-vm.zip", "ldap.txt"):
         assert name in bundle.artifacts

@@ -523,6 +523,10 @@ def _lookalike(command, rewrite, lookalike, honest=lambda output: output):
                       if r.command == command else [r])
 
 
+def _user_eve(shell):
+    return lambda output: f"{output}\neve:x:1001:1001:eve:/home/eve:{shell}"
+
+
 def _slot_0_active(output):
     return output.replace("Key Slot 0: EMPTY", "Key Slot 0: ACTIVE")
 
@@ -600,13 +604,25 @@ def honest_seal():
      "notes.txt", "keyfile bytes leaked into the bundle"),
     (lambda artifacts, keyfiles: {"notes.txt": b"key: " + keyfiles[1]},
      "notes.txt", "keyfile bytes leaked into the bundle"),
+    (_log(VM_LOG_NAME, _with_output("cat /etc/passwd", _user_eve("/bin/zsh"))),
+     "eve", "login-capable user survived the vm seal"),
+    (_log(HOST_LOG_NAME, _with_output("cat /etc/passwd", _user_eve("/usr/bin/bash"))),
+     "eve", "login-capable user survived the host seal"),
+    (_log(VM_LOG_NAME, _with_output("cat /etc/passwd", _user_eve(""))),
+     "eve", "login-capable user survived the vm seal"),
+    (_log(HOST_LOG_NAME, _drop("apt-get -y purge openssh-server")),
+     "apt-get -y purge openssh-server", "host log carries no ssh purge step"),
+    (_log(VM_LOG_NAME, _drop("apt-get -y purge openssh-server")),
+     "apt-get -y purge openssh-server", "vm log carries no ssh purge step"),
 ], ids=["duplicate-command", "no-keyslot-dump", "no-vm-keyslot-dump", "no-passwd-listing",
         "no-host-passwd-listing", "no-ssh-probe", "no-vm-ssh-probe", "ssh-still-present",
         "host-ssh-still-present", "file-disappeared", "vm-file-disappeared",
         "lookalike-ssh-probe", "lookalike-keyslot-dump", "lookalike-rhash", "repeated-rhash",
         "keyslot-line-without-state",
         "archive-unreadable", "archive-added-file", "archive-changed-file",
-        "archive-dropped-file", "archive-missing", "keyfile-leaked", "vm-keyfile-leaked"])
+        "archive-dropped-file", "archive-missing", "keyfile-leaked", "vm-keyfile-leaked",
+        "zsh-user", "host-usr-bin-bash-user", "empty-shell-user", "no-ssh-purge",
+        "no-vm-ssh-purge"])
 def test_tampered_bundle_gives_its_finding(honest_seal, change, subject, explanation):
     """Each row tampers with one stage's evidence; a per-stage check has a row per stage.
     ``change`` gets the artifacts and the (host, vm) keyfiles."""

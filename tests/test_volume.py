@@ -714,7 +714,7 @@ def test_backup_is_deep_copy_and_byte_identical(rng):
     backup = vol.header_backup(volume)
     assert vol.header_record(backup) == vol.header_record(volume.header)
     vol.erase_keyslots(volume)
-    assert backup.slots[0].state == "active"  # isolated from later mutation
+    assert backup.slots[0].active  # isolated from later mutation
 
 
 def test_volume_headers_are_immutable(rng):
@@ -722,7 +722,7 @@ def test_volume_headers_are_immutable(rng):
     with pytest.raises(dataclasses.FrozenInstanceError):
         volume.header.mk_digest = bytes(64)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        volume.header.slots[0].state = "empty"
+        volume.header.slots[0].active = False
 
 
 def test_restore_rejects_geometry_mismatch(rng):
