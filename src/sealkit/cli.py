@@ -72,13 +72,6 @@ def _build_server(args, config) -> tuple[Path, Path]:
     return host_dir, vm_dir
 
 
-def _load_server(args, config):
-    """The host, with its VM attached, from the workdir's pre-seal images."""
-    host_dir, vm_dir = _image_dirs(args.workdir)
-    return server_from_images(load_images(host_dir), load_images(vm_dir), config,
-                              rng=make_rng(args.seed), clock=SimClock())
-
-
 def cmd_build(args) -> int:
     config = load_config(args.config)
     host_dir, vm_dir = _build_server(args, config)
@@ -95,7 +88,9 @@ def cmd_seal(args) -> int:
     host_dir, vm_dir = _image_dirs(args.workdir)
     if not (host_dir.exists() and vm_dir.exists()):
         _build_server(args, config)
-    bundle, shares = seal_all_with_escrow(_load_server(args, config), args.escrow)
+    host = server_from_images(load_images(host_dir), load_images(vm_dir), config,
+                              rng=make_rng(args.seed), clock=SimClock())
+    bundle, shares = seal_all_with_escrow(host, args.escrow)
     bundle_dir = args.workdir / "bundle"
     digest = bundle.index_digest(bundle.save(bundle_dir))
     share_paths = [str(p) for p in escrow_mod.save_shares(shares, args.workdir / "shares")]
@@ -142,15 +137,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_restore(args) -> int:
-    config = load_config(args.config)
     host_dir, vm_dir = _image_dirs(args.workdir)
     if not (host_dir.exists() and vm_dir.exists()):
         print("restore: no pre-seal images in the workdir", file=sys.stderr)
         return EXIT_FAIL
-
-    host = _load_server(args, config)
-    host.boot()  # a root volume that cannot be unlocked raises SealedAndCold
-    host.power_off()
+    # Both pairs must load, and the host's root volume must unlock (a sealed
+    # one raises KeyslotsEmpty) and its tree decode, as a boot needs.
+    load_images(vm_dir)
+    full_tree_from_images(load_images(host_dir))
     _emit(
         {"restored": True, "bootable": True},
         args.json,
@@ -239,8 +233,8 @@ def cmd_serve(args) -> int:
     return EXIT_OK
 
 
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The ``sealkit`` parser; with ``argv``, only the subcommands it names get arguments.
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The ``sealkit`` parser; only the subcommands that ``argv`` names get arguments.
 
     argparse dispatches only to a subcommand whose name is a token of
     ``argv``, so the others are listed (for usage, ``--help`` and the
@@ -254,7 +248,7 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def subcommand(name: str, help_line: str) -> argparse.ArgumentParser | None:
-        if argv is None or name in argv:
+        if name in argv:
             return sub.add_parser(name, help=help_line)
         sub.add_parser(name, help=help_line, add_help=False)
         return None
@@ -274,7 +268,7 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
         p_verify.set_defaults(func=cmd_verify)
 
     if p_restore := subcommand("restore", "restore the pre-seal state from images"):
-        _flags(p_restore, "seed", "workdir", "config", "json")
+        _flags(p_restore, "workdir", "json")
         p_restore.set_defaults(func=cmd_restore)
 
     if p_escrow := subcommand("escrow", "split or recover escrow shares"):

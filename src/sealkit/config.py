@@ -63,6 +63,14 @@ class ServerConfig:
         for root in self.hash_roots:
             if not root.startswith("/") or normalize(root) != root:
                 raise ConfigError(f"hash root must be a normalized absolute path: {root!r}")
+        # An AUTH line splits on whitespace, and each replica line on ':'.
+        for user, password in self.ldap_users:
+            if user.split() != [user] or ":" in user:
+                raise ConfigError(f"ldap user name must be non-empty, without whitespace "
+                                  f"or ':': {user!r}")
+            if password.split() != [password]:
+                raise ConfigError(f"ldap password of {user} must be non-empty, "
+                                  f"without whitespace")
 
 
 def parse_config(text: str) -> ServerConfig:

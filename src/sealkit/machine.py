@@ -567,7 +567,7 @@ class Machine:
         root = args["root"]
         if not view.exists(root):
             return f"rhash: {root}: No such file or directory", 1
-        return "".join(hash_lines(view, root, args.get("recursive", True))).rstrip("\n"), 0
+        return "".join(hash_lines(view, root, args["recursive"])).rstrip("\n"), 0
 
     def _step_copy_log_to_vm_boot(self, ram, args):
         if self.nested_vm is None:
@@ -600,8 +600,7 @@ class Machine:
         return "", 0
 
     def _step_send_mail(self, ram, args):
-        body_path = args.get("body_path")
-        body = (ram.tree.file_bytes(body_path) or b"") if body_path else b""
+        body = ram.tree.file_bytes(args["body_path"]) or b""
         ram.mailer.append(
             MailMessage(to=args["to"], subject=args["subject"], body=body.decode())
         )
@@ -609,9 +608,9 @@ class Machine:
 
     def _step_start_vm(self, ram, args):
         if self.nested_vm is None:
-            return f"error: failed to get domain '{args.get('name', '?')}'", 1
+            return f"error: failed to get domain '{args['name']}'", 1
         ram.vm_start_requested = True
-        return f"Domain '{args.get('name', self.nested_vm.name)}' started", 0
+        return f"Domain '{args['name']}' started", 0
 
     def _step_start_web(self, ram, args):
         ram.web_running = True

@@ -55,12 +55,8 @@ class ManifestDiff:
     removed: frozenset[str]
     changed: frozenset[str]
 
-    @property
-    def empty(self) -> bool:
-        return not (self.added or self.removed or self.changed)
 
-
-def hash_lines(tree: FileTree, root: str, recursive: bool = True) -> list[str]:
+def hash_lines(tree: FileTree, root: str, recursive: bool) -> list[str]:
     """Manifest lines for one root, in sorted path order."""
     paths = tree.under(root) if recursive else tree.children(root)
     lines = []
@@ -73,10 +69,10 @@ def hash_lines(tree: FileTree, root: str, recursive: bool = True) -> list[str]:
     return lines
 
 
-def compute_manifest(tree: FileTree, roots: list[RootSpec | str]) -> Manifest:
+def compute_manifest(tree: FileTree, roots: list[RootSpec]) -> Manifest:
     """One entry per regular file and symlink under the given roots."""
     lines: list[str] = []
-    for spec in (RootSpec(r) if isinstance(r, str) else r for r in roots):
+    for spec in roots:
         try:
             lines += hash_lines(tree, spec.path, spec.recursive)
         except MissingPath:

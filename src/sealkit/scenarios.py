@@ -148,7 +148,7 @@ def _image_secret(machine, path: str) -> str:
 def _run_header_restore_single(seed: int, config: ServerConfig) -> tuple[str, list[str]]:
     host, _ = _build(seed, config)
     secret = _image_secret(host, "/root/host-secret.txt")
-    backup = vol.header_backup(host.root_volume)
+    backup = host.root_volume.header
 
     host.boot()
     seal_host(host, single_stage_host_plan(host.config))
@@ -165,7 +165,7 @@ def _run_header_restore_single(seed: int, config: ServerConfig) -> tuple[str, li
 
 def _run_header_restore_dual(seed: int, config: ServerConfig) -> tuple[str, list[str]]:
     host, vm = _build(seed, config)
-    backup = vol.header_backup(vm.root_volume)
+    backup = vm.root_volume.header
     seal_all(host)
     host.power_off()
 
@@ -242,8 +242,7 @@ _RUNNERS = {name: _reporting(name, run) for name, run in {
 }.items()}
 
 
-def run_scenario(scenario: str | Scenario, seed: int, config: ServerConfig) -> ScenarioReport:
-    name = scenario.name if isinstance(scenario, Scenario) else scenario
+def run_scenario(name: str, seed: int, config: ServerConfig) -> ScenarioReport:
     if name not in SCENARIOS:
         raise KeyError(f"unknown scenario {name!r}; known: {', '.join(sorted(SCENARIOS))}")
     return _RUNNERS[name](seed, config)

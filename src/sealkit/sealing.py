@@ -320,6 +320,12 @@ def prepare_trusted_server(config: ServerConfig, *,
             if not view.exists(root):
                 raise ConfigError(f"hash root {root} does not exist on {machine.name} "
                                   f"(its root tree plus /boot)")
+    # The verifier looks up each published file in the VM's post-seal manifest.
+    w = config.webroot
+    if not any(spec.path == w or spec.recursive and w.startswith(spec.path.rstrip("/") + "/")
+               for spec in config.root_specs()):
+        raise ConfigError(f"no hash root covers the webroot {w}, so no published "
+                          f"file could be verified")
     return host
 
 
@@ -340,12 +346,11 @@ def server_from_images(host_images: DiskImagePair, vm_images: DiskImagePair,
 # -- stage drivers -----------------------------------------------------------------
 
 
-def _run_stage(machine: Machine, plan: SealingPlan | None) -> SealingLog:
-    """Run the machine's stage of the plan (default: ``default_plan``), then
-    write its log where the stage's cron line sends it."""
+def _run_stage(machine: Machine, plan: SealingPlan) -> SealingLog:
+    """Run the machine's stage of the plan, then write its log where the
+    stage's cron line sends it."""
     if not machine.is_on:
         raise ProtocolError(f"{machine.stage.kind} must be booted before sealing")
-    plan = plan or default_plan(machine.config)
     log = SealingLog()
     for step in plan.steps[machine.stage]:
         record = machine.exec_step(step)
@@ -356,7 +361,7 @@ def _run_stage(machine: Machine, plan: SealingPlan | None) -> SealingLog:
     return log
 
 
-def seal_host(host: Machine, plan: SealingPlan | None = None) -> SealingLog:
+def seal_host(host: Machine, plan: SealingPlan) -> SealingLog:
     if host.nested_vm is not None and host.nested_vm.is_on:
         raise ProtocolError("nested VM must be powered off during the host stage")
     log = _run_stage(host, plan)
@@ -365,14 +370,15 @@ def seal_host(host: Machine, plan: SealingPlan | None = None) -> SealingLog:
     return log
 
 
-def seal_vm(vm: Machine, plan: SealingPlan | None = None) -> SealingLog:
+def seal_vm(vm: Machine, plan: SealingPlan) -> SealingLog:
     return _run_stage(vm, plan)
 
 
-def seal_all_with_escrow(host: Machine, escrow_parties: int = 0,
+def seal_all_with_escrow(host: Machine, escrow_parties: int,
                          plan: SealingPlan | None = None
                          ) -> tuple["PublishedBundle", list[escrow_mod.KeyShare]]:
-    """Full dual-stage seal; optionally escrow the VM's rewrapped key record.
+    """Full dual-stage seal; split the VM's rewrapped key record into
+    ``escrow_parties`` escrow shares, or none for 0.
 
     The escrow capture must happen between the two stages: after the host
     reencrypted the VM disk, before the VM erases its own keyslots.

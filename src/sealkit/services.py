@@ -79,7 +79,7 @@ def millionaires_submit(state: MillionairesState, name: str, assets: int) -> Mil
     return MillionairesState(submissions=state.submissions + (entry,))
 
 
-def millionaires_publish(state: MillionairesState, descending: bool = True) -> list[str]:
+def millionaires_publish(state: MillionairesState, descending: bool) -> list[str]:
     """Names ordered by assets (ties keep arrival order); values never leave."""
     key = (lambda s: (-s.assets, s.sequence)) if descending else (lambda s: (s.assets, s.sequence))
     return [s.name for s in sorted(state.submissions, key=key)]
@@ -143,14 +143,15 @@ class CredentialDirectory:
         return directory
 
     @classmethod
-    def parse(cls, text: str, read_only: bool = False) -> "CredentialDirectory":
+    def parse(cls, text: str) -> "CredentialDirectory":
+        """The sealed side's read-only replica of a rendered directory."""
         entries = {}
         for line in text.splitlines():
             if not line.strip():
                 continue
             user, salt, verifier = line.split(":")
             entries[user] = DirectoryEntry(user, bytes.fromhex(salt), bytes.fromhex(verifier))
-        return cls(entries=entries, read_only=read_only)
+        return cls(entries=entries, read_only=True)
 
 
 # -- DNS privacy proxy ------------------------------------------------------------
@@ -183,15 +184,14 @@ def attach_data_vault(machine: Machine, sector_count: int,
     return key
 
 
-def vault_attach(machine: Machine, key: bytes | Keyfile) -> UnlockedVolume:
+def vault_attach(machine: Machine, key: bytes) -> UnlockedVolume:
     """Post-seal key upload: unlock the vault into volatile memory only."""
     if not machine.is_on or not machine.is_sealed:
         raise NotSealed("vault keys are only accepted by a sealed, running server")
     if not machine.extra_disks:
         raise ServiceError("no vault disk attached")
     try:  # a key of the wrong length is a wrong key too
-        keyfile = key if isinstance(key, Keyfile) else Keyfile(key)
-        handle = vol.unlock(machine.extra_disks[0], keyfile)
+        handle = vol.unlock(machine.extra_disks[0], Keyfile(key))
     except vol.VolumeError as exc:
         raise WrongKey(str(exc)) from exc
     machine.ram.vault_handles.append(handle)
@@ -199,10 +199,6 @@ def vault_attach(machine: Machine, key: bytes | Keyfile) -> UnlockedVolume:
 
 
 # -- the sealed server's service frontend ---------------------------------------------
-
-
-def _parse_replica(text: str) -> CredentialDirectory:
-    return CredentialDirectory.parse(text, read_only=True)
 
 
 class ServiceFrontend:
@@ -244,7 +240,7 @@ class ServiceFrontend:
         return cached[1]
 
     def _replica(self) -> CredentialDirectory:
-        return self._parse_once(LDAP_REPLICA_PATH, _parse_replica)
+        return self._parse_once(LDAP_REPLICA_PATH, CredentialDirectory.parse)
 
     def _load_state(self) -> MillionairesState:
         return self._parse_once(self.TABLE_PATH, MillionairesState.parse)

@@ -219,7 +219,7 @@ def default_policy(plan: SealingPlan) -> AllowlistPolicy:
             ldap_dump = step.args["dest"]
         elif step.kind == "hash_tree":
             roots.setdefault(step.args["root"],
-                             RootSpec(step.args["root"], step.args.get("recursive", True)))
+                             RootSpec(step.args["root"], step.args["recursive"]))
 
     archives = tuple(
         (step.args.get("name") or posixpath.basename(step.args["dest_path"]),

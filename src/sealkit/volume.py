@@ -64,7 +64,7 @@ minimum of 21, on a 2-CPU Intel Xeon); each record is still its own 540-byte
 header names a KDF count above ``MAX_KDF_ITERATIONS``, raises
 :class:`VolumeError`.
 
-Volumes are single-writer: dump and header_backup are safe concurrently,
+Volumes are single-writer: dump and reading the header are safe concurrently,
 all mutating operations must be serialized by the caller, and a handle may
 move between threads but not be used from two at once.
 """
@@ -493,10 +493,6 @@ def reencrypt(volume: EncryptedVolume, keyfile: Keyfile) -> None:
     handle.invalidate()
 
 
-def header_backup(volume: EncryptedVolume) -> VolumeHeader:
-    return volume.header
-
-
 def restore_header(volume: EncryptedVolume, header: VolumeHeader) -> None:
     if header.sector_count != volume.header.sector_count:
         raise GeometryMismatch(
@@ -620,7 +616,7 @@ def serialize_volume(volume: EncryptedVolume) -> Iterator[bytes]:
         yield b"".join(sectors[first:first + _CHUNK_RECORDS])
 
 
-def deserialize_volume(file: BinaryIO, rng: random.Random | None = None) -> EncryptedVolume:
+def deserialize_volume(file: BinaryIO) -> EncryptedVolume:
     """Read a TSVOL1 container from a binary file, ``_CHUNK_RECORDS`` sector records
     at a time, each chunk split into its records by one Struct unpack. A malformed
     header or sector run raises :class:`VolumeError`."""
@@ -648,4 +644,4 @@ def deserialize_volume(file: BinaryIO, rng: random.Random | None = None) -> Encr
     if file.read(1):
         raise VolumeError(f"bytes follow the {header.sector_count} sector records "
                           f"the header declares")
-    return EncryptedVolume(header, sectors, rng or make_rng())
+    return EncryptedVolume(header, sectors, make_rng())

@@ -8,11 +8,13 @@ from pathlib import Path
 
 import pytest
 
+from conftest import build_server
 from sealkit import cli
 from sealkit import volume as vol
 from sealkit.cli import run_command
 from sealkit.config import ConfigError, ServerConfig, parse_config
-from sealkit.sealing import HOST_LOG_NAME
+from sealkit.machine import save_images
+from sealkit.sealing import HOST_LOG_NAME, seal_all
 
 
 def wd(tmp_path, *extra):
@@ -55,6 +57,12 @@ REFUSED_CONFIGS = {
     "webroot = /": "webroot must be a normalized directory below /",
     "vault_sectors = 0": "sector counts must be positive",
     "hash_roots = /etc,/usr/bin/": "hash root must be a normalized absolute path",
+    # A user that no AUTH line can name; the one with ':' crashed `serve` on its replica.
+    "ldap_user.a:b = pw": "ldap user name must be non-empty, without whitespace or ':'",
+    "ldap_user. = pw": "ldap user name must be non-empty, without whitespace or ':'",
+    "ldap_user.a b = pw": "ldap user name must be non-empty, without whitespace or ':'",
+    "ldap_user.a =": "ldap password of a must be non-empty, without whitespace",
+    "ldap_user.a = p w": "ldap password of a must be non-empty, without whitespace",
 }
 
 
@@ -240,7 +248,8 @@ def test_build_with_a_missing_hash_root_exits_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("text", REFUSED_CONFIGS,
                          ids=["webroot-trailing-slash", "webroot-root", "vault-sectors-zero",
-                              "hash-root-trailing-slash"])
+                              "hash-root-trailing-slash", "ldap-user-colon", "ldap-user-empty",
+                              "ldap-user-space", "ldap-password-empty", "ldap-password-space"])
 def test_build_with_a_refused_config_exits_one_and_writes_no_images(tmp_path, capsys, text):
     conf = tmp_path / "refused.conf"
     conf.write_text(text)
@@ -248,6 +257,25 @@ def test_build_with_a_refused_config_exits_one_and_writes_no_images(tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith(f"sealkit: {REFUSED_CONFIGS[text]}") and err.count("\n") == 1
     assert not (tmp_path / "images").exists()
+
+
+def test_build_with_hash_roots_that_miss_the_webroot_exits_one(tmp_path, capsys):
+    # Both roots exist, but no manifest could record the published files.
+    conf = tmp_path / "roots.conf"
+    conf.write_text("hash_roots = /etc,/usr/bin\n")
+    assert run_command(["build", *ws(tmp_path, "--config", str(conf))]) == 1
+    err = capsys.readouterr().err
+    assert err == ("sealkit: no hash root covers the webroot /var/www/log, "
+                   "so no published file could be verified\n")
+    assert not (tmp_path / "images").exists()
+
+
+@pytest.mark.parametrize("text", ["hash_roots = /etc,/var", "hash_roots = /",
+                                  "webroot = /srv\nhash_roots = /srv"])
+def test_a_hash_root_at_or_above_the_webroot_covers_it(tmp_path, text):
+    conf = tmp_path / "roots.conf"
+    conf.write_text(text)
+    assert run_command(["build", *ws(tmp_path, "--config", str(conf))]) == 0
 
 
 def test_seal_reuses_existing_images(tmp_path):
@@ -321,9 +349,21 @@ def test_escrow_recover_of_a_directory_exits_one_without_traceback(tmp_path, cap
 
 def test_restore_after_seal(tmp_path, capsys):
     seal_workdir(tmp_path)
-    assert run_command(["restore", *ws(tmp_path)]) == 0
+    assert run_command(["restore", *wd(tmp_path)]) == 0
     assert "restored" in capsys.readouterr().out
     assert run_command(["seal", *ws(tmp_path)]) == 0
+
+
+def test_restore_refuses_a_sealed_host_image(tmp_path, capsys):
+    assert run_command(["build", *ws(tmp_path)]) == 0
+    host = build_server(21)
+    seal_all(host)
+    host.power_off()
+    save_images(host.snapshot_image(), tmp_path / "images" / "host")
+    capsys.readouterr()
+    assert run_command(["restore", *wd(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "sealkit: all 8 keyslots are empty\n"
 
 
 def test_restore_reseal_seed_controls_bundle_digest(tmp_path, capsys):
@@ -349,6 +389,13 @@ def test_attack_subcommand_text(capsys):
     first, *details = capsys.readouterr().out.splitlines()
     assert first == "theft-reboot: expected attack-fails, observed attack-fails [ok]"
     assert len(details) == 3 and all(d.startswith("    ") for d in details)
+
+
+def subcommands(argv: list[str]) -> dict:
+    return cli.build_parser(argv)._subparsers._group_actions[0].choices
+
+
+EVERY_COMMAND = ["build", "seal", "verify", "restore", "escrow", "serve", "attack", "manifest"]
 
 
 def test_per_command_parser_answers_as_the_full_parser(tmp_path, capsys, monkeypatch):
@@ -378,32 +425,31 @@ def test_per_command_parser_answers_as_the_full_parser(tmp_path, capsys, monkeyp
 
     per_command = outcomes()
     full_parser = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda argv: full_parser())
+    monkeypatch.setattr(cli, "build_parser", lambda argv: full_parser(EVERY_COMMAND))
     full = outcomes()
     assert [rc for rc, _, _ in per_command] == [0, 0, 0, 0, 2, 0, 0, 0, 0, 2, 2, 2, 2, 2]
     assert per_command == full
 
 
 def test_a_command_builds_only_its_own_subparser():
-    subparsers = cli.build_parser(["verify", "--seed", "1"])._subparsers._group_actions[0]
-    built = {name for name, parser in subparsers.choices.items() if parser._actions}
-    assert built == {"verify"}
-    everything = cli.build_parser()._subparsers._group_actions[0]
-    assert list(subparsers.choices) == list(everything.choices)
-    assert all(parser._actions for parser in everything.choices.values())
+    listed = subcommands(["verify", "--seed", "1"])
+    assert list(listed) == EVERY_COMMAND
+    assert {name for name, parser in listed.items() if parser._actions} == {"verify"}
+    assert not any(parser._actions for parser in subcommands([]).values())
+    assert all(parser._actions for parser in subcommands(EVERY_COMMAND).values())
 
 
 @pytest.mark.parametrize("command, flags", [
     ("build", {"--seed", "--workdir", "--config", "--json"}),
     ("seal", {"--seed", "--workdir", "--config", "--json", "--escrow"}),
     ("verify", {"--workdir", "--config", "--json"}),
-    ("restore", {"--seed", "--workdir", "--config", "--json"}),
+    ("restore", {"--workdir", "--json"}),
     ("serve", {"--seed", "--config"}),
     ("attack", {"--seed", "--config", "--json"}),
     ("manifest", {"--config", "--output"}),
 ])
 def test_a_command_takes_only_the_flags_its_handler_reads(command, flags):
-    parser = cli.build_parser([command])._subparsers._group_actions[0].choices[command]
+    parser = subcommands([command])[command]
     taken = {o for action in parser._actions for o in action.option_strings if o.startswith("--")}
     assert taken == flags | {"--help"}
 
@@ -470,6 +516,18 @@ def test_serve_answers_a_non_utf8_line_and_the_next_one():
                               env=env, timeout=60)
         assert done.returncode == 0, (stdin_env, done.stderr)
         assert done.stdout.splitlines() == [b"ERR usage: request is not UTF-8", b"OK reject"]
+
+
+def test_serve_refuses_an_ldap_user_with_a_colon(tmp_path, capsys, monkeypatch):
+    import io
+
+    config = tmp_path / "c.conf"
+    config.write_text("ldap_user.a:b = pw\n")
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"AUTH a:b pw\n")))
+    assert run_command(["serve", "--seed", "1", "--config", str(config)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "sealkit: ldap user name must be non-empty, without whitespace or ':': 'a:b'\n"
 
 
 def test_verify_without_workdir_contents_fails(tmp_path):

@@ -67,7 +67,7 @@ def test_missing_hash_root_fails_at_build_naming_the_machine(root, machine):
 def test_seal_host_erases_host_slots():
     host = build_server(33)
     host.boot()
-    seal_host(host)
+    seal_host(host, default_plan(host.config))
     assert host.root_volume.header.active_slots() == []
 
 
@@ -75,7 +75,7 @@ def test_seal_host_reencrypts_vm_disk():
     host = build_server(34)
     before = host.nested_vm.root_volume.header.slots[0].wrapped_key
     host.boot()
-    seal_host(host)
+    seal_host(host, default_plan(host.config))
     after = host.nested_vm.root_volume.header.slots[0].wrapped_key
     assert before != after
 
@@ -83,7 +83,7 @@ def test_seal_host_reencrypts_vm_disk():
 def test_seal_host_copies_log_to_vm_boot():
     host = build_server(35)
     host.boot()
-    log = seal_host(host)
+    log = seal_host(host, default_plan(host.config))
     published = host.nested_vm.boot_partition.read_file(f"/{HOST_LOG_NAME}")
     assert published.decode() == render_log(log)
 
@@ -91,11 +91,11 @@ def test_seal_host_copies_log_to_vm_boot():
 def test_seal_host_requires_booted_host_and_cold_vm():
     host = build_server(36)
     with pytest.raises(ProtocolError):
-        seal_host(host)
+        seal_host(host, default_plan(host.config))
     host.boot()
     host.nested_vm.boot()
     with pytest.raises(ProtocolError):
-        seal_host(host)
+        seal_host(host, default_plan(host.config))
 
 
 def test_critical_step_failure_aborts():

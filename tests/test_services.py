@@ -61,21 +61,21 @@ def test_publish_matches_brute_force_oracle():
     state = MillionairesState()
     for name, assets in (("Alice", 5), ("Bob", 3), ("Carol", 7)):
         state = millionaires_submit(state, name, assets)
-    assert millionaires_publish(state) == ["Carol", "Alice", "Bob"]
-    assert millionaires_publish(state) == ranking_oracle(
+    assert millionaires_publish(state, True) == ["Carol", "Alice", "Bob"]
+    assert millionaires_publish(state, True) == ranking_oracle(
         [("Alice", 5), ("Bob", 3), ("Carol", 7)]
     )
 
 
 def test_publish_empty_state():
-    assert millionaires_publish(MillionairesState()) == []
+    assert millionaires_publish(MillionairesState(), True) == []
 
 
 def test_publish_breaks_ties_by_arrival():
     state = MillionairesState()
     state = millionaires_submit(state, "X", 4)
     state = millionaires_submit(state, "Y", 4)
-    assert millionaires_publish(state) == ["X", "Y"]
+    assert millionaires_publish(state, True) == ["X", "Y"]
 
 
 def test_publish_ascending_flag():
@@ -103,7 +103,7 @@ def test_publish_never_discloses_values():
             value = rng.randint(10, 10**9)
             values.append(value)
             state = millionaires_submit(state, f"person-{chr(65 + i)}", value)
-        published = "\n".join(millionaires_publish(state))
+        published = "\n".join(millionaires_publish(state, True))
         for value in values:
             assert str(value) not in published
 
@@ -231,7 +231,7 @@ def test_sealed_side_writes_are_rejected():
     rng = make_rng(7)
     primary = CredentialDirectory()
     primary.add_user("carol", "pw", rng)
-    replica = CredentialDirectory.parse(primary.render(), read_only=True)
+    replica = CredentialDirectory.parse(primary.render())
     with pytest.raises(ReadOnlyDirectory):
         replica.add_user("mallory", "evil", rng)
     with pytest.raises(ReadOnlyDirectory):
@@ -267,7 +267,7 @@ def test_authenticate_pure():
     directory = CredentialDirectory()
     directory.add_user("u", "right", rng)
     directory.add_user("v", "other", rng)
-    replica = CredentialDirectory.parse(directory.render(), read_only=True)
+    replica = CredentialDirectory.parse(directory.render())
     assert replica.render() == directory.render()
     lines = replica.render().splitlines()
     assert len(lines) == 2
@@ -292,7 +292,7 @@ def test_vault_attach_round_trip():
     from sealkit.sealing import seal_all
 
     seal_all(host)
-    handle = vault_attach(vm, key)
+    handle = vault_attach(vm, key.data)
     tree, _ = read_volume_tree(handle)
     assert tree.read_file("/data/genome.txt") == b"ACGT" * 100
 
@@ -311,7 +311,7 @@ def test_vault_requires_sealed_server():
     key = attach_data_vault(vm, 8, {"/d": b"x"}, make_rng(12))
     vm.boot()
     with pytest.raises(NotSealed):
-        vault_attach(vm, key)
+        vault_attach(vm, key.data)
 
 
 def test_vault_wrong_key_leaves_vault_untouched():
@@ -333,7 +333,7 @@ def test_vault_key_must_be_reuploaded_after_power_loss():
     from sealkit.sealing import seal_all
 
     seal_all(host)
-    handle = vault_attach(vm, key)
+    handle = vault_attach(vm, key.data)
     host.power_off()
     assert handle.cipher is None and handle.key is None
     # the server itself is sealed: it cannot come back, so neither can the vault

@@ -32,6 +32,7 @@ from sealkit.machine import (
 )
 from sealkit.manifest import (
     MissingRoot,
+    RootSpec,
     compute_manifest,
     diff_manifests,
     manifest_from_lines,
@@ -70,7 +71,7 @@ def clean_run(seed):
 def test_empty_tree_empty_manifest():
     tree = FileTree()
     tree.mkdir("/etc")
-    manifest = compute_manifest(tree, ["/etc"])
+    manifest = compute_manifest(tree, [RootSpec("/etc")])
     assert manifest.entries == ()
 
 
@@ -78,7 +79,7 @@ def test_identical_content_identical_digest_distinct_paths():
     tree = FileTree()
     tree.write_file("/a/x", b"same")
     tree.write_file("/a/y", b"same")
-    manifest = compute_manifest(tree, ["/a"])
+    manifest = compute_manifest(tree, [RootSpec("/a")])
     digests = manifest.as_dict()
     assert digests["/a/x"] == digests["/a/y"]
     assert set(digests) == {"/a/x", "/a/y"}
@@ -88,20 +89,20 @@ def test_symlink_cycle_terminates_and_hashes_target_string():
     tree = FileTree()
     tree.write_file("/usr/bin/env", b"binary")
     tree.symlink("/usr/bin/X11", ".")
-    manifest = compute_manifest(tree, ["/usr/bin"])
+    manifest = compute_manifest(tree, [RootSpec("/usr/bin")])
     # oracle: the symlink entry is the digest of its target string
     assert manifest.digest_of("/usr/bin/X11") == hashlib.sha3_512(b".").hexdigest()
 
 
 def test_missing_root_raises():
     with pytest.raises(MissingRoot):
-        compute_manifest(FileTree(), ["/absent"])
+        compute_manifest(FileTree(), [RootSpec("/absent")])
 
 
 def test_manifest_render_format_and_parse():
     tree = FileTree()
     tree.write_file("/f", b"data")
-    manifest = compute_manifest(tree, ["/f"])
+    manifest = compute_manifest(tree, [RootSpec("/f")])
     text = manifest.render()
     digest = hashlib.sha3_512(b"data").hexdigest()
     assert text == f"{digest}  /f\n"
@@ -129,16 +130,17 @@ def test_manifest_determinism_across_serialization(tmp_path):
 def test_diff_identity_is_empty():
     tree = FileTree()
     tree.write_file("/f", b"x")
-    m = compute_manifest(tree, ["/f"])
-    assert diff_manifests(m.as_dict(), m.as_dict()).empty
+    m = compute_manifest(tree, [RootSpec("/f")])
+    diff = diff_manifests(m.as_dict(), m.as_dict())
+    assert not (diff.added or diff.removed or diff.changed)
 
 
 def test_diff_detects_added_file():
     tree = FileTree()
     tree.write_file("/a/x", b"1")
-    before = compute_manifest(tree, ["/a"])
+    before = compute_manifest(tree, [RootSpec("/a")])
     tree.write_file("/a/new", b"2")
-    after = compute_manifest(tree, ["/a"])
+    after = compute_manifest(tree, [RootSpec("/a")])
     diff = diff_manifests(before.as_dict(), after.as_dict())
     assert diff.added == {"/a/new"} and not diff.removed and not diff.changed
 
@@ -146,9 +148,9 @@ def test_diff_detects_added_file():
 def test_diff_detects_single_byte_change():
     tree = FileTree()
     tree.write_file("/a/x", b"payload-0")
-    before = compute_manifest(tree, ["/a"])
+    before = compute_manifest(tree, [RootSpec("/a")])
     tree.write_file("/a/x", b"payload-1")
-    after = compute_manifest(tree, ["/a"])
+    after = compute_manifest(tree, [RootSpec("/a")])
     # oracle: recompute the digest directly
     assert after.digest_of("/a/x") == hashlib.sha3_512(b"payload-1").hexdigest()
     assert diff_manifests(before.as_dict(), after.as_dict()).changed == {"/a/x"}

@@ -670,7 +670,7 @@ def test_reencrypt_requires_matching_keyfile(rng):
 def test_header_restored_after_reencrypt_reads_fail(rng):
     # unlock "succeeds" against the old digest, but sector auth fails
     volume, keyfile = make_volume(rng, sectors=3)
-    backup = vol.header_backup(volume)
+    backup = volume.header
     vol.reencrypt(volume, keyfile)
     vol.restore_header(volume, backup)
     handle = vol.unlock(volume, keyfile)
@@ -686,7 +686,7 @@ def test_stale_header_authfailure_100_trials():
         volume, keyfile = make_volume(rng, sectors=2)
         handle = vol.unlock(volume, keyfile)
         vol.write_sector(handle, 0, rng.randbytes(SECTOR_BYTES))
-        backup = vol.header_backup(volume)
+        backup = volume.header
         vol.reencrypt(volume, keyfile)
         vol.restore_header(volume, backup)
         stale = vol.unlock(volume, keyfile)
@@ -701,7 +701,7 @@ def test_stale_header_authfailure_100_trials():
 def test_backup_erase_restore_reopens_volume(rng):
     # the single-stage header-restore attack works by construction
     volume, keyfile = make_volume(rng)
-    backup = vol.header_backup(volume)
+    backup = volume.header
     vol.erase_keyslots(volume)
     with pytest.raises(KeyslotsEmpty):
         vol.unlock(volume, keyfile)
@@ -711,7 +711,7 @@ def test_backup_erase_restore_reopens_volume(rng):
 
 def test_backup_is_deep_copy_and_byte_identical(rng):
     volume, _ = make_volume(rng)
-    backup = vol.header_backup(volume)
+    backup = volume.header
     assert vol.header_record(backup) == vol.header_record(volume.header)
     vol.erase_keyslots(volume)
     assert backup.slots[0].active  # isolated from later mutation
@@ -729,7 +729,7 @@ def test_restore_rejects_geometry_mismatch(rng):
     small, _ = make_volume(rng, sectors=2)
     large, _ = make_volume(rng, sectors=8)
     with pytest.raises(GeometryMismatch):
-        vol.restore_header(large, vol.header_backup(small))
+        vol.restore_header(large, small.header)
 
 
 # -- dump ---------------------------------------------------------------------------
@@ -768,7 +768,7 @@ def test_volume_container_round_trip(rng):
     vol.write_sector(handle, 3, payload)
     blob = serialized(volume)
     assert blob.startswith(b"TSVOL1\n")
-    restored = vol.deserialize_volume(io.BytesIO(blob), rng)
+    restored = vol.deserialize_volume(io.BytesIO(blob))
     again = vol.unlock(restored, keyfile)
     assert vol.read_sector(again, 3) == payload
     assert serialized(restored) == blob
@@ -776,7 +776,7 @@ def test_volume_container_round_trip(rng):
 
 def test_deserialize_rejects_garbage(rng):
     with pytest.raises(VolumeError):
-        vol.deserialize_volume(io.BytesIO(b"not a volume"), rng)
+        vol.deserialize_volume(io.BytesIO(b"not a volume"))
 
 
 # Containers that end inside the first chunk, at its end, just past it, and in a third.
@@ -800,12 +800,12 @@ def test_deserialize_rejects_sector_data_of_the_wrong_length(rng, mangle):
     for sectors in CHUNK_COUNTS:
         volume = chunked_volume(sectors)
         blob = serialized(volume)
-        restored = vol.deserialize_volume(io.BytesIO(blob), rng)
+        restored = vol.deserialize_volume(io.BytesIO(blob))
         assert restored.sectors == volume.sectors
         assert all(type(record) is bytes for record in restored.sectors)
         assert serialized(restored) == blob
         with pytest.raises(VolumeError):
-            vol.deserialize_volume(io.BytesIO(mangle(blob)), rng)
+            vol.deserialize_volume(io.BytesIO(mangle(blob)))
 
 
 def test_a_container_cut_inside_a_record_names_that_record(rng):
@@ -814,7 +814,7 @@ def test_a_container_cut_inside_a_record_names_that_record(rng):
     record_300 = len(blob) - (sectors - 300) * vol.SECTOR_RECORD_BYTES
     cut = blob[:record_300 + vol.SECTOR_RECORD_BYTES // 2]
     with pytest.raises(VolumeError, match="ends inside record 300;"):
-        vol.deserialize_volume(io.BytesIO(cut), rng)
+        vol.deserialize_volume(io.BytesIO(cut))
 
 
 CONTAINER = serialized(make_volume(make_rng(7), sectors=2)[0])
@@ -900,13 +900,13 @@ def test_sealed_volume_call_sequences_never_yield_plaintext():
         handle.invalidate()
         return volume
 
-    sealed_backup = vol.header_backup(sealed_volume())
+    sealed_backup = sealed_volume().header
 
     ops = {
         "unlock_right": lambda v: vol.unlock(v, keyfile),
         "unlock_wrong": lambda v: vol.unlock(v, wrong),
         "dump": vol.dump,
-        "backup": lambda v: vol.header_backup(v),
+        "backup": lambda v: v.header,
         "restore_sealed": lambda v: vol.restore_header(v, sealed_backup),
         "erase": lambda v: vol.erase_keyslots(v),
         "reencrypt": lambda v: vol.reencrypt(v, keyfile),
