@@ -17,7 +17,7 @@ from .machine import (
     save_images,
 )
 from .volume import VolumeError
-from .manifest import ManifestError, compute_manifest
+from .manifest import ManifestError, compute_manifest, render_manifest
 from .scenarios import SCENARIOS, run_scenario
 from .sealing import (
     PublishedBundle,
@@ -189,8 +189,7 @@ def cmd_attack(args) -> int:
 def cmd_manifest(args) -> int:
     config = load_config(args.config)
     tree = full_tree_from_images(load_images(Path(args.imagedir)))
-    manifest = compute_manifest(tree, config.root_specs())
-    text = manifest.render()
+    text = render_manifest(compute_manifest(tree, config.root_specs()))
     if args.output:
         Path(args.output).write_text(text)
         print(f"manifest written to {args.output}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,6 +21,10 @@ NON_RECURSIVE_ROOTS = ("/usr/bin",)
 # Config-file keys that set the ServerConfig field of the same name.
 _INT_KEYS = ("host_sectors", "vm_sectors", "vault_sectors")
 _STR_KEYS = ("mail_to", "server_address", "webroot", "vm_name")
+
+# A comment starts at a '#' that opens the line or follows whitespace, so a
+# value such as the password ``p#w`` keeps its '#'.
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 class ConfigError(Exception):
@@ -71,10 +76,16 @@ class ServerConfig:
             if password.split() != [password]:
                 raise ConfigError(f"ldap password of {user} must be non-empty, "
                                   f"without whitespace")
+        # A RESOLVE line splits on whitespace too.
+        for domain, _ in self.dns_table:
+            if domain.split() != [domain]:
+                raise ConfigError(f"dns domain must be non-empty, without whitespace: "
+                                  f"{domain!r}")
 
 
 def parse_config(text: str) -> ServerConfig:
-    """Parse ``key = value`` lines; '#' starts a comment.
+    """Parse ``key = value`` lines; a '#' at the start of a line or after
+    whitespace starts a comment, and any other '#' belongs to the value.
 
     Recognized keys: mail_to, server_address, webroot, hash_roots (comma
     separated), millionaires_order (descending|ascending), host_sectors,
@@ -86,7 +97,7 @@ def parse_config(text: str) -> ServerConfig:
     ldap_users = list(ServerConfig.ldap_users)
     dns_table = list(ServerConfig.dns_table)
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:

@@ -669,5 +669,7 @@ def load_images(directory: str | Path) -> DiskImagePair:
     directory = Path(directory)
     boot = FileTree.decode((directory / "boot.tree").read_bytes())
     root = _load_volume(directory / "root.tsvol")
-    extras = [_load_volume(path) for path in sorted(directory.glob("extra*.tsvol"))]
+    extras: list[EncryptedVolume] = []  # extra{i}.tsvol in index order, not glob order
+    while (path := directory / f"extra{len(extras)}.tsvol").exists():
+        extras.append(_load_volume(path))
     return DiskImagePair(boot=boot, root=root, extras=extras)

@@ -32,21 +32,11 @@ def _digest(data: bytes) -> str:
     return hashlib.sha3_512(data).hexdigest()
 
 
-@dataclass(frozen=True)
-class Manifest:
-    entries: tuple[tuple[str, str], ...]  # (path, hex digest), sorted by path
+Manifest = dict[str, str]  # path -> hex digest, in sorted path order
 
-    def digest_of(self, path: str) -> str | None:
-        for p, d in self.entries:
-            if p == path:
-                return d
-        return None
 
-    def as_dict(self) -> dict[str, str]:
-        return dict(self.entries)
-
-    def render(self) -> str:
-        return "".join(f"{digest}  {path}\n" for path, digest in self.entries)
+def render_manifest(manifest: Manifest) -> str:
+    return "".join(f"{digest}  {path}\n" for path, digest in manifest.items())
 
 
 @dataclass(frozen=True)
@@ -99,4 +89,4 @@ def manifest_from_lines(lines: list[str]) -> Manifest:
         if not sep:
             raise ManifestError(f"manifest line lacks the two-space separator: {line!r}")
         entries[path] = digest
-    return Manifest(entries=tuple(sorted(entries.items())))
+    return dict(sorted(entries.items()))

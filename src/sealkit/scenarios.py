@@ -7,7 +7,7 @@ verifier flagged the run.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -111,12 +111,12 @@ def drop_step(plan: SealingPlan, stage: Stage, kind: str) -> SealingPlan:
 
     A kind the stage lacks raises ValueError: a typo must not seal honestly.
     """
-    steps = plan.steps[stage]
+    steps = plan[stage]
     kinds = [step.kind for step in steps]
     if kind not in kinds:
         raise ValueError(f"the {stage.kind} stage has no {kind!r} step")
     i = kinds.index(kind)
-    return replace(plan, steps={**plan.steps, stage: steps[:i] + steps[i + 1:]})
+    return {**plan, stage: steps[:i] + steps[i + 1:]}
 
 
 def _run_theft_reboot(seed: int, config: ServerConfig) -> tuple[str, list[str]]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import escrow as escrow_mod
@@ -39,6 +39,9 @@ from .machine import (
 from .tree import FileTree
 from .util import SimClock
 
+SealingPlan = dict[Stage, tuple[SealingStep, ...]]  # every stage of STAGES, in order
+SealingLog = list[StepRecord]
+
 REQUIRED_BUNDLE_ARTIFACTS = (
     HOST_LOG_NAME,
     VM_LOG_NAME,
@@ -63,30 +66,17 @@ class WebrootIncomplete(ProtocolError):
 
 
 class CriticalStepFailure(ProtocolError):
-    def __init__(self, log: "SealingLog", step: SealingStep, record: StepRecord):
+    def __init__(self, log: SealingLog, step: SealingStep, record: StepRecord):
         super().__init__(f"critical step failed: {step.command}: {record.output}")
         self.log = log
         self.step = step
         self.record = record
 
 
-@dataclass(frozen=True)
-class SealingPlan:
-    steps: dict[Stage, tuple[SealingStep, ...]]  # every stage of STAGES, in order
-
-
-@dataclass
-class SealingLog:
-    records: list[StepRecord] = field(default_factory=list)
-
-    def commands(self) -> list[str]:
-        return [r.command for r in self.records]
-
-
 def render_log(log: SealingLog) -> str:
     """set -x style text: '+ <command>' then the raw output lines."""
     parts = []
-    for record in log.records:
+    for record in log:
         parts.append(f"+ {record.command}\n")
         output = record.output.rstrip("\n")
         if output:
@@ -189,13 +179,13 @@ def default_plan(config: ServerConfig) -> SealingPlan:
               subject=f"trusted server running@{config.server_address}",
               body_path="/home/trust/date.txt"),
     ]
-    return SealingPlan(steps={HOST: tuple(host), VM: tuple(vm)})
+    return {HOST: tuple(host), VM: tuple(vm)}
 
 
 def single_stage_host_plan(config: ServerConfig) -> SealingPlan:
     """Host-only seal: keyslot erase without the VM reencryption stage."""
     host = [*_lockdown(HOST), *_tree_evidence(config)]
-    return SealingPlan(steps={HOST: tuple(host), VM: ()})
+    return {HOST: tuple(host), VM: ()}
 
 
 # -- server construction --------------------------------------------------------------
@@ -287,7 +277,7 @@ def prepare_trusted_server(config: ServerConfig, *,
                                   ("trust", 1000, "/bin/bash")], rng=rng)
     host_tree.mkdir("/home/trust")
     host_tree.write_file("/home/trust/.bashrc", b"# trust shell profile\n")
-    _write_stage_files(host_tree, HOST, config, "ts-host", plan.steps[HOST],
+    _write_stage_files(host_tree, HOST, config, "ts-host", plan[HOST],
                        "mount /dev/sdb1 /mnt")
     host_tree.write_file(
         "/root/host-secret.txt",
@@ -298,7 +288,7 @@ def prepare_trusted_server(config: ServerConfig, *,
                                 ("www-data", 33, "/usr/sbin/nologin"),
                                 ("trust", 1000, "/bin/bash")], rng=rng)
     vm_tree.mkdir(config.webroot)
-    _write_stage_files(vm_tree, VM, config, config.vm_name, plan.steps[VM])
+    _write_stage_files(vm_tree, VM, config, config.vm_name, plan[VM])
     directory = services_mod.CredentialDirectory.from_users(config.ldap_users, rng)
     vm_tree.write_file(LDAP_REPLICA_PATH, directory.render().encode())
     vm_tree.mkdir("/srv/data")
@@ -351,10 +341,10 @@ def _run_stage(machine: Machine, plan: SealingPlan) -> SealingLog:
     stage's cron line sends it."""
     if not machine.is_on:
         raise ProtocolError(f"{machine.stage.kind} must be booted before sealing")
-    log = SealingLog()
-    for step in plan.steps[machine.stage]:
+    log: SealingLog = []
+    for step in plan[machine.stage]:
         record = machine.exec_step(step)
-        log.records.append(record)
+        log.append(record)
         if step.critical and not record.ok:
             raise CriticalStepFailure(log, step, record)
     machine.write_file(_log_path(machine.stage, machine.config), render_log(log).encode())
@@ -385,7 +375,7 @@ def seal_all_with_escrow(host: Machine, escrow_parties: int,
     """
     if escrow_parties and escrow_parties < 2:  # refused before any step runs
         raise escrow_mod.EscrowError("need at least 2 parties")
-    plan = plan or default_plan(host.config)
+    plan = default_plan(host.config) if plan is None else plan
     vm = host.nested_vm
     if vm is None:
         raise ProtocolError("host has no nested VM; run prepare first")

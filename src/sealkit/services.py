@@ -56,33 +56,30 @@ class Submission:
     sequence: int
 
 
-@dataclass(frozen=True)
-class MillionairesState:
-    submissions: tuple[Submission, ...] = ()
+MillionairesState = tuple[Submission, ...]  # in arrival order
 
-    @classmethod
-    def parse(cls, text: str) -> "MillionairesState":
-        """The stored table: one ``name\tassets\tsequence`` line per submission."""
-        subs = []
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            name, assets, seq = line.split("\t")
-            subs.append(Submission(name=name, assets=int(assets), sequence=int(seq)))
-        return cls(submissions=tuple(subs))
+
+def _parse_table(text: str) -> MillionairesState:
+    """The stored table: one ``name\tassets\tsequence`` line per submission."""
+    subs = []
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        name, assets, seq = line.split("\t")
+        subs.append(Submission(name=name, assets=int(assets), sequence=int(seq)))
+    return tuple(subs)
 
 
 def millionaires_submit(state: MillionairesState, name: str, assets: int) -> MillionairesState:
     if assets < 0:
         raise ServiceError("assets must be non-negative")
-    entry = Submission(name=name, assets=int(assets), sequence=len(state.submissions))
-    return MillionairesState(submissions=state.submissions + (entry,))
+    return state + (Submission(name=name, assets=int(assets), sequence=len(state)),)
 
 
 def millionaires_publish(state: MillionairesState, descending: bool) -> list[str]:
     """Names ordered by assets (ties keep arrival order); values never leave."""
     key = (lambda s: (-s.assets, s.sequence)) if descending else (lambda s: (s.assets, s.sequence))
-    return [s.name for s in sorted(state.submissions, key=key)]
+    return [s.name for s in sorted(state, key=key)]
 
 
 # -- credential directory -------------------------------------------------------
@@ -243,7 +240,7 @@ class ServiceFrontend:
         return self._parse_once(LDAP_REPLICA_PATH, CredentialDirectory.parse)
 
     def _load_state(self) -> MillionairesState:
-        return self._parse_once(self.TABLE_PATH, MillionairesState.parse)
+        return self._parse_once(self.TABLE_PATH, _parse_table)
 
     # -- operations ------------------------------------------------------------
 
@@ -254,7 +251,7 @@ class ServiceFrontend:
             if credentials is None or not self._replica().check(*credentials):
                 raise AuthRequired("submission requires valid directory credentials")
         state = millionaires_submit(self._load_state(), name, assets)
-        entry = state.submissions[-1]
+        entry = state[-1]
         line = f"{entry.name}\t{entry.assets}\t{entry.sequence}\n"
         stored = self._parsed[self.TABLE_PATH][0]  # the version just parsed
         if stored and not stored.endswith(b"\n"):  # left unterminated by another writer

@@ -108,7 +108,7 @@ class Verdict:
 
 def parse_sealing_log(text: str) -> SealingLog:
     """Parse '+ command' / output text back into structured records."""
-    records: list[StepRecord] = []
+    records: SealingLog = []
     command: str | None = None
     output_lines: list[str] = []
 
@@ -128,7 +128,7 @@ def parse_sealing_log(text: str) -> SealingLog:
         records.append(StepRecord(command, "\n".join(output_lines)))
     if not records:
         raise MalformedLog("no '+ command' records found", 1)
-    return SealingLog(records=records)
+    return records
 
 
 # -- evidence extraction -----------------------------------------------------------
@@ -153,7 +153,7 @@ def extract_evidence(log: SealingLog, planned: Iterable[str]) -> LogEvidence:
     produces is not evidence."""
     outputs: dict[str, list[str]] = {command: [] for command in planned}
     manifest_lines: list[str] = []
-    for record in log.records:
+    for record in log:
         if record.command in outputs:
             outputs[record.command].append(record.output)
             if record.command.startswith("rhash "):
@@ -211,7 +211,7 @@ def default_policy(plan: SealingPlan) -> AllowlistPolicy:
     roots: dict[str, RootSpec] = {}
     ldap_dump = ""
 
-    all_steps = [step for steps in plan.steps.values() for step in steps]
+    all_steps = [step for steps in plan.values() for step in steps]
     for step in all_steps:
         for how, glob in STEP_KINDS[step.kind].leaves(step.args):
             may[how].add(glob)
@@ -224,13 +224,13 @@ def default_policy(plan: SealingPlan) -> AllowlistPolicy:
     archives = tuple(
         (step.args.get("name") or posixpath.basename(step.args["dest_path"]),
          stage, step.args["src"])
-        for stage, steps in plan.steps.items()
+        for stage, steps in plan.items()
         for step in steps if step.kind == "zip_tree"
     )
     return AllowlistPolicy(
         **{f"may_{how}": tuple(sorted(globs)) for how, globs in may.items()},
         expected_commands={stage: tuple(s.command for s in steps)
-                           for stage, steps in plan.steps.items()},
+                           for stage, steps in plan.items()},
         hash_roots=tuple(roots.values()),
         ldap_dump=ldap_dump,
         critical_commands=tuple(s.command for s in all_steps if s.critical),
@@ -244,7 +244,7 @@ def default_policy(plan: SealingPlan) -> AllowlistPolicy:
 def _check_step_sequence(stage: Stage, policy: AllowlistPolicy, log: SealingLog,
                          findings: list[Finding]) -> None:
     expected = policy.expected_commands.get(stage, ())
-    log_commands = log.commands()
+    log_commands = [record.command for record in log]
     cursor = 0
     for command in expected:
         try:
@@ -334,7 +334,7 @@ def _check_published_file(path: str, bundle: PublishedBundle, manifest: Manifest
                           findings: list[Finding]) -> None:
     """The bundle's copy of a webroot file must be the one the VM hashed."""
     name = posixpath.basename(path)
-    recorded = manifest.digest_of(path)
+    recorded = manifest.get(path)
     if name not in bundle.artifacts:
         findings.append(Finding(name, "missing from the bundle"))
     elif recorded is None:
@@ -389,8 +389,8 @@ def verify_seal(host_images: DiskImagePair, vm_images: DiskImagePair,
         raise MalformedBundle(f"pre-seal images cannot be opened: {exc}") from exc
     for stage in STAGES:
         pre = compute_manifest(pre_trees[stage], policy.hash_roots)
-        _check_diff(diff_manifests(pre.as_dict(), evidence[stage].manifest.as_dict()), policy,
-                    findings, changed=f"content changed across the {stage.kind} seal",
+        _check_diff(diff_manifests(pre, evidence[stage].manifest), policy, findings,
+                    changed=f"content changed across the {stage.kind} seal",
                     added=f"appeared during the {stage.kind} seal",
                     removed=f"disappeared during the {stage.kind} seal")
 

@@ -43,13 +43,10 @@ sector, and one AAD per sector, which reencryption's decrypt and encrypt share.
 The sector cipher (data key plus AES-GCM object) is built once per key: an
 :class:`UnlockedVolume` builds it at construction and drops it, with the
 master key, in ``invalidate``; :func:`reencrypt` builds one for each of its
-two keys. Each sector's AAD is built once per process, not per call: one
-immutable tuple holds the AAD of every index below the largest sector count
-a handle has been opened on (about 64 B per index, some 2 MB for a 16 MiB
-volume). The module grows it copy-on-write, never in place, and each
-handle keeps the table it was opened with, which covers its volume, so a
-thread that grows the table never changes an AAD that another reads, and no
-lock is needed. Every sector read and write takes its AAD from the handle's
+two keys. Each sector's AAD is built once per process and sector count, not
+per call: a cached tuple per distinct sector count holds the AAD of every
+index of such a volume (about 64 B per index, some 2 MB for a 16 MiB
+volume), and every sector read and write takes its AAD from the handle's
 table.
 
 The ``TSVOL1`` container is the magic, a length-prefixed :func:`header_record`
@@ -71,6 +68,7 @@ move between threads but not be used from two at once.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import random
@@ -159,20 +157,12 @@ def _master_digest(salt: bytes, master_key: bytes) -> bytes:
 
 # Sector AAD: this prefix plus the 8-byte big-endian sector index.
 _AAD_PREFIX = b"TSVOL1 sector "
-# The AAD of each sector index below the largest sector count opened so far.
-# Replaced by a longer tuple, never changed in place: handles keep their own.
-_aad_table: tuple[bytes, ...] = ()
 
 
+@functools.cache
 def _sector_aads(sector_count: int) -> tuple[bytes, ...]:
     """A table whose entry i is sector i's AAD, for every i below ``sector_count``."""
-    global _aad_table
-    table = _aad_table
-    if len(table) < sector_count:
-        table += tuple(_AAD_PREFIX + i.to_bytes(8, "big")
-                       for i in range(len(table), sector_count))
-        _aad_table = table
-    return table
+    return tuple(_AAD_PREFIX + i.to_bytes(8, "big") for i in range(sector_count))
 
 
 @dataclass
@@ -598,12 +588,10 @@ def header_from_record(raw: bytes) -> VolumeHeader:
     return header
 
 
+@functools.cache
 def _record_splitter(count: int) -> struct.Struct:
     """A Struct that unpacks ``count`` sector records into as many ``bytes``."""
     return struct.Struct(f"{SECTOR_RECORD_BYTES}s" * count)
-
-
-_SPLIT_CHUNK = _record_splitter(_CHUNK_RECORDS)  # one full chunk of a container
 
 
 def serialize_volume(volume: EncryptedVolume) -> Iterator[bytes]:
@@ -639,8 +627,7 @@ def deserialize_volume(file: BinaryIO) -> EncryptedVolume:
             raise VolumeError(f"sector data ends inside record "
                               f"{first + len(chunk) // SECTOR_RECORD_BYTES}; the header "
                               f"says {header.sector_count} records of {SECTOR_RECORD_BYTES}")
-        split = _SPLIT_CHUNK if count == _CHUNK_RECORDS else _record_splitter(count)
-        sectors += split.unpack(chunk)
+        sectors += _record_splitter(count).unpack(chunk)
     if file.read(1):
         raise VolumeError(f"bytes follow the {header.sector_count} sector records "
                           f"the header declares")

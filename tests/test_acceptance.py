@@ -246,11 +246,11 @@ def test_criterion_7_log_and_manifest_determinism():
         policy = default_policy(default_plan(host.config))
         verdict = verify_seal(hi, vi, bundle, policy)
         assert verdict.status == "PASS"
-        from sealkit.manifest import compute_manifest
+        from sealkit.manifest import compute_manifest, render_manifest
 
-        pre_manifest = compute_manifest(
+        pre_manifest = render_manifest(compute_manifest(
             full_tree_from_images(hi), host.config.root_specs()
-        ).render()
+        ))
         return (
             pre_manifest,
             bundle.artifacts[HOST.log_name],

@@ -50,6 +50,14 @@ def test_parse_config_round_trip():
     assert ("internal.test", "10.1.2.3") in cfg.dns_table
 
 
+def test_a_hash_starts_a_comment_only_at_line_start_or_after_whitespace():
+    cfg = parse_config("ldap_user.a = p#w\nmail_to = a#b@example.org\n"
+                       "vm_name = v # the rest is a comment\n#whole = line\n")
+    assert ("a", "p#w") in cfg.ldap_users
+    assert cfg.mail_to == "a#b@example.org"
+    assert cfg.vm_name == "v"
+
+
 # Configs that used to fail only late: either webroot sealed both machines and then
 # published nothing, and an empty vault failed when `serve` formatted it.
 REFUSED_CONFIGS = {
@@ -63,6 +71,9 @@ REFUSED_CONFIGS = {
     "ldap_user.a b = pw": "ldap user name must be non-empty, without whitespace or ':'",
     "ldap_user.a =": "ldap password of a must be non-empty, without whitespace",
     "ldap_user.a = p w": "ldap password of a must be non-empty, without whitespace",
+    # A domain that no RESOLVE line can name.
+    "dns.a b = 1.2.3.4": "dns domain must be non-empty, without whitespace",
+    "dns. = 1.2.3.4": "dns domain must be non-empty, without whitespace",
 }
 
 
@@ -249,7 +260,8 @@ def test_build_with_a_missing_hash_root_exits_one(tmp_path, capsys):
 @pytest.mark.parametrize("text", REFUSED_CONFIGS,
                          ids=["webroot-trailing-slash", "webroot-root", "vault-sectors-zero",
                               "hash-root-trailing-slash", "ldap-user-colon", "ldap-user-empty",
-                              "ldap-user-space", "ldap-password-empty", "ldap-password-space"])
+                              "ldap-user-space", "ldap-password-empty", "ldap-password-space",
+                              "dns-domain-space", "dns-domain-empty"])
 def test_build_with_a_refused_config_exits_one_and_writes_no_images(tmp_path, capsys, text):
     conf = tmp_path / "refused.conf"
     conf.write_text(text)
@@ -528,6 +540,17 @@ def test_serve_refuses_an_ldap_user_with_a_colon(tmp_path, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "sealkit: ldap user name must be non-empty, without whitespace or ':': 'a:b'\n"
+
+
+def test_serve_accepts_a_password_holding_a_hash(tmp_path, capsys, monkeypatch):
+    import io
+
+    config = tmp_path / "c.conf"
+    config.write_text("ldap_user.a = p#w\nhost_sectors = 192\nvm_sectors = 256\n"
+                      "vault_sectors = 16\n")
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"AUTH a p#w\nAUTH a p\n")))
+    assert run_command(["serve", "--seed", "1", "--config", str(config)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["OK accept", "OK reject"]
 
 
 def test_verify_without_workdir_contents_fails(tmp_path):

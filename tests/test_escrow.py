@@ -284,7 +284,7 @@ def test_recovery_installs_the_header_the_host_stage_dumped_last():
     bundle, shares = seal_all_with_escrow(host, 2)
     apply_wrapped_key_record(vm.root_volume, reconstruct(shares))
     log = parse_sealing_log(bundle.artifacts[HOST_LOG_NAME].decode())
-    dumps = [record.output for record in log.records
+    dumps = [record.output for record in log
              if record.command == f"cryptsetup luksDump {VM_ROOT_DEVICE_FROM_HOST}"]
     assert vol.dump(vm.root_volume) == dumps[-1] + "\n"
 

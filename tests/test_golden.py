@@ -92,7 +92,7 @@ def test_plan_steps_small_and_alt_config():
         for config in (SMALL, alt)
         for plan in (default_plan(config), single_stage_host_plan(config))
         for stage in STAGES
-        for step in plan.steps[stage]
+        for step in plan[stage]
     ]
     digest = hashlib.sha3_512(json.dumps(rows, sort_keys=True).encode()).hexdigest()
     assert digest == PLANS_SMALL_AND_ALT

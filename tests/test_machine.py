@@ -233,7 +233,7 @@ def test_default_plan_uses_every_step_kind_and_no_other():
     from sealkit.sealing import default_plan
 
     plan = default_plan(build_server(19).config)
-    assert {s.kind for steps in plan.steps.values() for s in steps} == set(STEP_KINDS)
+    assert {s.kind for steps in plan.values() for s in steps} == set(STEP_KINDS)
 
 
 def test_unknown_step_kind_raises_key_error():
@@ -248,7 +248,7 @@ def test_write_through_after_every_step():
 
     host = build_server(12)
     host.boot()
-    for s in default_plan(host.config).steps[HOST]:
+    for s in default_plan(host.config)[HOST]:
         host.exec_step(s)
         # serialize RAM tree; decrypting the volume must reproduce it exactly
         expected = host.ram.tree.encode()
@@ -447,6 +447,14 @@ def test_saved_volume_files_are_the_serialized_containers(tmp_path):
     assert (tmp_path / "root.tsvol").read_bytes() == serialized(host.root_volume)
     assert (tmp_path / "extra0.tsvol").read_bytes() == serialized(vault)
     assert serialized(load_images(tmp_path).extras[0]) == serialized(vault)
+    # Twelve extras come back in index order: extra10 sorts before extra2 by name.
+    extras = [vol.format_volume(n, vol.Keyfile.generate(host.rng), host.rng,
+                                kdf_iterations=10).volume for n in range(1, 13)]
+    save_images(DiskImagePair(boot=host.boot_partition, root=host.root_volume, extras=extras),
+                tmp_path / "twelve")
+    loaded = load_images(tmp_path / "twelve").extras
+    assert [v.sector_count for v in loaded] == list(range(1, 13))
+    assert [serialized(v) for v in loaded] == [serialized(v) for v in extras]
 
 
 def test_load_images_holds_no_second_copy_of_the_sectors(tmp_path):

@@ -47,9 +47,9 @@ def test_unknown_scenario_rejected():
 def test_drop_step_removes_the_first_step_of_its_kind_from_one_stage():
     plan = default_plan(SMALL)
     dropped = drop_step(plan, VM, "chown_webroot")
-    assert dropped.steps[HOST] == plan.steps[HOST]
-    assert len(dropped.steps[VM]) == len(plan.steps[VM]) - 1
-    [kept] = [step for step in dropped.steps[VM] if step.kind == "chown_webroot"]
+    assert dropped[HOST] == plan[HOST]
+    assert len(dropped[VM]) == len(plan[VM]) - 1
+    [kept] = [step for step in dropped[VM] if step.kind == "chown_webroot"]
     assert kept.command == "chown -R www-data:www-data /var/www"
 
 

@@ -180,15 +180,15 @@ def test_golden_path_logs_a_noncritical_failure_and_continues():
 
 def test_plan_hashes_usr_bin_non_recursively():
     plan = default_plan(SMALL)
-    commands = [s.command for s in plan.steps[HOST]]
+    commands = [s.command for s in plan[HOST]]
     assert "rhash --sha3-512 /usr/bin/*" in commands
     assert "rhash -r --sha3-512 /etc" in commands
 
 
 def test_plan_stage_endings():
     plan = default_plan(SMALL)
-    assert [s.kind for s in plan.steps[HOST][-2:]] == ["copy_log_to_vm_boot", "start_vm"]
-    assert [s.kind for s in plan.steps[VM][-2:]] == ["start_web", "send_mail"]
+    assert [s.kind for s in plan[HOST][-2:]] == ["copy_log_to_vm_boot", "start_vm"]
+    assert [s.kind for s in plan[VM][-2:]] == ["start_web", "send_mail"]
 
 
 def test_log_completeness_every_plan_step_once_in_order():
@@ -196,10 +196,10 @@ def test_log_completeness_every_plan_step_once_in_order():
     plan = default_plan(host.config)
     host.boot()
     host_log = seal_host(host, plan)
-    assert host_log.commands() == [s.command for s in plan.steps[HOST]]
+    assert [r.command for r in host_log] == [s.command for s in plan[HOST]]
     host.nested_vm.boot()
     vm_log = seal_vm(host.nested_vm, plan)
-    assert vm_log.commands() == [s.command for s in plan.steps[VM]]
+    assert [r.command for r in vm_log] == [s.command for s in plan[VM]]
 
 
 def test_post_seal_invariants():

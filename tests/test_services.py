@@ -12,7 +12,7 @@ from conftest import SMALL, build_sealed, build_server
 
 from sealkit import volume as vol
 from sealkit.machine import read_volume_tree
-from sealkit.manifest import compute_manifest
+from sealkit.manifest import compute_manifest, render_manifest
 from sealkit.services import (
     AuthRequired,
     CredentialDirectory,
@@ -89,7 +89,7 @@ def test_submissions_keep_arrival_order():
     state = MillionairesState()
     state = millionaires_submit(state, "A", 5)
     state = millionaires_submit(state, "B", 3)
-    assert [(s.name, s.assets, s.sequence) for s in state.submissions] == [
+    assert [(s.name, s.assets, s.sequence) for s in state] == [
         ("A", 5, 0), ("B", 3, 1),
     ]
 
@@ -147,7 +147,7 @@ def test_submit_with_auth_enabled():
 
 def manifest_of(vm):
     view = vm.ram.tree.mount("/boot", vm.boot_partition)
-    return compute_manifest(view, vm.config.root_specs()).render()
+    return render_manifest(compute_manifest(view, vm.config.root_specs()))
 
 
 @pytest.mark.parametrize("line, response", [

@@ -36,6 +36,7 @@ from sealkit.manifest import (
     compute_manifest,
     diff_manifests,
     manifest_from_lines,
+    render_manifest,
 )
 from sealkit.sealing import (
     HOST_LOG_NAME,
@@ -72,15 +73,14 @@ def test_empty_tree_empty_manifest():
     tree = FileTree()
     tree.mkdir("/etc")
     manifest = compute_manifest(tree, [RootSpec("/etc")])
-    assert manifest.entries == ()
+    assert manifest == {}
 
 
 def test_identical_content_identical_digest_distinct_paths():
     tree = FileTree()
     tree.write_file("/a/x", b"same")
     tree.write_file("/a/y", b"same")
-    manifest = compute_manifest(tree, [RootSpec("/a")])
-    digests = manifest.as_dict()
+    digests = compute_manifest(tree, [RootSpec("/a")])
     assert digests["/a/x"] == digests["/a/y"]
     assert set(digests) == {"/a/x", "/a/y"}
 
@@ -91,7 +91,7 @@ def test_symlink_cycle_terminates_and_hashes_target_string():
     tree.symlink("/usr/bin/X11", ".")
     manifest = compute_manifest(tree, [RootSpec("/usr/bin")])
     # oracle: the symlink entry is the digest of its target string
-    assert manifest.digest_of("/usr/bin/X11") == hashlib.sha3_512(b".").hexdigest()
+    assert manifest.get("/usr/bin/X11") == hashlib.sha3_512(b".").hexdigest()
 
 
 def test_missing_root_raises():
@@ -103,10 +103,10 @@ def test_manifest_render_format_and_parse():
     tree = FileTree()
     tree.write_file("/f", b"data")
     manifest = compute_manifest(tree, [RootSpec("/f")])
-    text = manifest.render()
+    text = render_manifest(manifest)
     digest = hashlib.sha3_512(b"data").hexdigest()
     assert text == f"{digest}  /f\n"
-    assert manifest_from_lines(text.splitlines()).entries == manifest.entries
+    assert list(manifest_from_lines(text.splitlines()).items()) == list(manifest.items())
 
 
 def test_manifest_determinism_across_serialization(tmp_path):
@@ -117,11 +117,11 @@ def test_manifest_determinism_across_serialization(tmp_path):
     roots = host.config.root_specs()
     first = compute_manifest(full_tree_from_images(images), roots)
     second = compute_manifest(full_tree_from_images(images), roots)
-    assert first.render() == second.render()
+    assert render_manifest(first) == render_manifest(second)
     # identical through an image save/load round trip
     save_images(images, tmp_path / "img")
     reloaded = compute_manifest(full_tree_from_images(load_images(tmp_path / "img")), roots)
-    assert reloaded.render() == first.render()
+    assert render_manifest(reloaded) == render_manifest(first)
 
 
 # -- diff_manifests ------------------------------------------------------------
@@ -131,7 +131,7 @@ def test_diff_identity_is_empty():
     tree = FileTree()
     tree.write_file("/f", b"x")
     m = compute_manifest(tree, [RootSpec("/f")])
-    diff = diff_manifests(m.as_dict(), m.as_dict())
+    diff = diff_manifests(m, m)
     assert not (diff.added or diff.removed or diff.changed)
 
 
@@ -141,7 +141,7 @@ def test_diff_detects_added_file():
     before = compute_manifest(tree, [RootSpec("/a")])
     tree.write_file("/a/new", b"2")
     after = compute_manifest(tree, [RootSpec("/a")])
-    diff = diff_manifests(before.as_dict(), after.as_dict())
+    diff = diff_manifests(before, after)
     assert diff.added == {"/a/new"} and not diff.removed and not diff.changed
 
 
@@ -152,8 +152,8 @@ def test_diff_detects_single_byte_change():
     tree.write_file("/a/x", b"payload-1")
     after = compute_manifest(tree, [RootSpec("/a")])
     # oracle: recompute the digest directly
-    assert after.digest_of("/a/x") == hashlib.sha3_512(b"payload-1").hexdigest()
-    assert diff_manifests(before.as_dict(), after.as_dict()).changed == {"/a/x"}
+    assert after.get("/a/x") == hashlib.sha3_512(b"payload-1").hexdigest()
+    assert diff_manifests(before, after).changed == {"/a/x"}
 
 
 # -- parse_sealing_log ------------------------------------------------------------
@@ -174,8 +174,8 @@ def test_log_missing_erase_line_parses_without_evidence():
         if not l.startswith("+ cryptsetup luksErase")
     ]
     parsed = parse_sealing_log("\n".join(lines))
-    assert not any(c.startswith("cryptsetup luksErase") for c in parsed.commands())
-    assert f"cryptsetup luksDump {HOST.root_device}" in parsed.commands()
+    assert not any(r.command.startswith("cryptsetup luksErase") for r in parsed)
+    assert f"cryptsetup luksDump {HOST.root_device}" in [r.command for r in parsed]
     planned = default_policy(default_plan(SMALL)).expected_commands[HOST]
     assert extract_evidence(parsed, planned).last(f"cryptsetup luksDump {HOST.root_device}")
 
@@ -220,9 +220,7 @@ def test_policy_follows_a_non_default_webroot():
 
 
 def test_policy_for_empty_plan_admits_nothing():
-    from sealkit.sealing import SealingPlan
-
-    policy = default_policy(SealingPlan(steps={HOST: (), VM: ()}))
+    policy = default_policy({HOST: (), VM: ()})
     assert policy.may_change == () and policy.may_add == () and policy.may_remove == ()
     assert not policy.allows("change", "/etc/passwd")
 
@@ -350,9 +348,9 @@ def test_archive_of_another_root_verifies_under_its_own_plan():
         replace(step, command=f"zip -r {w}/trust-vm.zip /srv/data",
                 args={**step.args, "src": "/srv/data"})
         if step.args.get("dest_path") == f"{w}/trust-vm.zip" else step
-        for step in plan.steps[VM]
+        for step in plan[VM]
     )
-    plan = replace(plan, steps={**plan.steps, VM: vm_steps})
+    plan = {**plan, VM: vm_steps}
     bundle = seal_all(host, plan)
     assert "/srv/data/vm-secret.txt" in unzip_to_map(bundle.artifacts["trust-vm.zip"])
     verdict = verify_seal(host_images, vm_images, bundle, default_policy(plan))
@@ -482,8 +480,8 @@ def test_verdict_renders_text_and_dict():
 def _log(name, edit):
     """The sealing log ``name`` with each record replaced by the records edit(record) lists."""
     def change(artifacts, keyfiles):
-        log = parse_sealing_log(artifacts[name].decode())
-        log.records = [new for record in log.records for new in edit(record)]
+        log = [new for record in parse_sealing_log(artifacts[name].decode())
+               for new in edit(record)]
         return {name: render_log(log).encode()}
     return change
 
