@@ -76,11 +76,14 @@ class ServerConfig:
             if password.split() != [password]:
                 raise ConfigError(f"ldap password of {user} must be non-empty, "
                                   f"without whitespace")
-        # A RESOLVE line splits on whitespace too.
-        for domain, _ in self.dns_table:
+        # A RESOLVE line splits on whitespace too, and answers with the one address.
+        for domain, address in self.dns_table:
             if domain.split() != [domain]:
                 raise ConfigError(f"dns domain must be non-empty, without whitespace: "
                                   f"{domain!r}")
+            if address.split() != [address]:
+                raise ConfigError(f"dns address of {domain} must be non-empty, "
+                                  f"without whitespace")
 
 
 def parse_config(text: str) -> ServerConfig:

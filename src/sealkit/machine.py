@@ -389,12 +389,10 @@ class Machine:
         ram.tree.append_text(path, text)
         self._sync_volume()
 
-    def append_directory_dump(self, path: str) -> str:
-        """Append a time stamp and the replica listing to ``path``; return that text."""
+    def append_directory_dump(self, path: str) -> None:
+        """Append a time stamp and the replica listing to ``path``."""
         listing = (self._require_on().tree.file_bytes(LDAP_REPLICA_PATH) or b"").decode()
-        text = f"{self.clock.stamp()}\n{listing}"
-        self.append_text(path, text)
-        return text
+        self.append_text(path, f"{self.clock.stamp()}\n{listing}")
 
     def remove_path(self, path: str) -> None:
         ram = self._require_on()
@@ -658,6 +656,11 @@ def save_images(images: DiskImagePair, directory: str | Path) -> None:
     for name, disk in disks.items():
         with open(directory / f"{name}.tsvol", "wb") as f:
             f.writelines(vol.serialize_volume(disk))
+    # load_images reads extras until one is missing: drop those an earlier save left
+    stale = len(images.extras)
+    while (path := directory / f"extra{stale}.tsvol").exists():
+        path.unlink()
+        stale += 1
 
 
 def _load_volume(path: Path) -> EncryptedVolume:

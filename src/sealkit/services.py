@@ -199,12 +199,14 @@ def vault_attach(machine: Machine, key: bytes) -> UnlockedVolume:
 
 
 class ServiceFrontend:
-    """Typed request surface of a sealed VM.
+    """Line-protocol request surface of a sealed VM.
 
-    Mutations run in arrival order (the caller is the single queue). The
-    ranking table and the replica are parsed once per stored version: the
-    file's ``bytes`` object in the RAM tree, which every write replaces. A
-    request that only reads resolves each path it reads once.
+    ``handle_line`` looks each request's verb up in ``_HANDLERS``; a handler
+    checks the request's usage and then does the work. Mutations run in
+    arrival order (the caller is the single queue). The ranking table and
+    the replica are parsed once per stored version: the file's ``bytes``
+    object in the RAM tree, which every write replaces. A request that only
+    reads resolves each path it reads once.
     """
 
     TABLE_PATH = "/srv/millionaires/table.tsv"
@@ -217,15 +219,32 @@ class ServiceFrontend:
         self.upstream = upstream
         self._parsed: dict[str, tuple[bytes, object]] = {}  # path -> (stored bytes, parse)
 
+    def handle_line(self, line: str) -> str:
+        """One request, one response. See the CLI ``serve`` loop."""
+        request = line.strip()
+        if not request.isascii():  # only a non-ASCII str can hold a lone surrogate
+            try:
+                request.encode()
+            except UnicodeEncodeError:  # a non-UTF-8 stdin's bytes arrive surrogate-escaped
+                return "ERR usage: request is not UTF-8"
+        if not request:
+            return "ERR usage: empty request"
+        parts = request.split()
+        verb = parts[0].upper()
+        handler = self._HANDLERS.get(verb)
+        if handler is None:
+            return f"ERR usage: unknown command {verb}"
+        try:
+            return handler(self, request, parts)
+        except (ServiceError, DiskFull) as exc:
+            return f"ERR {type(exc).__name__}: {exc}"
+
     # -- helpers -------------------------------------------------------------
 
     def _require_sealed_web(self) -> None:
         m = self.machine
         if not m.is_on or not m.is_sealed or not m.ram.web_running:
             raise NotSealed("service requires a sealed server with the web service up")
-
-    def _auth_configured(self) -> bool:
-        return self.primary_directory is not None
 
     def _parse_once(self, path: str, parse):
         if self.machine.ram is None:
@@ -242,15 +261,20 @@ class ServiceFrontend:
     def _load_state(self) -> MillionairesState:
         return self._parse_once(self.TABLE_PATH, _parse_table)
 
-    # -- operations ------------------------------------------------------------
+    # -- one handler per verb: (request, its whitespace-split parts) -> response
 
-    def submit_assets(self, name: str, assets: int,
-                      credentials: tuple[str, str] | None = None) -> int:
+    def _submit(self, request: str, parts: list[str]) -> str:
+        if len(parts) not in (3, 5):
+            return "ERR usage: SUBMIT <name> <assets> [user pass]"
+        try:
+            assets = int(parts[2])
+        except ValueError:
+            return "ERR usage: assets must be an integer"
         self._require_sealed_web()
-        if self._auth_configured():
-            if credentials is None or not self._replica().check(*credentials):
+        if self.primary_directory is not None:
+            if len(parts) != 5 or not self._replica().check(parts[3], parts[4]):
                 raise AuthRequired("submission requires valid directory credentials")
-        state = millionaires_submit(self._load_state(), name, assets)
+        state = millionaires_submit(self._load_state(), parts[1], assets)
         entry = state[-1]
         line = f"{entry.name}\t{entry.assets}\t{entry.sequence}\n"
         stored = self._parsed[self.TABLE_PATH][0]  # the version just parsed
@@ -258,111 +282,69 @@ class ServiceFrontend:
             line = "\n" + line
         self.machine.append_text(self.TABLE_PATH, line)
         self._parsed[self.TABLE_PATH] = (self.machine.ram.tree.read_file(self.TABLE_PATH), state)
-        return entry.sequence
+        return f"OK {entry.sequence}"
 
-    def publish_ranking(self) -> list[str]:
+    def _publish(self, request: str, parts: list[str]) -> str:
         config = self.machine.config
         names = millionaires_publish(self._load_state(), config.millionaires_descending)
         self.machine.write_file(
             f"{config.webroot}/ranking.txt",
             ("".join(f"{n}\n" for n in names)).encode(),
         )
-        return names
+        return "OK " + " ".join(names) if names else "OK"
 
-    def submit_mail(self, nickname: str, comment: str,
-                    return_address: str | None = None) -> MailMessage:
+    def _mail(self, request: str, parts: list[str]) -> str:
+        fields = [f.strip() for f in request[len("MAIL "):].split("|")]
+        if len(fields) < 2 or not fields[0]:
+            return "ERR usage: MAIL <nick>|<comment>|[return]"
         self._require_sealed_web()
+        nickname, comment = fields[0], fields[1]
+        return_address = fields[2] if len(fields) > 2 and fields[2] else None
         body = f"nickname: {nickname}\ncomment: {comment}\n"
         if return_address:
             body += f"return address: {return_address}\n"
-        message = MailMessage(
+        self.machine.ram.mailer.append(MailMessage(
             to=self.machine.config.mail_to,
             subject=f"maildrop message from {nickname}",
             body=body,
             return_address=return_address,
-        )
-        self.machine.ram.mailer.append(message)
-        return message
+        ))
+        return "OK sent"
 
-    def sync_credentials(self) -> str:
+    def _auth(self, request: str, parts: list[str]) -> str:
+        """Verifier comparison only; no record of who asked is kept."""
+        if len(parts) != 3:
+            return "ERR usage: AUTH <user> <pass>"
+        return "OK accept" if self._replica().check(parts[1], parts[2]) else "OK reject"
+
+    def _sync(self, request: str, parts: list[str]) -> str:
         self._require_sealed_web()
         if self.primary_directory is None:
             raise ReplicationUnconfigured("no primary directory was configured at prepare time")
         # one-way: the replica becomes a copy of the primary, and the dump is published
         self.machine.write_file(LDAP_REPLICA_PATH, self.primary_directory.render().encode())
-        return self.machine.append_directory_dump(f"{self.machine.config.webroot}/ldap.txt")
+        self.machine.append_directory_dump(f"{self.machine.config.webroot}/ldap.txt")
+        return f"OK {len(self.primary_directory.entries)}"
 
-    def authenticate(self, user: str, password: str) -> bool:
-        """Verifier comparison only; no record of who asked is kept."""
-        return self._replica().check(user, password)
+    def _vaultkey(self, request: str, parts: list[str]) -> str:
+        if len(parts) != 2:
+            return "ERR usage: VAULTKEY <hex>"
+        try:
+            key = bytes.fromhex(parts[1])
+        except ValueError:
+            return "ERR usage: key must be hex"
+        vault_attach(self.machine, key)
+        return "OK vault unlocked"
 
-    def resolve(self, domain: str) -> str:
+    def _resolve(self, request: str, parts: list[str]) -> str:
         """The upstream only ever sees the server's address, never the client's."""
+        if len(parts) != 2:
+            return "ERR usage: RESOLVE <domain>"
         if self.machine.ram is None:
             raise NotSealed("the server is powered off")
         if self.upstream is None:
             raise Unresolvable("no upstream resolver configured")
-        return self.upstream.query(self.machine.config.server_address, domain)
+        return f"OK {self.upstream.query(self.machine.config.server_address, parts[1])}"
 
-    # -- line protocol -----------------------------------------------------------
-
-    def handle_line(self, line: str) -> str:
-        """One request, one response. See the CLI ``serve`` loop."""
-        request = line.strip()
-        if not request.isascii():  # only a non-ASCII str can hold a lone surrogate
-            try:
-                request.encode()
-            except UnicodeEncodeError:  # a non-UTF-8 stdin's bytes arrive surrogate-escaped
-                return "ERR usage: request is not UTF-8"
-        try:
-            return self._dispatch(request)
-        except (ServiceError, DiskFull) as exc:
-            return f"ERR {type(exc).__name__}: {exc}"
-
-    def _dispatch(self, request: str) -> str:
-        if not request:
-            return "ERR usage: empty request"
-        parts = request.split()
-        verb = parts[0].upper()
-        if verb == "SUBMIT":
-            if len(parts) not in (3, 5):
-                return "ERR usage: SUBMIT <name> <assets> [user pass]"
-            credentials = (parts[3], parts[4]) if len(parts) == 5 else None
-            try:
-                assets = int(parts[2])
-            except ValueError:
-                return "ERR usage: assets must be an integer"
-            seq = self.submit_assets(parts[1], assets, credentials)
-            return f"OK {seq}"
-        if verb == "PUBLISH":
-            names = self.publish_ranking()
-            return "OK " + " ".join(names) if names else "OK"
-        if verb == "MAIL":
-            payload = request[len("MAIL "):] if len(request) > 5 else ""
-            fields = [f.strip() for f in payload.split("|")]
-            if len(fields) < 2 or not fields[0]:
-                return "ERR usage: MAIL <nick>|<comment>|[return]"
-            return_address = fields[2] if len(fields) > 2 and fields[2] else None
-            self.submit_mail(fields[0], fields[1], return_address)
-            return "OK sent"
-        if verb == "AUTH":
-            if len(parts) != 3:
-                return "ERR usage: AUTH <user> <pass>"
-            return "OK accept" if self.authenticate(parts[1], parts[2]) else "OK reject"
-        if verb == "SYNC":
-            self.sync_credentials()
-            return f"OK {len(self.primary_directory.entries)}"
-        if verb == "VAULTKEY":
-            if len(parts) != 2:
-                return "ERR usage: VAULTKEY <hex>"
-            try:
-                key = bytes.fromhex(parts[1])
-            except ValueError:
-                return "ERR usage: key must be hex"
-            vault_attach(self.machine, key)
-            return "OK vault unlocked"
-        if verb == "RESOLVE":
-            if len(parts) != 2:
-                return "ERR usage: RESOLVE <domain>"
-            return f"OK {self.resolve(parts[1])}"
-        return f"ERR usage: unknown command {verb}"
+    _HANDLERS = {"SUBMIT": _submit, "PUBLISH": _publish, "MAIL": _mail, "AUTH": _auth,
+                 "SYNC": _sync, "VAULTKEY": _vaultkey, "RESOLVE": _resolve}

@@ -74,6 +74,9 @@ REFUSED_CONFIGS = {
     # A domain that no RESOLVE line can name.
     "dns.a b = 1.2.3.4": "dns domain must be non-empty, without whitespace",
     "dns. = 1.2.3.4": "dns domain must be non-empty, without whitespace",
+    # RESOLVE would answer `OK ` with no address, or with two.
+    "dns.x =": "dns address of x must be non-empty, without whitespace",
+    "dns.y = 1.2.3.4 5.6.7.8": "dns address of y must be non-empty, without whitespace",
 }
 
 
@@ -261,7 +264,8 @@ def test_build_with_a_missing_hash_root_exits_one(tmp_path, capsys):
                          ids=["webroot-trailing-slash", "webroot-root", "vault-sectors-zero",
                               "hash-root-trailing-slash", "ldap-user-colon", "ldap-user-empty",
                               "ldap-user-space", "ldap-password-empty", "ldap-password-space",
-                              "dns-domain-space", "dns-domain-empty"])
+                              "dns-domain-space", "dns-domain-empty", "dns-address-empty",
+                              "dns-address-space"])
 def test_build_with_a_refused_config_exits_one_and_writes_no_images(tmp_path, capsys, text):
     conf = tmp_path / "refused.conf"
     conf.write_text(text)

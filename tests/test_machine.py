@@ -455,6 +455,13 @@ def test_saved_volume_files_are_the_serialized_containers(tmp_path):
     loaded = load_images(tmp_path / "twelve").extras
     assert [v.sector_count for v in loaded] == list(range(1, 13))
     assert [serialized(v) for v in loaded] == [serialized(v) for v in extras]
+    # A later save with fewer extras into the same directory leaves none of the old ones.
+    save_images(DiskImagePair(boot=host.boot_partition, root=host.root_volume, extras=[vault]),
+                tmp_path / "twelve")
+    assert [serialized(v) for v in load_images(tmp_path / "twelve").extras] == [serialized(vault)]
+    save_images(DiskImagePair(boot=host.boot_partition, root=host.root_volume),
+                tmp_path / "twelve")
+    assert not list((tmp_path / "twelve").glob("extra*"))
 
 
 def test_load_images_holds_no_second_copy_of_the_sectors(tmp_path):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,14 +15,11 @@ from sealkit import volume as vol
 from sealkit.machine import read_volume_tree
 from sealkit.manifest import compute_manifest, render_manifest
 from sealkit.services import (
-    AuthRequired,
     CredentialDirectory,
     MillionairesState,
     NotSealed,
     ReadOnlyDirectory,
-    ReplicationUnconfigured,
     ServiceFrontend,
-    Unresolvable,
     UpstreamResolver,
     WrongKey,
     attach_data_vault,
@@ -47,6 +45,9 @@ def ranking_oracle(pairs, descending=True):
         out.append(best[0])
         remaining.remove(best)
     return out
+
+
+NOT_SEALED = "ERR NotSealed: service requires a sealed server with the web service up"
 
 
 def sealed_frontend(seed, **kwargs):
@@ -116,15 +117,14 @@ def test_submit_requires_sealed_server():
     vm = host.nested_vm
     vm.boot()  # running but unsealed
     frontend = ServiceFrontend(vm)
-    with pytest.raises(NotSealed):
-        frontend.submit_assets("Early", 1)
+    assert frontend.handle_line("SUBMIT Early 1") == NOT_SEALED
 
 
 def test_submit_and_publish_on_sealed_server():
     vm, frontend = sealed_frontend(81)
-    frontend.submit_assets("Alice", 500)
-    frontend.submit_assets("Bob", 900)
-    assert frontend.publish_ranking() == ["Bob", "Alice"]
+    assert frontend.handle_line("SUBMIT Alice 500") == "OK 0"
+    assert frontend.handle_line("SUBMIT Bob 900") == "OK 1"
+    assert frontend.handle_line("PUBLISH") == "OK Bob Alice"
     ranking_file = vm.ram.tree.read_text(f"{vm.config.webroot}/ranking.txt")
     assert ranking_file == "Bob\nAlice\n"
 
@@ -134,12 +134,11 @@ def test_submit_with_auth_enabled():
     primary = CredentialDirectory()
     primary.add_user("alice", "wonder", rng)
     vm, frontend = sealed_frontend(82, primary_directory=primary)
-    with pytest.raises(AuthRequired):
-        frontend.submit_assets("Anon", 10)
-    frontend.sync_credentials()
-    assert frontend.submit_assets("Alice", 10, credentials=("alice", "wonder")) == 0
-    with pytest.raises(AuthRequired):
-        frontend.submit_assets("Mallory", 10, credentials=("alice", "wrong"))
+    refused = "ERR AuthRequired: submission requires valid directory credentials"
+    assert frontend.handle_line("SUBMIT Anon 10") == refused
+    assert frontend.handle_line("SYNC") == "OK 1"
+    assert frontend.handle_line("SUBMIT Alice 10 alice wonder") == "OK 0"
+    assert frontend.handle_line("SUBMIT Mallory 10 alice wrong") == refused
 
 
 # -- maildrop -----------------------------------------------------------------------
@@ -185,13 +184,16 @@ def test_read_requests_leave_persistent_state_unchanged(line, response, monkeypa
 
 def test_maildrop_includes_return_address_when_given():
     vm, frontend = sealed_frontend(84)
-    message = frontend.submit_mail("nick", "hello", return_address="me@example.net")
+    assert frontend.handle_line("MAIL nick|hello|me@example.net") == "OK sent"
+    message = vm.ram.mailer[-1]
+    assert message.return_address == "me@example.net"
     assert "me@example.net" in message.body
 
 
 def test_maildrop_anonymous_has_no_sender_identity():
     vm, frontend = sealed_frontend(85)
-    message = frontend.submit_mail("nick", "hello")
+    assert frontend.handle_line("MAIL nick|hello") == "OK sent"
+    message = vm.ram.mailer[-1]
     assert message.return_address is None
     assert "return address" not in message.body
 
@@ -200,8 +202,8 @@ def test_maildrop_requires_sealed_server():
     host = build_server(86)
     vm = host.nested_vm
     vm.boot()
-    with pytest.raises(NotSealed):
-        ServiceFrontend(vm).submit_mail("n", "c")
+    assert ServiceFrontend(vm).handle_line("MAIL n|c") == NOT_SEALED
+    assert vm.ram.mailer == []
 
 
 # -- credential replication -------------------------------------------------------------
@@ -214,17 +216,17 @@ def test_sync_replicates_and_publishes_dump():
     vm, frontend = sealed_frontend(87, primary_directory=primary)
 
     ldap_before = vm.ram.tree.read_text(f"{vm.config.webroot}/ldap.txt")
-    assert not frontend.authenticate("carol", "pw-one")
-    frontend.sync_credentials()
-    assert frontend.authenticate("carol", "pw-one")
+    assert frontend.handle_line("AUTH carol pw-one") == "OK reject"
+    assert frontend.handle_line("SYNC") == "OK 1"
+    assert frontend.handle_line("AUTH carol pw-one") == "OK accept"
     ldap_after = vm.ram.tree.read_text(f"{vm.config.webroot}/ldap.txt")
     assert len(ldap_after) > len(ldap_before)  # dump appended after sync
 
 
 def test_sync_unconfigured():
     vm, frontend = sealed_frontend(88)
-    with pytest.raises(ReplicationUnconfigured):
-        frontend.sync_credentials()
+    assert frontend.handle_line("SYNC") == (
+        "ERR ReplicationUnconfigured: no primary directory was configured at prepare time")
 
 
 def test_sealed_side_writes_are_rejected():
@@ -244,9 +246,9 @@ def test_replication_is_one_way():
     primary.add_user("carol", "pw", rng)
     snapshot = primary.render()
     vm, frontend = sealed_frontend(89, primary_directory=primary)
-    frontend.sync_credentials()
-    frontend.authenticate("carol", "pw")
-    frontend.submit_assets("Carol", 3, credentials=("carol", "pw"))
+    assert frontend.handle_line("SYNC") == "OK 1"
+    assert frontend.handle_line("AUTH carol pw") == "OK accept"
+    assert frontend.handle_line("SUBMIT Carol 3 carol pw") == "OK 0"
     assert primary.render() == snapshot  # untouched by sealed-side activity
 
 
@@ -255,11 +257,11 @@ def test_user_removed_on_primary_rejected_after_sync():
     primary = CredentialDirectory()
     primary.add_user("carol", "pw", rng)
     vm, frontend = sealed_frontend(90, primary_directory=primary)
-    frontend.sync_credentials()
-    assert frontend.authenticate("carol", "pw")
+    assert frontend.handle_line("SYNC") == "OK 1"
+    assert frontend.handle_line("AUTH carol pw") == "OK accept"
     primary.remove_user("carol")
-    frontend.sync_credentials()
-    assert not frontend.authenticate("carol", "pw")
+    assert frontend.handle_line("SYNC") == "OK 0"
+    assert frontend.handle_line("AUTH carol pw") == "OK reject"
 
 
 def test_authenticate_pure():
@@ -350,7 +352,7 @@ def test_proxy_hides_client_address():
     """The upstream is only ever asked from the server's own address."""
     upstream = UpstreamResolver(table={"example.org": "93.184.216.34"})
     vm, frontend = sealed_frontend(102, upstream=upstream)
-    assert frontend.resolve("example.org") == "93.184.216.34"
+    assert frontend.handle_line("RESOLVE example.org") == "OK 93.184.216.34"
     assert frontend.handle_line("RESOLVE example.org") == "OK 93.184.216.34"
     assert upstream.query_log == [(vm.config.server_address, "example.org")] * 2
 
@@ -358,8 +360,9 @@ def test_proxy_hides_client_address():
 def test_proxy_unknown_domain():
     upstream = UpstreamResolver(table={})
     _, frontend = sealed_frontend(103, upstream=upstream)
-    with pytest.raises(Unresolvable):
-        frontend.resolve("nonexistent.test")
+    assert frontend.handle_line("RESOLVE nonexistent.test") == (
+        "ERR Unresolvable: nonexistent.test")
+    assert upstream.query_log == [(frontend.machine.config.server_address, "nonexistent.test")]
 
 
 # -- line protocol ---------------------------------------------------------------------
@@ -581,6 +584,23 @@ def test_vaultkey_with_the_data_providers_key_unlocks_the_vault():
     seal_all(host)
     frontend = ServiceFrontend(host.nested_vm)
     assert frontend.handle_line(f"VAULTKEY {key.data.hex()}") == "OK vault unlocked"
+
+
+def test_readme_request_list_matches_the_verbs():
+    """Each line of README's "serve requests" block: a verb of the handler table
+    and its form; a verb that takes arguments answers its bare line with that form."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n### serve requests\n", 1)[1].split("```\n", 2)[1]
+    forms = [line.split("#", 1)[0].strip() for line in block.splitlines()]
+    assert sorted(form.split()[0] for form in forms) == sorted(ServiceFrontend._HANDLERS)
+    frontend = ServiceFrontend(build_server(108).nested_vm)  # not running: usage comes first
+    for form in forms:
+        verb = form.split()[0]
+        answer = frontend.handle_line(verb)
+        if form == verb:
+            assert answer.startswith("ERR NotSealed: "), form
+        else:
+            assert answer == f"ERR usage: {form}"
 
 
 VERBS = ("SUBMIT", "PUBLISH", "MAIL", "AUTH", "SYNC", "VAULTKEY", "RESOLVE")
