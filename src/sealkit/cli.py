@@ -1,4 +1,4 @@
-"""Operator entry point: build, seal, verify, restore, escrow, serve, attack."""
+"""Operator entry point: build, seal, verify, escrow, serve, attack, manifest."""
 
 from __future__ import annotations
 
@@ -136,23 +136,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if verdict.status == "PASS" else EXIT_FAIL
 
 
-def cmd_restore(args) -> int:
-    host_dir, vm_dir = _image_dirs(args.workdir)
-    if not (host_dir.exists() and vm_dir.exists()):
-        print("restore: no pre-seal images in the workdir", file=sys.stderr)
-        return EXIT_FAIL
-    # Both pairs must load, and the host's root volume must unlock (a sealed
-    # one raises KeyslotsEmpty) and its tree decode, as a boot needs.
-    load_images(vm_dir)
-    full_tree_from_images(load_images(host_dir))
-    _emit(
-        {"restored": True, "bootable": True},
-        args.json,
-        ["restored pre-seal state; host boots with its original keyfile"],
-    )
-    return EXIT_OK
-
-
 def cmd_escrow(args) -> int:
     if args.escrow_action == "split":
         secret = args.secret_hex if args.secret_file is None else args.secret_file.read_bytes()
@@ -265,10 +248,6 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     if p_verify := subcommand("verify", "check the bundle against the pre-seal images"):
         _flags(p_verify, "workdir", "config", "json")
         p_verify.set_defaults(func=cmd_verify)
-
-    if p_restore := subcommand("restore", "restore the pre-seal state from images"):
-        _flags(p_restore, "workdir", "json")
-        p_restore.set_defaults(func=cmd_restore)
 
     if p_escrow := subcommand("escrow", "split or recover escrow shares"):
         escrow_sub = p_escrow.add_subparsers(dest="escrow_action", required=True)

@@ -2,14 +2,15 @@
 
 Each scenario builds a fresh server from a seed, runs the attack script,
 and reports whether protected data became readable and whether the
-verifier flagged the run.
+verifier flagged the run. A new scenario is one ``SCENARIOS`` row: its
+name, expected outcome, description and runner; a verifier-flags row gets
+its runner from ``_verifier_flags``.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from . import volume as vol
 from .config import ServerConfig
@@ -33,33 +34,19 @@ ATTACK_SUCCEEDS = "attack-succeeds"
 ATTACK_FAILS = "attack-fails"
 VERIFIER_FLAGS = "verifier-flags"
 
+# A scenario's runner: (seed, config) -> (observed outcome, detail lines).
+Runner = Callable[[int, ServerConfig], tuple[str, list[str]]]
+
 
 @dataclass(frozen=True)
 class Scenario:
     name: str
     expected: str
     description: str
+    run: Runner
 
-
-SCENARIOS: dict[str, Scenario] = {
-    s.name: s
-    for s in (
-        Scenario("theft-reboot", ATTACK_FAILS,
-                 "steal the powered-off sealed server and try to unlock its disks"),
-        Scenario("header-restore-single", ATTACK_SUCCEEDS,
-                 "restore a pre-seal header backup after a host-only seal"),
-        Scenario("header-restore-dual", ATTACK_FAILS,
-                 "restore a pre-seal VM header backup after the full dual-stage seal"),
-        Scenario("tamper-binary", VERIFIER_FLAGS,
-                 "modify a binary between imaging and sealing"),
-        Scenario("skip-erase", VERIFIER_FLAGS,
-                 "seal with the host keyslot-erase step removed"),
-        Scenario("leftover-user", VERIFIER_FLAGS,
-                 "seal with the VM user-removal step removed"),
-        Scenario("tampered-ldap", VERIFIER_FLAGS,
-                 "replace the published directory dump after an honest seal"),
-    )
-}
+    def report(self, seed: int, config: ServerConfig) -> ScenarioReport:
+        return ScenarioReport(self.name, seed, self.expected, *self.run(seed, config))
 
 
 @dataclass
@@ -176,30 +163,25 @@ def _run_header_restore_dual(seed: int, config: ServerConfig) -> tuple[str, list
     return observed, details
 
 
-class FlagsRow(NamedTuple):
-    """A verifier-flags scenario: its sabotage, the finding that catches it,
-    and any detail lines of its own."""
+def _verifier_flags(sabotage: Callable[[Machine, SealingPlan], PublishedBundle],
+                    flags: Callable[[Finding], bool],
+                    notes: Callable[[Machine], list[str]] = lambda host: []) -> Runner:
+    """Runner of a verifier-flags scenario: seal through ``sabotage``, then verify
+    against the honest plan; ``flags`` must accept one finding of the ``FAIL``
+    verdict, and ``notes`` gives the scenario's own detail lines."""
+    def run(seed: int, config: ServerConfig) -> tuple[str, list[str]]:
+        host, vm = _build(seed, config)
+        host_images = host.snapshot_image()
+        vm_images = vm.snapshot_image()
+        honest = default_plan(host.config)
+        bundle = sabotage(host, honest)
+        verdict = verify_seal(host_images, vm_images, bundle, default_policy(honest))
 
-    sabotage: Callable[[Machine, SealingPlan], PublishedBundle]
-    flags: Callable[[Finding], bool]
-    notes: Callable[[Machine], list[str]] = lambda host: []
-
-
-def _run_verifier_flags(name: str, seed: int, config: ServerConfig) -> tuple[str, list[str]]:
-    """Seal through the row's sabotage, then verify against the honest plan."""
-    row = _FLAGS_ROWS[name]
-    host, vm = _build(seed, config)
-    host_images = host.snapshot_image()
-    vm_images = vm.snapshot_image()
-    honest = default_plan(host.config)
-    bundle = row.sabotage(host, honest)
-    verdict = verify_seal(host_images, vm_images, bundle, default_policy(honest))
-
-    flagged = verdict.status == "FAIL" and any(row.flags(f) for f in verdict.findings)
-    details = [f"verdict: {verdict.status}", *row.notes(host)]
-    details.extend(f.render() for f in verdict.findings[:5])
-    observed = VERIFIER_FLAGS if flagged else ATTACK_SUCCEEDS
-    return observed, details
+        flagged = verdict.status == "FAIL" and any(flags(f) for f in verdict.findings)
+        details = [f"verdict: {verdict.status}", *notes(host)]
+        details.extend(f.render() for f in verdict.findings[:5])
+        return (VERIFIER_FLAGS if flagged else ATTACK_SUCCEEDS), details
+    return run
 
 
 def _trojan_cron(host: Machine, plan: SealingPlan) -> PublishedBundle:
@@ -213,33 +195,33 @@ def _without(stage: Stage, kind: str):
     return lambda host, plan: seal_all(host, drop_step(plan, stage, kind))
 
 
-_FLAGS_ROWS = {
-    "tamper-binary": FlagsRow(_trojan_cron, lambda f: f.subject == "/usr/sbin/cron"),
-    "skip-erase": FlagsRow(_without(HOST, "luks_erase"),
-                           lambda f: "luksErase" in f.subject or "still active" in f.explanation,
-                           lambda host: [f"host still unlockable: {not host.is_sealed}"]),
-    "leftover-user": FlagsRow(_without(VM, "remove_user"),
-                              lambda f: f.subject == "trust" or "userdel" in f.subject),
-    "tampered-ldap": FlagsRow(
-        lambda host, plan: PublishedBundle(
-            {**seal_all(host, plan).artifacts, "ldap.txt": b"tampered\n"}),
-        lambda f: f.subject == "ldap.txt",
-    ),
-}
+SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
+    Scenario("theft-reboot", ATTACK_FAILS,
+             "steal the powered-off sealed server and try to unlock its disks",
+             _run_theft_reboot),
+    Scenario("header-restore-single", ATTACK_SUCCEEDS,
+             "restore a pre-seal header backup after a host-only seal",
+             _run_header_restore_single),
+    Scenario("header-restore-dual", ATTACK_FAILS,
+             "restore a pre-seal VM header backup after the full dual-stage seal",
+             _run_header_restore_dual),
+    Scenario("tamper-binary", VERIFIER_FLAGS, "modify a binary between imaging and sealing",
+             _verifier_flags(_trojan_cron, lambda f: f.subject == "/usr/sbin/cron")),
+    Scenario("skip-erase", VERIFIER_FLAGS, "seal with the host keyslot-erase step removed",
+             _verifier_flags(_without(HOST, "luks_erase"),
+                             lambda f: "luksErase" in f.subject or "still active" in f.explanation,
+                             notes=lambda host: [f"host still unlockable: {not host.is_sealed}"])),
+    Scenario("leftover-user", VERIFIER_FLAGS, "seal with the VM user-removal step removed",
+             _verifier_flags(_without(VM, "remove_user"),
+                             lambda f: f.subject == "trust" or "userdel" in f.subject)),
+    Scenario("tampered-ldap", VERIFIER_FLAGS,
+             "replace the published directory dump after an honest seal",
+             _verifier_flags(lambda host, plan: PublishedBundle(
+                                 {**seal_all(host, plan).artifacts, "ldap.txt": b"tampered\n"}),
+                             lambda f: f.subject == "ldap.txt")),
+)}
 
-
-def _reporting(name: str, run: Callable) -> Callable[[int, ServerConfig], ScenarioReport]:
-    """Scenario ``name``'s runner: ``run``'s (observed, details), expected from SCENARIOS."""
-    return lambda seed, config: ScenarioReport(name, seed, SCENARIOS[name].expected,
-                                               *run(seed, config))
-
-
-_RUNNERS = {name: _reporting(name, run) for name, run in {
-    "theft-reboot": _run_theft_reboot,
-    "header-restore-single": _run_header_restore_single,
-    "header-restore-dual": _run_header_restore_dual,
-    **{name: partial(_run_verifier_flags, name) for name in _FLAGS_ROWS},
-}.items()}
+_RUNNERS = {name: scenario.report for name, scenario in SCENARIOS.items()}
 
 
 def run_scenario(name: str, seed: int, config: ServerConfig) -> ScenarioReport:

@@ -85,17 +85,16 @@ class Finding:
 class Verdict:
     status: str  # "PASS", or "FAIL" exactly when there are findings
     findings: list[Finding] = field(default_factory=list)
-    preamble: str = UNDETECTABLE_NOTE
 
     def render_text(self) -> str:
-        lines = [f"VERDICT: {self.status}", self.preamble]
+        lines = [f"VERDICT: {self.status}", UNDETECTABLE_NOTE]
         lines.extend(f.render() for f in self.findings)
         return "\n".join(lines) + "\n"
 
     def to_dict(self) -> dict:
         return {
             "status": self.status,
-            "preamble": self.preamble,
+            "preamble": UNDETECTABLE_NOTE,
             "findings": [
                 {"severity": "ERROR", "subject": f.subject, "explanation": f.explanation}
                 for f in self.findings
@@ -315,15 +314,19 @@ def _check_diff(diff: ManifestDiff, policy: AllowlistPolicy, findings: list[Find
                 findings.append(Finding(path, explanation))
 
 
-def _check_archive(name: str, blob: bytes, src_root: str, pre_tree,
+def _archive_source(pre_tree, src_root: str) -> dict[str, bytes]:
+    """The files under ``src_root`` of a pre-seal tree, as an archive of it would hold them."""
+    files = ((p, pre_tree.file_bytes(p)) for p in pre_tree.under(src_root))
+    return {p: data for p, data in files if data is not None}
+
+
+def _check_archive(name: str, blob: bytes, pre_files: dict[str, bytes],
                    policy: AllowlistPolicy, findings: list[Finding]) -> None:
     try:
         members = unzip_to_map(blob)
     except ZIP_READ_ERRORS:
         findings.append(Finding(name, "archive cannot be read"))
         return
-    files = ((p, pre_tree.file_bytes(p)) for p in pre_tree.under(src_root))
-    pre_files = {p: data for p, data in files if data is not None}
     _check_diff(diff_manifests(pre_files, members), policy, findings,
                 changed=f"{name} content differs from the pre-seal image",
                 added=f"{name} contains a file absent from the pre-seal image",
@@ -382,25 +385,31 @@ def verify_seal(host_images: DiskImagePair, vm_images: DiskImagePair,
         for stage in STAGES:
             check(stage, evidence[stage], findings)
 
-    # (5) manifests rebuilt from the pre-seal images match the published ones
+    # A pre-seal image that cannot be opened, or that lacks a planned hash root
+    # or archive source, is malformed input, not a finding.
     try:
         pre_trees = {stage: full_tree_from_images(images[stage]) for stage in STAGES}
-    except (TreeError, VolumeError) as exc:
+        pre_manifests = {stage: compute_manifest(pre_trees[stage], policy.hash_roots)
+                         for stage in STAGES}
+        pre_archives = [_archive_source(pre_trees[stage], src_root)
+                        for _, stage, src_root in policy.archives]
+    except (TreeError, VolumeError, ManifestError) as exc:
         raise MalformedBundle(f"pre-seal images cannot be opened: {exc}") from exc
+
+    # (5) manifests rebuilt from the pre-seal images match the published ones
     for stage in STAGES:
-        pre = compute_manifest(pre_trees[stage], policy.hash_roots)
-        _check_diff(diff_manifests(pre, evidence[stage].manifest), policy, findings,
+        _check_diff(diff_manifests(pre_manifests[stage], evidence[stage].manifest),
+                    policy, findings,
                     changed=f"content changed across the {stage.kind} seal",
                     added=f"appeared during the {stage.kind} seal",
                     removed=f"disappeared during the {stage.kind} seal")
 
     # (6) published archives match the pre-seal trees modulo the allowlist
-    for name, stage, src_root in policy.archives:
+    for (name, _, _), pre_files in zip(policy.archives, pre_archives):
         if name not in bundle.artifacts:
             findings.append(Finding(name, "archive missing from bundle"))
             continue
-        _check_archive(name, bundle.artifacts[name], src_root, pre_trees[stage],
-                       policy, findings)
+        _check_archive(name, bundle.artifacts[name], pre_files, policy, findings)
 
     # (7) nothing secret leaks into the bundle
     keyfiles = [boot_keyfile(images[stage].boot).data for stage in STAGES]

@@ -364,20 +364,20 @@ def test_escrow_recover_of_a_directory_exits_one_without_traceback(tmp_path, cap
 
 
 def test_restore_after_seal(tmp_path, capsys):
+    """A seal leaves the pre-seal images as they were: the host's still unlocks
+    and decodes, and the server seals again from them."""
     seal_workdir(tmp_path)
-    assert run_command(["restore", *wd(tmp_path)]) == 0
-    assert "restored" in capsys.readouterr().out
+    assert run_command(["manifest", str(tmp_path / "images" / "host")]) == 0
+    assert "/etc/passwd" in capsys.readouterr().out
     assert run_command(["seal", *ws(tmp_path)]) == 0
 
 
 def test_restore_refuses_a_sealed_host_image(tmp_path, capsys):
-    assert run_command(["build", *ws(tmp_path)]) == 0
     host = build_server(21)
     seal_all(host)
     host.power_off()
     save_images(host.snapshot_image(), tmp_path / "images" / "host")
-    capsys.readouterr()
-    assert run_command(["restore", *wd(tmp_path)]) == 1
+    assert run_command(["manifest", str(tmp_path / "images" / "host")]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == "sealkit: all 8 keyslots are empty\n"
 
@@ -411,7 +411,7 @@ def subcommands(argv: list[str]) -> dict:
     return cli.build_parser(argv)._subparsers._group_actions[0].choices
 
 
-EVERY_COMMAND = ["build", "seal", "verify", "restore", "escrow", "serve", "attack", "manifest"]
+EVERY_COMMAND = ["build", "seal", "verify", "escrow", "serve", "attack", "manifest"]
 
 
 def test_per_command_parser_answers_as_the_full_parser(tmp_path, capsys, monkeypatch):
@@ -459,7 +459,6 @@ def test_a_command_builds_only_its_own_subparser():
     ("build", {"--seed", "--workdir", "--config", "--json"}),
     ("seal", {"--seed", "--workdir", "--config", "--json", "--escrow"}),
     ("verify", {"--workdir", "--config", "--json"}),
-    ("restore", {"--workdir", "--json"}),
     ("serve", {"--seed", "--config"}),
     ("attack", {"--seed", "--config", "--json"}),
     ("manifest", {"--config", "--output"}),

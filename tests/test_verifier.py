@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from conftest import SMALL, build_sealed, build_server
 
 from sealkit import verifier
+from sealkit import volume as vol
 from sealkit.machine import (
     HOST,
     STAGES,
@@ -27,7 +28,9 @@ from sealkit.machine import (
     VM_ROOT_DEVICE_FROM_HOST,
     ZIP_READ_ERRORS,
     DiskImagePair,
+    boot_keyfile,
     full_tree_from_images,
+    read_volume_tree,
     unzip_to_map,
 )
 from sealkit.manifest import (
@@ -472,6 +475,119 @@ def test_verdict_renders_text_and_dict():
     assert "undetectable" in text  # the scope preamble
     doc = verdict.to_dict()
     assert doc["status"] == "PASS" and doc["findings"] == []
+
+
+@pytest.fixture(scope="module")
+def seed5_seal():
+    _, _, host_images, vm_images, bundle = build_sealed(5)
+    return host_images, vm_images, bundle
+
+
+def _without_path(images: DiskImagePair, path: str) -> DiskImagePair:
+    """A copy of ``images`` whose root volume no longer holds ``path``."""
+    images = images.copy()
+    handle = vol.unlock(images.root, boot_keyfile(images.boot))
+    tree, content = read_volume_tree(handle)
+    tree.remove(path)
+    vol.write_image(handle, tree.encode(), content)
+    return images
+
+
+@pytest.mark.parametrize("stage, path", [
+    (HOST, "/root"),        # a hash root of check (5)
+    (VM, "/srv"),           # a hash root of check (5)
+    (VM, "/home/trust"),    # the source of trust-vm.zip, check (6)
+], ids=["host-root", "vm-srv", "vm-home-trust"])
+def test_a_pre_seal_image_without_a_planned_root_is_malformed(seed5_seal, stage, path):
+    host_images, vm_images, bundle = seed5_seal
+    images = {HOST: host_images, VM: vm_images}
+    images[stage] = _without_path(images[stage], path)
+    with pytest.raises(MalformedBundle, match=f"pre-seal images cannot be opened: .*{path}"):
+        verify_seal(images[HOST], images[VM], bundle, default_policy(default_plan(SMALL)))
+
+
+# -- the coverage map: which log records the verifier reads ---------------------------
+
+_FIREWALL = "no check reads the firewall's rules or listings"
+_WRAPPERS = "no check reads the TCP wrapper files"
+_ACCOUNTS = "no check reads an account database but the passwd listing"
+_STEP_ONLY = "its output is not evidence: check (1) reads only the record's place in the plan"
+
+# Records whose output the verifier never reads: at SMALL seed 5, replacing that
+# output alone leaves the honest bundle verifying PASS. Keyed by (stage, command);
+# a command logged twice by one stage is one entry for both records.
+UNREAD_RECORDS = {
+    **{(stage, command): _FIREWALL for stage, commands in (
+        ("host", ("iptables -P OUTPUT DROP", "iptables -D INPUT 4")),
+        ("vm", ("iptables -P OUTPUT DROP", "iptables -D INPUT 5")),
+    ) for command in (*commands, "iptables-save", "iptables -L -n")},
+    ("host", "cat /etc/hosts.allow"): _WRAPPERS,
+    ("host", "cat /etc/hosts.deny"): _WRAPPERS,
+    ("vm", "rm /etc/hosts.allow"): _WRAPPERS,
+    ("vm", "cat /etc/hosts.allow"): _WRAPPERS,
+    ("vm", "cat /etc/hosts.deny"): _WRAPPERS,
+    ("host", "apt-get -y purge openssh-server"):
+        "check (4) needs the purge record, then reads only the ssh status probe",
+    ("vm", "apt-get -y purge openssh-server"):
+        "check (4) needs the purge record, then reads only the ssh status probe",
+    ("host", "userdel -f trust"): _STEP_ONLY,
+    ("vm", "userdel -f trust"): _STEP_ONLY,
+    ("host", "cat /etc/passwd"):
+        "check (3) flags login-capable passwd lines; a listing with none passes",
+    ("vm", "cat /etc/passwd"):
+        "check (3) flags login-capable passwd lines; a listing with none passes",
+    ("host", "cat /etc/shadow"): _ACCOUNTS,
+    ("vm", "cat /etc/shadow"): _ACCOUNTS,
+    ("vm", "cat /etc/group"): _ACCOUNTS,
+    ("host", "cryptsetup luksErase /dev/sda2"): "check (2) reads the last keyslot dump instead",
+    ("vm", "cryptsetup luksErase /dev/vda2"): "check (2) reads the last keyslot dump instead",
+    ("host", "cryptsetup luksDump /dev/sdb2"):
+        "no check reads the host's dumps of the VM disk, before or after reencryption",
+    ("host", "cryptsetup-reencrypt -v -d /mnt/keyfile -l 512 /dev/sdb2"):
+        "no check binds the reencryption to evidence",
+    **{(stage, f"zip -r {dest} {src}"): "check (6) reads the published archive, not the zip listing"
+       for stage, dest, src in (("host", "/mnt/etc-host.zip", "/etc"),
+                                ("host", "/mnt/root-host.zip", "/root"),
+                                ("vm", "/var/www/log/etc-vm.zip", "/etc"),
+                                ("vm", "/var/www/log/trust-vm.zip", "/home/trust"))},
+    ("host", "ls -RlA /"): "no check compares the file listing with the pre-seal tree",
+    ("vm", "ls -RlA /"): "no check compares the file listing with the pre-seal tree",
+    ("host", "cp /root/0_init_trusted_mode_host.log /mnt"): _STEP_ONLY,
+    ("host", "virsh start tsvm"): _STEP_ONLY,
+    ("vm", "mv /boot/0_init_trusted_mode_host.log /var/www/log"): _STEP_ONLY,
+    ("vm", "mv /boot/etc-host.zip /var/www/log"): _STEP_ONLY,
+    ("vm", "mv /boot/root-host.zip /var/www/log"): _STEP_ONLY,
+    ("vm", "chown www-data:www-data /var/www"): _STEP_ONLY,
+    ("vm", "chown -R www-data:www-data /var/www"): _STEP_ONLY,
+    ("vm", "date >> /var/www/log/ldap.txt && slapcat >> /var/www/log/ldap.txt"):
+        "check (8) reads the published ldap.txt, not this record",
+    ("vm", "echo $(date) >> /home/trust/date.txt"): _STEP_ONLY,
+    ("vm", "systemctl start apache2"): _STEP_ONLY,
+    ("vm", 'mail -s "trusted server running@203.0.113.80" auditor@example.org '
+           "< /home/trust/date.txt"): _STEP_ONLY,
+}
+
+
+def test_every_log_record_is_read_or_a_declared_gap(seed5_seal):
+    """Replace each record's output in turn with ``tampered output``: the verdict
+    is FAIL or MalformedBundle, unless the record is in UNREAD_RECORDS; and every
+    record there still verifies PASS, so the table cannot go stale."""
+    host_images, vm_images, bundle = seed5_seal
+    policy = default_policy(default_plan(SMALL))
+    passed, caught = set(), set()
+    for stage in STAGES:
+        log = parse_sealing_log(bundle.artifacts[stage.log_name].decode())
+        for i, record in enumerate(log):
+            tampered = [*log[:i], replace(record, output="tampered output"), *log[i + 1:]]
+            artifacts = {**bundle.artifacts, stage.log_name: render_log(tampered).encode()}
+            try:
+                status = verify_seal(host_images, vm_images, PublishedBundle(artifacts),
+                                     policy).status
+            except MalformedBundle:
+                status = "MalformedBundle"
+            (passed if status == "PASS" else caught).add((stage.kind, record.command))
+    assert passed - UNREAD_RECORDS.keys() == set(), "records no check reads, undeclared"
+    assert UNREAD_RECORDS.keys() - (passed - caught) == set(), "declared gaps now caught"
 
 
 # -- one finding per tampering of an honest bundle ----------------------------------
