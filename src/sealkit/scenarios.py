@@ -9,7 +9,7 @@ its runner from ``_verifier_flags``.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 from . import volume as vol
@@ -21,13 +21,14 @@ from .sealing import (
     SealingPlan,
     default_plan,
     prepare_trusted_server,
+    render_log,
     seal_all,
     seal_host,
     single_stage_host_plan,
 )
 from .tree import FileTree
 from .util import SimClock, make_rng
-from .verifier import Finding, default_policy, verify_seal
+from .verifier import Finding, default_policy, parse_sealing_log, verify_seal
 from .volume import AuthFailure, Keyfile, KeyslotsEmpty, NoMatchingSlot
 
 ATTACK_SUCCEEDS = "attack-succeeds"
@@ -190,6 +191,23 @@ def _trojan_cron(host: Machine, plan: SealingPlan) -> PublishedBundle:
     return seal_all(host, plan)
 
 
+def _hide_surviving_user(host: Machine, plan: SealingPlan) -> PublishedBundle:
+    """Run the VM's userdel as a no-op under its honest command, then blank the
+    VM's passwd listing, which would show the login user it left behind."""
+    steps = tuple(replace(step, kind="chown_webroot") if step.kind == "remove_user" else step
+                  for step in plan[VM])
+    bundle = seal_all(host, {**plan, VM: steps})
+    log = [replace(record, output="") if record.command == "cat /etc/passwd" else record
+           for record in parse_sealing_log(bundle.artifacts[VM.log_name].decode())]
+    return PublishedBundle({**bundle.artifacts, VM.log_name: render_log(log).encode()})
+
+
+def _vm_accounts(host: Machine) -> list[str]:
+    passwd = host.nested_vm.ram.tree.read_text("/etc/passwd")
+    return ["vm accounts after the seal: "
+            + ", ".join(line.partition(":")[0] for line in passwd.splitlines())]
+
+
 def _without(stage: Stage, kind: str):
     """Sabotage that seals with the first ``kind`` step of ``stage`` removed."""
     return lambda host, plan: seal_all(host, drop_step(plan, stage, kind))
@@ -214,6 +232,10 @@ SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
     Scenario("leftover-user", VERIFIER_FLAGS, "seal with the VM user-removal step removed",
              _verifier_flags(_without(VM, "remove_user"),
                              lambda f: f.subject == "trust" or "userdel" in f.subject)),
+    Scenario("blank-account-listing", VERIFIER_FLAGS,
+             "keep the VM login user behind a no-op userdel and blank the passwd listing",
+             _verifier_flags(_hide_surviving_user, lambda f: f.subject == "cat /etc/passwd",
+                             notes=_vm_accounts)),
     Scenario("tampered-ldap", VERIFIER_FLAGS,
              "replace the published directory dump after an honest seal",
              _verifier_flags(lambda host, plan: PublishedBundle(

@@ -91,11 +91,19 @@ def _verifier(password: str, salt: bytes) -> bytes:
 
 @dataclass(frozen=True)
 class DirectoryEntry:
-    """Salt and verifier as bytes: hex exists only in the rendered replica text."""
+    """Salt and verifier as bytes: hex exists only in the rendered replica text.
+
+    ``salted`` is a SHA3-512 state that has absorbed the salt, built with the
+    entry, never on first use, so it records nothing about who asked.
+    """
 
     user: str
     salt: bytes
     verifier: bytes
+    salted: hashlib._Hash = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "salted", hashlib.sha3_512(self.salt))
 
 
 @dataclass
@@ -122,7 +130,9 @@ class CredentialDirectory:
         entry = self.entries.get(user)
         if entry is None:
             return False
-        return _verifier(password, entry.salt) == entry.verifier
+        state = entry.salted.copy()
+        state.update(password.encode())
+        return state.digest() == entry.verifier
 
     def render(self) -> str:
         return "".join(
@@ -204,9 +214,10 @@ class ServiceFrontend:
     ``handle_line`` looks each request's verb up in ``_HANDLERS``; a handler
     checks the request's usage and then does the work. Mutations run in
     arrival order (the caller is the single queue). The ranking table and
-    the replica are parsed once per stored version: the file's ``bytes``
-    object in the RAM tree, which every write replaces. A request that only
-    reads resolves each path it reads once.
+    the replica are parsed once per stored content: the file's ``bytes``
+    object in the RAM tree, which every write of different bytes replaces
+    and a write of the same bytes keeps. A request that only reads resolves
+    each path it reads once.
     """
 
     TABLE_PATH = "/srv/millionaires/table.tsv"

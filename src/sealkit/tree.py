@@ -10,6 +10,10 @@ A tree keeps each path's encoded record beside the node it encodes, and
 :meth:`FileTree.encode` reuses a record while its path still holds that very
 node. Nodes are frozen, so the identity test is the whole validation: a
 write-through after a one-file change encodes one record and joins the rest.
+
+Writing a file's own bytes back is a no-op: the path keeps its node, so the
+encoded record, and any parse a reader keyed on the node's bytes object,
+stays valid across the write.
 """
 
 from __future__ import annotations
@@ -118,10 +122,16 @@ class FileTree:
         self._nodes[path] = DirNode()
 
     def _put(self, path: str, node: Node) -> None:
-        """Store a file or symlink node at ``path``, which must not be a directory."""
+        """Store a file or symlink node at ``path``, which must not be a directory.
+
+        An equal node already at ``path`` stays in place.
+        """
         path = normalize(path)
-        if isinstance(self._nodes.get(path), DirNode):
+        existing = self._nodes.get(path)
+        if isinstance(existing, DirNode):
             raise TreeError(f"is a directory: {path}")
+        if existing == node:
+            return
         self._ensure_parents(path)
         self._nodes[path] = node
 
@@ -164,7 +174,9 @@ class FileTree:
 
     def file_bytes(self, path: str) -> bytes | None:
         """A regular file's bytes, or None when ``path`` is not a regular file."""
-        node = self._nodes.get(normalize(path))
+        node = self._nodes.get(path)  # an exact hit is a normal path already
+        if node is None:
+            node = self._nodes.get(normalize(path))
         return node.data if isinstance(node, FileNode) else None
 
     def read_file(self, path: str) -> bytes:

@@ -292,6 +292,26 @@ def _check_passwd_evidence(stage: Stage, evidence: LogEvidence,
                 fields[0], f"login-capable user survived the {stage.kind} seal"))
 
 
+def _check_account_listings(stage: Stage, evidence: LogEvidence, pre_tree,
+                            findings: list[Finding]) -> None:
+    """The seal removes only login-capable users, so each account listing keeps
+    the pre-seal line of every account whose pre-seal shell admits no login."""
+    passwd = (pre_tree.file_bytes("/etc/passwd") or b"").decode(errors="replace")
+    accounts = [line.split(":") for line in passwd.splitlines()]
+    nologin = tuple(f"{f[0]}:" for f in accounts if len(f) >= 7 and f[-1] in NOLOGIN_SHELLS)
+    for path in stage.account_files:
+        listing = evidence.last(f"cat {path}")
+        if listing is None:  # check (1) reports the missing record
+            continue
+        shown = set(listing.splitlines())
+        pre = (pre_tree.file_bytes(path) or b"").decode(errors="replace")
+        lost = [line.partition(":")[0] for line in pre.splitlines()
+                if line.startswith(nologin) and line not in shown]
+        if lost:
+            findings.append(Finding(f"cat {path}", f"the {stage.kind} listing lacks the pre-seal "
+                                    f"lines of non-login accounts {', '.join(lost)}"))
+
+
 def _check_ssh_evidence(stage: Stage, evidence: LogEvidence,
                         findings: list[Finding]) -> None:
     if _last_output(stage, evidence, "apt-get -y purge openssh-server", "ssh purge step",
@@ -395,6 +415,10 @@ def verify_seal(host_images: DiskImagePair, vm_images: DiskImagePair,
                         for _, stage, src_root in policy.archives]
     except (TreeError, VolumeError, ManifestError) as exc:
         raise MalformedBundle(f"pre-seal images cannot be opened: {exc}") from exc
+
+    # (3) continued: account listings keep every pre-seal non-login account
+    for stage in STAGES:
+        _check_account_listings(stage, evidence[stage], pre_trees[stage], findings)
 
     # (5) manifests rebuilt from the pre-seal images match the published ones
     for stage in STAGES:

@@ -60,8 +60,8 @@ VM_ROOT_SERVE_90004 = (
     "f78ce85c00bc0ddb029ab492a1d88b8fab596e2281805da5a4b7db81af81f00f"
 )
 ATTACK_REPORTS_SMALL_SEEDS_0_1 = (
-    "c8b4a7d04d4f02991ef1bfb6f1c0aa85af8c867f35a3e43669514ea98caf7d1b"
-    "996e66211a6db2952707fd5b135c50df6e523bfa4b9a447eb905f3ef829e7aa2"
+    "bd1468522af2b6782b8ce494e3f684e55522e32dd456146e230bc49d223f5a3c"
+    "f0785cc428c48add5298c038fdee9c69d3851259c41535fd63e912ccc0e60fb9"
 )
 PLANS_SMALL_AND_ALT = (
     "47fbe962b63d623c196570eb0a24341871aece94bd7f392b1ebfe1b9224a2155"

@@ -268,8 +268,10 @@ def test_unchanged_write_through_after_boot_rewrites_no_sector(monkeypatch):
     assert vm.ram.content == encoded.rstrip(b"\x00")
     written = []
     monkeypatch.setattr(vol, "write_sector", lambda h, i, data: written.append(i))
-    vm.write_file("/etc/hostname", vm.ram.tree.read_file("/etc/hostname"))
+    node = vm.ram.tree.node("/etc/hostname")
+    vm.write_file("/etc/hostname", bytes(bytearray(node.data)))  # equal bytes, another object
     assert written == []
+    assert vm.ram.tree.node("/etc/hostname") is node
     assert vm.ram.content == encoded
 
 

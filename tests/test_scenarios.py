@@ -23,6 +23,7 @@ def test_scenario_registry_is_complete():
         "tamper-binary",
         "skip-erase",
         "leftover-user",
+        "blank-account-listing",
         "tampered-ldap",
     }
 

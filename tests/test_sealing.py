@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import io
+import zipfile
 from dataclasses import replace
 
 import pytest
@@ -8,7 +10,8 @@ from conftest import SMALL, build_sealed, build_server
 
 from sealkit import volume as vol
 from sealkit.config import ConfigError
-from sealkit.machine import HOST, VM, GeometryMismatch, MachineRunning
+from sealkit.machine import (HOST, VM, GeometryMismatch, MachineRunning, full_tree_from_images,
+                             unzip_to_map)
 from sealkit.sealing import (
     AlreadySealed,
     CriticalStepFailure,
@@ -251,6 +254,31 @@ def test_bundle_save_load_round_trip(tmp_path):
     loaded = PublishedBundle.load(tmp_path / "bundle")
     assert loaded.artifacts == bundle.artifacts
     assert loaded.index_digest() == bundle.index_digest()
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 18: root-host.zip publishes the host's protected payload")
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_no_bundle_artifact_holds_a_seeded_secret(seed):
+    config = replace(SMALL, ldap_users=(("alice", "alice-pw-5f1c"), ("bob", "bob-pw-93ad")))
+    host = build_server(seed, config)
+    host_images, vm_images = host.snapshot_image(), host.nested_vm.snapshot_image()
+    secrets = {
+        "host payload": full_tree_from_images(host_images).read_file("/root/host-secret.txt"),
+        "vm payload": full_tree_from_images(vm_images).read_file("/srv/data/vm-secret.txt"),
+        "host keyfile": host_images.boot.read_file("/keyfile"),
+        "vm keyfile": vm_images.boot.read_file("/keyfile"),
+        **{f"password of {user}": password.encode() for user, password in config.ldap_users},
+    }
+    leaks = []
+    for name, data in seal_all(host).artifacts.items():
+        members = {name: data}
+        if zipfile.is_zipfile(io.BytesIO(data)):
+            members.update({f"{name}:{path}": member
+                            for path, member in unzip_to_map(data).items()})
+        leaks += [(where, what) for where, blob in members.items()
+                  for what, secret in secrets.items() if secret in blob]
+    assert leaks == []
 
 
 # -- restoring the pre-seal images ------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import re
 from collections import Counter
 from dataclasses import replace
@@ -22,6 +23,7 @@ from sealkit.services import (
     ServiceFrontend,
     UpstreamResolver,
     WrongKey,
+    _verifier,
     attach_data_vault,
     millionaires_publish,
     millionaires_submit,
@@ -513,6 +515,52 @@ def test_sync_after_adding_a_user_makes_auth_accept():
     assert frontend.handle_line("SYNC") == "OK 2"
     assert frontend.handle_line("AUTH dave diver") == "OK accept"
     assert frontend.handle_line("SUBMIT Dave 4 dave diver") == "OK 0"
+
+
+def test_sync_of_an_unchanged_primary_keeps_the_parsed_replica(monkeypatch):
+    rng = make_rng(18)
+    primary = CredentialDirectory()
+    primary.add_user("alice", "pw", rng)
+    vm, frontend = sealed_frontend(101, primary_directory=primary)
+    assert frontend.handle_line("SYNC") == "OK 1"
+    assert frontend.handle_line("AUTH alice pw") == "OK accept"
+    parsed = []
+    real_parse = CredentialDirectory.parse
+    monkeypatch.setattr(CredentialDirectory, "parse",
+                        lambda text: parsed.append(text) or real_parse(text))
+    for _ in range(3):
+        assert frontend.handle_line("SYNC") == "OK 1"
+        assert frontend.handle_line("AUTH alice pw") == "OK accept"
+        assert frontend.handle_line("AUTH alice wrong") == "OK reject"
+    assert parsed == []
+    primary.add_user("dave", "diver", rng)
+    assert frontend.handle_line("SYNC") == "OK 2"
+    assert frontend.handle_line("AUTH dave diver") == "OK accept"
+    assert frontend.handle_line("AUTH alice pw") == "OK accept"
+    assert parsed == [primary.render()]
+
+
+PASSWORDS = ["right", "wrong", "", "pässwörd ✓", "right\x00", "r" * 200]
+
+
+def test_each_parsed_entry_holds_its_salted_state_and_checks_like_the_verifier():
+    rng = make_rng(19)
+    primary = CredentialDirectory()
+    for user, password in (("u", "right"), ("v", "pässwörd ✓"), ("w", "")):
+        primary.add_user(user, password, rng)
+    replica = CredentialDirectory.parse(primary.render())
+    for directory in (primary, replica):
+        for entry in directory.entries.values():  # built with the entry, before any check
+            assert entry.salted.digest() == hashlib.sha3_512(entry.salt).digest()
+        for user, entry in directory.entries.items():
+            for password in PASSWORDS:
+                expected = _verifier(password, entry.salt) == entry.verifier
+                assert directory.check(user, password) is expected
+        assert [directory.check(u, p) for u, p in (("u", "right"), ("v", "pässwörd ✓"),
+                                                   ("w", ""), ("u", ""), ("ghost", ""))] \
+            == [True, True, True, False, False]
+        for entry in directory.entries.values():  # a check leaves the state as it was
+            assert entry.salted.digest() == hashlib.sha3_512(entry.salt).digest()
 
 
 # -- every request line is answered ----------------------------------------------------

@@ -28,6 +28,24 @@ def test_paths_are_normalized():
         tree.write_file("relative/path", b"x")
 
 
+def test_writing_the_same_content_keeps_the_node_and_its_record():
+    tree = sample_tree()
+    node, link = tree.node("/etc/passwd"), tree.node("/usr/bin/X11")
+    encoded = tree.encode()
+    record = tree._records["/etc/passwd"]
+    tree.write_file("/etc/passwd", bytearray(node.data))
+    tree.write_file("//etc/./passwd", node.data)
+    tree.symlink("/usr/bin/X11", ".")
+    assert tree.node("/etc/passwd") is node
+    assert tree.node("/usr/bin/X11") is link
+    assert tree.encode() == encoded
+    assert tree._records["/etc/passwd"] is record
+    tree.write_file("/etc/passwd", node.data + b"x")
+    assert tree.read_file("/etc/passwd") == node.data + b"x"
+    with pytest.raises(TreeError, match="is a directory"):
+        tree.write_file("/tmp", b"")
+
+
 def test_leading_slashes_collapse_to_root():
     assert normalize("//etc/x") == "/etc/x"
     tree = FileTree()
@@ -50,11 +68,14 @@ def test_normalize_equals_the_normpath_reference(path):
 
 def test_file_bytes_is_none_unless_a_regular_file():
     tree = sample_tree()
-    assert tree.file_bytes("//etc/ssh/../passwd") == tree.read_file("/etc/passwd")
-    for path in ("/etc", "/usr/bin/X11", "/missing"):
+    for path in ("/etc/passwd", "//etc/passwd", "/etc/./passwd", "//etc/ssh/../passwd",
+                 "/etc/passwd/"):
+        assert tree.file_bytes(path) == tree.read_file("/etc/passwd")
+    for path in ("/etc", "/etc/", "/usr/bin/X11", "/missing"):
         assert tree.file_bytes(path) is None
-    with pytest.raises(TreeError):
-        tree.file_bytes("etc/passwd")
+    for path in ("etc/passwd", "passwd", ""):
+        with pytest.raises(TreeError):
+            tree.file_bytes(path)
 
 
 def test_parents_created_automatically():

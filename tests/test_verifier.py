@@ -510,7 +510,6 @@ def test_a_pre_seal_image_without_a_planned_root_is_malformed(seed5_seal, stage,
 
 _FIREWALL = "no check reads the firewall's rules or listings"
 _WRAPPERS = "no check reads the TCP wrapper files"
-_ACCOUNTS = "no check reads an account database but the passwd listing"
 _STEP_ONLY = "its output is not evidence: check (1) reads only the record's place in the plan"
 
 # Records whose output the verifier never reads: at SMALL seed 5, replacing that
@@ -532,13 +531,6 @@ UNREAD_RECORDS = {
         "check (4) needs the purge record, then reads only the ssh status probe",
     ("host", "userdel -f trust"): _STEP_ONLY,
     ("vm", "userdel -f trust"): _STEP_ONLY,
-    ("host", "cat /etc/passwd"):
-        "check (3) flags login-capable passwd lines; a listing with none passes",
-    ("vm", "cat /etc/passwd"):
-        "check (3) flags login-capable passwd lines; a listing with none passes",
-    ("host", "cat /etc/shadow"): _ACCOUNTS,
-    ("vm", "cat /etc/shadow"): _ACCOUNTS,
-    ("vm", "cat /etc/group"): _ACCOUNTS,
     ("host", "cryptsetup luksErase /dev/sda2"): "check (2) reads the last keyslot dump instead",
     ("vm", "cryptsetup luksErase /dev/vda2"): "check (2) reads the last keyslot dump instead",
     ("host", "cryptsetup luksDump /dev/sdb2"):
@@ -643,6 +635,10 @@ def _user_eve(shell):
     return lambda output: f"{output}\neve:x:1001:1001:eve:/home/eve:{shell}"
 
 
+def _without_line(prefix):
+    return lambda output: "\n".join(l for l in output.splitlines() if not l.startswith(prefix))
+
+
 def _slot_0_active(output):
     return output.replace("Key Slot 0: EMPTY", "Key Slot 0: ACTIVE")
 
@@ -726,6 +722,13 @@ def honest_seal():
      "eve", "login-capable user survived the host seal"),
     (_log(VM_LOG_NAME, _with_output("cat /etc/passwd", _user_eve(""))),
      "eve", "login-capable user survived the vm seal"),
+    (_log(VM_LOG_NAME, _with_output("cat /etc/passwd", lambda output: "")),
+     "cat /etc/passwd", "the vm listing lacks the pre-seal lines of non-login accounts "
+                        "root, www-data"),
+    (_log(HOST_LOG_NAME, _with_output("cat /etc/shadow", _without_line("root:"))),
+     "cat /etc/shadow", "the host listing lacks the pre-seal lines of non-login accounts root"),
+    (_log(VM_LOG_NAME, _with_output("cat /etc/group", _without_line("www-data:"))),
+     "cat /etc/group", "the vm listing lacks the pre-seal lines of non-login accounts www-data"),
     (_log(HOST_LOG_NAME, _drop("apt-get -y purge openssh-server")),
      "apt-get -y purge openssh-server", "host log carries no ssh purge step"),
     (_log(VM_LOG_NAME, _drop("apt-get -y purge openssh-server")),
@@ -737,7 +740,8 @@ def honest_seal():
         "keyslot-line-without-state",
         "archive-unreadable", "archive-added-file", "archive-changed-file",
         "archive-dropped-file", "archive-missing", "keyfile-leaked", "vm-keyfile-leaked",
-        "zsh-user", "host-usr-bin-bash-user", "empty-shell-user", "no-ssh-purge",
+        "zsh-user", "host-usr-bin-bash-user", "empty-shell-user", "blank-vm-passwd-listing",
+        "host-shadow-without-root", "vm-group-without-www-data", "no-ssh-purge",
         "no-vm-ssh-purge"])
 def test_tampered_bundle_gives_its_finding(honest_seal, change, subject, explanation):
     """Each row tampers with one stage's evidence; a per-stage check has a row per stage.
