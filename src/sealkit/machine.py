@@ -390,9 +390,14 @@ class Machine:
         self._sync_volume()
 
     def append_directory_dump(self, path: str) -> None:
-        """Append a time stamp and the replica listing to ``path``."""
-        listing = (self._require_on().tree.file_bytes(LDAP_REPLICA_PATH) or b"").decode()
-        self.append_text(path, f"{self.clock.stamp()}\n{listing}")
+        """Append a time stamp and the replica's user names, one a line, to ``path``.
+
+        Unlike slapcat, the dump publishes no salt or verifier: a user name
+        holds no ``:``, so each replica line's name is the field before its first.
+        """
+        replica = (self._require_on().tree.file_bytes(LDAP_REPLICA_PATH) or b"").decode()
+        names = "".join(line.split(":", 1)[0] + "\n" for line in replica.splitlines() if line.strip())
+        self.append_text(path, f"{self.clock.stamp()}\n{names}")
 
     def remove_path(self, path: str) -> None:
         ram = self._require_on()

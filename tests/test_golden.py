@@ -56,8 +56,8 @@ SERVE_TRANSCRIPT_90004 = (
     "10b99c933988b47e96c032fd18aa2ae366e98d77cdc398dfb2634ce3b808bf50"
 )
 VM_ROOT_SERVE_90004 = (
-    "965ac44ce0da9957911dd82036c3b6f8a6a615c747b3a16a8a28060970b8180f"
-    "f78ce85c00bc0ddb029ab492a1d88b8fab596e2281805da5a4b7db81af81f00f"
+    "a518bf237ac5b542c78445fcec14c038840e792eb7382d8d369994a8abe7f293"
+    "70c14005bf18bd34d945fc149929d2806b3454df88903d298cf2233c859865a4"
 )
 # Scenario name -> the digest of its seed-0 and seed-1 reports: a new scenario
 # adds its own pin and leaves the others as they are.
