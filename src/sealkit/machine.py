@@ -381,6 +381,8 @@ class Machine:
 
     def write_file(self, path: str, data: bytes) -> None:
         ram = self._require_on()
+        if ram.tree.file_bytes(path) == data:  # the disk already holds it: nothing to encode
+            return
         ram.tree.write_file(path, data)
         self._sync_volume()
 

@@ -272,7 +272,25 @@ def test_unchanged_write_through_after_boot_rewrites_no_sector(monkeypatch):
     vm.write_file("/etc/hostname", bytes(bytearray(node.data)))  # equal bytes, another object
     assert written == []
     assert vm.ram.tree.node("/etc/hostname") is node
+    assert vm.ram.content == encoded.rstrip(b"\x00")  # nothing written: the boot content stands
+    vm._sync_volume()  # a write-through of the unchanged tree diffs against that content
+    assert written == []
     assert vm.ram.content == encoded
+
+
+def test_write_of_the_bytes_a_file_holds_neither_encodes_nor_writes(monkeypatch):
+    host = build_server(15)
+    host.boot()
+    calls = []
+    for owner, name in ((FileTree, "encode"), (vol, "write_image")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    data = host.ram.tree.read_file("/etc/hostname")
+    host.write_file("//etc/./hostname", bytes(bytearray(data)))
+    assert calls == []
+    host.write_file("/etc/hostname", data + b"x")  # other bytes still write through
+    assert calls == ["encode", "write_image"]
 
 
 def test_failed_write_below_a_file_leaves_a_bootable_volume():

@@ -10,8 +10,8 @@ from conftest import SMALL, build_sealed, build_server
 
 from sealkit import volume as vol
 from sealkit.config import ConfigError
-from sealkit.machine import (HOST, VM, GeometryMismatch, MachineRunning, full_tree_from_images,
-                             unzip_to_map)
+from sealkit.machine import (HOST, LDAP_REPLICA_PATH, VM, GeometryMismatch, MachineRunning,
+                             full_tree_from_images, unzip_to_map)
 from sealkit.sealing import (
     AlreadySealed,
     CriticalStepFailure,
@@ -27,6 +27,7 @@ from sealkit.sealing import (
     seal_host,
     seal_vm,
 )
+from sealkit.services import CredentialDirectory
 
 
 # -- prepare_trusted_server ------------------------------------------------------
@@ -254,6 +255,21 @@ def test_bundle_save_load_round_trip(tmp_path):
     loaded = PublishedBundle.load(tmp_path / "bundle")
     assert loaded.artifacts == bundle.artifacts
     assert loaded.index_digest() == bundle.index_digest()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_published_directory_dump_names_the_users_and_holds_no_verifier(seed):
+    config = replace(SMALL, ldap_users=(("alice", "alice-pw-5f1c"), ("bob", "bob-pw-93ad")))
+    host = build_server(seed, config)
+    replica = full_tree_from_images(host.nested_vm.snapshot_image()).read_text(LDAP_REPLICA_PATH)
+    dump = seal_all(host).artifacts["ldap.txt"]
+    assert dump.decode().splitlines()[-2:] == ["alice", "bob"]
+    entries = CredentialDirectory.parse(replica).entries.values()
+    assert sorted(e.user for e in entries) == ["alice", "bob"]
+    for entry in entries:
+        for secret in (entry.salt, entry.verifier):
+            assert secret not in dump
+            assert secret.hex().encode() not in dump
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import hashlib
 import re
 from collections import Counter
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import SMALL, build_sealed, build_server
 
 from sealkit import volume as vol
+from sealkit.config import ServerConfig
 from sealkit.machine import read_volume_tree
 from sealkit.manifest import compute_manifest, render_manifest
 from sealkit.services import (
@@ -29,6 +31,7 @@ from sealkit.services import (
     millionaires_submit,
     vault_attach,
 )
+from sealkit.tree import FileTree
 from sealkit.util import make_rng
 from sealkit.volume import DiskFull
 
@@ -223,6 +226,69 @@ def test_sync_replicates_and_publishes_dump():
     assert frontend.handle_line("AUTH carol pw-one") == "OK accept"
     ldap_after = vm.ram.tree.read_text(f"{vm.config.webroot}/ldap.txt")
     assert len(ldap_after) > len(ldap_before)  # dump appended after sync
+
+
+def test_sync_appends_a_stamp_and_the_replica_user_names():
+    rng = make_rng(61)
+    primary = CredentialDirectory()
+    for user in ("mallory", "carol", "alice"):
+        primary.add_user(user, f"{user}-pw", rng)
+    vm, frontend = sealed_frontend(86, primary_directory=primary)
+    dump_path = f"{vm.config.webroot}/ldap.txt"
+    before = vm.ram.tree.read_file(dump_path)
+    stamp = copy.copy(vm.clock).stamp()  # the one stamp the SYNC draws
+    assert frontend.handle_line("SYNC") == "OK 3"
+    after = vm.ram.tree.read_file(dump_path)
+    assert after == before + f"{stamp}\nalice\ncarol\nmallory\n".encode()
+
+
+def test_a_sync_or_publish_that_changes_nothing_skips_the_write_through(monkeypatch):
+    rng = make_rng(62)
+    primary = CredentialDirectory()
+    primary.add_user("alice", "pw", rng)
+    vm, frontend = sealed_frontend(85, primary_directory=primary)
+    assert frontend.handle_line("SYNC") == "OK 1"
+    assert frontend.handle_line("SUBMIT Alice 5 alice pw") == "OK 0"
+    assert frontend.handle_line("PUBLISH") == "OK Alice"
+    calls = []
+    for owner, name in ((FileTree, "encode"), (vol, "write_image")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    assert frontend.handle_line("PUBLISH") == "OK Alice"
+    assert calls == []
+    assert frontend.handle_line("SYNC") == "OK 1"
+    assert calls == ["encode", "write_image"]  # the dump's append alone
+    assert read_volume_tree(vm.ram.handle)[0].encode() == vm.ram.tree.encode()
+
+
+def test_a_submit_rewrites_about_as_many_sectors_late_in_a_session_as_early(monkeypatch):
+    # 16 directory users and 20 SYNCs over 1000 requests on the serve geometry:
+    # the dumps the SYNCs append must not make each later SUBMIT rewrite more.
+    rng = make_rng(63)
+    users = {f"user{k:02d}": f"pw{k:02d}" for k in range(16)}
+    primary = CredentialDirectory.from_users(tuple(users.items()), rng)
+    host, vm, *_ = build_sealed(84, ServerConfig(vm_sectors=4096))
+    frontend = ServiceFrontend(vm, primary_directory=primary)
+    written = []
+    real_write_sector = vol.write_sector
+    monkeypatch.setattr(vol, "write_sector",
+                        lambda h, i, data: written.append(i) or real_write_sector(h, i, data))
+    per_submit = []
+    for i in range(1000):
+        if i % 50 == 0:
+            assert frontend.handle_line("SYNC") == "OK 16"
+        elif rng.random() < 0.5:
+            user = rng.choice(sorted(users))
+            start = len(written)
+            line = f"SUBMIT m{rng.randrange(500):03d} {rng.randrange(10**9)} {user} {users[user]}"
+            assert frontend.handle_line(line).startswith("OK ")
+            per_submit.append(len(written) - start)
+        else:
+            user = rng.choice(sorted(users))
+            assert frontend.handle_line(f"AUTH {user} {users[user]}") == "OK accept"
+    assert len(per_submit) > 400
+    assert per_submit[-1] - per_submit[0] <= 12
 
 
 def test_sync_unconfigured():
