@@ -398,7 +398,8 @@ class Machine:
         holds no ``:``, so each replica line's name is the field before its first.
         """
         replica = (self._require_on().tree.file_bytes(LDAP_REPLICA_PATH) or b"").decode()
-        names = "".join(line.split(":", 1)[0] + "\n" for line in replica.splitlines() if line.strip())
+        names = "".join(line.split(":", 1)[0] + "\n"
+                        for line in replica.splitlines() if line.strip())
         self.append_text(path, f"{self.clock.stamp()}\n{names}")
 
     def remove_path(self, path: str) -> None:
