@@ -239,6 +239,21 @@ def parse_iptables_save(text: str) -> tuple[list[str], str]:
     return rules, output_policy
 
 
+def directory_record(user: str, salt: bytes, verifier: bytes) -> str:
+    """One line of the directory replica: ``user:salt:verifier``, both in hex."""
+    return f"{user}:{salt.hex()}:{verifier.hex()}\n"
+
+
+def parse_directory_records(text: str) -> list[tuple[str, bytes, bytes]]:
+    """(user, salt, verifier) of each non-blank line of a directory replica."""
+    records = []
+    for line in text.splitlines():
+        if line.strip():
+            user, salt, verifier = line.split(":")
+            records.append((user, bytes.fromhex(salt), bytes.fromhex(verifier)))
+    return records
+
+
 def render_listing(tree: FileTree) -> str:
     """ls -RlA style recursive listing of a tree view, in one pass: a directory
     sorts before its children, and ``/`` is its own parent, so it lists itself."""
@@ -394,12 +409,10 @@ class Machine:
     def append_directory_dump(self, path: str) -> None:
         """Append a time stamp and the replica's user names, one a line, to ``path``.
 
-        Unlike slapcat, the dump publishes no salt or verifier: a user name
-        holds no ``:``, so each replica line's name is the field before its first.
+        Unlike slapcat, the dump publishes no salt or verifier.
         """
         replica = (self._require_on().tree.file_bytes(LDAP_REPLICA_PATH) or b"").decode()
-        names = "".join(line.split(":", 1)[0] + "\n"
-                        for line in replica.splitlines() if line.strip())
+        names = "".join(f"{user}\n" for user, _, _ in parse_directory_records(replica))
         self.append_text(path, f"{self.clock.stamp()}\n{names}")
 
     def remove_path(self, path: str) -> None:

@@ -13,7 +13,14 @@ import random
 from dataclasses import dataclass, field
 
 from . import volume as vol
-from .machine import LDAP_REPLICA_PATH, Machine, MailMessage, format_tree_volume
+from .machine import (
+    LDAP_REPLICA_PATH,
+    Machine,
+    MailMessage,
+    directory_record,
+    format_tree_volume,
+    parse_directory_records,
+)
 from .tree import FileTree
 from .volume import DiskFull, Keyfile, UnlockedVolume
 
@@ -136,7 +143,7 @@ class CredentialDirectory:
 
     def render(self) -> str:
         return "".join(
-            f"{e.user}:{e.salt.hex()}:{e.verifier.hex()}\n"
+            directory_record(e.user, e.salt, e.verifier)
             for e in sorted(self.entries.values(), key=lambda e: e.user)
         )
 
@@ -152,12 +159,8 @@ class CredentialDirectory:
     @classmethod
     def parse(cls, text: str) -> "CredentialDirectory":
         """The sealed side's read-only replica of a rendered directory."""
-        entries = {}
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            user, salt, verifier = line.split(":")
-            entries[user] = DirectoryEntry(user, bytes.fromhex(salt), bytes.fromhex(verifier))
+        entries = {user: DirectoryEntry(user, salt, verifier)
+                   for user, salt, verifier in parse_directory_records(text)}
         return cls(entries=entries, read_only=True)
 
 

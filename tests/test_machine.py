@@ -278,21 +278,6 @@ def test_unchanged_write_through_after_boot_rewrites_no_sector(monkeypatch):
     assert vm.ram.content == encoded
 
 
-def test_write_of_the_bytes_a_file_holds_neither_encodes_nor_writes(monkeypatch):
-    host = build_server(15)
-    host.boot()
-    calls = []
-    for owner, name in ((FileTree, "encode"), (vol, "write_image")):
-        real = getattr(owner, name)
-        monkeypatch.setattr(owner, name,
-                            lambda *a, name=name, real=real: calls.append(name) or real(*a))
-    data = host.ram.tree.read_file("/etc/hostname")
-    host.write_file("//etc/./hostname", bytes(bytearray(data)))
-    assert calls == []
-    host.write_file("/etc/hostname", data + b"x")  # other bytes still write through
-    assert calls == ["encode", "write_image"]
-
-
 def test_failed_write_below_a_file_leaves_a_bootable_volume():
     host = build_server(13)
     host.boot()

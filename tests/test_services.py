@@ -217,27 +217,16 @@ def test_maildrop_requires_sealed_server():
 def test_sync_replicates_and_publishes_dump():
     rng = make_rng(6)
     primary = CredentialDirectory()
-    primary.add_user("carol", "pw-one", rng)
-    vm, frontend = sealed_frontend(87, primary_directory=primary)
-
-    ldap_before = vm.ram.tree.read_text(f"{vm.config.webroot}/ldap.txt")
-    assert frontend.handle_line("AUTH carol pw-one") == "OK reject"
-    assert frontend.handle_line("SYNC") == "OK 1"
-    assert frontend.handle_line("AUTH carol pw-one") == "OK accept"
-    ldap_after = vm.ram.tree.read_text(f"{vm.config.webroot}/ldap.txt")
-    assert len(ldap_after) > len(ldap_before)  # dump appended after sync
-
-
-def test_sync_appends_a_stamp_and_the_replica_user_names():
-    rng = make_rng(61)
-    primary = CredentialDirectory()
     for user in ("mallory", "carol", "alice"):
         primary.add_user(user, f"{user}-pw", rng)
-    vm, frontend = sealed_frontend(86, primary_directory=primary)
+    vm, frontend = sealed_frontend(87, primary_directory=primary)
+
     dump_path = f"{vm.config.webroot}/ldap.txt"
     before = vm.ram.tree.read_file(dump_path)
+    assert frontend.handle_line("AUTH carol carol-pw") == "OK reject"
     stamp = copy.copy(vm.clock).stamp()  # the one stamp the SYNC draws
     assert frontend.handle_line("SYNC") == "OK 3"
+    assert frontend.handle_line("AUTH carol carol-pw") == "OK accept"
     after = vm.ram.tree.read_file(dump_path)
     assert after == before + f"{stamp}\nalice\ncarol\nmallory\n".encode()
 
