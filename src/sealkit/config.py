@@ -37,7 +37,6 @@ class ServerConfig:
     server_address: str = "203.0.113.80"
     webroot: str = "/var/www/log"
     hash_roots: tuple[str, ...] = DEFAULT_HASH_ROOTS
-    millionaires_descending: bool = True
     host_sectors: int = 512
     vm_sectors: int = 512
     vault_sectors: int = 64
@@ -91,10 +90,10 @@ def parse_config(text: str) -> ServerConfig:
     whitespace starts a comment, and any other '#' belongs to the value.
 
     Recognized keys: mail_to, server_address, webroot, hash_roots (comma
-    separated), millionaires_order (descending|ascending), host_sectors,
-    vm_sectors, vault_sectors, vm_name, ldap_user.<name> = <password>,
-    dns.<domain> = <address>. Each stage deletes the ssh accept rule at its
-    position in the stage's built-in rule table, so no key sets it.
+    separated), host_sectors, vm_sectors, vault_sectors, vm_name,
+    ldap_user.<name> = <password>, dns.<domain> = <address>. Each stage deletes
+    the ssh accept rule at its position in the stage's built-in rule table, so
+    no key sets it.
     """
     fields: dict[str, object] = {}
     ldap_users = list(ServerConfig.ldap_users)
@@ -113,12 +112,6 @@ def parse_config(text: str) -> ServerConfig:
                 fields[key] = value
             elif key == "hash_roots":
                 fields[key] = tuple(r.strip() for r in value.split(",") if r.strip())
-            elif key == "millionaires_order":
-                if value not in ("descending", "ascending"):
-                    raise ConfigError(
-                        f"line {lineno}: millionaires_order must be descending|ascending"
-                    )
-                fields["millionaires_descending"] = value == "descending"
             elif key.startswith("ldap_user."):
                 ldap_users.append((key.split(".", 1)[1], value))
             elif key.startswith("dns."):

@@ -91,6 +91,7 @@ VM_ROOT_DEVICE_FROM_HOST = "/dev/sdb2"
 SSHD = "/usr/sbin/sshd"
 _USER_DATABASES = ("/etc/passwd", "/etc/shadow", "/etc/group")  # userdel rewrites each
 LDAP_REPLICA_PATH = "/etc/ldap/directory.tsv"  # the directory replica the VM serves
+LDAP_DUMP_NAME = "ldap.txt"  # the replica's published user names, in the webroot
 HOST_LOG_NAME = HOST.log_name
 VM_LOG_NAME = VM.log_name
 

@@ -14,7 +14,7 @@ from typing import Callable
 
 from . import volume as vol
 from .config import ServerConfig
-from .machine import (HOST, VM, Machine, SealedAndCold, Stage, boot_keyfile,
+from .machine import (HOST, LDAP_DUMP_NAME, VM, Machine, SealedAndCold, Stage, boot_keyfile,
                       full_tree_from_images, read_volume_tree)
 from .sealing import (
     PublishedBundle,
@@ -239,8 +239,9 @@ SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
     Scenario("tampered-ldap", VERIFIER_FLAGS,
              "replace the published directory dump after an honest seal",
              _verifier_flags(lambda host, plan: PublishedBundle(
-                                 {**seal_all(host, plan).artifacts, "ldap.txt": b"tampered\n"}),
-                             lambda f: f.subject == "ldap.txt")),
+                                 {**seal_all(host, plan).artifacts,
+                                  LDAP_DUMP_NAME: b"tampered\n"}),
+                             lambda f: f.subject == LDAP_DUMP_NAME)),
 )}
 
 _RUNNERS = {name: scenario.report for name, scenario in SCENARIOS.items()}

@@ -22,6 +22,7 @@ from .config import ConfigError, ServerConfig
 from .machine import (
     HOST,
     HOST_LOG_NAME,
+    LDAP_DUMP_NAME,
     LDAP_REPLICA_PATH,
     VM,
     VM_LOG_NAME,
@@ -49,7 +50,7 @@ REQUIRED_BUNDLE_ARTIFACTS = (
     "root-host.zip",
     "etc-vm.zip",
     "trust-vm.zip",
-    "ldap.txt",
+    LDAP_DUMP_NAME,
 )
 
 
@@ -134,6 +135,7 @@ def _tree_evidence(config: ServerConfig) -> list[SealingStep]:
 
 def default_plan(config: ServerConfig) -> SealingPlan:
     w = config.webroot
+    dump = f"{w}/{LDAP_DUMP_NAME}"
 
     host: list[SealingStep] = [
         *_lockdown(HOST),
@@ -165,8 +167,7 @@ def default_plan(config: ServerConfig) -> SealingPlan:
               src="/etc", dest="tree", dest_path=f"{w}/etc-vm.zip"),
         _step("zip_tree", f"zip -r {w}/trust-vm.zip /home/trust",
               src="/home/trust", dest="tree", dest_path=f"{w}/trust-vm.zip"),
-        _step("ldap_dump", f"date >> {w}/ldap.txt && slapcat >> {w}/ldap.txt",
-              dest=f"{w}/ldap.txt"),
+        _step("ldap_dump", f"date >> {dump} && slapcat >> {dump}", dest=dump),
         _step("chown_webroot", "chown -R www-data:www-data /var/www"),
         *_tree_evidence(config),
         _step("append_date", "echo $(date) >> /home/trust/date.txt",

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from . import volume as vol
 from .machine import (
+    LDAP_DUMP_NAME,
     LDAP_REPLICA_PATH,
     Machine,
     MailMessage,
@@ -300,7 +301,7 @@ class ServiceFrontend:
 
     def _publish(self, request: str, parts: list[str]) -> str:
         config = self.machine.config
-        names = millionaires_publish(self._load_state(), config.millionaires_descending)
+        names = millionaires_publish(self._load_state(), descending=True)
         self.machine.write_file(
             f"{config.webroot}/ranking.txt",
             ("".join(f"{n}\n" for n in names)).encode(),
@@ -337,7 +338,7 @@ class ServiceFrontend:
             raise ReplicationUnconfigured("no primary directory was configured at prepare time")
         # one-way: the replica becomes a copy of the primary, and the dump is published
         self.machine.write_file(LDAP_REPLICA_PATH, self.primary_directory.render().encode())
-        self.machine.append_directory_dump(f"{self.machine.config.webroot}/ldap.txt")
+        self.machine.append_directory_dump(f"{self.machine.config.webroot}/{LDAP_DUMP_NAME}")
         return f"OK {len(self.primary_directory.entries)}"
 
     def _vaultkey(self, request: str, parts: list[str]) -> str:

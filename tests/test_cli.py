@@ -38,14 +38,12 @@ def test_parse_config_round_trip():
         """
         # comment
         mail_to = ops@example.org
-        millionaires_order = ascending
         host_sectors = 192
         ldap_user.alice = secret
         dns.internal.test = 10.1.2.3
         """
     )
     assert cfg.mail_to == "ops@example.org"
-    assert cfg.millionaires_descending is False
     assert ("alice", "secret") in cfg.ldap_users
     assert ("internal.test", "10.1.2.3") in cfg.dns_table
 
@@ -85,6 +83,8 @@ def test_parse_config_rejects_unknown_key_and_bad_values():
         parse_config("no_such_key = 1")
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("host_ssh_rule_index = 4")  # derived from the rule table
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config("millionaires_order = ascending")  # the ranking is always descending
     with pytest.raises(ConfigError):
         parse_config("host_sectors = many")
     with pytest.raises(ConfigError):
@@ -111,7 +111,6 @@ ALT_CONFIG = """
 webroot = /srv/pub
 vm_name = tsvm2
 mail_to = ops@example.net
-millionaires_order = ascending
 """
 
 

@@ -469,8 +469,7 @@ def test_every_verb_on_a_powered_off_vm_answers_err(sealed):
 
 
 def test_frontend_reads_its_settings_from_the_machine_config():
-    config = replace(SMALL, mail_to="desk@example.net", server_address="198.51.100.7",
-                     millionaires_descending=False)
+    config = replace(SMALL, mail_to="desk@example.net", server_address="198.51.100.7")
     _, vm, *_ = build_sealed(101, config)
     upstream = UpstreamResolver(table={"example.org": "93.184.216.34"})
     frontend = ServiceFrontend(vm, upstream=upstream)
@@ -480,7 +479,7 @@ def test_frontend_reads_its_settings_from_the_machine_config():
     assert upstream.query_log == [("198.51.100.7", "example.org")]
     for line in ("SUBMIT Alice 500", "SUBMIT Bob 900", "SUBMIT Carol 100"):
         frontend.handle_line(line)
-    assert frontend.handle_line("PUBLISH") == "OK Carol Alice Bob"
+    assert frontend.handle_line("PUBLISH") == "OK Bob Alice Carol"
 
 
 # -- parsed state follows the stored files --------------------------------------------
