@@ -4,8 +4,8 @@ A machine is an unencrypted boot partition (file tree holding the keyfile),
 an encrypted root volume whose plaintext is the canonical encoding of the
 root file tree, and volatile RAM state (unlocked handles, working tree,
 runtime services/firewall). RAM state exists exactly while the machine is on:
-powering off drops it, and the master key with it. Tree mutations while
-powered on are written through to the root volume sector by sector. A
+powering off drops it, and the master key with it. Each request or step that
+changes the RAM tree commits it once, sector by sector, to the root volume. A
 :class:`Stage` record, ``HOST`` or ``VM``, holds all that sets one machine
 apart from the other: where its boot files live, the rules it boots with,
 what its seal lists. :data:`STEP_KINDS` gives each sealing step kind its
@@ -255,6 +255,14 @@ def parse_directory_records(text: str) -> list[tuple[str, bytes, bytes]]:
     return records
 
 
+def directory_dump(tree: FileTree, clock: SimClock) -> str:
+    """A time stamp line, then the replica's user names, one a line: unlike
+    slapcat, the dump publishes no salt or verifier."""
+    replica = (tree.file_bytes(LDAP_REPLICA_PATH) or b"").decode()
+    names = "".join(f"{user}\n" for user, _, _ in parse_directory_records(replica))
+    return f"{clock.stamp()}\n{names}"
+
+
 def render_listing(tree: FileTree) -> str:
     """ls -RlA style recursive listing of a tree view, in one pass: a directory
     sorts before its children, and ``/`` is its own parent, so it lists itself."""
@@ -382,44 +390,33 @@ class Machine:
             raise MachineNotRunning(f"{self.name} is powered off")
         return self.ram
 
-    # -- write-through tree mutation ------------------------------------------
+    # -- the commit: the one path from the RAM tree to the root volume ---------
 
-    def _sync_volume(self) -> None:
+    def commit(self) -> None:
+        """Write the RAM tree through to the root volume, once per request or step.
+        A tree that does not fit raises ``DiskFull`` before any sector is
+        written, and the RAM tree goes back to the last commit."""
         ram = self._require_on()
         content = ram.tree.encode()
         try:
             vol.write_image(ram.handle, content, ram.content)
-        except DiskFull:  # raised before any sector is written: the tree goes back to the disk's
+        except DiskFull:
             capacity = ram.handle.volume.sector_count * vol.SECTOR_BYTES
             ram.tree = FileTree.decode(ram.content, capacity)
             raise
         ram.content = content
 
     def write_file(self, path: str, data: bytes) -> None:
-        ram = self._require_on()
-        if ram.tree.file_bytes(path) == data:  # the disk already holds it: nothing to encode
-            return
-        ram.tree.write_file(path, data)
-        self._sync_volume()
+        self._require_on().tree.write_file(path, data)
+        self.commit()
 
     def append_text(self, path: str, text: str) -> None:
-        ram = self._require_on()
-        ram.tree.append_text(path, text)
-        self._sync_volume()
-
-    def append_directory_dump(self, path: str) -> None:
-        """Append a time stamp and the replica's user names, one a line, to ``path``.
-
-        Unlike slapcat, the dump publishes no salt or verifier.
-        """
-        replica = (self._require_on().tree.file_bytes(LDAP_REPLICA_PATH) or b"").decode()
-        names = "".join(f"{user}\n" for user, _, _ in parse_directory_records(replica))
-        self.append_text(path, f"{self.clock.stamp()}\n{names}")
+        self._require_on().tree.append_text(path, text)
+        self.commit()
 
     def remove_path(self, path: str) -> None:
-        ram = self._require_on()
-        ram.tree.remove(path)
-        self._sync_volume()
+        self._require_on().tree.remove(path)
+        self.commit()
 
     def full_view(self) -> FileTree:
         """Root tree with the boot partition mounted at /boot."""
@@ -535,7 +532,7 @@ class Machine:
                     if not line.startswith(f"{name}:")
                 ]
                 ram.tree.write_file(path, ("\n".join(kept) + "\n").encode())
-        self._sync_volume()
+        self.commit()
         return "", 0
 
     def _step_luks_erase(self, ram, args):
@@ -611,7 +608,7 @@ class Machine:
 
     @_leaves(lambda args: [("add", args["dest"])])
     def _step_ldap_dump(self, ram, args):
-        self.append_directory_dump(args["dest"])
+        self.append_text(args["dest"], directory_dump(ram.tree, self.clock))
         return "", 0
 
     @_leaves(lambda args: [("add", args["path"])])

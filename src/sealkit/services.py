@@ -18,6 +18,7 @@ from .machine import (
     LDAP_REPLICA_PATH,
     Machine,
     MailMessage,
+    directory_dump,
     directory_record,
     format_tree_volume,
     parse_directory_records,
@@ -336,9 +337,12 @@ class ServiceFrontend:
         self._require_sealed_web()
         if self.primary_directory is None:
             raise ReplicationUnconfigured("no primary directory was configured at prepare time")
-        # one-way: the replica becomes a copy of the primary, and the dump is published
-        self.machine.write_file(LDAP_REPLICA_PATH, self.primary_directory.render().encode())
-        self.machine.append_directory_dump(f"{self.machine.config.webroot}/{LDAP_DUMP_NAME}")
+        # one-way: the replica copies the primary, and one commit publishes the dump with it
+        m = self.machine
+        m.ram.tree.write_file(LDAP_REPLICA_PATH, self.primary_directory.render().encode())
+        m.ram.tree.append_text(f"{m.config.webroot}/{LDAP_DUMP_NAME}",
+                               directory_dump(m.ram.tree, m.clock))
+        m.commit()
         return f"OK {len(self.primary_directory.entries)}"
 
     def _vaultkey(self, request: str, parts: list[str]) -> str:

@@ -56,8 +56,8 @@ SERVE_TRANSCRIPT_90004 = (
     "10b99c933988b47e96c032fd18aa2ae366e98d77cdc398dfb2634ce3b808bf50"
 )
 VM_ROOT_SERVE_90004 = (
-    "a518bf237ac5b542c78445fcec14c038840e792eb7382d8d369994a8abe7f293"
-    "70c14005bf18bd34d945fc149929d2806b3454df88903d298cf2233c859865a4"
+    "50abf7920c6d52b9a1d08785665b8359902f0a872c1b17613a8f2a3aaeec8317"
+    "11d04187e18bd191862dabcfa0217cbb56af505e0266ecd6e5489b819d40c270"
 )
 # Scenario name -> the digest of its seed-0 and seed-1 reports: a new scenario
 # adds its own pin and leaves the others as they are.

@@ -270,12 +270,11 @@ def test_unchanged_write_through_after_boot_rewrites_no_sector(monkeypatch):
     monkeypatch.setattr(vol, "write_sector", lambda h, i, data: written.append(i))
     node = vm.ram.tree.node("/etc/hostname")
     vm.write_file("/etc/hostname", bytes(bytearray(node.data)))  # equal bytes, another object
-    assert written == []
+    assert written == []  # its commit diffs the unchanged tree against the boot content
     assert vm.ram.tree.node("/etc/hostname") is node
-    assert vm.ram.content == encoded.rstrip(b"\x00")  # nothing written: the boot content stands
-    vm._sync_volume()  # a write-through of the unchanged tree diffs against that content
-    assert written == []
     assert vm.ram.content == encoded
+    vm.commit()
+    assert written == []
 
 
 def test_failed_write_below_a_file_leaves_a_bootable_volume():

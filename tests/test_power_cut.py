@@ -6,6 +6,10 @@ sectors. A cut at k means ``volume.write_sector`` fails after k of them; the
 VM is then powered off, its key record reinstated from the shares, and booted.
 The boot must give the tree before the write, the tree after it, or a
 ``TreeError``: never another exception, a hang, or a third tree.
+
+A ``SYNC`` changes two files, the replica and the published dump, and
+commits them once. A cut anywhere in that commit must never boot a replica
+that holds a user the dump does not list.
 """
 
 from __future__ import annotations
@@ -19,9 +23,9 @@ import pytest
 from sealkit import volume as vol
 from sealkit.config import ServerConfig
 from sealkit.escrow import apply_wrapped_key_record, reconstruct
-from sealkit.machine import Machine
+from sealkit.machine import LDAP_DUMP_NAME, LDAP_REPLICA_PATH, Machine, parse_directory_records
 from sealkit.sealing import prepare_trusted_server, seal_all_with_escrow
-from sealkit.services import ServiceFrontend
+from sealkit.services import CredentialDirectory, ServiceFrontend
 from sealkit.tree import TreeError
 from sealkit.util import SimClock, make_rng
 from sealkit.volume import VolumeHeader
@@ -132,3 +136,76 @@ def test_power_cut_during_write_through_boots_old_tree_new_tree_or_tree_error(
         except TreeError:
             return
     assert booted in (served.old, served.new), "the recovered VM booted a third tree"
+
+
+class BeforeSync(NamedTuple):
+    host: Machine
+    vm: Machine
+    record: bytes
+    sectors: list[bytes]  # the sealed VM disk after the 30th SUBMIT
+    header: VolumeHeader
+    old: bytes  # the tree encoding before the SYNC
+    primary: CredentialDirectory  # holds bob, whom the replica lacks
+
+
+@pytest.fixture(scope="module", params=[1, 2, 3])
+def before_sync(request) -> BeforeSync:
+    rng = make_rng(request.param)
+    config = ServerConfig(host_sectors=192, vm_sectors=512, ldap_users=(("alice", "wonder"),))
+    host = prepare_trusted_server(config, rng=rng, clock=SimClock())
+    primary = CredentialDirectory.from_users(config.ldap_users, rng)
+    _, shares = seal_all_with_escrow(host, 2)
+    vm = host.nested_vm
+    frontend = ServiceFrontend(vm, primary_directory=primary)
+    for i in range(30):
+        assert frontend.handle_line(f"SUBMIT m{i} {7 * i} alice wonder") == f"OK {i}"
+    primary.add_user("bob", "builder", rng)
+    old = vm.ram.tree.encode()
+    host.power_off()
+    return BeforeSync(host, vm, reconstruct(shares), list(vm.root_volume.sectors),
+                      vm.root_volume.header, old, primary)
+
+
+def test_power_cut_during_sync_never_boots_a_replica_user_the_dump_omits(
+        before_sync, monkeypatch):
+    host, vm = before_sync.host, before_sync.vm
+    dump_path = f"{vm.config.webroot}/{LDAP_DUMP_NAME}"
+    for k in range(1000):  # every k, until the SYNC commits uncut
+        vm.root_volume.sectors = list(before_sync.sectors)
+        vm.root_volume.header = before_sync.header
+        assert _boot_tree(host, vm, before_sync.record) == before_sync.old
+        vm.root_volume.header = before_sync.header
+        vm.ram.web_running = True  # as the VM's boot starts it
+        frontend = ServiceFrontend(vm, primary_directory=before_sync.primary)
+
+        written = 0
+        real_write_sector = vol.write_sector
+
+        def write_sector(handle, index, data):
+            nonlocal written
+            if written == k:
+                raise PowerCut(f"after {k} sectors")
+            written += 1
+            real_write_sector(handle, index, data)
+
+        with deadline(10):
+            with monkeypatch.context() as patch:
+                patch.setattr(vol, "write_sector", write_sector)
+                try:
+                    response = frontend.handle_line("SYNC")
+                except PowerCut:
+                    response = None
+            try:
+                booted = _boot_tree(host, vm, before_sync.record)
+            except TreeError:
+                continue
+        if booted != before_sync.old:
+            tree = vm.ram.tree
+            replica = parse_directory_records(tree.read_text(LDAP_REPLICA_PATH))
+            listed = set(tree.read_text(dump_path).splitlines())
+            assert {user for user, _, _ in replica} <= listed, f"cut after {k} sectors"
+        if response is not None:
+            assert (response, written) == ("OK 2", k), "a SYNC commits its sectors uncut"
+            assert "bob" in listed
+            return
+    pytest.fail("the SYNC never committed uncut")

@@ -12,11 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import SMALL, build_sealed, build_server
+from test_golden import serve_script
 
 from sealkit import volume as vol
 from sealkit.config import ServerConfig
-from sealkit.machine import read_volume_tree
+from sealkit.machine import LDAP_DUMP_NAME, LDAP_REPLICA_PATH, Machine, read_volume_tree
 from sealkit.manifest import compute_manifest, render_manifest
+from sealkit.sealing import default_plan
 from sealkit.services import (
     CredentialDirectory,
     MillionairesState,
@@ -231,7 +233,7 @@ def test_sync_replicates_and_publishes_dump():
     assert after == before + f"{stamp}\nalice\ncarol\nmallory\n".encode()
 
 
-def test_a_sync_or_publish_that_changes_nothing_skips_the_write_through(monkeypatch):
+def test_an_unchanged_publish_or_sync_commits_once(monkeypatch):
     rng = make_rng(62)
     primary = CredentialDirectory()
     primary.add_user("alice", "pw", rng)
@@ -240,14 +242,18 @@ def test_a_sync_or_publish_that_changes_nothing_skips_the_write_through(monkeypa
     assert frontend.handle_line("SUBMIT Alice 5 alice pw") == "OK 0"
     assert frontend.handle_line("PUBLISH") == "OK Alice"
     calls = []
-    for owner, name in ((FileTree, "encode"), (vol, "write_image")):
+    for owner, name in ((FileTree, "encode"), (vol, "write_image"), (vol, "write_sector")):
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name,
                             lambda *a, name=name, real=real: calls.append(name) or real(*a))
     assert frontend.handle_line("PUBLISH") == "OK Alice"
-    assert calls == []
+    assert calls == ["encode", "write_image"]  # one commit, and no sector differs
+    calls.clear()
+    replica = vm.ram.tree.node(LDAP_REPLICA_PATH)
     assert frontend.handle_line("SYNC") == "OK 1"
-    assert calls == ["encode", "write_image"]  # the dump's append alone
+    assert calls[:2] == ["encode", "write_image"]  # one commit: the dump's append alone
+    assert set(calls[2:]) == {"write_sector"}
+    assert vm.ram.tree.node(LDAP_REPLICA_PATH) is replica
     assert read_volume_tree(vm.ram.handle)[0].encode() == vm.ram.tree.encode()
 
 
@@ -278,6 +284,79 @@ def test_a_submit_rewrites_about_as_many_sectors_late_in_a_session_as_early(monk
             assert frontend.handle_line(f"AUTH {user} {users[user]}") == "OK accept"
     assert len(per_submit) > 400
     assert per_submit[-1] - per_submit[0] <= 12
+
+
+# purge_ssh commits after removing sshd and again after /etc/ssh. One commit
+# per stage moves SMALL_90001_INDEX, so it waits for the re-pin that the key
+# material's rework brings (ROADMAP items 12 and 20).
+COMMITS_TWICE = "purge_ssh"
+
+
+def test_each_sealing_step_and_each_request_commits_at_most_once(monkeypatch):
+    commits = [0]  # write_image calls with a previous image: one count per open step or request
+    real_write_image = vol.write_image
+
+    def write_image(handle, image, old=None):
+        commits[-1] += old is not None
+        real_write_image(handle, image, old)
+
+    real_exec_step = Machine.exec_step
+    per_step = []
+
+    def exec_step(machine, step):
+        commits.append(0)
+        record = real_exec_step(machine, step)
+        per_step.append((step.kind, commits.pop()))
+        return record
+
+    monkeypatch.setattr(vol, "write_image", write_image)
+    monkeypatch.setattr(Machine, "exec_step", exec_step)
+    rng = make_rng(90004)
+    users = {"alice": "wonder", "bob": "builder", "carol": "singer"}
+    primary = CredentialDirectory.from_users(tuple(users.items()), rng)
+    vm, frontend = sealed_frontend(90004, primary_directory=primary, upstream=UpstreamResolver(
+        table={"a.example": "192.0.2.1", "b.example": "192.0.2.2"}))
+    assert len(per_step) == sum(len(steps) for steps in default_plan(vm.config).values())
+    assert [n for kind, n in per_step if kind == COMMITS_TWICE] == [2, 2]  # one per stage
+    assert max(n for kind, n in per_step if kind != COMMITS_TWICE) == 1
+
+    per_verb = {}
+    for i, line in enumerate(serve_script(rng, users)):
+        if i == 100:
+            primary.add_user("dave", "diver", rng)
+            users["dave"] = "diver"
+        commits.append(0)
+        frontend.handle_line(line)
+        verb = line.split()[0] if line else ""
+        per_verb[verb] = max(per_verb.get(verb, 0), commits.pop())
+    assert per_verb["SYNC"] == per_verb["SUBMIT"] == per_verb["PUBLISH"] == 1
+    assert max(per_verb.values()) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_sync_that_does_not_fit_changes_neither_the_replica_nor_the_dump(seed):
+    primary = CredentialDirectory.from_users((("alice", "wonder"),), make_rng(seed))
+    _, vm, *_ = build_sealed(seed, ServerConfig(host_sectors=192, vm_sectors=512))
+    frontend = ServiceFrontend(vm, primary_directory=primary)
+    assert frontend.handle_line("SYNC") == "OK 1"
+    capacity = vm.root_volume.sector_count * vol.SECTOR_BYTES
+    vm.write_file("/srv/filler", b"")
+    vm.write_file("/srv/filler", bytes(capacity - len(vm.ram.tree.encode()) - 200))
+    assert capacity - len(vm.ram.tree.encode()) == 200
+    primary.add_user("bob", "builder", make_rng(seed))
+    replica_alone = vm.ram.tree.copy()
+    replica_alone.write_file(LDAP_REPLICA_PATH, primary.render().encode())
+    assert len(replica_alone.encode()) <= capacity  # bob's replica line fits, his dump does not
+
+    dump_path = f"{vm.config.webroot}/{LDAP_DUMP_NAME}"
+    replica, dump = vm.ram.tree.read_file(LDAP_REPLICA_PATH), vm.ram.tree.read_file(dump_path)
+    sectors = list(vm.root_volume.sectors)
+    assert frontend.handle_line("SYNC").startswith("ERR DiskFull: ")
+    assert vm.ram.tree.read_file(LDAP_REPLICA_PATH) == replica
+    assert vm.ram.tree.read_file(dump_path) == dump
+    assert vm.root_volume.sectors == sectors
+    assert frontend.handle_line("AUTH bob builder") == "OK reject"
+    assert frontend.handle_line("AUTH alice wonder") == "OK accept"
 
 
 def test_sync_unconfigured():
