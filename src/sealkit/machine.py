@@ -4,8 +4,9 @@ A machine is an unencrypted boot partition (file tree holding the keyfile),
 an encrypted root volume whose plaintext is the canonical encoding of the
 root file tree, and volatile RAM state (unlocked handles, working tree,
 runtime services/firewall). RAM state exists exactly while the machine is on:
-powering off drops it, and the master key with it. Each request or step that
-changes the RAM tree commits it once, sector by sector, to the root volume. A
+powering off drops it, and the master key with it. A request or step that
+changes the RAM tree writes it, sector by sector, to the root volume through
+:meth:`Machine.commit`, once (``purge_ssh`` still commits twice). A
 :class:`Stage` record, ``HOST`` or ``VM``, holds all that sets one machine
 apart from the other: where its boot files live, the rules it boots with,
 what its seal lists. :data:`STEP_KINDS` gives each sealing step kind its

@@ -339,9 +339,9 @@ class ServiceFrontend:
             raise ReplicationUnconfigured("no primary directory was configured at prepare time")
         # one-way: the replica copies the primary, and one commit publishes the dump with it
         m = self.machine
-        m.ram.tree.write_file(LDAP_REPLICA_PATH, self.primary_directory.render().encode())
-        m.ram.tree.append_text(f"{m.config.webroot}/{LDAP_DUMP_NAME}",
-                               directory_dump(m.ram.tree, m.clock))
+        tree = m.ram.tree
+        tree.write_file(LDAP_REPLICA_PATH, self.primary_directory.render().encode())
+        tree.append_text(f"{m.config.webroot}/{LDAP_DUMP_NAME}", directory_dump(tree, m.clock))
         m.commit()
         return f"OK {len(self.primary_directory.entries)}"
 
