@@ -23,10 +23,9 @@ from .sealing import (
     seal_vm,
     server_from_images,
 )
-from .verifier import AllowlistPolicy, Verdict, default_policy, verify_seal
+from .verifier import Verdict, default_policy, verify_seal
 
 __all__ = [
-    "AllowlistPolicy",
     "DiskImagePair",
     "Machine",
     "PublishedBundle",

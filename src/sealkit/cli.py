@@ -128,9 +128,7 @@ def cmd_verify(args) -> int:
         print(f"verify: malformed bundle: {exc}", file=sys.stderr)
         return EXIT_FAIL
     if args.json:
-        doc = verdict.to_dict()
-        doc["policy"] = policy.to_dict()  # the allowlist is reviewable data
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps({**verdict.to_dict(), "policy": policy}, indent=2, sort_keys=True))
     else:
         print(verdict.render_text(), end="")
     return EXIT_OK if verdict.status == "PASS" else EXIT_FAIL

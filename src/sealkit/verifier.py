@@ -2,12 +2,13 @@
 
 Everything here is a pure function over the pre-seal disk images, the
 published bundle, and an explicit allowlist policy. ``default_policy``
-derives the policy from the sealing plan: which paths may change (each step
-kind's rule in ``machine.STEP_KINDS``), which steps each log must replay and
-which of them are critical, and which published archive zips which root of
-which stage. Evidence is read only from records of planned commands, by
-exact command: ``extract_evidence`` indexes each planned command's outputs,
-and a record whose command no plan step produces is not evidence.
+derives the policy from the sealing plan as plain JSON-ready data: which
+paths may change (each step kind's rule in ``machine.STEP_KINDS``), which
+steps each log must replay and which of them are critical, and which
+published archive zips which root of which stage. Evidence is read only
+from records of planned commands, by exact command: ``extract_evidence``
+indexes each planned command's outputs, and a record whose command no plan
+step produces is not evidence.
 Manipulations confined to volatile state that no hash root or logged listing
 covers are outside what manifests can see; the verdict preamble says so.
 """
@@ -163,51 +164,15 @@ def extract_evidence(log: SealingLog, planned: Iterable[str]) -> LogEvidence:
 # -- allowlist policy --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AllowlistPolicy:
-    """Path globs a clean seal is expected to change/add/remove, the step
-    sequence each stage's log must replay, the path of the published
-    directory dump (empty when the plan dumps none), which commands are
-    critical, and the published archives as (bundle name, stage, zipped root)."""
-
-    may_change: tuple[str, ...] = ()
-    may_add: tuple[str, ...] = ()
-    may_remove: tuple[str, ...] = ()
-    expected_commands: dict[Stage, tuple[str, ...]] = field(default_factory=dict)
-    hash_roots: tuple[RootSpec, ...] = ()
-    ldap_dump: str = ""
-    critical_commands: tuple[str, ...] = ()
-    archives: tuple[tuple[str, Stage, str], ...] = ()
-
-    def allows(self, how: str, path: str) -> bool:
-        """Whether ``path`` may differ that way: ``how`` is "change", "add" or "remove"."""
-        return any(fnmatch.fnmatchcase(path, glob) for glob in getattr(self, f"may_{how}"))
-
-    def to_dict(self) -> dict:
-        """Every field the checks read, as JSON-ready data."""
-        return {
-            "may_change": list(self.may_change),
-            "may_add": list(self.may_add),
-            "may_remove": list(self.may_remove),
-            **{f"expected_{stage.kind}_commands": list(self.expected_commands.get(stage, ()))
-               for stage in STAGES},
-            "hash_roots": [
-                {"path": r.path, "recursive": r.recursive} for r in self.hash_roots
-            ],
-            "ldap_dump": self.ldap_dump,
-            "critical_commands": list(self.critical_commands),
-            "archives": [
-                {"name": name, "stage": stage.kind, "root": root}
-                for name, stage, root in self.archives
-            ],
-        }
-
-
-def default_policy(plan: SealingPlan) -> AllowlistPolicy:
-    """Derive the allowlist from each step kind's rule in ``STEP_KINDS``, and
-    the evidence roles, archive sources and critical steps from the plan's steps."""
+def default_policy(plan: SealingPlan) -> dict:
+    """The allowlist as plain JSON-ready data, the one form the checks read and
+    ``sealkit verify --json`` prints: the path globs a clean seal may change, add
+    or remove (each step kind's rule in ``STEP_KINDS``), the commands each stage's
+    log must replay, the hash roots, the path of the published directory dump
+    (empty when the plan dumps none), which commands are critical, and the
+    published archives (bundle name, stage kind, zipped root)."""
     may: dict[str, set[str]] = {"change": set(), "add": set(), "remove": set()}
-    roots: dict[str, RootSpec] = {}
+    roots: dict[str, dict] = {}
     ldap_dump = ""
 
     all_steps = [step for steps in plan.values() for step in steps]
@@ -217,39 +182,40 @@ def default_policy(plan: SealingPlan) -> AllowlistPolicy:
         if step.kind == "ldap_dump":
             ldap_dump = step.args["dest"]
         elif step.kind == "hash_tree":
-            roots.setdefault(step.args["root"],
-                             RootSpec(step.args["root"], step.args["recursive"]))
+            roots.setdefault(step.args["root"], {"path": step.args["root"],
+                                                 "recursive": step.args["recursive"]})
+    return {
+        **{f"may_{how}": sorted(globs) for how, globs in may.items()},
+        **{f"expected_{stage.kind}_commands": [s.command for s in plan.get(stage, ())]
+           for stage in STAGES},
+        "hash_roots": list(roots.values()),
+        "ldap_dump": ldap_dump,
+        "critical_commands": [s.command for s in all_steps if s.critical],
+        "archives": [{"name": step.args.get("name") or posixpath.basename(step.args["dest_path"]),
+                      "stage": stage.kind, "root": step.args["src"]}
+                     for stage, steps in plan.items() for step in steps
+                     if step.kind == "zip_tree"],
+    }
 
-    archives = tuple(
-        (step.args.get("name") or posixpath.basename(step.args["dest_path"]),
-         stage, step.args["src"])
-        for stage, steps in plan.items()
-        for step in steps if step.kind == "zip_tree"
-    )
-    return AllowlistPolicy(
-        **{f"may_{how}": tuple(sorted(globs)) for how, globs in may.items()},
-        expected_commands={stage: tuple(s.command for s in steps)
-                           for stage, steps in plan.items()},
-        hash_roots=tuple(roots.values()),
-        ldap_dump=ldap_dump,
-        critical_commands=tuple(s.command for s in all_steps if s.critical),
-        archives=archives,
-    )
+
+def _allows(policy: dict, how: str, path: str) -> bool:
+    """Whether ``path`` may differ that way: ``how`` is "change", "add" or "remove"."""
+    return any(fnmatch.fnmatchcase(path, glob) for glob in policy[f"may_{how}"])
 
 
 # -- the verification procedure ------------------------------------------------------
 
 
-def _check_step_sequence(stage: Stage, policy: AllowlistPolicy, log: SealingLog,
+def _check_step_sequence(stage: Stage, policy: dict, log: SealingLog,
                          findings: list[Finding]) -> None:
-    expected = policy.expected_commands.get(stage, ())
+    expected = policy[f"expected_{stage.kind}_commands"]
     log_commands = [record.command for record in log]
     cursor = 0
     for command in expected:
         try:
             cursor = log_commands.index(command, cursor) + 1
         except ValueError:
-            label = ("missing critical step" if command in policy.critical_commands
+            label = ("missing critical step" if command in policy["critical_commands"]
                      else "missing or out-of-order step")
             findings.append(Finding(command, f"{label} in {stage.kind} log"))
     for command in dict.fromkeys(expected):  # plan order, whatever the string hash seed
@@ -322,7 +288,7 @@ def _check_ssh_evidence(stage: Stage, evidence: LogEvidence,
         findings.append(Finding("sshd", f"ssh server still present after the {stage.kind} seal"))
 
 
-def _check_diff(diff: ManifestDiff, policy: AllowlistPolicy, findings: list[Finding], *,
+def _check_diff(diff: ManifestDiff, policy: dict, findings: list[Finding], *,
                 changed: str, added: str, removed: str) -> None:
     """One ERROR per path the policy does not allow to differ that way, with
     that kind's explanation: changed paths first, then added, then removed."""
@@ -330,7 +296,7 @@ def _check_diff(diff: ManifestDiff, policy: AllowlistPolicy, findings: list[Find
                                      ("add", diff.added, added),
                                      ("remove", diff.removed, removed)):
         for path in sorted(paths):
-            if not policy.allows(kind, path):
+            if not _allows(policy, kind, path):
                 findings.append(Finding(path, explanation))
 
 
@@ -341,7 +307,7 @@ def _archive_source(pre_tree, src_root: str) -> dict[str, bytes]:
 
 
 def _check_archive(name: str, blob: bytes, pre_files: dict[str, bytes],
-                   policy: AllowlistPolicy, findings: list[Finding]) -> None:
+                   policy: dict, findings: list[Finding]) -> None:
     try:
         members = unzip_to_map(blob)
     except ZIP_READ_ERRORS:
@@ -379,7 +345,7 @@ def _check_kdf_counts(stage: Stage, images: DiskImagePair) -> None:
 
 
 def verify_seal(host_images: DiskImagePair, vm_images: DiskImagePair,
-                bundle: PublishedBundle, policy: AllowlistPolicy) -> Verdict:
+                bundle: PublishedBundle, policy: dict) -> Verdict:
     """Compare the published sealed state against the pre-seal disk images."""
     findings: list[Finding] = []
     images = dict(zip(STAGES, (host_images, vm_images)))
@@ -391,7 +357,7 @@ def verify_seal(host_images: DiskImagePair, vm_images: DiskImagePair,
     try:
         logs = {stage: parse_sealing_log(bundle.artifacts[stage.log_name].decode())
                 for stage in STAGES}
-        evidence = {stage: extract_evidence(log, policy.expected_commands.get(stage, ()))
+        evidence = {stage: extract_evidence(log, policy[f"expected_{stage.kind}_commands"])
                     for stage, log in logs.items()}
     except (MalformedLog, ManifestError, UnicodeDecodeError) as exc:
         raise MalformedBundle(f"unparseable sealing log: {exc}") from exc
@@ -409,10 +375,10 @@ def verify_seal(host_images: DiskImagePair, vm_images: DiskImagePair,
     # or archive source, is malformed input, not a finding.
     try:
         pre_trees = {stage: full_tree_from_images(images[stage]) for stage in STAGES}
-        pre_manifests = {stage: compute_manifest(pre_trees[stage], policy.hash_roots)
-                         for stage in STAGES}
-        pre_archives = [_archive_source(pre_trees[stage], src_root)
-                        for _, stage, src_root in policy.archives]
+        roots = [RootSpec(**root) for root in policy["hash_roots"]]
+        pre_manifests = {stage: compute_manifest(pre_trees[stage], roots) for stage in STAGES}
+        pre_archives = [_archive_source(tree, archive["root"]) for archive in policy["archives"]
+                        for stage, tree in pre_trees.items() if stage.kind == archive["stage"]]
     except (TreeError, VolumeError, ManifestError) as exc:
         raise MalformedBundle(f"pre-seal images cannot be opened: {exc}") from exc
 
@@ -429,7 +395,8 @@ def verify_seal(host_images: DiskImagePair, vm_images: DiskImagePair,
                     removed=f"disappeared during the {stage.kind} seal")
 
     # (6) published archives match the pre-seal trees modulo the allowlist
-    for (name, _, _), pre_files in zip(policy.archives, pre_archives):
+    for archive, pre_files in zip(policy["archives"], pre_archives):
+        name = archive["name"]
         if name not in bundle.artifacts:
             findings.append(Finding(name, "archive missing from bundle"))
             continue
@@ -444,7 +411,7 @@ def verify_seal(host_images: DiskImagePair, vm_images: DiskImagePair,
             findings.append(Finding(name, "keyfile bytes leaked into the bundle"))
 
     # (8) the published directory dump is the file the VM hashed
-    if policy.ldap_dump:
-        _check_published_file(policy.ldap_dump, bundle, evidence[VM].manifest, findings)
+    if policy["ldap_dump"]:
+        _check_published_file(policy["ldap_dump"], bundle, evidence[VM].manifest, findings)
 
     return Verdict(status="FAIL" if findings else "PASS", findings=findings)

@@ -10,7 +10,7 @@ import subprocess
 import sys
 import zipfile
 import zlib
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -179,7 +179,7 @@ def test_log_missing_erase_line_parses_without_evidence():
     parsed = parse_sealing_log("\n".join(lines))
     assert not any(r.command.startswith("cryptsetup luksErase") for r in parsed)
     assert f"cryptsetup luksDump {HOST.root_device}" in [r.command for r in parsed]
-    planned = default_policy(default_plan(SMALL)).expected_commands[HOST]
+    planned = default_policy(default_plan(SMALL))["expected_host_commands"]
     assert extract_evidence(parsed, planned).last(f"cryptsetup luksDump {HOST.root_device}")
 
 
@@ -196,66 +196,51 @@ def test_garbage_log_is_malformed():
 
 def test_policy_admits_passwd_change_but_not_sbin_additions():
     policy = default_policy(default_plan(SMALL))
-    assert policy.allows("change", "/etc/passwd")
-    assert not policy.allows("add", "/usr/sbin/backdoor")
-    assert policy.allows("remove", "/etc/ssh/sshd_config")
-    assert policy.allows("add", "/var/www/log/etc-vm.zip")
+    assert verifier._allows(policy, "change", "/etc/passwd")
+    assert not verifier._allows(policy, "add", "/usr/sbin/backdoor")
+    assert verifier._allows(policy, "remove", "/etc/ssh/sshd_config")
+    assert verifier._allows(policy, "add", "/var/www/log/etc-vm.zip")
 
 
 def test_policy_default_additions_are_the_plan_destinations():
     policy = default_policy(default_plan(SMALL))
-    assert policy.may_add == (
+    assert policy["may_add"] == [
         "/home/trust/date.txt",
         "/var/www/log/*",
         "/var/www/log/etc-vm.zip",
         "/var/www/log/ldap.txt",
         "/var/www/log/trust-vm.zip",
-    )
+    ]
 
 
 def test_policy_follows_a_non_default_webroot():
     config = replace(SMALL, webroot="/srv/pub")
     policy = default_policy(default_plan(config))
-    assert policy.allows("add", f"/srv/pub/{HOST_LOG_NAME}")
-    assert not policy.allows("add", "/var/www/log/x")
+    assert verifier._allows(policy, "add", f"/srv/pub/{HOST_LOG_NAME}")
+    assert not verifier._allows(policy, "add", "/var/www/log/x")
     _, _, host_images, vm_images, bundle = build_sealed(70, config)
     assert verify_seal(host_images, vm_images, bundle, policy).status == "PASS"
 
 
 def test_policy_for_empty_plan_admits_nothing():
     policy = default_policy({HOST: (), VM: ()})
-    assert policy.may_change == () and policy.may_add == () and policy.may_remove == ()
-    assert not policy.allows("change", "/etc/passwd")
+    assert policy["may_change"] == policy["may_add"] == policy["may_remove"] == []
+    assert not verifier._allows(policy, "change", "/etc/passwd")
 
 
 def test_policy_takes_archives_and_critical_steps_from_the_plan():
     policy = default_policy(default_plan(SMALL))
-    assert policy.archives == (
-        ("etc-host.zip", HOST, "/etc"),
-        ("root-host.zip", HOST, "/root"),
-        ("etc-vm.zip", VM, "/etc"),
-        ("trust-vm.zip", VM, "/home/trust"),
-    )
-    assert policy.critical_commands == (
+    assert [tuple(archive.values()) for archive in policy["archives"]] == [
+        ("etc-host.zip", HOST.kind, "/etc"),
+        ("root-host.zip", HOST.kind, "/root"),
+        ("etc-vm.zip", VM.kind, "/etc"),
+        ("trust-vm.zip", VM.kind, "/home/trust"),
+    ]
+    assert policy["critical_commands"] == [
         f"cryptsetup luksErase {HOST.root_device}",
         f"cryptsetup-reencrypt -v -d /mnt/keyfile -l 512 {VM_ROOT_DEVICE_FROM_HOST}",
         f"cryptsetup luksErase {VM.root_device}",
-    )
-
-
-def test_policy_dict_shows_every_field_the_checks_read():
-    policy = default_policy(default_plan(SMALL))
-    doc = policy.to_dict()
-    per_stage = {f"expected_{stage.kind}_commands" for stage in STAGES}
-    assert set(doc) == {f.name for f in fields(policy)} - {"expected_commands"} | per_stage
-    assert json.loads(json.dumps(doc)) == doc
-    for stage in STAGES:
-        assert doc[f"expected_{stage.kind}_commands"] == list(policy.expected_commands[stage])
-    assert doc["critical_commands"] == list(policy.critical_commands)
-    assert doc["ldap_dump"] == "/var/www/log/ldap.txt"
-    assert doc["archives"][0] == {"name": "etc-host.zip", "stage": "host", "root": "/etc"}
-    assert [tuple(a.values()) for a in doc["archives"]] == [
-        (name, stage.kind, root) for name, stage, root in policy.archives]
+    ]
 
 
 _HASH_ROOTS = [{"path": path, "recursive": path != "/usr/bin"} for path in (
@@ -279,7 +264,7 @@ _HOST_LOCKDOWN = [
 
 
 def pinned_dual_stage_policy(w: str) -> dict:
-    """``default_policy(default_plan(...)).to_dict()`` at SMALL with webroot ``w``."""
+    """``default_policy(default_plan(...))`` at SMALL with webroot ``w``."""
     return {
         "may_change": ["/etc/group", "/etc/passwd", "/etc/shadow"],
         "may_add": ["/home/trust/date.txt", f"{w}/*", f"{w}/etc-vm.zip", f"{w}/ldap.txt",
@@ -338,7 +323,10 @@ def pinned_dual_stage_policy(w: str) -> dict:
     (default_plan(replace(SMALL, webroot="/srv/pub")), pinned_dual_stage_policy("/srv/pub")),
 ], ids=["single-stage-host", "default", "webroot-srv-pub"])
 def test_policy_of_each_shipped_plan_is_pinned(plan, expected):
-    assert default_policy(plan).to_dict() == expected
+    """The policy is the JSON that ``verify --json`` prints, and nothing else."""
+    policy = default_policy(plan)
+    assert policy == expected
+    assert json.loads(json.dumps(policy)) == policy
 
 
 def test_archive_of_another_root_verifies_under_its_own_plan():
@@ -435,11 +423,11 @@ def test_non_utf8_host_log_is_malformed():
 
 def test_published_ldap_dump_is_bound_to_the_vm_manifest():
     _, _, host_images, vm_images, bundle, policy = clean_run(65)
-    assert policy.ldap_dump == "/var/www/log/ldap.txt"
+    assert policy["ldap_dump"] == "/var/www/log/ldap.txt"
     honest = bundle.artifacts["ldap.txt"]
     vm_log = bundle.artifacts[VM.log_name].decode()
     unhashed = "".join(l for l in vm_log.splitlines(keepends=True)
-                       if not l.endswith(f"  {policy.ldap_dump}\n"))
+                       if not l.endswith(f"  {policy['ldap_dump']}\n"))
     assert unhashed != vm_log
     cases = {
         "replaced": {"ldap.txt": b"tampered\n"},
