@@ -90,6 +90,7 @@ STAGES = (HOST, VM)  # in the order they seal
 
 VM_ROOT_DEVICE_FROM_HOST = "/dev/sdb2"
 SSHD = "/usr/sbin/sshd"
+SSH_DPORT = "--dport 22"  # the match of the INPUT rule that admits ssh
 _USER_DATABASES = ("/etc/passwd", "/etc/shadow", "/etc/group")  # userdel rewrites each
 LDAP_REPLICA_PATH = "/etc/ldap/directory.tsv"  # the directory replica the VM serves
 LDAP_DUMP_NAME = "ldap.txt"  # the replica's published user names, in the webroot
@@ -231,14 +232,20 @@ def render_iptables_save(fw: FirewallPolicy) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_iptables_save(text: str) -> tuple[list[str], str]:
-    rules, output_policy = [], "ACCEPT"
+def parse_iptables_save(text: str) -> FirewallPolicy:
+    fw = FirewallPolicy()
     for line in text.splitlines():
         if line.startswith(":OUTPUT"):
-            output_policy = line.split()[1]
+            fw.output_policy = " ".join(line.split()[1:2])  # "" for a line naming none
         elif line.startswith("-A INPUT"):
-            rules.append(line)
-    return rules, output_policy
+            fw.input_rules.append(line)
+    return fw
+
+
+def render_rule_listing(fw: FirewallPolicy) -> str:
+    """``iptables -L -n``: the INPUT rules, then the OUTPUT policy."""
+    return "\n".join(["Chain INPUT (policy ACCEPT)", *fw.input_rules,
+                      f"Chain OUTPUT (policy {fw.output_policy})"]) + "\n"
 
 
 def directory_record(user: str, salt: bytes, verifier: bytes) -> str:
@@ -369,10 +376,8 @@ class Machine:
         tree, image = read_volume_tree(handle)
         content = bytes(image.rstrip(b"\x00"))
 
-        firewall = FirewallPolicy()
         rules = tree.file_bytes(self.stage.rules_file)
-        if rules is not None:
-            firewall.input_rules, firewall.output_policy = parse_iptables_save(rules.decode())
+        firewall = FirewallPolicy() if rules is None else parse_iptables_save(rules.decode())
 
         self.ram = RamState(handle=handle, tree=tree, firewall=firewall, content=content)
 
@@ -479,10 +484,7 @@ class Machine:
         return render_iptables_save(ram.firewall), 0
 
     def _step_list_rules_table(self, ram, args):
-        lines = ["Chain INPUT (policy ACCEPT)"]
-        lines.extend(ram.firewall.input_rules)
-        lines.append(f"Chain OUTPUT (policy {ram.firewall.output_policy})")
-        return "\n".join(lines) + "\n", 0
+        return render_rule_listing(ram.firewall), 0
 
     def _step_show_file(self, ram, args):
         path = args["path"]

@@ -194,9 +194,7 @@ def _trojan_cron(host: Machine, plan: SealingPlan) -> PublishedBundle:
 def _hide_surviving_user(host: Machine, plan: SealingPlan) -> PublishedBundle:
     """Run the VM's userdel as a no-op under its honest command, then blank the
     VM's passwd listing, which would show the login user it left behind."""
-    steps = tuple(replace(step, kind="chown_webroot") if step.kind == "remove_user" else step
-                  for step in plan[VM])
-    bundle = seal_all(host, {**plan, VM: steps})
+    bundle = _forged(VM, "remove_user", kind="chown_webroot")(host, plan)
     log = [replace(record, output="") if record.command == "cat /etc/passwd" else record
            for record in parse_sealing_log(bundle.artifacts[VM.log_name].decode())]
     return PublishedBundle({**bundle.artifacts, VM.log_name: render_log(log).encode()})
@@ -211,6 +209,13 @@ def _vm_accounts(host: Machine) -> list[str]:
 def _without(stage: Stage, kind: str):
     """Sabotage that seals with the first ``kind`` step of ``stage`` removed."""
     return lambda host, plan: seal_all(host, drop_step(plan, stage, kind))
+
+
+def _forged(stage: Stage, kind: str, /, **changes):
+    """Sabotage that seals with each ``kind`` step of ``stage`` changed by ``changes``
+    but logged under its honest command."""
+    return lambda host, plan: seal_all(host, {**plan, stage: tuple(
+        replace(step, **changes) if step.kind == kind else step for step in plan[stage])})
 
 
 SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
@@ -242,6 +247,10 @@ SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
                                  {**seal_all(host, plan).artifacts,
                                   LDAP_DUMP_NAME: b"tampered\n"}),
                              lambda f: f.subject == LDAP_DUMP_NAME)),
+    Scenario("leftover-ssh-rule", VERIFIER_FLAGS,
+             "keep the VM's ssh rule by deleting rule 4 under the honest iptables -D INPUT 5",
+             _verifier_flags(_forged(VM, "delete_input_rule", args={"index": 4}),
+                             lambda f: "rules accept ssh" in f.explanation)),
 )}
 
 _RUNNERS = {name: scenario.report for name, scenario in SCENARIOS.items()}

@@ -24,6 +24,7 @@ from .machine import (
     HOST_LOG_NAME,
     LDAP_DUMP_NAME,
     LDAP_REPLICA_PATH,
+    SSH_DPORT,
     VM,
     VM_LOG_NAME,
     VM_ROOT_DEVICE_FROM_HOST,
@@ -102,7 +103,7 @@ def _lockdown(stage: Stage) -> list[SealingStep]:
     purge, admin login removal and keyslot erase, each with its listing."""
     # iptables -D counts from 1; the rule table is the one the stage boots with
     index = next(i for i, rule in enumerate(stage.input_rules, start=1)
-                 if "--dport 22" in rule)
+                 if SSH_DPORT in rule)
     return [
         _step("set_output_drop", "iptables -P OUTPUT DROP"),
         _step("delete_input_rule", f"iptables -D INPUT {index}", index=index),

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 from .escrow import SHARE_MAGIC
 from .machine import (
+    SSH_DPORT,
     STAGES,
     STEP_KINDS,
     VM,
@@ -32,6 +33,8 @@ from .machine import (
     StepRecord,
     boot_keyfile,
     full_tree_from_images,
+    parse_iptables_save,
+    render_rule_listing,
     unzip_to_map,
 )
 from .manifest import (
@@ -288,6 +291,22 @@ def _check_ssh_evidence(stage: Stage, evidence: LogEvidence,
         findings.append(Finding("sshd", f"ssh server still present after the {stage.kind} seal"))
 
 
+def _check_firewall_evidence(stage: Stage, evidence: LogEvidence,
+                             findings: list[Finding]) -> None:
+    saved = _last_output(stage, evidence, "iptables-save", "rule dump", findings)
+    if saved is None:
+        return
+    firewall = parse_iptables_save(saved)
+    if firewall.output_policy != "DROP":
+        findings.append(Finding("iptables-save", f"the {stage.kind} OUTPUT policy is not DROP"))
+    for rule in firewall.input_rules:
+        if f" {SSH_DPORT} " in f" {rule} " and "-j ACCEPT" in rule:
+            findings.append(Finding("iptables-save", f"the {stage.kind} rules accept ssh: {rule}"))
+    listing = _last_output(stage, evidence, "iptables -L -n", "rule listing", findings)
+    if listing is not None and listing.splitlines() != render_rule_listing(firewall).splitlines():
+        findings.append(Finding("iptables -L -n", f"differs from the {stage.kind} iptables-save"))
+
+
 def _check_diff(diff: ManifestDiff, policy: dict, findings: list[Finding], *,
                 changed: str, added: str, removed: str) -> None:
     """One ERROR per path the policy does not allow to differ that way, with
@@ -366,8 +385,10 @@ def verify_seal(host_images: DiskImagePair, vm_images: DiskImagePair,
     for stage in STAGES:
         _check_step_sequence(stage, policy, logs[stage], findings)
 
-    # (2) keyslot dumps show both disks sealed, (3) no login users survive, (4) ssh is gone
-    for check in (_check_dump_evidence, _check_passwd_evidence, _check_ssh_evidence):
+    # (2) keyslot dumps show both disks sealed, (3) no login users survive, (4) ssh is
+    # gone, (10) the firewall drops output and accepts no ssh, as both listings show
+    for check in (_check_dump_evidence, _check_passwd_evidence, _check_ssh_evidence,
+                  _check_firewall_evidence):
         for stage in STAGES:
             check(stage, evidence[stage], findings)
 

@@ -74,6 +74,10 @@ ATTACK_REPORTS_SMALL_SEEDS_0_1 = {
         "9069d2b102c158310fc14c6f1d124257821b5408288581cd12ae70dfad1183db"
         "aa426253a73fd8fe50b4570837616936cd7e73639adda56c18bf243b7f352f83"
     ),
+    "leftover-ssh-rule": (
+        "2104c032be59cddd844347ec0d1f4fc0a937bb4dc94c08bc7eee4904a8f2555f"
+        "47db7fdbf68a3d48e8c5338da3e82503e080e70ce9be666a6bf81995354ac519"
+    ),
     "leftover-user": (
         "e0e15f029ce0bbdebe07b5abeb118033b838fdb07831c87cfbd60adeb1711f20"
         "0692065100a422231fb25e45c801db3b27c555b221cdd24e7df96ce0797d0869"

@@ -25,6 +25,7 @@ def test_scenario_registry_is_complete():
         "leftover-user",
         "blank-account-listing",
         "tampered-ldap",
+        "leftover-ssh-rule",
     }
 
 

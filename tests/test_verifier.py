@@ -63,6 +63,9 @@ from sealkit.verifier import (
 from sealkit.volume import VolumeError, deserialize_volume, serialize_volume
 
 
+SSH_RULE = "-A INPUT -p tcp --dport 22 -j ACCEPT"
+
+
 def clean_run(seed):
     host, vm, host_images, vm_images, bundle = build_sealed(seed)
     policy = default_policy(default_plan(host.config))
@@ -496,7 +499,7 @@ def test_a_pre_seal_image_without_a_planned_root_is_malformed(seed5_seal, stage,
 
 # -- the coverage map: which log records the verifier reads ---------------------------
 
-_FIREWALL = "no check reads the firewall's rules or listings"
+_FIREWALL = "its output is empty: check (10) reads the rule dump and listing that show its effect"
 _WRAPPERS = "no check reads the TCP wrapper files"
 _STEP_ONLY = "its output is not evidence: check (1) reads only the record's place in the plan"
 
@@ -504,10 +507,9 @@ _STEP_ONLY = "its output is not evidence: check (1) reads only the record's plac
 # output alone leaves the honest bundle verifying PASS. Keyed by (stage, command);
 # a command logged twice by one stage is one entry for both records.
 UNREAD_RECORDS = {
-    **{(stage, command): _FIREWALL for stage, commands in (
-        ("host", ("iptables -P OUTPUT DROP", "iptables -D INPUT 4")),
-        ("vm", ("iptables -P OUTPUT DROP", "iptables -D INPUT 5")),
-    ) for command in (*commands, "iptables-save", "iptables -L -n")},
+    **{(stage, command): _FIREWALL
+       for stage, delete in (("host", "iptables -D INPUT 4"), ("vm", "iptables -D INPUT 5"))
+       for command in ("iptables -P OUTPUT DROP", delete)},
     ("host", "cat /etc/hosts.allow"): _WRAPPERS,
     ("host", "cat /etc/hosts.deny"): _WRAPPERS,
     ("vm", "rm /etc/hosts.allow"): _WRAPPERS,
@@ -570,6 +572,25 @@ def test_every_log_record_is_read_or_a_declared_gap(seed5_seal):
     assert UNREAD_RECORDS.keys() - (passed - caught) == set(), "declared gaps now caught"
 
 
+@pytest.mark.parametrize("stage", STAGES, ids=lambda stage: stage.kind)
+def test_a_second_ssh_rule_in_the_pre_seal_rule_file_is_flagged(stage):
+    """Sealing deletes the first ssh rule only. The second one shows in both
+    listings, as an honest run on that image prints them, and is the only finding."""
+    for seed in range(3):
+        host = build_server(seed)
+        machine = host if stage is HOST else host.nested_vm
+        machine.boot()
+        rules = machine.ram.tree.read_text(stage.rules_file)
+        machine.write_file(stage.rules_file, rules.replace(
+            "-A INPUT -j DROP", f"{SSH_RULE}\n-A INPUT -j DROP").encode())
+        machine.power_off()
+        host_images, vm_images = host.snapshot_image(), host.nested_vm.snapshot_image()
+        verdict = verify_seal(host_images, vm_images, seal_all(host),
+                              default_policy(default_plan(SMALL)))
+        assert verdict.findings == [
+            Finding("iptables-save", f"the {stage.kind} rules accept ssh: {SSH_RULE}")], seed
+
+
 # -- one finding per tampering of an honest bundle ----------------------------------
 
 
@@ -625,6 +646,10 @@ def _user_eve(shell):
 
 def _without_line(prefix):
     return lambda output: "\n".join(l for l in output.splitlines() if not l.startswith(prefix))
+
+
+def _with_ssh_rule(output):
+    return output.replace("COMMIT", f"{SSH_RULE}\nCOMMIT")
 
 
 def _slot_0_active(output):
@@ -721,6 +746,18 @@ def honest_seal():
      "apt-get -y purge openssh-server", "host log carries no ssh purge step"),
     (_log(VM_LOG_NAME, _drop("apt-get -y purge openssh-server")),
      "apt-get -y purge openssh-server", "vm log carries no ssh purge step"),
+    (_log(VM_LOG_NAME, _with_output("iptables-save", lambda o: o.replace("T DROP", "T ACCEPT"))),
+     "iptables-save", "the vm OUTPUT policy is not DROP"),
+    (_log(HOST_LOG_NAME, _with_output("iptables-save", _with_ssh_rule)),
+     "iptables-save", f"the host rules accept ssh: {SSH_RULE}"),
+    (_log(VM_LOG_NAME, _with_output("iptables -L -n", lambda o: o.replace("DROP)", "ACCEPT)"))),
+     "iptables -L -n", "differs from the vm iptables-save"),
+    (_log(HOST_LOG_NAME, _with_output("iptables -L -n", _without_line("-A INPUT -i lo"))),
+     "iptables -L -n", "differs from the host iptables-save"),
+    (_log(HOST_LOG_NAME, _drop("iptables-save")),
+     "iptables-save", "host log carries no rule dump"),
+    (_log(VM_LOG_NAME, _drop("iptables -L -n")),
+     "iptables -L -n", "vm log carries no rule listing"),
 ], ids=["duplicate-command", "no-keyslot-dump", "no-vm-keyslot-dump", "no-passwd-listing",
         "no-host-passwd-listing", "no-ssh-probe", "no-vm-ssh-probe", "ssh-still-present",
         "host-ssh-still-present", "file-disappeared", "vm-file-disappeared",
@@ -730,7 +767,9 @@ def honest_seal():
         "archive-dropped-file", "archive-missing", "keyfile-leaked", "vm-keyfile-leaked",
         "zsh-user", "host-usr-bin-bash-user", "empty-shell-user", "blank-vm-passwd-listing",
         "host-shadow-without-root", "vm-group-without-www-data", "no-ssh-purge",
-        "no-vm-ssh-purge"])
+        "no-vm-ssh-purge", "vm-output-accepted", "host-ssh-rule-saved",
+        "vm-listing-output-accepted", "host-listing-without-a-rule", "no-rule-dump",
+        "no-vm-rule-listing"])
 def test_tampered_bundle_gives_its_finding(honest_seal, change, subject, explanation):
     """Each row tampers with one stage's evidence; a per-stage check has a row per stage.
     ``change`` gets the artifacts and the (host, vm) keyfiles."""
