@@ -748,6 +748,8 @@ def honest_seal():
      "apt-get -y purge openssh-server", "vm log carries no ssh purge step"),
     (_log(VM_LOG_NAME, _with_output("iptables-save", lambda o: o.replace("T DROP", "T ACCEPT"))),
      "iptables-save", "the vm OUTPUT policy is not DROP"),
+    (_log(HOST_LOG_NAME, _with_output("iptables-save", lambda o: o.replace("T DROP [0:0]", "T"))),
+     "iptables-save", "the host OUTPUT policy is not DROP"),
     (_log(HOST_LOG_NAME, _with_output("iptables-save", _with_ssh_rule)),
      "iptables-save", f"the host rules accept ssh: {SSH_RULE}"),
     (_log(VM_LOG_NAME, _with_output("iptables -L -n", lambda o: o.replace("DROP)", "ACCEPT)"))),
@@ -767,7 +769,7 @@ def honest_seal():
         "archive-dropped-file", "archive-missing", "keyfile-leaked", "vm-keyfile-leaked",
         "zsh-user", "host-usr-bin-bash-user", "empty-shell-user", "blank-vm-passwd-listing",
         "host-shadow-without-root", "vm-group-without-www-data", "no-ssh-purge",
-        "no-vm-ssh-purge", "vm-output-accepted", "host-ssh-rule-saved",
+        "no-vm-ssh-purge", "vm-output-accepted", "host-output-unnamed", "host-ssh-rule-saved",
         "vm-listing-output-accepted", "host-listing-without-a-rule", "no-rule-dump",
         "no-vm-rule-listing"])
 def test_tampered_bundle_gives_its_finding(honest_seal, change, subject, explanation):
