@@ -246,6 +246,36 @@ def test_policy_takes_archives_and_critical_steps_from_the_plan():
     ]
 
 
+class _ReadRecordingPolicy(dict):
+    """A policy dict that notes each top-level key a check reads."""
+
+    def __init__(self, policy: dict):
+        super().__init__(policy)
+        self.read: set[str] = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def test_policy_dict_shows_every_field_the_checks_read():
+    _, _, host_images, vm_images, bundle, policy = clean_run(66)
+    recording = _ReadRecordingPolicy(policy)
+    assert verify_seal(host_images, vm_images, bundle, recording).status == "PASS"
+    assert recording.read == set(policy) - {"critical_commands"}
+    # Which steps are critical matters only once a planned step is missing.
+    log = bundle.artifacts[HOST_LOG_NAME].decode().splitlines(keepends=True)
+    artifacts = {**bundle.artifacts, HOST_LOG_NAME: "".join(
+        l for l in log if not l.startswith("+ cryptsetup luksErase")).encode()}
+    assert verify_seal(host_images, vm_images, PublishedBundle(artifacts=artifacts),
+                       recording).status == "FAIL"
+    assert recording.read == set(policy)
+    assert json.loads(json.dumps(policy)) == policy
+    assert {f"expected_{stage.kind}_commands" for stage in STAGES} <= set(policy)
+    assert policy["ldap_dump"] == "/var/www/log/ldap.txt"
+    assert policy["archives"][0] == {"name": "etc-host.zip", "stage": "host", "root": "/etc"}
+
+
 _HASH_ROOTS = [{"path": path, "recursive": path != "/usr/bin"} for path in (
     "/boot", "/etc", "/home", "/lib", "/root", "/sbin", "/srv", "/tmp", "/usr/bin",
     "/usr/lib", "/usr/local", "/usr/sbin", "/usr/share", "/var")]
